@@ -2,6 +2,11 @@
 // (DESIGN.md §11). Answers "what do the cheap cycles cost": MB/s on the
 // encode (demotion) side, MB/s on the decode (GetShared hit) side, and the
 // ratio each codec buys on synthetic-but-video-shaped frames.
+//
+// It then decodes the lossless corpus (src/workloads/lossless_corpus.h)
+// with the table-driven decoder and its bit-serial reference, and fails on
+// any byte difference. --smoke runs only that check, on a small corpus
+// (tools/check_build.sh runs it).
 
 #include <algorithm>
 #include <cmath>
@@ -13,7 +18,9 @@
 #include "src/common/clock.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
+#include "src/compress/lossless.h"
 #include "src/compress/lossy.h"
+#include "src/workloads/lossless_corpus.h"
 
 using namespace sand;
 
@@ -47,10 +54,53 @@ Nanos Quantile(std::vector<Nanos>& samples, double q) {
   return samples[rank];
 }
 
+// Decodes the corpus with both lossless decoders; returns the number of
+// streams on which they disagree (or fail).
+int CheckLosslessDecoder() {
+  SyntheticDatasetOptions options;  // the data-path benchmark's geometry
+  options.num_videos = SmokeMode() ? 2 : 8;
+  options.frames_per_video = SmokeMode() ? 16 : 48;
+  auto corpus = BuildLosslessCorpus(options);
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "lossless corpus: %s\n", corpus.status().ToString().c_str());
+    return 1;
+  }
+  Nanos fast_ns = 0;
+  Nanos reference_ns = 0;
+  uint64_t raw_bytes = 0;
+  int failures = 0;
+  for (const LosslessCorpusEntry& entry : *corpus) {
+    Stopwatch reference_watch;
+    auto reference = lossless_reference::LosslessDecompress(entry.stream);
+    reference_ns += reference_watch.Elapsed();
+    Stopwatch fast_watch;
+    auto fast = LosslessDecompress(entry.stream);
+    fast_ns += fast_watch.Elapsed();
+    if (!reference.ok() || !fast.ok() || *fast != *reference) {
+      std::fprintf(stderr, "FAIL: %s: table-driven %s, reference %s%s\n", entry.name.c_str(),
+                   fast.status().ToString().c_str(), reference.status().ToString().c_str(),
+                   fast.ok() && reference.ok() ? ", bytes differ" : "");
+      ++failures;
+      continue;
+    }
+    raw_bytes += fast->size();
+  }
+  const double raw_mb = static_cast<double>(raw_bytes) / (1024.0 * 1024.0);
+  std::printf("\nlossless decoder over %zu corpus streams (%.1f MB decoded): table-driven "
+              "%.1f MB/s, reference %.1f MB/s, %.2fx; %d mismatches\n",
+              corpus->size(), raw_mb, raw_mb / ToSeconds(fast_ns),
+              raw_mb / ToSeconds(reference_ns),
+              static_cast<double>(reference_ns) / static_cast<double>(fast_ns), failures);
+  return failures;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   sand::ParseBenchFlags(argc, argv);
+  if (SmokeMode()) {
+    return CheckLosslessDecoder() == 0 ? 0 : 1;
+  }
   PrintBenchHeader("micro: ObjectCodec encode/decode throughput",
                    "compressed cache tier cost model (DESIGN.md §11)");
 
@@ -134,5 +184,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nencode runs on the service worker pool (async demotion), so only the\n"
               "dec column sits on the demand path — and only on a cold hit.\n");
-  return 0;
+  return CheckLosslessDecoder() == 0 ? 0 : 1;
 }

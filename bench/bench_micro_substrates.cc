@@ -1,5 +1,6 @@
 // Microbenchmarks of the substrates (google-benchmark): codec encode /
-// sequential decode / random access, the lossless cache codec, and the
+// sequential decode / random access, the lossless cache codec (with its
+// bit-serial reference decoder alongside, for the speed ratio), and the
 // hot augmentation ops. These are the per-op costs the CostModel's
 // planning coefficients abstract.
 
@@ -83,6 +84,20 @@ void BM_LosslessDecompressFrame(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LosslessDecompressFrame);
+
+// The same work through the bit-serial reference decoder: the 12-byte shape
+// header DecompressFrame skips, then a checked Frame over the pixels.
+void BM_LosslessDecompressFrameReference(benchmark::State& state) {
+  const Frame frame = BenchFrame();
+  auto compressed = CompressFrame(frame).TakeValue();
+  const std::span<const uint8_t> pixels = std::span<const uint8_t>(compressed).subspan(12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Frame::FromPixels(frame.height(), frame.width(), frame.channels(),
+                                               lossless_reference::LosslessDecompress(pixels)
+                                                   .TakeValue()));
+  }
+}
+BENCHMARK(BM_LosslessDecompressFrameReference);
 
 void BM_ResizeBilinear(benchmark::State& state) {
   Frame frame = BenchFrame();

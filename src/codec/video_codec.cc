@@ -169,8 +169,17 @@ Status VideoDecoder::DecodeStep(const Parsed& parsed, int64_t index, Frame& curs
   if (!raw.ok()) {
     return raw.status();
   }
+  // The payload is a whole frame or a whole delta; anything else would be
+  // adopted as a mis-sized Frame or read past by the delta apply.
+  const size_t frame_bytes =
+      static_cast<size_t>(parsed.height) * parsed.width * parsed.channels;
+  if (raw->size() != frame_bytes) {
+    return DataLoss(StrFormat("frame %lld payload decodes to %zu bytes, expected %zu",
+                              static_cast<long long>(index), raw->size(), frame_bytes));
+  }
   if (entry.type == FrameType::kIntra) {
-    cursor = Frame(parsed.height, parsed.width, parsed.channels, raw.TakeValue());
+    SAND_ASSIGN_OR_RETURN(cursor, Frame::FromPixels(parsed.height, parsed.width,
+                                                    parsed.channels, raw.TakeValue()));
   } else {
     ApplyTemporalDelta(cursor, *raw);
   }
@@ -232,6 +241,10 @@ Result<VideoDecoder> VideoDecoder::Open(SharedBytes container) {
     }
     parsed->index.push_back(entry);
     pos += kIndexEntrySize;
+  }
+  if (parsed->index.front().type != FrameType::kIntra) {
+    // GopStartIn walks back to an I-frame and relies on frame 0 being one.
+    return DataLoss("first frame is not an I-frame");
   }
   parsed->payload_base = pos;
   const IndexEntry& last = parsed->index.back();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "src/obs/metrics.h"
@@ -67,31 +68,15 @@ void FilterRow(Filter filter, std::span<const uint8_t> row, std::span<const uint
   }
 }
 
-// Inverse of FilterRow, reconstructing raw bytes in place.
-void UnfilterRow(Filter filter, std::span<uint8_t> row, std::span<const uint8_t> prev,
-                 size_t bpp) {
+// Inverse of FilterRow for the Average and Paeth filters, in place, a byte
+// at a time; UnfilterInto has specialised loops for the other three.
+void UnfilterAverageOrPaeth(Filter filter, std::span<uint8_t> row,
+                            std::span<const uint8_t> prev, size_t bpp) {
   for (size_t i = 0; i < row.size(); ++i) {
     int left = i >= bpp ? row[i - bpp] : 0;
     int up = !prev.empty() ? prev[i] : 0;
     int up_left = (!prev.empty() && i >= bpp) ? prev[i - bpp] : 0;
-    int pred = 0;
-    switch (filter) {
-      case kNone:
-        pred = 0;
-        break;
-      case kSub:
-        pred = left;
-        break;
-      case kUp:
-        pred = up;
-        break;
-      case kAverage:
-        pred = (left + up) / 2;
-        break;
-      case kPaeth:
-        pred = PaethPredict(left, up, up_left);
-        break;
-    }
+    int pred = filter == kAverage ? (left + up) / 2 : PaethPredict(left, up, up_left);
     row[i] = static_cast<uint8_t>(row[i] + pred);
   }
 }
@@ -162,41 +147,6 @@ std::vector<uint8_t> LzCompress(std::span<const uint8_t> in) {
     ++i;
   }
   flush_literals(in.size());
-  return out;
-}
-
-Result<std::vector<uint8_t>> LzDecompress(std::span<const uint8_t> in, size_t expected_size) {
-  std::vector<uint8_t> out;
-  out.reserve(expected_size);
-  size_t i = 0;
-  while (i < in.size()) {
-    uint8_t ctrl = in[i++];
-    if (ctrl < 0x80) {
-      size_t run = static_cast<size_t>(ctrl) + 1;
-      if (i + run > in.size()) {
-        return DataLoss("lz literal run truncated");
-      }
-      out.insert(out.end(), in.begin() + i, in.begin() + i + run);
-      i += run;
-    } else {
-      size_t len = static_cast<size_t>(ctrl & 0x7f) + kMinMatch;
-      if (i + 2 > in.size()) {
-        return DataLoss("lz match header truncated");
-      }
-      size_t dist = static_cast<size_t>(in[i]) | (static_cast<size_t>(in[i + 1]) << 8);
-      i += 2;
-      if (dist == 0 || dist > out.size()) {
-        return DataLoss("lz match distance out of range");
-      }
-      size_t src = out.size() - dist;
-      for (size_t k = 0; k < len; ++k) {
-        out.push_back(out[src + k]);  // overlapping copies are intentional
-      }
-    }
-  }
-  if (out.size() != expected_size) {
-    return DataLoss("lz output size mismatch");
-  }
   return out;
 }
 
@@ -341,89 +291,6 @@ std::vector<uint8_t> EntropyEncode(std::span<const uint8_t> in) {
   return out;
 }
 
-Result<std::vector<uint8_t>> EntropyDecode(std::span<const uint8_t> in) {
-  if (in.size() < 5) {
-    return DataLoss("entropy stream truncated");
-  }
-  uint8_t flag = in[0];
-  size_t raw_size = static_cast<size_t>(in[1]) | (static_cast<size_t>(in[2]) << 8) |
-                    (static_cast<size_t>(in[3]) << 16) | (static_cast<size_t>(in[4]) << 24);
-  if (flag == 0) {
-    if (in.size() - 5 != raw_size) {
-      return DataLoss("stored block size mismatch");
-    }
-    return std::vector<uint8_t>(in.begin() + 5, in.end());
-  }
-  if (flag != 1 || in.size() < 5 + 128) {
-    return DataLoss("bad entropy block header");
-  }
-  std::array<uint8_t, 256> lengths{};
-  for (int s = 0; s < 256; s += 2) {
-    uint8_t packed = in[5 + static_cast<size_t>(s) / 2];
-    lengths[static_cast<size_t>(s)] = packed & 0x0f;
-    lengths[static_cast<size_t>(s + 1)] = packed >> 4;
-  }
-  // Decode table: (length, code) -> symbol, via first-code arithmetic
-  // over the canonical code assignment.
-  std::array<uint16_t, kMaxCodeLength + 2> first_code{};
-  std::array<uint16_t, kMaxCodeLength + 2> first_index{};
-  std::vector<uint8_t> symbols_by_code;
-  {
-    uint16_t code = 0;
-    uint16_t index = 0;
-    for (int len = 1; len <= kMaxCodeLength; ++len) {
-      first_code[static_cast<size_t>(len)] = code;
-      first_index[static_cast<size_t>(len)] = index;
-      for (int s = 0; s < 256; ++s) {
-        if (lengths[static_cast<size_t>(s)] == len) {
-          symbols_by_code.push_back(static_cast<uint8_t>(s));
-          ++code;
-          ++index;
-        }
-      }
-      code <<= 1;
-    }
-  }
-  std::array<uint16_t, kMaxCodeLength + 1> count_at_len{};
-  for (int s = 0; s < 256; ++s) {
-    if (lengths[static_cast<size_t>(s)] > 0) {
-      ++count_at_len[lengths[static_cast<size_t>(s)]];
-    }
-  }
-
-  std::vector<uint8_t> out;
-  out.reserve(raw_size);
-  size_t pos = 5 + 128;
-  uint32_t bits = 0;
-  int have = 0;
-  uint16_t code = 0;
-  int len = 0;
-  while (out.size() < raw_size) {
-    if (have == 0) {
-      if (pos >= in.size()) {
-        return DataLoss("entropy bitstream truncated");
-      }
-      bits = in[pos++];
-      have = 8;
-    }
-    code = static_cast<uint16_t>((code << 1) | ((bits >> (have - 1)) & 1));
-    --have;
-    ++len;
-    if (len > kMaxCodeLength) {
-      return DataLoss("invalid huffman code");
-    }
-    uint16_t offset = code - first_code[static_cast<size_t>(len)];
-    if (count_at_len[static_cast<size_t>(len)] > 0 &&
-        code >= first_code[static_cast<size_t>(len)] &&
-        offset < count_at_len[static_cast<size_t>(len)]) {
-      out.push_back(symbols_by_code[first_index[static_cast<size_t>(len)] + offset]);
-      code = 0;
-      len = 0;
-    }
-  }
-  return out;
-}
-
 void PutU32(std::vector<uint8_t>& out, uint32_t v) {
   out.push_back(static_cast<uint8_t>(v));
   out.push_back(static_cast<uint8_t>(v >> 8));
@@ -435,6 +302,278 @@ uint32_t GetU32(std::span<const uint8_t> in, size_t offset) {
   return static_cast<uint32_t>(in[offset]) | (static_cast<uint32_t>(in[offset + 1]) << 8) |
          (static_cast<uint32_t>(in[offset + 2]) << 16) |
          (static_cast<uint32_t>(in[offset + 3]) << 24);
+}
+
+// --- Table-driven decoding -------------------------------------------------
+//
+// The bit-serial decoder this replaces is kept as lossless_reference; the
+// two produce identical bytes and the same ok/error outcome on every input.
+
+constexpr size_t kEntropyHeaderSize = 5;  // flag + u32 raw size
+constexpr size_t kCodeLengthBytes = 128;  // 256 nibble-packed code lengths
+constexpr int kTableBits = 11;
+// Bytes past the logical end of the LZ output buffer: an 8-byte match word
+// may run up to 7 bytes beyond the match it copies.
+constexpr size_t kLzSlack = 8;
+
+uint64_t LoadBigEndian64(const uint8_t* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+// MSB-first reader over the Huffman bitstream. `bits` holds `count` valid
+// bits at its top; the bits below them are zero or already equal to the
+// stream bits that follow, so both refills may OR bytes in again.
+struct BitReader {
+  const uint8_t* next;
+  const uint8_t* end;
+  uint64_t bits = 0;
+  int count = 0;
+
+  // Tops the buffer up to >= 56 bits with one load; needs 8 bytes at next.
+  void RefillWord() {
+    bits |= LoadBigEndian64(next) >> count;
+    next += (63 - count) >> 3;
+    count |= 56;
+  }
+  // The same, a byte at a time, for the tail of the stream.
+  void RefillBytes() {
+    while (count < 56 && next < end) {
+      bits |= static_cast<uint64_t>(*next++) << (56 - count);
+      count += 8;
+    }
+  }
+  uint32_t Peek() const { return static_cast<uint32_t>(bits >> (64 - kTableBits)); }
+  void Consume(int n) {
+    bits <<= n;
+    count -= n;
+  }
+};
+
+// Canonical Huffman decoding state for one stream's code lengths.
+class HuffmanDecoder {
+ public:
+  explicit HuffmanDecoder(std::span<const uint8_t> packed_lengths) {
+    std::array<uint8_t, 256> lengths{};
+    for (size_t s = 0; s < 256; s += 2) {
+      lengths[s] = packed_lengths[s / 2] & 0x0f;
+      lengths[s + 1] = packed_lengths[s / 2] >> 4;
+    }
+    for (uint8_t len : lengths) {
+      if (len > 0) {
+        ++count_at_len_[len];
+      }
+    }
+    // Canonical assignment in the encoder's order (length, then symbol),
+    // with the same 16-bit wraparound on over-subscribed length tables.
+    std::array<uint16_t, kMaxCodeLength + 1> cursor{};
+    uint16_t code = 0;
+    uint16_t index = 0;
+    for (int len = 1; len <= kMaxCodeLength; ++len) {
+      first_code_[len] = code;
+      first_index_[len] = index;
+      cursor[len] = index;
+      code = static_cast<uint16_t>((code + count_at_len_[len]) << 1);
+      index = static_cast<uint16_t>(index + count_at_len_[len]);
+    }
+    for (size_t s = 0; s < 256; ++s) {
+      if (lengths[s] > 0) {
+        symbols_by_code_[cursor[lengths[s]]++] = static_cast<uint8_t>(s);
+      }
+    }
+    // A table slot holds the code the bit-serial walk would match first:
+    // filling from the longest length down lets shorter codes win.
+    for (int len = kTableBits; len >= 1; --len) {
+      const uint32_t first = first_code_[len];
+      const uint32_t last = std::min<uint32_t>(first + count_at_len_[len], 1u << len);
+      const int spread = kTableBits - len;
+      for (uint32_t c = first; c < last; ++c) {
+        const uint16_t entry = static_cast<uint16_t>(
+            (len << 8) | symbols_by_code_[first_index_[len] + (c - first)]);
+        std::fill(table_.begin() + (c << spread), table_.begin() + ((c + 1) << spread), entry);
+      }
+    }
+  }
+
+  Status Decode(BitReader& reader, std::span<uint8_t> out) const {
+    uint8_t* dst = out.data();
+    size_t n = 0;
+    // Four table hits use at most 44 of the >= 56 bits one refill loads.
+    while (out.size() - n >= 4 && reader.end - reader.next >= 8) {
+      reader.RefillWord();
+      int hits = 0;
+      for (; hits < 4; ++hits) {
+        const uint16_t entry = table_[reader.Peek()];
+        if (entry == 0) {
+          break;
+        }
+        dst[n++] = static_cast<uint8_t>(entry);
+        reader.Consume(entry >> 8);
+      }
+      if (hits < 4) {
+        SAND_ASSIGN_OR_RETURN(dst[n], Walk(reader));
+        ++n;
+      }
+    }
+    while (n < out.size()) {
+      if (reader.count < kTableBits) {
+        reader.RefillBytes();
+      }
+      const uint16_t entry = table_[reader.Peek()];
+      if (entry != 0 && (entry >> 8) <= reader.count) {
+        dst[n++] = static_cast<uint8_t>(entry);
+        reader.Consume(entry >> 8);
+      } else {
+        SAND_ASSIGN_OR_RETURN(dst[n], Walk(reader));
+        ++n;
+      }
+    }
+    return Status::Ok();
+  }
+
+ private:
+  // One symbol, a bit at a time: codes longer than the table, and every
+  // malformed or truncated code, with the reference decoder's checks.
+  Result<uint8_t> Walk(BitReader& reader) const {
+    uint16_t code = 0;
+    for (int len = 1;; ++len) {
+      if (reader.count == 0) {
+        reader.RefillBytes();
+        if (reader.count == 0) {
+          return DataLoss("entropy bitstream truncated");
+        }
+      }
+      code = static_cast<uint16_t>((code << 1) | (reader.bits >> 63));
+      reader.Consume(1);
+      if (len > kMaxCodeLength) {
+        return DataLoss("invalid huffman code");
+      }
+      const uint16_t offset = code - first_code_[len];
+      if (count_at_len_[len] > 0 && code >= first_code_[len] && offset < count_at_len_[len]) {
+        return symbols_by_code_[first_index_[len] + offset];
+      }
+    }
+  }
+
+  std::array<uint16_t, kMaxCodeLength + 1> first_code_{};
+  std::array<uint16_t, kMaxCodeLength + 1> first_index_{};
+  std::array<uint16_t, kMaxCodeLength + 1> count_at_len_{};
+  std::array<uint8_t, 256> symbols_by_code_{};
+  // (length << 8) | symbol, or 0 where no code of <= kTableBits bits matches.
+  std::array<uint16_t, 1 << kTableBits> table_{};
+};
+
+Result<std::vector<uint8_t>> EntropyDecode(std::span<const uint8_t> in) {
+  if (in.size() < kEntropyHeaderSize) {
+    return DataLoss("entropy stream truncated");
+  }
+  const uint8_t flag = in[0];
+  const size_t raw_size = GetU32(in, 1);
+  if (flag == 0) {
+    if (in.size() - kEntropyHeaderSize != raw_size) {
+      return DataLoss("stored block size mismatch");
+    }
+    return std::vector<uint8_t>(in.begin() + kEntropyHeaderSize, in.end());
+  }
+  if (flag != 1 || in.size() < kEntropyHeaderSize + kCodeLengthBytes) {
+    return DataLoss("bad entropy block header");
+  }
+  const std::span<const uint8_t> bitstream = in.subspan(kEntropyHeaderSize + kCodeLengthBytes);
+  // Every symbol costs at least one bit: bound the output before sizing it.
+  if (raw_size > 8 * bitstream.size()) {
+    return DataLoss("entropy raw size exceeds the bitstream");
+  }
+  const HuffmanDecoder decoder(in.subspan(kEntropyHeaderSize, kCodeLengthBytes));
+  BitReader reader{bitstream.data(), bitstream.data() + bitstream.size()};
+  std::vector<uint8_t> out(raw_size);
+  SAND_RETURN_IF_ERROR(decoder.Decode(reader, out));
+  return out;
+}
+
+// Returns expected_size bytes followed by kLzSlack bytes of scratch.
+Result<std::vector<uint8_t>> LzDecompress(std::span<const uint8_t> in, size_t expected_size) {
+  // A 3-byte match token yields at most kMaxMatch bytes.
+  if (expected_size > kMaxMatch * ((in.size() + 2) / 3)) {
+    return DataLoss("lz expected size exceeds what the stream can encode");
+  }
+  std::vector<uint8_t> out(expected_size + kLzSlack);
+  uint8_t* const base = out.data();
+  size_t n = 0;
+  size_t i = 0;
+  while (i < in.size()) {
+    const uint8_t ctrl = in[i++];
+    if (ctrl < 0x80) {
+      const size_t run = static_cast<size_t>(ctrl) + 1;
+      if (i + run > in.size()) {
+        return DataLoss("lz literal run truncated");
+      }
+      if (run > expected_size - n) {
+        return DataLoss("lz output size mismatch");
+      }
+      std::memcpy(base + n, in.data() + i, run);
+      n += run;
+      i += run;
+      continue;
+    }
+    const size_t len = static_cast<size_t>(ctrl & 0x7f) + kMinMatch;
+    if (i + 2 > in.size()) {
+      return DataLoss("lz match header truncated");
+    }
+    const size_t dist = static_cast<size_t>(in[i]) | (static_cast<size_t>(in[i + 1]) << 8);
+    i += 2;
+    if (dist == 0 || dist > n) {
+      return DataLoss("lz match distance out of range");
+    }
+    if (len > expected_size - n) {
+      return DataLoss("lz output size mismatch");
+    }
+    uint8_t* dst = base + n;
+    const uint8_t* src = dst - dist;
+    if (dist >= 8) {
+      // Each word reads only bytes already written; the last may spill up
+      // to 7 bytes into the slack (or into bytes later tokens overwrite).
+      for (size_t k = 0; k < len; k += 8) {
+        std::memcpy(dst + k, src + k, 8);
+      }
+    } else {
+      for (size_t k = 0; k < len; ++k) {
+        dst[k] = src[k];  // overlapping copies are intentional
+      }
+    }
+    n += len;
+  }
+  if (n != expected_size) {
+    return DataLoss("lz output size mismatch");
+  }
+  return out;
+}
+
+// Reconstructs one row from its filtered bytes (`prev` is null on row 0).
+void UnfilterInto(Filter filter, const uint8_t* __restrict src, uint8_t* __restrict row,
+                  const uint8_t* __restrict prev, size_t stride, size_t bpp) {
+  if (filter == kNone || (filter == kUp && prev == nullptr)) {
+    std::memcpy(row, src, stride);
+  } else if (filter == kSub) {
+    const size_t head = std::min(bpp, stride);
+    std::memcpy(row, src, head);
+    for (size_t i = head; i < stride; ++i) {
+      row[i] = static_cast<uint8_t>(src[i] + row[i - bpp]);
+    }
+  } else if (filter == kUp) {
+    for (size_t i = 0; i < stride; ++i) {
+      row[i] = static_cast<uint8_t>(src[i] + prev[i]);
+    }
+  } else {
+    std::memcpy(row, src, stride);
+    UnfilterAverageOrPaeth(filter, std::span<uint8_t>(row, stride),
+                           prev != nullptr ? std::span<const uint8_t>(prev, stride)
+                                           : std::span<const uint8_t>(),
+                           bpp);
+  }
 }
 
 Result<std::vector<uint8_t>> CompressImpl(std::span<const uint8_t> data, size_t stride,
@@ -536,16 +675,13 @@ Result<std::vector<uint8_t>> LosslessDecompress(std::span<const uint8_t> compres
 
   std::vector<uint8_t> out(raw_size);
   for (size_t r = 0; r < rows; ++r) {
-    uint8_t filter_id = filtered[r * (stride + 1)];
-    if (filter_id > kPaeth) {
+    const uint8_t* src = &filtered[r * (stride + 1)];
+    if (src[0] > kPaeth) {
       return DataLoss("LosslessDecompress: bad filter id");
     }
-    std::memcpy(&out[r * stride], &filtered[r * (stride + 1) + 1], stride);
-    std::span<uint8_t> row(&out[r * stride], stride);
-    std::span<const uint8_t> prev =
-        r > 0 ? std::span<const uint8_t>(&out[(r - 1) * stride], stride)
-              : std::span<const uint8_t>();
-    UnfilterRow(static_cast<Filter>(filter_id), row, prev, bpp);
+    uint8_t* row = out.data() + r * stride;
+    UnfilterInto(static_cast<Filter>(src[0]), src + 1, row, r > 0 ? row - stride : nullptr,
+                 stride, bpp);
   }
   return out;
 }
@@ -576,10 +712,7 @@ Result<Frame> DecompressFrame(std::span<const uint8_t> compressed) {
   int c = static_cast<int>(GetU32(compressed, 8));
   SAND_ASSIGN_OR_RETURN(std::vector<uint8_t> pixels,
                         LosslessDecompress(compressed.subspan(12)));
-  if (pixels.size() != static_cast<size_t>(h) * w * c) {
-    return DataLoss("DecompressFrame: pixel count mismatch");
-  }
-  return Frame(h, w, c, std::move(pixels));
+  return Frame::FromPixels(h, w, c, std::move(pixels));
 }
 
 }  // namespace sand

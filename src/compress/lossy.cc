@@ -327,7 +327,7 @@ Result<std::optional<EncodeResult>> ObjectCodec::Encode(const std::string& key,
   }
 
   const uint64_t start = NowNs();
-  Result<std::optional<EncodeResult>> result = Status();
+  Result<std::optional<EncodeResult>> result = std::optional<EncodeResult>(std::nullopt);
   switch (codec) {
     case Codec::kLossless:
       result = EncodeLossless(raw);
@@ -370,7 +370,7 @@ Result<std::vector<uint8_t>> ObjectCodec::Decode(std::span<const uint8_t> bytes)
   const uint64_t start = NowNs();
   const std::span<const uint8_t> payload = bytes.subspan(kContainerHeader);
 
-  Result<std::vector<uint8_t>> decoded = Status();
+  Result<std::vector<uint8_t>> decoded;  // every codec case below assigns it
   switch (hdr->codec) {
     case Codec::kLossless:
       decoded = DecodeLossless(payload, hdr->raw_size);

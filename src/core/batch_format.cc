@@ -78,9 +78,11 @@ Result<std::vector<Clip>> ParseBatch(std::span<const uint8_t> bytes) {
     Clip clip;
     for (uint32_t t = 0; t < header.frames_per_clip; ++t) {
       std::vector<uint8_t> pixels(bytes.begin() + offset, bytes.begin() + offset + frame_bytes);
-      clip.frames.emplace_back(static_cast<int>(header.height),
-                               static_cast<int>(header.width),
-                               static_cast<int>(header.channels), std::move(pixels));
+      SAND_ASSIGN_OR_RETURN(Frame frame, Frame::FromPixels(static_cast<int>(header.height),
+                                                           static_cast<int>(header.width),
+                                                           static_cast<int>(header.channels),
+                                                           std::move(pixels)));
+      clip.frames.push_back(std::move(frame));
       offset += frame_bytes;
     }
     clips.push_back(std::move(clip));

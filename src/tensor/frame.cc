@@ -62,6 +62,19 @@ std::vector<uint8_t> Frame::Serialize() const {
   return out;
 }
 
+Result<Frame> Frame::FromPixels(int height, int width, int channels,
+                               std::vector<uint8_t> pixels) {
+  size_t expected = 0;
+  if (height < 0 || width < 0 || channels < 0 ||
+      __builtin_mul_overflow(static_cast<size_t>(height), static_cast<size_t>(width),
+                             &expected) ||
+      __builtin_mul_overflow(expected, static_cast<size_t>(channels), &expected) ||
+      pixels.size() != expected) {
+    return DataLoss("frame pixel count does not match its shape");
+  }
+  return Frame(height, width, channels, std::move(pixels));
+}
+
 Result<Frame> Frame::Deserialize(std::span<const uint8_t> bytes) {
   SAND_ASSIGN_OR_RETURN(auto shape, ParseHeader(bytes));
   std::vector<uint8_t> data(bytes.begin() + kHeaderBytes, bytes.end());

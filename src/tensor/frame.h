@@ -37,13 +37,11 @@ class Frame {
         size_(static_cast<size_t>(height) * width * channels),
         data_(std::make_shared<std::vector<uint8_t>>(size_, 0)),
         owned_(true) {}
-  Frame(int height, int width, int channels, std::vector<uint8_t> data)
-      : height_(height),
-        width_(width),
-        channels_(channels),
-        size_(static_cast<size_t>(height) * width * channels),
-        data_(std::make_shared<std::vector<uint8_t>>(std::move(data))),
-        owned_(true) {}
+  // Adopts `pixels` as the frame's buffer. Fails with DataLoss unless it
+  // holds exactly height * width * channels bytes: the decode paths build
+  // frames from untrusted streams through this check.
+  static Result<Frame> FromPixels(int height, int width, int channels,
+                                  std::vector<uint8_t> pixels);
 
   int height() const { return height_; }
   int width() const { return width_; }
@@ -90,6 +88,15 @@ class Frame {
   static Result<Frame> DeserializeShared(SharedBytes bytes);
 
  private:
+  // Unchecked adoption; FromPixels and Deserialize validate the size first.
+  Frame(int height, int width, int channels, std::vector<uint8_t> data)
+      : height_(height),
+        width_(width),
+        channels_(channels),
+        size_(static_cast<size_t>(height) * width * channels),
+        data_(std::make_shared<std::vector<uint8_t>>(std::move(data))),
+        owned_(true) {}
+
   size_t Index(int y, int x, int c) const {
     return (static_cast<size_t>(y) * width_ + x) * channels_ + c;
   }

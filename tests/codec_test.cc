@@ -7,6 +7,7 @@
 #include "src/codec/video_codec.h"
 #include "src/common/rng.h"
 #include "src/common/worker_pool.h"
+#include "src/compress/lossless.h"
 
 namespace sand {
 namespace {
@@ -172,6 +173,89 @@ TEST(DecoderTest, RejectsCorruptContainer) {
   auto container = EncodeVideo(8, 4);
   container.resize(container.size() / 2);
   EXPECT_FALSE(VideoDecoder::Open(std::move(container)).ok());
+}
+
+// An SVC1 container (layout in video_codec.h) around hand-made payloads.
+using RawFrames = std::vector<std::pair<FrameType, std::vector<uint8_t>>>;
+std::vector<uint8_t> RawContainer(int h, int w, int c, int gop, const RawFrames& frames) {
+  std::vector<uint8_t> out = {'S', 'V', 'C', '1'};
+  auto put = [&out](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  put(1, 2);  // version
+  put(static_cast<uint64_t>(w), 2);
+  put(static_cast<uint64_t>(h), 2);
+  put(static_cast<uint64_t>(c), 1);
+  put(static_cast<uint64_t>(gop), 1);
+  put(frames.size(), 4);
+  uint64_t offset = 0;
+  for (const auto& [type, payload] : frames) {
+    put(static_cast<uint64_t>(type), 1);
+    put(offset, 8);
+    put(payload.size(), 4);
+    offset += payload.size();
+  }
+  for (const auto& frame : frames) {
+    out.insert(out.end(), frame.second.begin(), frame.second.end());
+  }
+  return out;
+}
+
+// A valid SLZ1 stream that decodes to `size` bytes of `value`.
+std::vector<uint8_t> FilledPayload(size_t size, size_t stride, uint8_t value) {
+  return LosslessCompress(std::vector<uint8_t>(size, value), stride).TakeValue();
+}
+
+TEST(DecoderTest, RejectsIntraPayloadOfWrongSize) {
+  constexpr int h = 8, w = 12, c = 3;
+  constexpr size_t stride = w * c;
+  // A well-formed lossless stream one row short of a frame: it must not
+  // become a Frame whose buffer is smaller than its shape.
+  auto container = RawContainer(
+      h, w, c, 4, {{FrameType::kIntra, FilledPayload((h - 1) * stride, stride, 7)}});
+  auto decoder = VideoDecoder::Open(container);
+  ASSERT_TRUE(decoder.ok()) << decoder.status().ToString();
+  auto frame = decoder->DecodeFrame(0);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), ErrorCode::kDataLoss) << frame.status().ToString();
+  const std::vector<int64_t> first = {0};
+  auto slice = decoder->SliceDecoder().DecodeSlice(0, first);
+  ASSERT_FALSE(slice.ok());
+  EXPECT_EQ(slice.status().code(), ErrorCode::kDataLoss);
+}
+
+TEST(DecoderTest, RejectsDeltaPayloadOneByteShort) {
+  constexpr int h = 8, w = 12, c = 3;
+  constexpr size_t frame_bytes = h * w * c;
+  // The delta apply reads one byte per pixel; a short delta must fail
+  // before it, not read past the decoded buffer.
+  auto container = RawContainer(h, w, c, 4,
+                                {{FrameType::kIntra, FilledPayload(frame_bytes, w * c, 9)},
+                                 {FrameType::kDelta, FilledPayload(frame_bytes - 1, 1, 1)}});
+  auto decoder = VideoDecoder::Open(container);
+  ASSERT_TRUE(decoder.ok()) << decoder.status().ToString();
+  ASSERT_TRUE(decoder->DecodeFrame(0).ok());
+  auto frame = decoder->DecodeFrame(1);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), ErrorCode::kDataLoss) << frame.status().ToString();
+  const std::vector<int64_t> both = {0, 1};
+  auto slice = decoder->SliceDecoder().DecodeSlice(0, both);
+  ASSERT_FALSE(slice.ok());
+  EXPECT_EQ(slice.status().code(), ErrorCode::kDataLoss);
+}
+
+TEST(DecoderTest, RejectsContainerStartingWithDelta) {
+  // Seeking walks back to the preceding I-frame; with none at frame 0 the
+  // walk would index before the start of the frame table.
+  constexpr int h = 4, w = 4, c = 1;
+  auto container = RawContainer(h, w, c, 4,
+                                {{FrameType::kDelta, FilledPayload(h * w * c, w * c, 0)},
+                                 {FrameType::kIntra, FilledPayload(h * w * c, w * c, 5)}});
+  auto decoder = VideoDecoder::Open(container);
+  ASSERT_FALSE(decoder.ok());
+  EXPECT_EQ(decoder.status().code(), ErrorCode::kDataLoss);
 }
 
 TEST(DecoderTest, CompressionIsEffective) {

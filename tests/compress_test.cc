@@ -3,11 +3,47 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <new>
 
 #include "src/common/rng.h"
 #include "src/compress/lossless.h"
 #include "src/compress/lossy.h"
+#include "src/workloads/lossless_corpus.h"
+
+// --- Allocation probe ---------------------------------------------------------
+//
+// While armed, records the largest single operator-new request and refuses
+// any above kAllocationCap, so a decoder that sized a buffer from a hostile
+// header fails the test instead of committing gigabytes.
+
+namespace {
+constexpr size_t kAllocationCap = size_t{64} << 20;
+std::atomic<bool> g_probe_armed{false};
+std::atomic<size_t> g_largest_allocation{0};
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(size_t size) {
+  if (g_probe_armed.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (size > seen && !g_largest_allocation.compare_exchange_weak(seen, size)) {
+    }
+    if (size > kAllocationCap) {
+      throw std::bad_alloc();
+    }
+  }
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace sand {
 namespace {
@@ -87,6 +123,120 @@ TEST(LosslessTest, RejectsBadMagic) {
   EXPECT_FALSE(LosslessDecompress(junk).ok());
 }
 
+// --- table-driven decoder vs lossless_reference ---------------------------------
+
+// The corpus at the data-path benchmark's geometry (64x96x3, GOP 8): two
+// videos of two GOPs, SCO1 bodies, and the hand-built edge streams.
+const std::vector<LosslessCorpusEntry>& Corpus() {
+  static const std::vector<LosslessCorpusEntry> corpus = [] {
+    SyntheticDatasetOptions options;
+    options.num_videos = 2;
+    options.frames_per_video = 16;
+    options.seed = 3;
+    auto built = BuildLosslessCorpus(options);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    return built.ValueOr({});
+  }();
+  return corpus;
+}
+
+TEST(LosslessDecoderTest, MatchesReferenceOnCorpus) {
+  size_t intra = 0;
+  size_t delta = 0;
+  for (const LosslessCorpusEntry& entry : Corpus()) {
+    auto reference = lossless_reference::LosslessDecompress(entry.stream);
+    ASSERT_TRUE(reference.ok()) << entry.name << ": " << reference.status().ToString();
+    auto fast = LosslessDecompress(entry.stream);
+    ASSERT_TRUE(fast.ok()) << entry.name << ": " << fast.status().ToString();
+    EXPECT_EQ(*fast, *reference) << entry.name;
+    intra += entry.name.ends_with("/intra");
+    delta += entry.name.ends_with("/delta");
+  }
+  EXPECT_EQ(intra, 4u);
+  EXPECT_EQ(delta, 28u);
+}
+
+TEST(LosslessDecoderTest, SameOutcomeAsReferenceOnMutations) {
+  const auto& corpus = Corpus();
+  ASSERT_FALSE(corpus.empty());
+  Rng rng(20261017);
+  constexpr int kMutations = 10000;
+  int decoded_ok = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    const LosslessCorpusEntry& entry = corpus[rng.NextBounded(corpus.size())];
+    std::vector<uint8_t> bytes = entry.stream;
+    const uint64_t kind = rng.NextBounded(4);
+    if (kind == 0) {
+      bytes.resize(rng.NextBounded(bytes.size()));
+    } else {
+      // 1-3 byte overwrites; half land in the headers and code lengths
+      // (the first 146 bytes), where the size fields and tables live.
+      for (uint64_t k = 0; k < kind; ++k) {
+        const size_t span = rng.NextBounded(2) == 0 ? std::min<size_t>(bytes.size(), 146)
+                                                    : bytes.size();
+        bytes[rng.NextBounded(span)] = static_cast<uint8_t>(rng.NextBounded(256));
+      }
+    }
+    auto reference = lossless_reference::LosslessDecompress(bytes);
+    auto fast = LosslessDecompress(bytes);
+    ASSERT_EQ(fast.ok(), reference.ok())
+        << entry.name << " mutation " << m << ": fast " << fast.status().ToString()
+        << ", reference " << reference.status().ToString();
+    if (fast.ok()) {
+      ASSERT_EQ(*fast, *reference) << entry.name << " mutation " << m;
+      ++decoded_ok;
+    } else {
+      EXPECT_EQ(fast.status().code(), ErrorCode::kDataLoss) << entry.name;
+    }
+  }
+  // Both outcomes are exercised: some mutations still decode.
+  EXPECT_GT(decoded_ok, 0);
+  EXPECT_LT(decoded_ok, kMutations);
+}
+
+// Overwrites the little-endian u32 at `at`.
+void PatchU32(std::vector<uint8_t>& bytes, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+// Decodes with the allocation probe armed; returns the largest request.
+size_t LargestAllocationDuring(const std::vector<uint8_t>& bytes, Status* status) {
+  g_largest_allocation.store(0);
+  g_probe_armed.store(true);
+  Result<std::vector<uint8_t>> out = LosslessDecompress(bytes);
+  g_probe_armed.store(false);
+  *status = out.status();
+  return g_largest_allocation.load();
+}
+
+TEST(LosslessDecoderTest, HugeHeaderSizesFailWithoutAllocating) {
+  auto data = SmoothRows(16, 64, 31);
+  auto stream = LosslessCompress(data, 64);
+  ASSERT_TRUE(stream.ok());
+  ASSERT_EQ((*stream)[13], 1) << "expected a Huffman entropy block";
+
+  // SLZ1 raw_size claims ~4 GiB (a multiple of the stride, so the header
+  // passes its own checks): the LZ bound rejects it.
+  std::vector<uint8_t> huge_raw = *stream;
+  PatchU32(huge_raw, 4, 0xFFFFFFC0u);
+  Status status;
+  EXPECT_LT(LargestAllocationDuring(huge_raw, &status), size_t{1} << 20);
+  EXPECT_EQ(status.code(), ErrorCode::kDataLoss) << status.ToString();
+
+  // The entropy block's own raw size claims ~4 GiB: the bitstream bound
+  // rejects it before any output buffer exists.
+  std::vector<uint8_t> huge_entropy = *stream;
+  PatchU32(huge_entropy, 14, 0xFFFFFFFFu);
+  EXPECT_LT(LargestAllocationDuring(huge_entropy, &status), size_t{1} << 20);
+  EXPECT_EQ(status.code(), ErrorCode::kDataLoss) << status.ToString();
+
+  // The untouched stream decodes under the same probe.
+  EXPECT_LT(LargestAllocationDuring(*stream, &status), size_t{1} << 20);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST(FrameCompressTest, RoundTrip) {
   Frame frame(24, 32, 3);
   Rng rng(5);
@@ -104,6 +254,17 @@ TEST(FrameCompressTest, RoundTrip) {
 
 TEST(FrameCompressTest, RejectsEmptyFrame) {
   EXPECT_FALSE(CompressFrame(Frame()).ok());
+}
+
+TEST(FrameCompressTest, RejectsShapeThatDisagreesWithPixels) {
+  Frame frame(8, 8, 3);
+  auto compressed = CompressFrame(frame);
+  ASSERT_TRUE(compressed.ok());
+  std::vector<uint8_t> taller = *compressed;
+  PatchU32(taller, 0, 9);  // height 9: the pixels decode to 8 rows only
+  auto restored = DecompressFrame(taller);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), ErrorCode::kDataLoss);
 }
 
 TEST(FrameCompressTest, RejectsTruncated) {

@@ -53,6 +53,22 @@ TEST(FrameTest, SerializeRoundTrip) {
   EXPECT_EQ(*restored, frame);
 }
 
+TEST(FrameTest, FromPixelsChecksSize) {
+  auto frame = Frame::FromPixels(2, 3, 3, std::vector<uint8_t>(18, 4));
+  ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(frame->size_bytes(), 18u);
+  EXPECT_EQ(frame->At(1, 2, 2), 4);
+  EXPECT_TRUE(Frame::FromPixels(0, 0, 0, {}).ok());
+  for (size_t size : {size_t{17}, size_t{19}, size_t{0}}) {
+    auto bad = Frame::FromPixels(2, 3, 3, std::vector<uint8_t>(size));
+    ASSERT_FALSE(bad.ok()) << size;
+    EXPECT_EQ(bad.status().code(), ErrorCode::kDataLoss);
+  }
+  EXPECT_FALSE(Frame::FromPixels(-2, -3, 3, std::vector<uint8_t>(18)).ok());
+  // A shape whose byte count wraps size_t must not match a small buffer.
+  EXPECT_FALSE(Frame::FromPixels(1 << 30, 1 << 30, 16, std::vector<uint8_t>(0)).ok());
+}
+
 TEST(FrameTest, DeserializeRejectsCorrupt) {
   Frame frame = MakeGradient(3, 3, 1);
   auto bytes = frame.Serialize();

@@ -27,6 +27,10 @@ echo "==== kernel smoke (bench_micro_kernels --smoke) ===="
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_micro_kernels
 "$BUILD_DIR/bench/bench_micro_kernels" --smoke
 
+echo "==== lossless decoder smoke (bench_micro_compress --smoke) ===="
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_micro_compress
+"$BUILD_DIR/bench/bench_micro_compress" --smoke
+
 echo "==== codec smoke (bench_fig17_storage_pruning --smoke) ===="
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_fig17_storage_pruning
 "$BUILD_DIR/bench/bench_fig17_storage_pruning" --smoke
