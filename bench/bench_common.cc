@@ -19,6 +19,7 @@ std::string g_trace_out;
 std::string g_json_out;
 std::string g_bench_name;                 // basename(argv[0]) for the report
 std::vector<std::string> g_json_records;  // serialized rows, in record order
+obs::Registry::Snapshot g_previous_row;   // registry as of the last recorded row
 bool g_smoke = false;
 
 std::string EscapeJson(const std::string& s) {
@@ -144,7 +145,11 @@ void RecordBenchResult(const std::string& name,
   row += "   \"batches\": " + std::to_string(m.batches) + ",\n";
   row += "   \"frames_decoded\": " + std::to_string(run.frames_decoded) + ",\n";
   row += "   \"cache_hits\": " + std::to_string(run.cache_hits) + ",\n";
-  row += "   \"metrics\": " + obs::Registry::Get().ToJson() + "}";
+  row += "   \"metrics\": " +
+         (run.metrics_json.empty() ? obs::Registry::Get().ToJson(g_previous_row)
+                                   : run.metrics_json) +
+         "}";
+  g_previous_row = obs::Registry::Get().TakeSnapshot();
   g_json_records.push_back(std::move(row));
 }
 
@@ -179,6 +184,7 @@ ServiceOptions BenchServiceOptions(int64_t epochs) {
 PipelineRun RunCpuPipeline(const BenchEnv& env, const ModelProfile& profile, int64_t epochs,
                            bool naive_cache, std::shared_ptr<ObjectStore> dataset_override,
                            size_t container_cache_entries) {
+  const obs::Registry::Snapshot start = obs::Registry::Get().TakeSnapshot();
   PipelineRun run;
   TaskConfig task = MakeTaskConfig(profile, env.meta.path, "bench");
   OnDemandCpuSource::Options options;
@@ -209,10 +215,12 @@ PipelineRun RunCpuPipeline(const BenchEnv& env, const ModelProfile& profile, int
   run.metrics = metrics.TakeValue();
   run.frames_decoded = source.exec_stats().frames_decoded;
   run.cache_hits = source.exec_stats().cache_hits;
+  run.metrics_json = obs::Registry::Get().ToJson(start);
   return run;
 }
 
 PipelineRun RunGpuPipeline(const BenchEnv& env, const ModelProfile& profile, int64_t epochs) {
+  const obs::Registry::Snapshot start = obs::Registry::Get().TakeSnapshot();
   PipelineRun run;
   GpuModel gpu;
   OnDemandGpuSource source(env.dataset_store, env.meta, profile, &gpu);
@@ -228,12 +236,14 @@ PipelineRun RunGpuPipeline(const BenchEnv& env, const ModelProfile& profile, int
   run.metrics = metrics.TakeValue();
   GpuRunStats stats = gpu.run_stats();
   run.frames_decoded = stats.frames_decoded;
+  run.metrics_json = obs::Registry::Get().ToJson(start);
   return run;
 }
 
 PipelineRun RunSandPipeline(const BenchEnv& env, const ModelProfile& profile, int64_t epochs,
                             ServiceOptions options, std::shared_ptr<ObjectStore> dataset_override,
                             int64_t warmup_epochs) {
+  const obs::Registry::Snapshot start = obs::Registry::Get().TakeSnapshot();
   PipelineRun run;
   if (options.total_epochs < warmup_epochs + epochs) {
     options = BenchServiceOptions(warmup_epochs + epochs);
@@ -276,6 +286,7 @@ PipelineRun RunSandPipeline(const BenchEnv& env, const ModelProfile& profile, in
   run.metrics = metrics.TakeValue();
   run.frames_decoded = service.stats().exec.frames_decoded;
   run.cache_hits = service.stats().exec.cache_hits;
+  run.metrics_json = obs::Registry::Get().ToJson(start);
   return run;
 }
 
@@ -289,6 +300,7 @@ Result<std::vector<uint8_t>> BuildOneBatch(const BenchEnv& env, const TaskConfig
 }
 
 PipelineRun RunIdealPipeline(const BenchEnv& env, const ModelProfile& profile, int64_t epochs) {
+  const obs::Registry::Snapshot start = obs::Registry::Get().TakeSnapshot();
   PipelineRun run;
   TaskConfig task = MakeTaskConfig(profile, env.meta.path, "bench");
   auto batch = BuildOneBatch(env, task);
@@ -306,6 +318,7 @@ PipelineRun RunIdealPipeline(const BenchEnv& env, const ModelProfile& profile, i
     std::abort();
   }
   run.metrics = metrics.TakeValue();
+  run.metrics_json = obs::Registry::Get().ToJson(start);
   return run;
 }
 

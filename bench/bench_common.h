@@ -52,6 +52,9 @@ struct PipelineRun {
   uint64_t frames_decoded = 0;
   uint64_t cache_hits = 0;
   uint64_t remote_bytes_read = 0;
+  // Registry JSON of what the run recorded (the Run*Pipeline helpers fill
+  // it in; see RecordBenchResult).
+  std::string metrics_json;
 };
 
 // Runners. `epochs` spans the measured window (cold start included).
@@ -100,9 +103,10 @@ bool SmokeMode();
 
 // Appends one result row to the --json-out report (no-op without the
 // flag). `params` are configuration name/value pairs, emitted verbatim as
-// strings. Throughput and latency fields come from `run`; the row also
-// embeds the current obs registry snapshot, so benches sweeping configs
-// should Registry::ResetAll() between runs to keep rows independent.
+// strings. Throughput and latency fields come from `run`. The row's obs
+// registry metrics are the run's own: `run.metrics_json` when a
+// Run*Pipeline helper captured it, else what the registry recorded since
+// the previous row.
 void RecordBenchResult(const std::string& name,
                        const std::vector<std::pair<std::string, std::string>>& params,
                        const PipelineRun& run);

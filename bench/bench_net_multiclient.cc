@@ -16,10 +16,10 @@
 // latency more than 2x over solo. The uncapped scenario is the contrast —
 // what the same load does without the cap.
 //
-// Part 2 — pipelining (ISSUE 9 acceptance). One connection, one
-// cache-resident ~14 KB batch, N ReadAll round trips: a v1 client issues
-// them serially (one RTT each); a v2 client keeps a sliding window of
-// `depth` ReadAllSharedAsync requests in flight. Small payloads make the
+// Part 2 — pipelining. One connection, one cache-resident ~14 KB batch, N
+// ReadAll round trips: a depth-1 client issues them serially (one RTT
+// each); a pipelined client keeps a sliding window of `depth`
+// ReadAllSharedAsync requests in flight. Small payloads make the
 // run latency-dominated, which is exactly what the request ids buy back:
 // the gate is pipelined depth-16 throughput >= 2x serial.
 
@@ -274,7 +274,7 @@ ModelProfile TinyRpcProfile() {
 }
 
 struct SweepPoint {
-  std::string mode;  // "serial-v1" or "pipelined"
+  std::string mode;  // "serial" or "pipelined"
   int depth = 1;     // window size (1 for the serial baseline)
   uint64_t ops = 0;
   uint64_t refused = 0;
@@ -340,7 +340,7 @@ void RecordSweepPoint(const SweepPoint& point, double serial_ops_per_sec) {
                     run);
 }
 
-// Returns the depth-16 speedup over the serial v1 baseline (the gated
+// Returns the depth-16 speedup over the serial baseline (the gated
 // acceptance number).
 double RunPipelineSweep(bool smoke) {
   obs::Registry::Get().ResetAll();
@@ -391,15 +391,13 @@ double RunPipelineSweep(bool smoke) {
   client_options.unix_path = socket_path;
   client_options.tenant = "alpha";
 
-  // Serial baseline: a v1 client, one request per round trip.
+  // Serial baseline: a depth-1 client, one blocking request per round trip.
   SweepPoint serial;
-  serial.mode = "serial-v1";
+  serial.mode = "serial";
   {
-    net::SandClient::Options v1 = client_options;
-    v1.protocol_version = 1;
-    auto client = net::SandClient::Connect(v1);
+    auto client = net::SandClient::Connect(client_options);
     if (!client.ok()) {
-      std::fprintf(stderr, "connect v1: %s\n", client.status().ToString().c_str());
+      std::fprintf(stderr, "connect: %s\n", client.status().ToString().c_str());
       std::exit(1);
     }
     auto fd = (*client)->Open(batch_path);
@@ -434,7 +432,7 @@ double RunPipelineSweep(bool smoke) {
   {
     auto client = net::SandClient::Connect(client_options);
     if (!client.ok()) {
-      std::fprintf(stderr, "connect v2: %s\n", client.status().ToString().c_str());
+      std::fprintf(stderr, "connect: %s\n", client.status().ToString().c_str());
       std::exit(1);
     }
     auto fd = (*client)->Open(batch_path);

@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   }
   std::printf("connected as tenant '%s' (id %u, protocol v%u, depth %d)\n\n",
               options.tenant.c_str(), (*client)->tenant_id(),
-              (*client)->negotiated_version(), depth);
+              net::kProtocolVersion, depth);
 
   int batches = depth > 1 ? PipelinedTrainLoop(**client, task, epochs, iters, depth)
                           : TrainLoop(**client, task, epochs, iters);

@@ -1,8 +1,6 @@
 #include "src/cluster/cluster_store.h"
 
-#include <chrono>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -15,10 +13,10 @@ namespace cluster {
 
 namespace {
 
-inline const Status& StatusOf(const Status& status) { return status; }
-template <typename T>
-const Status& StatusOf(const Result<T>& result) {
-  return result.status();
+// A peer op that never got an answer: the transient failure a fresh dial
+// may cure. Any answer, NotFound included, means the node is healthy.
+bool TransportFailure(const Status& status) {
+  return status.code() == ErrorCode::kUnavailable;
 }
 
 std::string EndpointOf(const ClusterNodeOptions& node) {
@@ -67,11 +65,21 @@ ClusterStore::ClusterStore(std::shared_ptr<ObjectStore> local_shard,
   ring_.SetMembership(std::move(names));
   peers_.reserve(options_.nodes.size());
   for (const ClusterNodeOptions& node : options_.nodes) {
-    auto peer = std::make_unique<Peer>();
-    peer->spec = node;
-    peers_.push_back(std::move(peer));
+    peers_.push_back(std::make_unique<Peer>(node, options_.fault_policy));
   }
 }
+
+ClusterStore::Peer::Peer(ClusterNodeOptions node, const DiskFaultPolicy& policy)
+    : spec(std::move(node)),
+      breaker(policy, [name = spec.name](bool offline, int streak) {
+        if (offline) {
+          SAND_LOG(kWarning) << "cluster node '" << name << "' marked offline after "
+                             << streak << " consecutive failures; its shard degrades to "
+                                          "local recompute";
+        } else {
+          SAND_LOG(kInfo) << "cluster node '" << name << "' back online";
+        }
+      }) {}
 
 ClusterStore::~ClusterStore() {
   if (control_view_registered_) {
@@ -95,49 +103,7 @@ bool ClusterStore::NodeOnline(size_t node) const {
   if (IsSelf(node)) {
     return true;
   }
-  return !peers_[node]->offline.load(std::memory_order_relaxed);
-}
-
-bool ClusterStore::PeerAvailable(Peer& peer) const {
-  if (!peer.offline.load(std::memory_order_relaxed)) {
-    return true;
-  }
-  const Nanos now = WallClock::Get().Now();
-  Nanos probe_at = peer.probe_at.load(std::memory_order_relaxed);
-  while (now >= probe_at) {
-    // Claim the probe slot: one caller per reprobe interval tests the
-    // node; everyone else short-circuits to UNAVAILABLE (a cheap miss)
-    // instead of queueing on dial timeouts.
-    if (peer.probe_at.compare_exchange_weak(
-            probe_at, now + options_.fault_policy.reprobe_interval,
-            std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void ClusterStore::NotePeerResult(Peer& peer, bool healthy) const {
-  if (healthy) {
-    peer.failure_streak.store(0, std::memory_order_relaxed);
-    if (peer.offline.exchange(false, std::memory_order_relaxed)) {
-      SAND_LOG(kInfo) << "cluster node '" << peer.spec.name << "' back online";
-    }
-    return;
-  }
-  const int streak = peer.failure_streak.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (streak >= options_.fault_policy.offline_threshold &&
-      !peer.offline.exchange(true, std::memory_order_relaxed)) {
-    peer.probe_at.store(WallClock::Get().Now() + options_.fault_policy.reprobe_interval,
-                        std::memory_order_relaxed);
-    SAND_LOG(kWarning) << "cluster node '" << peer.spec.name << "' marked offline after "
-                       << streak << " consecutive failures; its shard degrades to "
-                          "local recompute";
-  } else if (peer.offline.load(std::memory_order_relaxed)) {
-    // A failed probe: push the next probe out a full interval.
-    peer.probe_at.store(WallClock::Get().Now() + options_.fault_policy.reprobe_interval,
-                        std::memory_order_relaxed);
-  }
+  return !peers_[node]->breaker.offline();
 }
 
 Result<std::unique_ptr<net::SandClient>> ClusterStore::AcquireClient(Peer& peer) {
@@ -170,42 +136,32 @@ auto ClusterStore::PeerCall(size_t node, Fn&& fn)
     -> decltype(fn(std::declval<net::SandClient&>())) {
   using R = decltype(fn(std::declval<net::SandClient&>()));
   Peer& peer = *peers_[node];
-  if (!PeerAvailable(peer)) {
+  if (!peer.breaker.Allow()) {
     return R(Unavailable("cluster node '" + peer.spec.name + "' is offline"));
   }
   SAND_SPAN("cluster_peer_call");
   peer.requests.fetch_add(1, std::memory_order_relaxed);
-  Nanos backoff = options_.fault_policy.initial_backoff;
-  Status transport = Status::Ok();
-  for (int attempt = 0;; ++attempt) {
-    auto client = AcquireClient(peer);
-    if (client.ok()) {
-      R result = fn(**client);
-      if (StatusOf(result).code() != ErrorCode::kUnavailable) {
-        // The server answered (ok, NotFound, even INVALID_ARGUMENT from a
-        // pre-cluster build): the node is healthy and the connection is
-        // reusable. Only transport failures feed the breaker.
-        ReleaseClient(peer, std::move(*client));
-        NotePeerResult(peer, true);
-        return result;
-      }
-      // UNAVAILABLE poisons the pipelined client; drop it and redial.
-      transport = StatusOf(result);
-    } else {
-      transport = client.status();
-    }
-    if (attempt >= options_.fault_policy.max_retries) {
-      peer.errors.fetch_add(1, std::memory_order_relaxed);
-      NotePeerResult(peer, false);
-      return R(Unavailable("cluster node '" + peer.spec.name +
-                           "' unreachable: " + transport.message()));
-    }
-    if (backoff > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-    }
-    backoff = static_cast<Nanos>(static_cast<double>(backoff) *
-                                 options_.fault_policy.backoff_multiplier);
+  R result = peer.breaker.Run(
+      [&]() -> R {
+        auto client = AcquireClient(peer);
+        if (!client.ok()) {
+          return R(Unavailable(client.status().message()));
+        }
+        R answer = fn(**client);
+        if (!TransportFailure(StatusOf(answer))) {
+          // The connection is reusable. UNAVAILABLE poisons the pipelined
+          // client; it is dropped and the retry redials.
+          ReleaseClient(peer, std::move(*client));
+        }
+        return answer;
+      },
+      TransportFailure);
+  if (TransportFailure(StatusOf(result))) {
+    peer.errors.fetch_add(1, std::memory_order_relaxed);
+    return R(Unavailable("cluster node '" + peer.spec.name +
+                         "' unreachable: " + StatusOf(result).message()));
   }
+  return result;
 }
 
 Status ClusterStore::Put(const std::string& key, std::span<const uint8_t> data) {
@@ -357,7 +313,7 @@ std::string ClusterStore::HealthJson() const {
     AppendJsonString(out, EndpointOf(peer.spec));
     out << ", \"self\": " << (IsSelf(i) ? "true" : "false");
     out << ", \"online\": " << (NodeOnline(i) ? "true" : "false");
-    out << ", \"failure_streak\": " << peer.failure_streak.load(std::memory_order_relaxed);
+    out << ", \"failure_streak\": " << peer.breaker.failure_streak();
     out << ", \"requests\": " << peer.requests.load(std::memory_order_relaxed);
     out << ", \"errors\": " << peer.errors.load(std::memory_order_relaxed);
     out << ", \"bytes_fetched\": " << peer.bytes_fetched.load(std::memory_order_relaxed);

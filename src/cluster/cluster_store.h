@@ -7,14 +7,15 @@
 // (HashRing): the self shard short-circuits in-process against the local
 // store, remote shards go over pooled pipelined SandClient connections.
 //
-// Failure semantics mirror the TieredCache disk tier's DiskFaultPolicy
-// rails: a transport failure (UNAVAILABLE) is retried with exponential
-// backoff, a streak of failures marks the node offline and ops on its
-// shard short-circuit to UNAVAILABLE until a reprobe interval expires —
-// so a dead peer costs one failed probe per interval, not a dial timeout
-// per read. Callers above (TieredCache's peer probe) treat any failure as
-// a miss, degrading to local recompute; a vanished node can slow a job
-// down, never fail it.
+// Failure semantics: each peer sits behind the same CircuitBreaker class
+// as the TieredCache disk tier, configured by the same DiskFaultPolicy. A
+// transport failure (UNAVAILABLE) is retried on a fresh dial with
+// exponential backoff, a streak of failures marks the node offline and ops
+// on its shard short-circuit to UNAVAILABLE until a reprobe interval
+// expires — so a dead peer costs one failed probe per interval, not a dial
+// timeout per read. Callers above (TieredCache's peer probe) treat any
+// failure as a miss, degrading to local recompute; a vanished node can
+// slow a job down, never fail it.
 //
 // Health: per-node breaker state and traffic land in "/.sand/cluster"
 // (RegisterControlView publishes the JSON renderer through SandFs's
@@ -61,7 +62,7 @@ struct ClusterStoreOptions {
   // Pooled pipelined connections kept per peer (extras are dialed under
   // load and dropped on release).
   int connections_per_peer = 2;
-  // Node-down retry/degrade knobs, reusing the disk tier's policy shape.
+  // Node-down retry/degrade knobs for each peer's CircuitBreaker.
   DiskFaultPolicy fault_policy;
 };
 
@@ -105,14 +106,13 @@ class ClusterStore : public ObjectStore {
 
  private:
   struct Peer {
+    Peer(ClusterNodeOptions node, const DiskFaultPolicy& policy);
+
     ClusterNodeOptions spec;
     // Connection pool (idle clients; acquisition dials when empty).
     mutable std::mutex mutex;
     std::vector<std::unique_ptr<net::SandClient>> idle;
-    // Circuit breaker, mirroring the TieredCache disk-tier rails.
-    std::atomic<int> failure_streak{0};
-    std::atomic<bool> offline{false};
-    std::atomic<Nanos> probe_at{0};
+    CircuitBreaker breaker;
     // Traffic/health counters for /.sand/cluster.
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> errors{0};
@@ -123,11 +123,6 @@ class ClusterStore : public ObjectStore {
   bool IsSelf(size_t node) const {
     return options_.self_index >= 0 && node == static_cast<size_t>(options_.self_index);
   }
-  // True when an op against the peer may be attempted (online, or offline
-  // with an expired reprobe clock — the caller becomes the probe).
-  bool PeerAvailable(Peer& peer) const;
-  // Feeds the breaker; `healthy` = the op did not end in a transport error.
-  void NotePeerResult(Peer& peer, bool healthy) const;
   Result<std::unique_ptr<net::SandClient>> AcquireClient(Peer& peer);
   void ReleaseClient(Peer& peer, std::unique_ptr<net::SandClient> client);
 

@@ -118,6 +118,13 @@ class Result {
   std::variant<T, Status> data_;
 };
 
+// The status of a Status or a Result, for code generic over both.
+inline const Status& StatusOf(const Status& status) { return status; }
+template <typename T>
+const Status& StatusOf(const Result<T>& result) {
+  return result.status();
+}
+
 }  // namespace sand
 
 // Propagates errors upward: `SAND_RETURN_IF_ERROR(DoThing());`

@@ -3,29 +3,20 @@
 // The remote half of the one-API-two-transports split: a training loop
 // written against SandApi runs unchanged whether it holds a SandFs or a
 // SandClient. Connect() dials the server, performs the HELLO handshake
-// binding the connection to a tenant tag and negotiating the protocol
-// version, and returns a ready client.
+// binding the connection to a tenant tag, and returns a ready client.
 //
-// One connection, many requests in flight: the wire protocol is pipelined
-// (v2 frames carry a u64 request id), so any number of threads may issue
-// verbs concurrently and a single demultiplexing reader thread matches
-// responses — which arrive in whatever order the server completes them —
-// back to per-request Promises. The sync verbs are the async path plus a
-// Get(); ReadAllSharedAsync exposes it directly so one thread can keep a
-// window of reads outstanding.
+// One connection, many requests in flight: every frame carries a u64
+// request id, so any number of threads may issue verbs concurrently and a
+// single demultiplexing reader thread matches responses — which arrive in
+// whatever order the server completes them — back to per-request
+// Promises. The sync verbs are the async path plus a Get();
+// ReadAllSharedAsync exposes it directly so one thread can keep a window
+// of reads outstanding.
 //
-// Against a v1 (serial-protocol) server the same machinery degrades
-// gracefully: the HELLO negotiates version 1, frames carry no ids, and
-// responses are matched FIFO — which is exactly the ordering a serial
-// server guarantees. Callers should then keep at most one request in
-// flight per connection (ClientPool and the sync verbs do this naturally
-// when max_inflight is 1).
-//
-// Status codes round-trip: a RESOURCE_EXHAUSTED here is either the
-// server's admission control talking or this client's own inflight cap
-// (Options::max_inflight); retrying after a backoff is the intended
-// response to both. A transport failure poisons the connection: every
-// in-flight and future request fails fast with UNAVAILABLE instead of
+// Status codes round-trip: a RESOURCE_EXHAUSTED here is the server's
+// admission control talking, and retrying after a backoff is the intended
+// response. A transport failure poisons the connection: every in-flight
+// and future request fails fast with UNAVAILABLE instead of
 // desynchronizing request/response pairing.
 
 #ifndef SAND_NET_SAND_CLIENT_H_
@@ -55,15 +46,6 @@ class SandClient : public SandApi {
     int port = -1;
     // Tenant tag sent in HELLO; required.
     std::string tenant;
-    // Highest protocol version to offer in HELLO. The connection runs at
-    // min(offered, server); set 1 to force the serial protocol (tests, or
-    // talking to a pre-pipelining server that rejects unknown versions —
-    // Connect retries at v1 automatically on a version-mismatch HELLO).
-    uint16_t protocol_version = kProtocolVersion;
-    // Max requests this connection keeps in flight; further issues fail
-    // immediately with RESOURCE_EXHAUSTED (client-side backpressure, the
-    // mirror of the server's tenant inflight quota). <= 0 means unlimited.
-    int max_inflight = 0;
   };
 
   // Dials, handshakes, returns a connected client (or the HELLO error —
@@ -78,10 +60,6 @@ class SandClient : public SandApi {
 
   // Tenant id the server assigned at HELLO (obs::TenantRegistry dense id).
   uint32_t tenant_id() const { return tenant_id_; }
-  // Protocol version negotiated at HELLO (1 = serial, 2 = pipelined).
-  uint16_t negotiated_version() const { return version_; }
-  // Requests currently awaiting a response (ClientPool's load signal).
-  size_t inflight() const;
 
   using SandApi::Open;
   Result<int> Open(const std::string& path, const OpenOptions& options) override;
@@ -98,8 +76,7 @@ class SandClient : public SandApi {
   // by servers configured with an object-store backend. An object's
   // existence is data on this path, so StatObject answers (exists, size)
   // instead of failing on absence; a server without a backend answers
-  // FAILED_PRECONDITION, and a pre-cluster server answers INVALID_ARGUMENT
-  // ("unknown command") — callers treat both as "this node cannot serve".
+  // FAILED_PRECONDITION.
   struct ObjectStat {
     bool exists = false;
     uint64_t size = 0;
@@ -110,21 +87,20 @@ class SandClient : public SandApi {
   Status DeleteObject(const std::string& key);
 
  private:
-  SandClient(int socket_fd, uint16_t version)
-      : socket_fd_(socket_fd), version_(version) {}
+  explicit SandClient(int socket_fd) : socket_fd_(socket_fd) {}
 
-  // Sends one request (command byte + body) and returns a future for the
-  // raw response payload (status head included, request id stripped).
-  // Resolves with RESOURCE_EXHAUSTED at the inflight cap and UNAVAILABLE
-  // on a dead connection.
+  // Sends one request built on RequestHead (id slot + command byte + body)
+  // and returns a future for the raw response payload (status head
+  // included, request id stripped). Resolves with UNAVAILABLE on a dead
+  // connection.
   Future<std::vector<uint8_t>> Issue(std::vector<uint8_t> request);
   // Issue + Get + status decode: the sync round trip. On ok, `response`
   // holds the payload (status head at byte 0).
   Status Call(std::vector<uint8_t> request, std::vector<uint8_t>& response);
 
-  // Demultiplexer: reads response frames, matches ids (or FIFO order on
-  // v1) to pending promises. Exits when the stream dies, failing every
-  // pending request with UNAVAILABLE.
+  // Demultiplexer: reads response frames, matches ids to pending promises.
+  // Exits when the stream dies, failing every pending request with
+  // UNAVAILABLE.
   void ReaderLoop();
   void StartReader();
   // Fails all pending requests and marks the stream dead. Caller must not
@@ -138,9 +114,7 @@ class SandClient : public SandApi {
 
   std::thread reader_;
   int socket_fd_ = -1;
-  uint16_t version_ = kProtocolVersion;
   uint32_t tenant_id_ = 0;
-  int max_inflight_ = 0;
 };
 
 }  // namespace net

@@ -260,32 +260,23 @@ void SandServer::ServeConnection(Connection* conn) {
       conn->last_active_ns.store(static_cast<int64_t>(SinceProcessStart()));
     }
     WireReader reader(request);
-    // Request ids exist only after a v2 HELLO; the HELLO frame itself is
-    // always v1-shaped so the version parses before negotiation.
-    const bool has_id = conn->tenant_id != 0 && conn->protocol_version >= 2;
-    uint64_t request_id = 0;
-    if (has_id) {
-      auto id = reader.TakeU64();
-      if (!id.ok()) {
-        break;  // truncated frame: protocol violation, drop the connection
-      }
-      request_id = *id;
-    }
+    auto id = reader.TakeU64();
     auto command_byte = reader.TakeU8();
-    if (!command_byte.ok()) {
-      break;  // empty frame: protocol violation, drop the connection
+    if (!id.ok() || !command_byte.ok()) {
+      break;  // truncated frame: protocol violation, drop the connection
     }
+    const uint64_t request_id = *id;
     Command command = static_cast<Command>(*command_byte);
 
     if (command == Command::kHello) {
-      if (!WriteResponse(conn, has_id, request_id,
+      if (!WriteResponse(conn, request_id,
                          WireResponse{HandleHello(conn, reader), nullptr})) {
         break;
       }
       continue;
     }
     if (conn->tenant_id == 0) {
-      if (!WriteResponse(conn, has_id, request_id,
+      if (!WriteResponse(conn, request_id,
                          WireResponse{EncodeErrorResponse(FailedPrecondition(
                                           "HELLO with a tenant tag must precede "
                                           "other commands")),
@@ -297,7 +288,7 @@ void SandServer::ServeConnection(Connection* conn) {
     if (command == Command::kClose) {
       // Close runs inline and is never refused: cleanup must always be
       // possible, or backpressure would turn into an fd leak.
-      if (!WriteResponse(conn, has_id, request_id,
+      if (!WriteResponse(conn, request_id,
                          WireResponse{HandleClose(conn, reader), nullptr})) {
         break;
       }
@@ -326,7 +317,7 @@ void SandServer::ServeConnection(Connection* conn) {
       if (metrics != nullptr) {
         metrics->rejected->Add(1);
       }
-      if (!WriteResponse(conn, has_id, request_id,
+      if (!WriteResponse(conn, request_id,
                          WireResponse{EncodeErrorResponse(ResourceExhausted(
                                           "tenant '" + conn->tenant_tag +
                                           "' inflight quota exceeded")),
@@ -351,8 +342,8 @@ void SandServer::ServeConnection(Connection* conn) {
     // past the id and command this thread already consumed.
     size_t cursor = reader.position();
     bool submitted = request_pool_.TrySubmit(
-        [this, conn, tenant, metrics, command, has_id, request_id, ctx, start,
-         cursor, body = request]() mutable {
+        [this, conn, tenant, metrics, command, request_id, ctx, start, cursor,
+         body = request]() mutable {
           ScopedTraceContext scope(ctx);
           WireReader task_reader(body);
           (void)task_reader.Skip(cursor);
@@ -363,7 +354,7 @@ void SandServer::ServeConnection(Connection* conn) {
           if (tenant != nullptr) {
             tenant->inflight.fetch_sub(1);
           }
-          bool wrote = WriteResponse(conn, has_id, request_id, response);
+          bool wrote = WriteResponse(conn, request_id, response);
           {
             std::lock_guard<std::mutex> lock(stats_mutex_);
             ++stats_.requests_served;
@@ -424,7 +415,7 @@ void SandServer::ServeConnection(Connection* conn) {
       if (metrics != nullptr) {
         metrics->rejected->Add(1);
       }
-      if (!WriteResponse(conn, has_id, request_id,
+      if (!WriteResponse(conn, request_id,
                          WireResponse{EncodeErrorResponse(ResourceExhausted(
                                           "server saturated: request queue is "
                                           "full, retry")),
@@ -432,12 +423,6 @@ void SandServer::ServeConnection(Connection* conn) {
         break;
       }
       continue;
-    }
-    if (conn->protocol_version < 2) {
-      // v1 contract: strictly serial, responses in request order. Waiting
-      // here also makes the client-side FIFO demux sound.
-      std::unique_lock<std::mutex> lock(conn->inflight_mutex);
-      conn->inflight_cv.wait(lock, [conn] { return conn->inflight == 0; });
     }
   }
 
@@ -481,13 +466,11 @@ void SandServer::ServeConnection(Connection* conn) {
   conn->done.store(true);
 }
 
-bool SandServer::WriteResponse(Connection* conn, bool has_id, uint64_t request_id,
+bool SandServer::WriteResponse(Connection* conn, uint64_t request_id,
                                const WireResponse& response) {
   std::vector<uint8_t> head;
-  head.reserve((has_id ? 8 : 0) + response.head.size());
-  if (has_id) {
-    PutU64(head, request_id);
-  }
+  head.reserve(8 + response.head.size());
+  PutU64(head, request_id);
   head.insert(head.end(), response.head.begin(), response.head.end());
   const uint8_t* body = nullptr;
   size_t body_size = 0;
@@ -512,18 +495,11 @@ std::vector<uint8_t> SandServer::HandleHello(Connection* conn, WireReader& reade
   if (!version.ok()) {
     return EncodeErrorResponse(version.status());
   }
-  if (*version < kMinProtocolVersion) {
-    // The tag prefix is the machine-readable part: clients deciding
-    // whether to re-dial at another version match it structurally, so the
-    // human-readable text after it can be reworded freely.
+  if (*version != kProtocolVersion) {
     return EncodeErrorResponse(InvalidArgument(
-        std::string(kVersionRefusedTag) +
-        "protocol version mismatch: server speaks " +
-        std::to_string(kMinProtocolVersion) + ".." +
-        std::to_string(kProtocolVersion) + ", client sent " +
-        std::to_string(*version)));
+        "protocol version mismatch: server speaks " + std::to_string(kProtocolVersion) +
+        ", client sent " + std::to_string(*version)));
   }
-  uint16_t negotiated = std::min<uint16_t>(*version, kProtocolVersion);
   auto tag = reader.TakeString();
   if (!tag.ok()) {
     return EncodeErrorResponse(tag.status());
@@ -562,14 +538,11 @@ std::vector<uint8_t> SandServer::HandleHello(Connection* conn, WireReader& reade
   }
   conn->tenant_id = id;
   conn->tenant_tag = *tag;
-  conn->protocol_version = negotiated;
   if (obs::TenantMetrics* metrics = obs::TenantMetricsFor(id)) {
     metrics->sessions->Add(1);
   }
   std::vector<uint8_t> response = EncodeOkHead();
   PutU32(response, id);
-  // Appended after the v1 payload: old clients stop reading before it.
-  PutU16(response, negotiated);
   return response;
 }
 

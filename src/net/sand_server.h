@@ -8,16 +8,13 @@
 // every fd it opens is owned by the connection and force-closed when it
 // disconnects, so a trainer crash mid-materialize leaks nothing.
 //
-// Pipelining: HELLO negotiates a protocol version. v2 connections carry a
-// u64 request id on every frame; the per-connection reader thread
-// admission-checks each request and hands it to the shared worker pool
-// immediately, so many requests from one connection execute concurrently
-// and responses are written *out of order, as they complete* (a
-// per-connection write mutex keeps frames atomic; bulk ReadAllShared
+// Pipelining: every frame carries a u64 request id; the per-connection
+// reader thread admission-checks each request and hands it to the shared
+// worker pool immediately, so many requests from one connection execute
+// concurrently and responses are written *out of order, as they complete*
+// (a per-connection write mutex keeps frames atomic; bulk ReadAllShared
 // payloads leave via scatter-gather writes straight from the cache's
-// SharedBytes, no frame-assembly copy). v1 connections keep the strict
-// serial contract: one request dispatched at a time, responses in order —
-// old clients work unchanged against a pipelined server.
+// SharedBytes, no frame-assembly copy).
 //
 // Tenancy:
 //   - HELLO interns the tag in obs::TenantRegistry; the dense id rides
@@ -187,7 +184,6 @@ class SandServer {
 
     // Set once by HandleHello on the reader thread before any concurrent
     // dispatch exists; read-only afterwards.
-    uint16_t protocol_version = 1;
     uint32_t tenant_id = 0;
     std::string tenant_tag;
 
@@ -226,10 +222,9 @@ class SandServer {
   // request pool for data verbs.
   WireResponse Dispatch(Connection* conn, Command command, WireReader& reader);
 
-  // Frames and writes one response (request id prepended on v2) under the
+  // Frames and writes one response (request id prepended) under the
   // connection's write mutex.
-  bool WriteResponse(Connection* conn, bool has_id, uint64_t request_id,
-                     const WireResponse& response);
+  bool WriteResponse(Connection* conn, uint64_t request_id, const WireResponse& response);
 
   std::vector<uint8_t> HandleHello(Connection* conn, WireReader& reader);
   std::vector<uint8_t> HandleOpen(Connection* conn, WireReader& reader);

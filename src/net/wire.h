@@ -5,22 +5,15 @@
 // byte on every response so failures cross the wire as real Status values.
 //
 //   frame    : u32 length | payload          (length caps at kMaxFrameBytes)
+//   request  : u64 request_id | u8 command | command body
+//   response : u64 request_id | u8 status (ErrorCode; 0 = ok) | ok body or error message
 //
-// Two payload shapes, negotiated per connection at HELLO:
-//
-//   v1 (serial — strict request/response, one outstanding per connection)
-//     request  : u8 command | command body
-//     response : u8 status (ErrorCode; 0 = ok) | ok body or error message
-//
-//   v2 (pipelined — any number outstanding, responses out of order)
-//     request  : u64 request_id | u8 command | command body
-//     response : u64 request_id | u8 status | ok body or error message
-//
-// The HELLO exchange itself is always v1-shaped (it is what carries the
-// version), so a server can parse it before knowing what the client
-// speaks; the negotiated version (min of both sides) governs every frame
-// after the ok HELLO response. Request ids are client-assigned and only
-// need to be unique among that connection's in-flight requests.
+// Every frame carries a request id, HELLO included, so any number of
+// requests may be outstanding on one connection and responses come back
+// in whatever order the server completes them. Ids are client-assigned
+// and only need to be unique among that connection's in-flight requests.
+// HELLO names the protocol version; the server accepts exactly
+// kProtocolVersion and refuses any other with INVALID_ARGUMENT.
 //
 // Strings are u32 length | bytes. All helpers here are transport-agnostic
 // byte shuffling; the verbs live in sand_server.cc / sand_client.cc.
@@ -43,21 +36,14 @@ namespace net {
 // ReadFrame refuses larger length words before the allocation, not after.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 27;
 
-// Highest protocol revision this build speaks, sent in HELLO. The server
-// accepts any client in [kMinProtocolVersion, kProtocolVersion] and the
-// connection runs at the minimum of the two sides, so old serial clients
-// keep working against a pipelined server.
+// The protocol revision this build speaks, sent in HELLO.
 inline constexpr uint16_t kProtocolVersion = 2;
-inline constexpr uint16_t kMinProtocolVersion = 1;
 
 // Request commands. Mirrors the SandApi verb set plus the HELLO
 // authentication handshake and the object-store verbs the cluster layer
-// uses to move materialized views between store nodes. The store verbs
-// are additive: they need no version bump because old clients never send
-// them and old servers answer "unknown command" (INVALID_ARGUMENT), which
-// the cluster client treats as a miss.
+// uses to move materialized views between store nodes.
 enum class Command : uint8_t {
-  kHello = 1,    // u16 version | string tenant
+  kHello = 1,    // u16 version | string tenant              -> ok | u32 tenant id
   kOpen = 2,     // string path | string open_options (OpenOptions wire form)
   kRead = 3,     // i32 fd | u64 max_bytes
   kPRead = 4,    // i32 fd | u64 offset | u64 max_bytes
@@ -72,14 +58,6 @@ enum class Command : uint8_t {
   kStatObject = 12,    // string key                         -> ok | u8 exists | u64 size
   kDeleteObject = 13,  // string key                         -> ok
 };
-
-// Machine-readable prefix on the HELLO refusal message when the server
-// rejects the offered protocol version. The status code stays
-// INVALID_ARGUMENT (older v2 clients already key on it), but clients
-// deciding whether to re-dial at v1 match this tag structurally instead
-// of grepping the human-readable text, so rewording the message can no
-// longer break version negotiation.
-inline constexpr const char kVersionRefusedTag[] = "[version-refused] ";
 
 // --- scalar/string packing ---------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include "src/obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <sstream>
@@ -81,6 +82,22 @@ uint64_t Histogram::Max() const {
   return 0;
 }
 
+Histogram::Contents Histogram::Read() const {
+  Contents contents;
+  for (size_t i = 0; i < kNumBuckets; ++i) {
+    contents.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+  }
+  contents.sum = Sum();
+  return contents;
+}
+
+void Histogram::Add(const Contents& contents) {
+  for (size_t i = 0; i < kNumBuckets; ++i) {
+    buckets_[i].fetch_add(contents.buckets[i], std::memory_order_relaxed);
+  }
+  sum_.fetch_add(contents.sum, std::memory_order_relaxed);
+}
+
 void Histogram::Reset() {
   for (auto& bucket : buckets_) {
     bucket.store(0, std::memory_order_relaxed);
@@ -121,6 +138,26 @@ Histogram* Registry::GetHistogram(const std::string& name) {
 }
 
 std::string Registry::ToJson(const std::string& prefix, bool strip_prefix) {
+  return Render(prefix, strip_prefix, nullptr);
+}
+
+std::string Registry::ToJson(const Snapshot& since) { return Render("", false, &since); }
+
+Registry::Snapshot Registry::TakeSnapshot() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Snapshot snapshot;
+  snapshot.generation = generation_;
+  for (const auto& [name, counter] : counters_) {
+    snapshot.counters.emplace(name, counter->Value());
+  }
+  for (const auto& [name, histogram] : histograms_) {
+    snapshot.histograms.emplace(name, histogram->Read());
+  }
+  return snapshot;
+}
+
+std::string Registry::Render(const std::string& prefix, bool strip_prefix,
+                             const Snapshot* since) {
   auto matches = [&prefix](const std::string& name) {
     return prefix.empty() || name.rfind(prefix, 0) == 0;
   };
@@ -128,6 +165,18 @@ std::string Registry::ToJson(const std::string& prefix, bool strip_prefix) {
     return strip_prefix ? name.substr(prefix.size()) : name;
   };
   std::lock_guard<std::mutex> lock(mutex_);
+  // A ResetAll after the snapshot already dropped everything before it.
+  if (since != nullptr && since->generation != generation_) {
+    since = nullptr;
+  }
+  auto counter_value = [since](const std::string& name, const Counter& counter) {
+    uint64_t value = counter.Value();
+    if (since != nullptr) {
+      auto it = since->counters.find(name);
+      value -= it == since->counters.end() ? 0 : std::min(value, it->second);
+    }
+    return value;
+  };
   std::ostringstream out;
   out << "{\n  \"counters\": {";
   bool first = true;
@@ -135,7 +184,8 @@ std::string Registry::ToJson(const std::string& prefix, bool strip_prefix) {
     if (!matches(name)) {
       continue;
     }
-    out << (first ? "\n" : ",\n") << "    \"" << emitted(name) << "\": " << counter->Value();
+    out << (first ? "\n" : ",\n") << "    \"" << emitted(name)
+        << "\": " << counter_value(name, *counter);
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
@@ -153,11 +203,25 @@ std::string Registry::ToJson(const std::string& prefix, bool strip_prefix) {
     if (!matches(name)) {
       continue;
     }
+    const Histogram* shown = histogram.get();
+    Histogram window;
+    if (since != nullptr) {
+      // The window's values: this read minus the snapshot's.
+      Histogram::Contents contents = histogram->Read();
+      if (auto it = since->histograms.find(name); it != since->histograms.end()) {
+        for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+          contents.buckets[i] -= std::min(contents.buckets[i], it->second.buckets[i]);
+        }
+        contents.sum -= std::min(contents.sum, it->second.sum);
+      }
+      window.Add(contents);
+      shown = &window;
+    }
     out << (first ? "\n" : ",\n") << "    \"" << emitted(name) << "\": {"
-        << "\"count\": " << histogram->Count() << ", \"sum\": " << histogram->Sum()
-        << ", \"mean\": " << histogram->Mean() << ", \"p50\": " << histogram->Quantile(0.5)
-        << ", \"p90\": " << histogram->Quantile(0.9) << ", \"p95\": " << histogram->Quantile(0.95)
-        << ", \"p99\": " << histogram->Quantile(0.99) << ", \"max\": " << histogram->Max() << "}";
+        << "\"count\": " << shown->Count() << ", \"sum\": " << shown->Sum()
+        << ", \"mean\": " << shown->Mean() << ", \"p50\": " << shown->Quantile(0.5)
+        << ", \"p90\": " << shown->Quantile(0.9) << ", \"p95\": " << shown->Quantile(0.95)
+        << ", \"p99\": " << shown->Quantile(0.99) << ", \"max\": " << shown->Max() << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "}\n}\n";
@@ -176,6 +240,7 @@ void Registry::VisitNumeric(const std::function<void(const std::string&, int64_t
 
 void Registry::ResetAll() {
   std::lock_guard<std::mutex> lock(mutex_);
+  ++generation_;
   for (auto& [name, counter] : counters_) {
     counter->Reset();
   }

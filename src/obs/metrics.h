@@ -101,6 +101,16 @@ class Histogram {
   uint64_t Max() const;
   void Reset();
 
+  // Bucket counts (indexed by BucketIndex) and the sum, read at one
+  // instant; Add() folds such a copy back in, as if its values had been
+  // recorded here (the difference of two reads gives one window's values).
+  struct Contents {
+    std::array<uint64_t, kNumBuckets> buckets{};
+    uint64_t sum = 0;
+  };
+  Contents Read() const;
+  void Add(const Contents& contents);
+
   static size_t BucketIndex(uint64_t value);
   // Inclusive lower bound / midpoint of bucket `index`.
   static uint64_t BucketLowerBound(size_t index);
@@ -133,6 +143,20 @@ class Registry {
   // "sand.job.<tag>.reads").
   std::string ToJson(const std::string& prefix = "", bool strip_prefix = false);
 
+  // Counter totals and histogram contents at one instant, tagged with the
+  // ResetAll generation they were read in.
+  struct Snapshot {
+    uint64_t generation = 0;
+    std::map<std::string, uint64_t> counters;
+    std::map<std::string, Histogram::Contents> histograms;
+  };
+  Snapshot TakeSnapshot();
+  // The ToJson() shape, but counters and histograms report only what was
+  // recorded after `since` (everything since the reset, when a ResetAll
+  // came in between); gauges stay instantaneous. Bench rows use it to
+  // carry one run's metrics.
+  std::string ToJson(const Snapshot& since);
+
   // Calls `fn(name, value)` for every counter and gauge (not histograms),
   // holding the registry mutex: `fn` must not call back into the registry.
   // Feeds the history recorder's periodic samples.
@@ -145,7 +169,10 @@ class Registry {
  private:
   Registry() = default;
 
+  std::string Render(const std::string& prefix, bool strip_prefix, const Snapshot* since);
+
   std::mutex mutex_;
+  uint64_t generation_ = 0;  // bumped by ResetAll
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

@@ -156,11 +156,12 @@ void Tracer::Resize(size_t slots) {
   if (slots < 1024) {
     slots = 1024;
   }
-  Ring* fresh = new Ring(slots);
-  // The old ring is leaked on purpose: a racing Record may still hold its
-  // pointer, and rings are swapped O(1) times per process.
-  ring_.store(fresh, std::memory_order_release);
+  Ring* retired = ring_.exchange(new Ring(slots), std::memory_order_acq_rel);
   head_.store(0, std::memory_order_relaxed);
+  // A racing Record may still hold the old ring's pointer, so it is kept,
+  // not freed; rings are swapped O(1) times per process.
+  std::lock_guard<std::mutex> lock(retired_mutex_);
+  retired_.emplace_back(retired);
 }
 
 void Tracer::Clear() {

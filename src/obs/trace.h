@@ -24,8 +24,8 @@
 // Ring capacity defaults to 16Ki slots, overridable with the
 // SAND_TRACE_RING_SLOTS environment variable or ServiceOptions
 // (trace_ring_slots) via Resize(). Resizing swaps in a fresh ring (old
-// events are lost; the retired ring is intentionally leaked so concurrent
-// lock-free recorders never touch freed memory).
+// events are lost); the Tracer, which is never destroyed, keeps every
+// retired ring so concurrent lock-free recorders never touch freed memory.
 //
 // Span names must be string literals (or otherwise immortal): the ring
 // stores the pointer, not a copy.
@@ -35,6 +35,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -95,7 +97,7 @@ class Tracer {
   size_t Capacity() const { return ring_.load(std::memory_order_acquire)->slots.size(); }
 
   // Swaps in a fresh ring of `slots` entries (min 1024). Events already
-  // recorded are discarded; the old ring is leaked (never freed) so
+  // recorded are discarded; the old ring is retired, not freed, so
   // concurrent Record calls that raced the swap stay safe. Intended for
   // startup configuration (ServiceOptions::trace_ring_slots), not steady-
   // state tuning.
@@ -131,6 +133,9 @@ class Tracer {
   std::atomic<uint64_t> dropped_{0};
   std::atomic<Ring*> ring_;
   Counter* dropped_counter_;  // registry mirror "sand.trace.dropped"
+  // Rings swapped out by Resize, kept for the process lifetime.
+  std::mutex retired_mutex_;
+  std::vector<std::unique_ptr<Ring>> retired_;
 };
 
 // RAII span: captures the start time at construction, records on

@@ -690,15 +690,9 @@ void RemoteStore::ResetTraffic() {
 
 namespace {
 
-inline const Status& StatusOf(const Status& status) { return status; }
-template <typename T>
-inline const Status& StatusOf(const Result<T>& result) {
-  return result.status();
-}
-
 // Infrastructure failures worth retrying / tripping the breaker on. NotFound
 // and capacity errors are healthy responses from a working tier.
-inline bool TransientDiskError(const Status& status) {
+bool TransientDiskError(const Status& status) {
   return status.code() == ErrorCode::kUnavailable || status.code() == ErrorCode::kDataLoss;
 }
 
@@ -708,7 +702,6 @@ TieredCache::TieredCache(std::shared_ptr<ObjectStore> memory, std::shared_ptr<Ob
                          DiskFaultPolicy fault_policy)
     : memory_(std::move(memory)),
       disk_(std::move(disk)),
-      fault_policy_(fault_policy),
       memory_hits_(obs::Registry::Get().GetCounter("sand.cache.memory.hits")),
       disk_hits_(obs::Registry::Get().GetCounter("sand.cache.disk.hits")),
       misses_(obs::Registry::Get().GetCounter("sand.cache.misses")),
@@ -728,7 +721,16 @@ TieredCache::TieredCache(std::shared_ptr<ObjectStore> memory, std::shared_ptr<Ob
       memory_used_(obs::Registry::Get().GetGauge("sand.cache.memory.used_bytes")),
       disk_used_(obs::Registry::Get().GetGauge("sand.cache.disk.used_bytes")),
       pinned_keys_(obs::Registry::Get().GetGauge("sand.cache.pinned_keys")),
-      disk_degraded_gauge_(obs::Registry::Get().GetGauge("sand.store.disk.degraded")) {}
+      disk_degraded_gauge_(obs::Registry::Get().GetGauge("sand.store.disk.degraded")),
+      disk_breaker_(fault_policy, [this](bool offline, int streak) {
+        disk_degraded_gauge_->Set(offline ? 1 : 0);
+        if (offline) {
+          SAND_LOG(kWarning) << "disk tier marked offline after " << streak
+                             << " consecutive failures; degrading to memory-only";
+        } else {
+          SAND_LOG(kInfo) << "disk tier back online";
+        }
+      }) {}
 
 void TieredCache::UpdateUsageGauges() {
   memory_used_->Set(static_cast<int64_t>(memory_->UsedBytes()));
@@ -783,12 +785,15 @@ Result<SharedBytes> TieredCache::PeerOrMiss(const std::string& key,
   return miss;
 }
 
-void TieredCache::PublishToPeer(const std::string& key, SharedBytes data) {
+void TieredCache::PublishToPeer(const std::string& key, const Payload& payload) {
   std::shared_ptr<ObjectStore> peer = PeerStore();
-  if (peer == nullptr || data == nullptr) {
+  if (peer == nullptr) {
     return;
   }
   SAND_SPAN("peer_publish");
+  SharedBytes data = payload.shared != nullptr
+                         ? payload.shared
+                         : MakeSharedBytes({payload.bytes.begin(), payload.bytes.end()});
   // Best-effort: a dead or full owner node must never fail the local put.
   (void)peer->PutShared(key, std::move(data));
 }
@@ -838,21 +843,22 @@ std::shared_ptr<ObjectCodec> TieredCache::Codec() const {
   return codec_;
 }
 
-std::optional<std::vector<uint8_t>> TieredCache::MaybeEncodeForDisk(
-    const std::string& key, std::span<const uint8_t> data, Tier tier) {
+TieredCache::Payload TieredCache::EncodeForDisk(const std::string& key, const Payload& raw,
+                                                Tier tier) {
   if (tier != Tier::kDisk) {
-    return std::nullopt;
+    return raw;
   }
   auto codec = Codec();
   if (!codec || !codec->policy().compress_on_disk_put) {
-    return std::nullopt;
+    return raw;
   }
-  auto encoded = codec->Encode(key, data);
+  auto encoded = codec->Encode(key, raw.bytes);
   if (!encoded.ok() || !encoded->has_value()) {
     // Encode trouble never fails a put; the object is stored raw.
-    return std::nullopt;
+    return raw;
   }
-  return std::move((**encoded).bytes);
+  SharedBytes bytes = MakeSharedBytes(std::move((**encoded).bytes));
+  return Payload{std::span<const uint8_t>(*bytes), bytes};
 }
 
 Result<SharedBytes> TieredCache::MaybeDecode(SharedBytes data) {
@@ -869,225 +875,97 @@ Result<SharedBytes> TieredCache::MaybeDecode(SharedBytes data) {
   return MakeSharedBytes(std::move(decoded));
 }
 
-bool TieredCache::DiskAvailable() {
-  if (!disk_offline_.load(std::memory_order_relaxed)) {
-    return true;
-  }
-  const Nanos now = WallClock::Get().Now();
-  Nanos probe_at = disk_probe_at_.load(std::memory_order_relaxed);
-  while (now >= probe_at) {
-    // Claim the probe slot: exactly one caller per reprobe interval gets to
-    // test the tier; everyone else stays memory-only.
-    if (disk_probe_at_.compare_exchange_weak(probe_at, now + fault_policy_.reprobe_interval,
-                                             std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void TieredCache::NoteDiskResult(bool healthy) {
-  if (healthy) {
-    disk_failure_streak_.store(0, std::memory_order_relaxed);
-    if (disk_offline_.exchange(false, std::memory_order_relaxed)) {
-      disk_degraded_gauge_->Set(0);
-      SAND_LOG(kInfo) << "disk tier back online";
-    }
-    return;
-  }
-  const int streak = disk_failure_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (streak >= fault_policy_.offline_threshold &&
-      !disk_offline_.exchange(true, std::memory_order_relaxed)) {
-    disk_degraded_gauge_->Set(1);
-    disk_probe_at_.store(WallClock::Get().Now() + fault_policy_.reprobe_interval,
-                         std::memory_order_relaxed);
-    SAND_LOG(kWarning) << "disk tier marked offline after " << streak
-                       << " consecutive failures; degrading to memory-only";
-  } else if (disk_offline_.load(std::memory_order_relaxed)) {
-    // A failed probe: push the next probe out a full interval.
-    disk_probe_at_.store(WallClock::Get().Now() + fault_policy_.reprobe_interval,
-                         std::memory_order_relaxed);
-  }
-}
-
 template <typename Fn>
-auto TieredCache::DiskOpWithRetry(Fn&& fn) -> decltype(fn()) {
-  auto result = fn();
-  Nanos backoff = fault_policy_.initial_backoff;
-  for (int attempt = 0;
-       attempt < fault_policy_.max_retries && TransientDiskError(StatusOf(result)); ++attempt) {
-    SAND_SPAN("disk_retry");
-    disk_retries_->Add(1);
-    if (backoff > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
-    }
-    backoff = static_cast<Nanos>(static_cast<double>(backoff) * fault_policy_.backoff_multiplier);
-    result = fn();
-  }
-  NoteDiskResult(!TransientDiskError(StatusOf(result)));
-  return result;
+auto TieredCache::DiskOp(Fn&& fn) -> decltype(fn()) {
+  return disk_breaker_.Run(std::forward<Fn>(fn), TransientDiskError, disk_retries_);
 }
 
 Status TieredCache::Put(const std::string& key, std::span<const uint8_t> data, Tier tier) {
-  Status status = PutLocal(key, data, tier);
-  if (status.ok() && has_peer()) {
-    PublishToPeer(key, MakeSharedBytes(std::vector<uint8_t>(data.begin(), data.end())));
-  }
-  return status;
+  return Place(key, Payload{data, nullptr}, tier, PutMode::kReplace).status();
 }
 
 Status TieredCache::PutShared(const std::string& key, SharedBytes data, Tier tier) {
-  Status status = PutSharedLocal(key, data, tier);
-  if (status.ok()) {
-    PublishToPeer(key, std::move(data));
+  if (data == nullptr) {
+    return InvalidArgument("PutShared: null buffer");
   }
-  return status;
+  return Place(key, Payload{std::span<const uint8_t>(*data), data}, tier, PutMode::kReplace)
+      .status();
 }
 
 Result<bool> TieredCache::PutIfAbsent(const std::string& key, std::span<const uint8_t> data,
                                       Tier tier) {
-  Result<bool> inserted = PutIfAbsentLocal(key, data, tier);
-  if (inserted.ok() && *inserted && has_peer()) {
-    PublishToPeer(key, MakeSharedBytes(std::vector<uint8_t>(data.begin(), data.end())));
-  }
-  return inserted;
+  return Place(key, Payload{data, nullptr}, tier, PutMode::kIfAbsent);
 }
 
-Status TieredCache::PutLocal(const std::string& key, std::span<const uint8_t> data, Tier tier) {
-  SAND_SPAN("store_put");
-  const std::optional<std::vector<uint8_t>> encoded = MaybeEncodeForDisk(key, data, tier);
-  const std::span<const uint8_t> disk_data =
-      encoded ? std::span<const uint8_t>(*encoded) : data;
-  if (tier == Tier::kMemory) {
-    Status status = memory_->Put(key, data);
-    if (status.ok()) {
-      memory_puts_->Add(1);
-      bytes_written_memory_->Add(data.size());
-      UpdateUsageGauges();
-      return status;
-    }
-    // Memory full: fall through to disk rather than failing the pipeline.
+Result<bool> TieredCache::Write(ObjectStore& store, const std::string& key,
+                                const Payload& payload, PutMode mode) {
+  if (mode == PutMode::kIfAbsent) {
+    return store.PutIfAbsent(key, payload.bytes);
   }
-  Status status = DiskAvailable()
-                      ? DiskOpWithRetry([&] { return disk_->Put(key, disk_data); })
-                      : Unavailable("disk tier offline: " + key);
-  if (status.ok()) {
-    disk_puts_->Add(1);
-    bytes_written_disk_->Add(disk_data.size());
-    UpdateUsageGauges();
-    return status;
-  }
-  if (tier == Tier::kDisk && TransientDiskError(status)) {
-    // Degraded mode: keep the pipeline alive in memory. The object simply
-    // is not durable until the tier recovers. The encoded form is parked to
-    // keep the footprint small; reads decode it transparently.
-    Status fallback = memory_->Put(key, disk_data);
-    if (fallback.ok()) {
-      memory_puts_->Add(1);
-      bytes_written_memory_->Add(disk_data.size());
-      UpdateUsageGauges();
-      return fallback;
-    }
-  }
-  return status;
+  SAND_RETURN_IF_ERROR(payload.shared != nullptr ? store.PutShared(key, payload.shared)
+                                                 : store.Put(key, payload.bytes));
+  return true;
 }
 
-Status TieredCache::PutSharedLocal(const std::string& key, SharedBytes data, Tier tier) {
-  SAND_SPAN("store_put");
-  if (data == nullptr) {
-    return InvalidArgument("PutShared: null buffer");
-  }
-  if (tier == Tier::kMemory) {
-    Status status = memory_->PutShared(key, data);
-    if (status.ok()) {
-      memory_puts_->Add(1);
-      bytes_written_memory_->Add(data->size());
-      UpdateUsageGauges();
-      return status;
-    }
-    // Memory full: fall through to disk rather than failing the pipeline.
-  }
-  const std::optional<std::vector<uint8_t>> encoded =
-      MaybeEncodeForDisk(key, std::span<const uint8_t>(*data), tier);
-  Status status =
-      DiskAvailable()
-          ? DiskOpWithRetry([&] {
-              return encoded ? disk_->Put(key, std::span<const uint8_t>(*encoded))
-                             : disk_->PutShared(key, data);
-            })
-          : Unavailable("disk tier offline: " + key);
-  if (status.ok()) {
-    disk_puts_->Add(1);
-    bytes_written_disk_->Add(encoded ? encoded->size() : data->size());
-    UpdateUsageGauges();
-    return status;
-  }
-  if (tier == Tier::kDisk && TransientDiskError(status)) {
-    Status fallback = memory_->PutShared(key, data);
-    if (fallback.ok()) {
-      memory_puts_->Add(1);
-      bytes_written_memory_->Add(data->size());
-      UpdateUsageGauges();
-      return fallback;
-    }
-  }
-  return status;
+void TieredCache::CountPut(obs::Counter* puts, obs::Counter* bytes_written, size_t bytes) {
+  puts->Add(1);
+  bytes_written->Add(bytes);
+  UpdateUsageGauges();
 }
 
-Result<bool> TieredCache::PutIfAbsentLocal(const std::string& key,
-                                           std::span<const uint8_t> data, Tier tier) {
+Result<bool> TieredCache::Place(const std::string& key, const Payload& raw, Tier tier,
+                                PutMode mode) {
   SAND_SPAN("store_put");
-  const std::optional<std::vector<uint8_t>> encoded = MaybeEncodeForDisk(key, data, tier);
-  const std::span<const uint8_t> disk_data =
-      encoded ? std::span<const uint8_t>(*encoded) : data;
-  if (tier == Tier::kMemory) {
-    Result<bool> inserted = memory_->PutIfAbsent(key, data);
-    if (inserted.ok()) {
-      if (*inserted) {
-        memory_puts_->Add(1);
-        bytes_written_memory_->Add(data.size());
-        UpdateUsageGauges();
+  auto place_locally = [&]() -> Result<bool> {
+    if (tier == Tier::kMemory) {
+      Result<bool> in_memory = Write(*memory_, key, raw, mode);
+      if (in_memory.ok()) {
+        if (*in_memory) {
+          CountPut(memory_puts_, bytes_written_memory_, raw.bytes.size());
+        }
+        return in_memory;
       }
-      return inserted;
+      // Memory full: fall through to disk rather than failing the pipeline.
     }
-    // Memory full: fall through to disk rather than failing the pipeline.
-  }
-  Result<bool> inserted =
-      DiskAvailable()
-          ? DiskOpWithRetry([&] { return disk_->PutIfAbsent(key, disk_data); })
-          : Result<bool>(Unavailable("disk tier offline: " + key));
-  if (inserted.ok()) {
-    if (*inserted) {
-      disk_puts_->Add(1);
-      bytes_written_disk_->Add(disk_data.size());
-      UpdateUsageGauges();
-    }
-    return inserted;
-  }
-  if (tier == Tier::kDisk && TransientDiskError(inserted.status())) {
-    Result<bool> fallback = memory_->PutIfAbsent(key, disk_data);
-    if (fallback.ok()) {
-      if (*fallback) {
-        memory_puts_->Add(1);
-        bytes_written_memory_->Add(disk_data.size());
-        UpdateUsageGauges();
+    const Payload disk_form = EncodeForDisk(key, raw, tier);
+    Result<bool> on_disk = disk_breaker_.Allow()
+                               ? DiskOp([&] { return Write(*disk_, key, disk_form, mode); })
+                               : Result<bool>(Unavailable("disk tier offline: " + key));
+    if (on_disk.ok()) {
+      if (*on_disk) {
+        CountPut(disk_puts_, bytes_written_disk_, disk_form.bytes.size());
       }
-      return fallback;
+      return on_disk;
     }
+    if (tier == Tier::kDisk && TransientDiskError(on_disk.status())) {
+      // Degraded mode: keep the pipeline alive in memory. The object simply
+      // is not durable until the tier recovers. The encoded form is parked
+      // to keep the footprint small; reads decode it transparently.
+      Result<bool> parked = Write(*memory_, key, disk_form, mode);
+      if (parked.ok()) {
+        if (*parked) {
+          CountPut(memory_puts_, bytes_written_memory_, disk_form.bytes.size());
+        }
+        return parked;
+      }
+    }
+    return on_disk;
+  };
+  Result<bool> stored = place_locally();
+  if (stored.ok() && *stored) {
+    PublishToPeer(key, raw);
   }
-  return inserted;
+  return stored;
 }
 
 Status TieredCache::PutDisk(const std::string& key, std::span<const uint8_t> data) {
   SAND_SPAN("store_put");
-  if (!DiskAvailable()) {
+  if (!disk_breaker_.Allow()) {
     return Unavailable("disk tier offline: " + key);
   }
-  Status status = DiskOpWithRetry([&] { return disk_->Put(key, data); });
+  Status status = DiskOp([&] { return disk_->Put(key, data); });
   if (status.ok()) {
-    disk_puts_->Add(1);
-    bytes_written_disk_->Add(data.size());
-    UpdateUsageGauges();
+    CountPut(disk_puts_, bytes_written_disk_, data.size());
   }
   return status;
 }
@@ -1113,13 +991,13 @@ Result<SharedBytes> TieredCache::GetShared(const std::string& key) {
     }
     return decoded;
   }
-  if (!DiskAvailable()) {
+  if (!disk_breaker_.Allow()) {
     // Degraded: a cold object reads as a miss after the peer probe (the
     // caller rematerializes), never as an error surfaced to the training
     // loop.
     return PeerOrMiss(key, NotFound("disk tier offline: " + key));
   }
-  Result<SharedBytes> cold = DiskOpWithRetry([&] { return disk_->GetShared(key); });
+  Result<SharedBytes> cold = DiskOp([&] { return disk_->GetShared(key); });
   if (!cold.ok()) {
     // Third probe level: memory missed, disk missed — maybe another node
     // in the ring already materialized this object.
@@ -1152,7 +1030,7 @@ bool TieredCache::Contains(const std::string& key) {
   }
   // No probe claim here: Contains has no error channel to report through,
   // so an offline tier just reads as "not cached".
-  return !disk_offline_.load(std::memory_order_relaxed) && disk_->Contains(key);
+  return !disk_breaker_.offline() && disk_->Contains(key);
 }
 
 void TieredCache::Pin(const std::string& key) {
@@ -1186,8 +1064,8 @@ Status TieredCache::Delete(const std::string& key) {
   if (memory_->Delete(key).ok()) {
     any = true;
   }
-  if (DiskAvailable()) {
-    if (DiskOpWithRetry([&] { return disk_->Delete(key); }).ok()) {
+  if (disk_breaker_.Allow()) {
+    if (DiskOp([&] { return disk_->Delete(key); }).ok()) {
       any = true;
     }
   }
@@ -1201,7 +1079,7 @@ Status TieredCache::Demote(const std::string& key) {
   if (IsPinned(key)) {
     return FailedPrecondition("pinned: " + key);
   }
-  if (!DiskAvailable()) {
+  if (!disk_breaker_.Allow()) {
     return Unavailable("disk tier offline: cannot demote " + key);
   }
   if (Codec() != nullptr) {
@@ -1230,7 +1108,7 @@ Status TieredCache::DemoteCompressed(const std::string& key) {
   if (IsPinned(key)) {
     return FailedPrecondition("pinned: " + key);
   }
-  if (!DiskAvailable()) {
+  if (!disk_breaker_.Allow()) {
     return Unavailable("disk tier offline: cannot demote " + key);
   }
   SAND_ASSIGN_OR_RETURN(SharedBytes data, memory_->GetShared(key));
@@ -1244,7 +1122,7 @@ Status TieredCache::DemoteCompressed(const std::string& key) {
     }
     // Encode trouble never loses the object; it spills raw.
   }
-  SAND_RETURN_IF_ERROR(DiskOpWithRetry([&] { return disk_->Put(key, to_write); }));
+  SAND_RETURN_IF_ERROR(DiskOp([&] { return disk_->Put(key, to_write); }));
   {
     // Atomic against Pin: once a key is pinned, the hot copy stays resident
     // (the disk copy is then a harmless spare that reads identically).

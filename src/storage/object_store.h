@@ -35,6 +35,7 @@
 #include "src/common/result.h"
 #include "src/compress/lossy.h"
 #include "src/obs/metrics.h"
+#include "src/storage/circuit_breaker.h"
 
 namespace sand {
 
@@ -250,19 +251,6 @@ enum class Tier {
   kDisk,
 };
 
-// Retry / degradation knobs for the TieredCache's disk tier (DESIGN.md §10).
-// Transient infrastructure errors (UNAVAILABLE, DATA_LOSS) are retried with
-// exponential backoff; a streak of terminally failed ops marks the tier
-// offline (memory-only degradation) and a backoff clock admits one probe op
-// per `reprobe_interval` until the tier recovers.
-struct DiskFaultPolicy {
-  int max_retries = 2;                       // retries per op, after the first try
-  Nanos initial_backoff = 1 * kNanosPerMilli;
-  double backoff_multiplier = 2.0;
-  int offline_threshold = 3;                 // consecutive failed ops -> offline
-  Nanos reprobe_interval = 100 * kNanosPerMilli;
-};
-
 // Two-level cache: a MemoryStore in front of a disk (or any) store. Reads
 // check memory first and promote on hit from below; promotion reuses the
 // disk tier's buffer (PutShared), so a promoted object is held once. The
@@ -273,12 +261,13 @@ struct DiskFaultPolicy {
 // obs registry ("sand.cache.*", visible at /.sand/metrics) and emits
 // store_get/store_put trace spans; the pointers are resolved once at
 // construction so the hot path stays a relaxed fetch_add.
-// Fault tolerance (DESIGN.md §10): disk-tier ops that fail with UNAVAILABLE
-// or DATA_LOSS are retried per the DiskFaultPolicy (counted on
-// `sand.store.disk.retries`); a tier that keeps failing is marked offline
-// (`sand.store.disk.degraded` gauge) and the cache degrades to memory-only —
-// disk-destined puts land in memory best-effort, reads miss instead of
-// erroring — re-probing the tier once per reprobe interval.
+// Fault tolerance (DESIGN.md §10): the disk tier sits behind a
+// CircuitBreaker. Disk ops that fail with UNAVAILABLE or DATA_LOSS are
+// retried per the DiskFaultPolicy (counted on `sand.store.disk.retries`); a
+// tier that keeps failing is marked offline (`sand.store.disk.degraded`
+// gauge) and the cache degrades to memory-only — disk-destined puts land in
+// memory best-effort, reads miss instead of erroring — re-probing the tier
+// once per reprobe interval.
 class TieredCache {
  public:
   TieredCache(std::shared_ptr<ObjectStore> memory, std::shared_ptr<ObjectStore> disk,
@@ -359,7 +348,7 @@ class TieredCache {
   bool has_peer() const;
 
   // True while the disk tier is marked offline (memory-only degradation).
-  bool disk_degraded() const { return disk_offline_.load(std::memory_order_relaxed); }
+  bool disk_degraded() const { return disk_breaker_.offline(); }
 
   uint64_t MemoryUsedBytes() { return memory_->UsedBytes(); }
   uint64_t DiskUsedBytes() { return disk_->UsedBytes(); }
@@ -372,12 +361,27 @@ class TieredCache {
  private:
   void UpdateUsageGauges();
 
-  // The local (memory/disk) halves of the puts; the public methods wrap
-  // them with the best-effort peer publish.
-  Status PutLocal(const std::string& key, std::span<const uint8_t> data, Tier tier);
-  Status PutSharedLocal(const std::string& key, SharedBytes data, Tier tier);
-  Result<bool> PutIfAbsentLocal(const std::string& key, std::span<const uint8_t> data,
-                                Tier tier);
+  // One object on its way into a tier: the bytes, plus the refcounted
+  // buffer holding them when there is one (PutShared, or an encoded form),
+  // which memory-resident stores then adopt instead of copying.
+  struct Payload {
+    std::span<const uint8_t> bytes;
+    SharedBytes shared;
+  };
+  enum class PutMode { kReplace, kIfAbsent };
+
+  // The one put path behind Put, PutShared and PutIfAbsent: memory first
+  // for Tier::kMemory, then the breaker-guarded disk tier (encoded when the
+  // policy compresses disk puts), then the degraded memory fallback for a
+  // disk-destined object; then counters, usage gauges and the peer
+  // publish. True when this call stored the object (kIfAbsent may find it
+  // present).
+  Result<bool> Place(const std::string& key, const Payload& raw, Tier tier, PutMode mode);
+  // One write of `payload` into `store` in `mode`.
+  static Result<bool> Write(ObjectStore& store, const std::string& key, const Payload& payload,
+                            PutMode mode);
+  // Bumps one tier's put counters and refreshes the usage gauges.
+  void CountPut(obs::Counter* puts, obs::Counter* bytes_written, size_t bytes);
 
   // Snapshot of the attached peer store (null when detached).
   std::shared_ptr<ObjectStore> PeerStore() const;
@@ -385,16 +389,16 @@ class TieredCache {
   // `miss` (counted on sand.cache.misses) when no peer is attached, the
   // peer misses, or the fetched object fails to decode.
   Result<SharedBytes> PeerOrMiss(const std::string& key, Result<SharedBytes> miss);
-  // Best-effort publish of a freshly stored object to the peer store.
-  void PublishToPeer(const std::string& key, SharedBytes data);
+  // Best-effort publish of a freshly stored object to the peer store
+  // (copied into a refcounted buffer only when a peer is attached and the
+  // payload has none).
+  void PublishToPeer(const std::string& key, const Payload& payload);
 
   // Snapshot of the codec engine (null when compression is disabled).
   std::shared_ptr<ObjectCodec> Codec() const;
-  // Encodes `data` per the policy when `tier` is the disk tier and the
-  // policy compresses disk puts; nullopt means "store raw".
-  std::optional<std::vector<uint8_t>> MaybeEncodeForDisk(const std::string& key,
-                                                         std::span<const uint8_t> data,
-                                                         Tier tier);
+  // The form `raw` takes in the disk tier: encoded per the policy when
+  // `tier` is the disk tier and the policy compresses disk puts, else raw.
+  Payload EncodeForDisk(const std::string& key, const Payload& raw, Tier tier);
   // Decodes `data` when it is a compressed container; passthrough otherwise.
   // An undecodable object returns the decode error (callers turn it into a
   // miss).
@@ -402,25 +406,13 @@ class TieredCache {
   // The encode+spill half of Demote (runs inline or on the worker pool).
   Status DemoteCompressed(const std::string& key);
 
-  // Runs one disk-tier op with the retry policy and records the outcome in
-  // the circuit breaker. `fn` must be idempotent (all store ops are).
+  // Runs one disk-tier op through the breaker's retry loop. `fn` must be
+  // idempotent (all store ops are).
   template <typename Fn>
-  auto DiskOpWithRetry(Fn&& fn) -> decltype(fn());
-  // True when a disk op may be attempted: tier online, or offline with an
-  // expired reprobe clock (the caller becomes the probe).
-  bool DiskAvailable();
-  // Feeds the circuit breaker. `healthy` = the op did not end in a
-  // transient infrastructure error (NotFound et al. count as healthy).
-  void NoteDiskResult(bool healthy);
+  auto DiskOp(Fn&& fn) -> decltype(fn());
 
   std::shared_ptr<ObjectStore> memory_;
   std::shared_ptr<ObjectStore> disk_;
-  const DiskFaultPolicy fault_policy_;
-
-  // Disk-tier circuit breaker state.
-  std::atomic<int> disk_failure_streak_{0};
-  std::atomic<bool> disk_offline_{false};
-  std::atomic<Nanos> disk_probe_at_{0};
 
   // Peer store (cluster probe level). Published under peer_mutex_ (cold
   // path: attach at startup, snapshot per miss/put).
@@ -460,6 +452,9 @@ class TieredCache {
   obs::Gauge* disk_used_;
   obs::Gauge* pinned_keys_;
   obs::Gauge* disk_degraded_gauge_;
+
+  // Declared after the gauge its state callback sets.
+  CircuitBreaker disk_breaker_;
 };
 
 }  // namespace sand

@@ -272,6 +272,43 @@ TEST_F(CompressTierTest, UndecodableObjectReadsAsMissNotError) {
   EXPECT_FALSE(cache.Contains(key));                     // and the entry is gone
 }
 
+TEST_F(CompressTierTest, OfflineDiskParksTheEncodedFormForEveryPutVerb) {
+  auto memory = std::make_shared<MemoryStore>();
+  auto faulty = std::make_shared<FaultInjectingStore>(OpenDisk());
+  FaultRule rule;
+  rule.kind = FaultKind::kWriteError;  // persistent: the disk tier is dead
+  faulty->AddRule(rule);
+  DiskFaultPolicy fault_policy;
+  fault_policy.max_retries = 0;
+  fault_policy.offline_threshold = 1;
+  fault_policy.reprobe_interval = FromSeconds(60);  // stays down for the test
+  TieredCache cache(memory, faulty, fault_policy);
+  cache.SetCompression(LosslessEverywhere());
+
+  // One put per verb, all disk-destined; each degrades into memory, where
+  // the encoded form (not the raw bytes) is parked.
+  const auto raw = FrameBytes(32, 48, 3, 7);
+  ASSERT_TRUE(cache.Put("cache/vid/f7/nput", raw, Tier::kDisk).ok());
+  EXPECT_TRUE(cache.disk_degraded());
+  ASSERT_TRUE(cache.PutShared("cache/vid/f7/nshared", MakeSharedBytes(raw), Tier::kDisk).ok());
+  auto inserted = cache.PutIfAbsent("cache/vid/f7/nabsent", raw, Tier::kDisk);
+  ASSERT_TRUE(inserted.ok());
+  EXPECT_TRUE(*inserted);
+
+  for (const std::string key :
+       {"cache/vid/f7/nput", "cache/vid/f7/nshared", "cache/vid/f7/nabsent"}) {
+    auto parked = memory->GetShared(key);
+    ASSERT_TRUE(parked.ok()) << key;
+    EXPECT_TRUE(ObjectCodec::IsEncoded(std::span<const uint8_t>(**parked))) << key;
+    EXPECT_LT((*parked)->size(), raw.size()) << key;
+    EXPECT_FALSE(faulty->backing().Contains(key)) << key;
+    // Readers still see the exact original bytes.
+    auto got = cache.GetShared(key);
+    ASSERT_TRUE(got.ok()) << key;
+    EXPECT_EQ(**got, raw) << key;
+  }
+}
+
 TEST_F(CompressTierTest, CompressionDisabledIsByteTransparent) {
   auto memory = std::make_shared<MemoryStore>();
   auto disk = OpenDisk();

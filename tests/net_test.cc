@@ -1,8 +1,8 @@
 // Loopback tests for the SandServer / SandClient socket transport
 // (DESIGN.md §13): tenant sessions, quota enforcement, backpressure as
-// RESOURCE_EXHAUSTED over the wire, leak-free disconnects, and the v2
+// RESOURCE_EXHAUSTED over the wire, leak-free disconnects, and the
 // pipelined protocol (out-of-order completion, request-id demux, version
-// negotiation, idle reaping, peer-cred auth). Runs in the TSan suite
+// check, idle reaping, peer-cred auth). Runs in the TSan suite
 // (tools/check_tsan.sh).
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/common/future.h"
-#include "src/net/client_pool.h"
 #include "src/net/sand_client.h"
 #include "src/net/sand_server.h"
 #include "src/obs/attribution.h"
@@ -30,7 +29,6 @@
 namespace sand {
 namespace {
 
-using net::ClientPool;
 using net::SandClient;
 using net::SandServer;
 using net::ServerStats;
@@ -148,6 +146,28 @@ class NetFakeProvider : public ViewProvider {
   std::vector<std::string> closed_;
 };
 
+// A raw request frame's head: request id, then command byte.
+std::vector<uint8_t> RawRequest(uint64_t id, net::Command command) {
+  std::vector<uint8_t> frame;
+  net::PutU64(frame, id);
+  net::PutU8(frame, static_cast<uint8_t>(command));
+  return frame;
+}
+
+// Reads one response frame, checks it answers request `id`, and leaves its
+// payload (status head first) in `response`.
+bool ReadRawResponse(int socket_fd, uint64_t id, std::vector<uint8_t>& response) {
+  std::vector<uint8_t> frame;
+  if (!net::ReadFrame(socket_fd, frame)) {
+    return false;
+  }
+  net::WireReader reader(frame);
+  auto got = reader.TakeU64();
+  EXPECT_TRUE(got.ok() && *got == id) << "response for the wrong request id";
+  response = reader.TakeRest();
+  return true;
+}
+
 class NetTest : public ::testing::Test {
  protected:
   NetTest() : fs_(&provider_) {
@@ -239,34 +259,40 @@ TEST_F(NetTest, HelloIsMandatoryAndVersionChecked) {
   // Raw connection: an OPEN before HELLO must be refused.
   auto socket_fd = net::ConnectUnix(socket_path_);
   ASSERT_TRUE(socket_fd.ok());
-  std::vector<uint8_t> request{static_cast<uint8_t>(net::Command::kOpen)};
+  std::vector<uint8_t> request = RawRequest(1, net::Command::kOpen);
   net::PutString(request, "/train/0/0/view");
   net::PutBytes(request, OpenOptions{}.Serialize());
   ASSERT_TRUE(net::WriteFrame(*socket_fd, request));
   std::vector<uint8_t> response;
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  ASSERT_TRUE(ReadRawResponse(*socket_fd, 1, response));
   EXPECT_EQ(net::DecodeResponseStatus(response).code(), ErrorCode::kFailedPrecondition);
 
-  // A version below the server's floor is refused outright.
-  std::vector<uint8_t> hello{static_cast<uint8_t>(net::Command::kHello)};
-  net::PutU16(hello, 0);
+  // Only the one protocol version is accepted: older and newer are both
+  // refused outright.
+  uint64_t id = 2;
+  for (uint16_t version : {uint16_t{0}, uint16_t{1}, uint16_t{0xFFFF}}) {
+    std::vector<uint8_t> hello = RawRequest(id, net::Command::kHello);
+    net::PutU16(hello, version);
+    net::PutString(hello, "alpha");
+    ASSERT_TRUE(net::WriteFrame(*socket_fd, hello));
+    ASSERT_TRUE(ReadRawResponse(*socket_fd, id, response));
+    EXPECT_EQ(net::DecodeResponseStatus(response).code(), ErrorCode::kInvalidArgument)
+        << "version " << version;
+    ++id;
+  }
+
+  // The connection is still unauthenticated, and still usable: the right
+  // version is accepted and answers the tenant id.
+  std::vector<uint8_t> hello = RawRequest(id, net::Command::kHello);
+  net::PutU16(hello, net::kProtocolVersion);
   net::PutString(hello, "alpha");
   ASSERT_TRUE(net::WriteFrame(*socket_fd, hello));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
-  EXPECT_EQ(net::DecodeResponseStatus(response).code(), ErrorCode::kInvalidArgument);
-
-  // A version above the server's ceiling negotiates *down*: the response
-  // carries the agreed version after the tenant id.
-  std::vector<uint8_t> eager{static_cast<uint8_t>(net::Command::kHello)};
-  net::PutU16(eager, 0xFFFF);
-  net::PutString(eager, "alpha");
-  ASSERT_TRUE(net::WriteFrame(*socket_fd, eager));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  ASSERT_TRUE(ReadRawResponse(*socket_fd, id, response));
   ASSERT_TRUE(net::DecodeResponseStatus(response).ok());
   net::WireReader hello_reader(response);
   (void)*hello_reader.TakeU8();
-  (void)*hello_reader.TakeU32();  // tenant id
-  EXPECT_EQ(*hello_reader.TakeU16(), net::kProtocolVersion);
+  EXPECT_TRUE(hello_reader.TakeU32().ok());  // tenant id
+  EXPECT_EQ(hello_reader.remaining(), 0u);
   ::close(*socket_fd);
 
   // Empty tenant tag is refused client-side already.
@@ -279,32 +305,30 @@ TEST_F(NetTest, SecondHelloIsRejected) {
   StartServer();
   auto socket_fd = net::ConnectUnix(socket_path_);
   ASSERT_TRUE(socket_fd.ok());
-  // Negotiate v1 so the follow-up frames stay id-less (and the old wire
-  // shape keeps its coverage against the pipelined server).
-  std::vector<uint8_t> hello{static_cast<uint8_t>(net::Command::kHello)};
-  net::PutU16(hello, 1);
+  std::vector<uint8_t> hello = RawRequest(1, net::Command::kHello);
+  net::PutU16(hello, net::kProtocolVersion);
   net::PutString(hello, "alpha");
   std::vector<uint8_t> response;
   ASSERT_TRUE(net::WriteFrame(*socket_fd, hello));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  ASSERT_TRUE(ReadRawResponse(*socket_fd, 1, response));
   ASSERT_TRUE(net::DecodeResponseStatus(response).ok());
 
   // Re-badging as another tenant mid-session would let fd charges taken
   // as "alpha" be released against "beta"'s budget: refused.
-  std::vector<uint8_t> rebadge{static_cast<uint8_t>(net::Command::kHello)};
-  net::PutU16(rebadge, 1);
+  std::vector<uint8_t> rebadge = RawRequest(2, net::Command::kHello);
+  net::PutU16(rebadge, net::kProtocolVersion);
   net::PutString(rebadge, "beta");
   ASSERT_TRUE(net::WriteFrame(*socket_fd, rebadge));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  ASSERT_TRUE(ReadRawResponse(*socket_fd, 2, response));
   EXPECT_EQ(net::DecodeResponseStatus(response).code(),
             ErrorCode::kFailedPrecondition);
 
   // The connection itself stays healthy as the original tenant.
-  std::vector<uint8_t> open{static_cast<uint8_t>(net::Command::kOpen)};
+  std::vector<uint8_t> open = RawRequest(3, net::Command::kOpen);
   net::PutString(open, "/train/0/0/view");
   net::PutBytes(open, OpenOptions{}.Serialize());
   ASSERT_TRUE(net::WriteFrame(*socket_fd, open));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  ASSERT_TRUE(ReadRawResponse(*socket_fd, 3, response));
   EXPECT_TRUE(net::DecodeResponseStatus(response).ok());
   ::close(*socket_fd);
 }
@@ -337,22 +361,22 @@ TEST_F(NetTest, ClientVanishingMidResponseDoesNotKillServer) {
   // Raw session: HELLO, Open, then a ReadAll that parks behind the gate.
   auto socket_fd = net::ConnectUnix(socket_path_);
   ASSERT_TRUE(socket_fd.ok());
-  std::vector<uint8_t> hello{static_cast<uint8_t>(net::Command::kHello)};
-  net::PutU16(hello, 1);  // v1 session: follow-up frames carry no ids
+  std::vector<uint8_t> hello = RawRequest(1, net::Command::kHello);
+  net::PutU16(hello, net::kProtocolVersion);
   net::PutString(hello, "alpha");
   std::vector<uint8_t> response;
   ASSERT_TRUE(net::WriteFrame(*socket_fd, hello));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
-  std::vector<uint8_t> open{static_cast<uint8_t>(net::Command::kOpen)};
+  ASSERT_TRUE(ReadRawResponse(*socket_fd, 1, response));
+  std::vector<uint8_t> open = RawRequest(2, net::Command::kOpen);
   net::PutString(open, "/train/0/0/view");
   net::PutBytes(open, OpenOptions{}.Serialize());
   ASSERT_TRUE(net::WriteFrame(*socket_fd, open));
-  ASSERT_TRUE(net::ReadFrame(*socket_fd, response));
+  ASSERT_TRUE(ReadRawResponse(*socket_fd, 2, response));
   ASSERT_TRUE(net::DecodeResponseStatus(response).ok());
   net::WireReader reader(response);
   (void)*reader.TakeU8();
   int fd = *reader.TakeI32();
-  std::vector<uint8_t> read_all{static_cast<uint8_t>(net::Command::kReadAll)};
+  std::vector<uint8_t> read_all = RawRequest(3, net::Command::kReadAll);
   net::PutI32(read_all, fd);
   ASSERT_TRUE(net::WriteFrame(*socket_fd, read_all));
   provider_.WaitMaterializeStarted(1);
@@ -645,40 +669,10 @@ TEST_F(NetTest, SchedulerCapHookReceivesQuotas) {
   EXPECT_EQ(caps.begin()->second, 2);
 }
 
-TEST_F(NetTest, NegotiatesPipelinedVersionAndOldClientStillWorks) {
-  StartServer();
-  // A default client lands on the pipelined protocol...
-  auto modern = Connect("alpha");
-  ASSERT_NE(modern, nullptr);
-  EXPECT_EQ(modern->negotiated_version(), net::kProtocolVersion);
-
-  // ...while a client pinned to v1 (an old binary) negotiates the serial
-  // protocol against the same server and every verb still round-trips.
-  SandClient::Options old_options;
-  old_options.unix_path = socket_path_;
-  old_options.tenant = "beta";
-  old_options.protocol_version = 1;
-  auto old_client = SandClient::Connect(old_options);
-  ASSERT_TRUE(old_client.ok()) << old_client.status().ToString();
-  EXPECT_EQ((*old_client)->negotiated_version(), 1);
-  auto fd = (*old_client)->Open("/train/0/0/view");
-  ASSERT_TRUE(fd.ok());
-  auto bytes = (*old_client)->ReadAllShared(*fd);
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ((*bytes)->size(), 8u);
-  EXPECT_TRUE((*old_client)->Close(*fd).ok());
-
-  // Both generations coexist: the modern client is unaffected.
-  auto modern_fd = modern->Open("/train/0/1/view");
-  ASSERT_TRUE(modern_fd.ok());
-  EXPECT_TRUE(modern->ReadAllShared(*modern_fd).ok());
-}
-
 TEST_F(NetTest, PipelinedReadsCompleteOutOfOrder) {
   StartServer();
   auto client = Connect("alpha");
   ASSERT_NE(client, nullptr);
-  ASSERT_EQ(client->negotiated_version(), net::kProtocolVersion);
   auto slow_fd = client->Open("/train/0/0/view");
   auto fast_fd = client->Open("/train/0/1/view");
   ASSERT_TRUE(slow_fd.ok());
@@ -716,9 +710,11 @@ TEST_F(NetTest, ResponseIdMismatchPoisonsClient) {
     ASSERT_GE(conn, 0);
     std::vector<uint8_t> frame;
     ASSERT_TRUE(net::ReadFrame(conn, frame));  // HELLO
-    std::vector<uint8_t> ok = net::EncodeOkHead();
-    net::PutU32(ok, 7);                      // tenant id
-    net::PutU16(ok, net::kProtocolVersion);  // negotiate v2
+    net::WireReader hello(frame);
+    std::vector<uint8_t> ok;
+    net::PutU64(ok, *hello.TakeU64());  // answer the HELLO's own id
+    ok.push_back(0);                    // ok status head
+    net::PutU32(ok, 7);                 // tenant id
     ASSERT_TRUE(net::WriteFrame(conn, ok));
     ASSERT_TRUE(net::ReadFrame(conn, frame));  // first real request
     std::vector<uint8_t> response;
@@ -744,45 +740,6 @@ TEST_F(NetTest, ResponseIdMismatchPoisonsClient) {
   bogus_server.join();
   ::close(*listen_fd);
   ::unlink(path.c_str());
-}
-
-TEST_F(NetTest, ClientPoolSaturationReturnsResourceExhausted) {
-  StartServer();
-  ClientPool::Options options;
-  options.client.unix_path = socket_path_;
-  options.client.tenant = "alpha";
-  options.connections = 2;
-  options.max_inflight_per_conn = 1;
-  auto pool = ClientPool::Connect(options);
-  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
-  EXPECT_EQ((*pool)->connections(), 2u);
-
-  auto fd = (*pool)->Open("/train/0/0/view");
-  ASSERT_TRUE(fd.ok());
-  provider_.SetPathGated("/train/0/0/view", true);
-  auto parked = (*pool)->ReadAllSharedAsync(*fd);
-  provider_.WaitMaterializeStarted(1);
-
-  // Fd verbs pin to the opening connection, which is now at its inflight
-  // cap: immediate client-side RESOURCE_EXHAUSTED, no bytes on the wire.
-  auto refused = (*pool)->ReadAllShared(*fd);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), ErrorCode::kResourceExhausted);
-
-  // The pool's other connection keeps serving: least-loaded routing sends
-  // new opens there.
-  auto other_fd = (*pool)->Open("/train/0/1/view");
-  ASSERT_TRUE(other_fd.ok()) << other_fd.status().ToString();
-  EXPECT_TRUE((*pool)->ReadAllShared(*other_fd).ok());
-
-  // A foreign fd is refused, matching the server's own contract.
-  EXPECT_EQ((*pool)->ReadAllShared(*fd + *other_fd + 100).status().code(),
-            ErrorCode::kInvalidArgument);
-
-  provider_.SetPathGated("/train/0/0/view", false);
-  auto parked_result = parked.Get();
-  ASSERT_TRUE(parked_result.ok()) << parked_result.status().ToString();
-  EXPECT_EQ((*parked_result)->size(), 8u);
 }
 
 TEST_F(NetTest, ClientDestructionWithInflightRequestsResolvesFutures) {
@@ -846,77 +803,6 @@ TEST_F(NetTest, IdleConnectionsAreReaped) {
   auto fresh_fd = fresh->Open("/train/0/0/view");
   ASSERT_TRUE(fresh_fd.ok());
   EXPECT_TRUE(fresh->ReadAllShared(*fresh_fd).ok());
-}
-
-TEST_F(NetTest, VersionRefusalTagNegotiatesDown) {
-  // A server refusing our v2 offer tags the refusal with
-  // kVersionRefusedTag; the client must recognize the tag structurally
-  // (regardless of the wording after it) and redial at the floor. A
-  // hand-rolled server stands in for a future build whose message text
-  // has drifted.
-  const std::string path = ::testing::TempDir() + "sand_refuse_" +
-                           std::to_string(::getpid()) + ".sock";
-  auto listen_fd = net::ListenUnix(path, 4);
-  ASSERT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
-  std::atomic<uint16_t> second_offer{0xFFFF};
-  std::thread fake_server([&] {
-    // Connection 1: tagged refusal, deliberately NOT containing the
-    // legacy "protocol version" wording.
-    int conn = ::accept(*listen_fd, nullptr, nullptr);
-    ASSERT_GE(conn, 0);
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(net::ReadFrame(conn, frame));
-    std::vector<uint8_t> refusal = net::EncodeErrorResponse(
-        InvalidArgument(std::string(net::kVersionRefusedTag) +
-                        "too new; speak the floor"));
-    ASSERT_TRUE(net::WriteFrame(conn, refusal));
-    ::close(conn);
-    // Connection 2: the redial; capture the downgraded offer and accept.
-    conn = ::accept(*listen_fd, nullptr, nullptr);
-    ASSERT_GE(conn, 0);
-    ASSERT_TRUE(net::ReadFrame(conn, frame));
-    net::WireReader reader(frame);
-    (void)*reader.TakeU8();  // kHello
-    second_offer.store(*reader.TakeU16());
-    std::vector<uint8_t> ok = net::EncodeOkHead();
-    net::PutU32(ok, 7);  // tenant id; no trailing version = plain v1 accept
-    ASSERT_TRUE(net::WriteFrame(conn, ok));
-    // Hold the connection open until the client tears down.
-    std::vector<uint8_t> rest;
-    (void)net::ReadFrame(conn, rest);
-    ::close(conn);
-  });
-
-  SandClient::Options options;
-  options.unix_path = path;
-  options.tenant = "alpha";
-  auto client = SandClient::Connect(options);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  EXPECT_EQ((*client)->negotiated_version(), net::kMinProtocolVersion);
-  EXPECT_EQ((*client)->tenant_id(), 7u);
-  EXPECT_EQ(second_offer.load(), net::kMinProtocolVersion);
-  client->reset();
-  fake_server.join();
-
-  // An untagged INVALID_ARGUMENT without the legacy wording is NOT a
-  // version refusal: it must surface verbatim, no downgrade redial.
-  std::thread refusing_server([&] {
-    int conn = ::accept(*listen_fd, nullptr, nullptr);
-    ASSERT_GE(conn, 0);
-    std::vector<uint8_t> frame;
-    ASSERT_TRUE(net::ReadFrame(conn, frame));
-    std::vector<uint8_t> refusal =
-        net::EncodeErrorResponse(InvalidArgument("malformed tenant tag"));
-    ASSERT_TRUE(net::WriteFrame(conn, refusal));
-    ::close(conn);
-  });
-  auto refused = SandClient::Connect(options);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(refused.status().message(), "malformed tenant tag");
-  refusing_server.join();
-  ::close(*listen_fd);
-  ::unlink(path.c_str());
 }
 
 TEST_F(NetTest, InflightRequestIsNotIdleReaped) {

@@ -127,6 +127,17 @@ TEST(CacheAliasingTest, GetSharedPromotesFromDiskTier) {
   EXPECT_EQ(promoted->get(), hit->get());
 }
 
+TEST(CacheAliasingTest, PutSharedToMemoryAdoptsTheCallersBuffer) {
+  auto memory = std::make_shared<MemoryStore>();
+  TieredCache cache(memory, std::make_shared<MemoryStore>());
+  SharedBytes buf = MakeSharedBytes(std::vector<uint8_t>(512, 7));
+  ASSERT_TRUE(cache.PutShared("adopted", buf, Tier::kMemory).ok());
+  auto hit = cache.GetShared("adopted");
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit->get(), buf.get()) << "a memory-tier PutShared must not copy the payload";
+  EXPECT_EQ(memory->UsedBytes(), buf->size());
+}
+
 // --- PutIfAbsent -------------------------------------------------------------
 
 TEST(PutIfAbsentTest, ExactlyOneWinnerAcrossThreads) {

@@ -213,6 +213,46 @@ TEST(RegistryTest, ConcurrentLookupsOfOneName) {
   EXPECT_EQ(seen[0]->Value(), static_cast<uint64_t>(kThreads));
 }
 
+// The number after `"name": ` in a registry dump; -1 when absent.
+long long JsonNumber(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  size_t at = json.find(key);
+  return at == std::string::npos ? -1 : std::stoll(json.substr(at + key.size()));
+}
+
+TEST(RegistryTest, JsonSinceSnapshotReportsOnlyTheWindow) {
+  Registry& registry = Registry::Get();
+  Counter* counter = registry.GetCounter("test.obs.window.counter");
+  Histogram* histogram = registry.GetHistogram("test.obs.window.hist");
+  counter->Add(5);
+  histogram->Record(1000);
+  const Registry::Snapshot start = registry.TakeSnapshot();
+  counter->Add(2);
+  histogram->Record(7);
+  registry.GetCounter("test.obs.window.fresh")->Add(4);  // registered inside the window
+  registry.GetGauge("test.obs.window.gauge")->Set(9);
+
+  // Counters and histograms show the window; gauges stay instantaneous.
+  std::string window = registry.ToJson(start);
+  EXPECT_TRUE(JsonLooksValid(window)) << window;
+  EXPECT_EQ(JsonNumber(window, "test.obs.window.counter"), 2) << window;
+  EXPECT_EQ(JsonNumber(window, "test.obs.window.fresh"), 4) << window;
+  EXPECT_EQ(JsonNumber(window, "test.obs.window.gauge"), 9) << window;
+  EXPECT_NE(window.find("\"test.obs.window.hist\": {\"count\": 1, \"sum\": 7, "),
+            std::string::npos)
+      << window;
+  // The plain dump stays cumulative.
+  EXPECT_EQ(JsonNumber(registry.ToJson(), "test.obs.window.counter"), 7);
+
+  // A ResetAll inside the window: everything since the reset is reported.
+  registry.ResetAll();
+  counter->Add(3);
+  window = registry.ToJson(start);
+  EXPECT_EQ(JsonNumber(window, "test.obs.window.counter"), 3) << window;
+  EXPECT_NE(window.find("\"test.obs.window.hist\": {\"count\": 0, "), std::string::npos)
+      << window;
+}
+
 // --- tracer ------------------------------------------------------------------
 
 TEST(TracerTest, NestedSpansRecordInnerFirst) {

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "src/common/clock.h"
+#include "src/storage/circuit_breaker.h"
 #include "src/storage/fault_injection.h"
 #include "src/storage/object_store.h"
 
@@ -418,6 +419,98 @@ DiskFaultPolicy FastPolicy() {
   policy.offline_threshold = 2;
   policy.reprobe_interval = FromMillis(5);
   return policy;
+}
+
+TEST(CircuitBreakerTest, TripsElectsOneProbeAndCloses) {
+  ManualClock clock;
+  DiskFaultPolicy policy = FastPolicy();
+  policy.offline_threshold = 3;
+  policy.reprobe_interval = FromMillis(100);
+  std::vector<std::pair<bool, int>> changes;
+  CircuitBreaker breaker(
+      policy, [&changes](bool offline, int streak) { changes.emplace_back(offline, streak); },
+      clock);
+
+  // offline_threshold failures in a row trip the breaker; ops then fail fast.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(breaker.offline());
+    ASSERT_TRUE(breaker.Allow());
+    breaker.Record(false);
+  }
+  EXPECT_TRUE(breaker.offline());
+  EXPECT_EQ(breaker.failure_streak(), 3);
+  EXPECT_FALSE(breaker.Allow());
+
+  // Once the interval has passed, exactly one of 8 threads calling at the
+  // same moment is let through as the probe.
+  clock.Advance(policy.reprobe_interval);
+  std::atomic<int> ready{0};
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 8; ++t) {
+    callers.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < 8) {
+      }
+      if (breaker.Allow()) {
+        admitted.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+  EXPECT_EQ(admitted.load(), 1);
+
+  // The probe fails half an interval after it was claimed: the next probe
+  // is a full interval after the failure, not after the claim.
+  clock.Advance(policy.reprobe_interval / 2);
+  breaker.Record(false);
+  clock.Advance(policy.reprobe_interval / 2);
+  EXPECT_FALSE(breaker.Allow());
+  clock.Advance(policy.reprobe_interval / 2);
+  ASSERT_TRUE(breaker.Allow());
+
+  // One success closes the breaker and resets the streak.
+  breaker.Record(true);
+  EXPECT_FALSE(breaker.offline());
+  EXPECT_EQ(breaker.failure_streak(), 0);
+  EXPECT_TRUE(breaker.Allow());
+  breaker.Record(false);
+  EXPECT_FALSE(breaker.offline()) << "a closed breaker needs a fresh streak to trip";
+  EXPECT_EQ(changes, (std::vector<std::pair<bool, int>>{{true, 3}, {false, 0}}));
+}
+
+TEST(CircuitBreakerTest, RunRetriesOnlyTransientResults) {
+  CircuitBreaker breaker(FastPolicy());  // 2 retries, no backoff, threshold 2
+  obs::Counter retries;
+  bool (*unavailable)(const Status&) = [](const Status& status) {
+    return status.code() == ErrorCode::kUnavailable;
+  };
+  int calls = 0;
+  Status down = breaker.Run(
+      [&] {
+        ++calls;
+        return Unavailable("down");
+      },
+      unavailable, &retries);
+  EXPECT_EQ(down.code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(calls, 3) << "the first try plus max_retries";
+  EXPECT_EQ(retries.Value(), 2u);
+  EXPECT_EQ(breaker.failure_streak(), 1) << "one failed run is one failure";
+
+  // A miss is a healthy answer: no retry, and the streak resets.
+  calls = 0;
+  Status miss = breaker.Run(
+      [&] {
+        ++calls;
+        return NotFound("absent");
+      },
+      unavailable, &retries);
+  EXPECT_EQ(miss.code(), ErrorCode::kNotFound);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(retries.Value(), 2u);
+  EXPECT_EQ(breaker.failure_streak(), 0);
 }
 
 TEST(TieredCacheTest, RetriesTransientDiskFaults) {

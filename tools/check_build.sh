@@ -165,12 +165,12 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   echo "==== asan suite ===="
   ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
   ASAN_TESTS=(vfs_test prefetch_test core_test codec_test fault_injection_test
-              compress_test compress_tier_test net_test cluster_test)
+              compress_test compress_tier_test net_test cluster_test obs_test)
   cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
   for test in "${ASAN_TESTS[@]}"; do
     echo "==== ASAN: $test ===="
-    ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" "$ASAN_BUILD_DIR/tests/$test"
+    ASAN_OPTIONS="halt_on_error=1" "$ASAN_BUILD_DIR/tests/$test"
   done
 fi
 

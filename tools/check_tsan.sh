@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests with ThreadSanitizer and runs
-# them. Covers the sharded stores / tiered cache (storage_test,
-# object_path_test), the executor + scheduler paths (core_test,
+# them. Covers the sharded stores / tiered cache and the CircuitBreaker
+# probe election (storage_test, object_path_test), the executor + scheduler paths (core_test,
 # sched_test), the lock-free metrics/trace ring (obs_test), and the
 # async demand path / prefetcher (prefetch_test), the GOP-parallel
 # decode path (codec_test: slice decoders fanned out on a WorkerPool),

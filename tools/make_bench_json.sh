@@ -14,7 +14,7 @@
 # scheduler-capped greedy tenant may not push another tenant's p99 batch
 # latency past 2x its solo baseline), and the "net_pipeline_speedup" row
 # must have pipeline_ok=true (a depth-16 pipelined client must move at
-# least 2x the serial-v1 throughput on small cache-resident reads). The
+# least 2x the serial (depth-1) throughput on small cache-resident reads). The
 # fig14 "fig14_cluster_reuse" row must have cluster_ok=true (peer view
 # reuse across a 3-node sharded store cluster must cut WAN traffic at
 # least 1.5x against the solo no-peer baseline). The

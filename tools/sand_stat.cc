@@ -370,10 +370,9 @@ std::optional<std::string> FetchRemote(const std::string& endpoint,
                  client.status().ToString().c_str());
     return std::nullopt;
   }
-  // On stderr so stdout stays a clean snapshot: which protocol generation
-  // the server negotiated (v2 = pipelined, v1 = serial pre-pipelining).
+  // On stderr so stdout stays a clean snapshot.
   std::fprintf(stderr, "sand_stat: %s speaks protocol v%u\n", endpoint.c_str(),
-               (*client)->negotiated_version());
+               sand::net::kProtocolVersion);
   auto fd = (*client)->Open(view);
   if (!fd.ok()) {
     std::fprintf(stderr, "sand_stat: open %s: %s\n", view.c_str(),
