@@ -31,7 +31,8 @@ std::vector<double> TrainLossCurve(const BenchEnv& env, bool coordinate, uint64_
     std::vector<double> labels;
     for (const ClipRef& ref : batch.clips) {
       const VideoObjectGraph& graph = plan->videos[static_cast<size_t>(ref.video_index)];
-      SubtreeExecutor executor(graph, &containers, nullptr, nullptr);
+      ExecCounters counters;
+      SubtreeExecutor executor(graph, &containers, nullptr, nullptr, counters);
       Clip clip;
       for (int leaf : ref.leaf_ids) {
         auto frame = executor.Produce(leaf, false);

@@ -113,9 +113,10 @@ BytesPerHit MeasureBytesPerHit(int h, int w, int c, int iters) {
   g_allocated_bytes.store(0);
   g_metering.store(true);
   for (int i = 0; i < iters; ++i) {
-    auto bytes = cache.Get("hit");  // copies out of the store
-    if (!bytes.ok()) std::abort();
-    auto served = Frame::Deserialize(*bytes);  // copies the pixels again
+    auto shared = cache.GetShared("hit");
+    if (!shared.ok()) std::abort();
+    std::vector<uint8_t> bytes(**shared);  // copies out of the store
+    auto served = Frame::Deserialize(bytes);  // copies the pixels again
     if (!served.ok() || served->empty()) std::abort();
   }
   g_metering.store(false);

@@ -37,8 +37,8 @@ int main() {
   }
   auto live = std::make_shared<LiveIngestStore>(backing);
   for (const std::string& name : meta->video_names) {
-    auto bytes = backing->Get(meta->path + "/" + name + ".svc");
-    (void)live->Put(meta->path + "/" + name + ".svc", *bytes);
+    auto bytes = backing->GetShared(meta->path + "/" + name + ".svc");
+    (void)live->Put(meta->path + "/" + name + ".svc", **bytes);
   }
   auto live_meta = std::make_shared<DatasetMeta>(*meta);
 

@@ -164,7 +164,8 @@ Result<std::shared_ptr<OnDemandCpuSource::Build>> OnDemandCpuSource::StartBuild(
     job.demand_feeding = false;
     job.run = [this, plan, batch, build, video_index = video_index, slots, promise] {
       const VideoObjectGraph& graph = plan->videos[static_cast<size_t>(video_index)];
-      SubtreeExecutor executor(graph, &containers_, options_.naive_cache.get(), meter_);
+      SubtreeExecutor executor(graph, &containers_, options_.naive_cache.get(), meter_,
+                               exec_counters_);
       Status status = Status::Ok();
       for (size_t slot : slots) {
         const ClipRef& ref = batch->clips[slot];
@@ -180,10 +181,6 @@ Result<std::shared_ptr<OnDemandCpuSource::Build>> OnDemandCpuSource::StartBuild(
         if (!status.ok()) {
           break;
         }
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        exec_stats_.Accumulate(executor.stats());
       }
       promise->set_value(std::move(status));
     };
@@ -224,11 +221,6 @@ Result<SharedBytes> OnDemandCpuSource::NextBatch(int64_t epoch, int64_t iteratio
 }
 
 void OnDemandCpuSource::Finish() { pool_->WaitIdle(); }
-
-ExecutorStats OnDemandCpuSource::exec_stats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return exec_stats_;
-}
 
 // --- OnDemandGpuSource -------------------------------------------------------
 

@@ -87,7 +87,7 @@ class OnDemandCpuSource : public BatchSource {
   int64_t IterationsPerEpoch() const override;
   void Finish() override;
 
-  ExecutorStats exec_stats();
+  ExecutorStats exec_stats() { return exec_counters_.stats(); }
 
  private:
   struct Build {
@@ -107,12 +107,12 @@ class OnDemandCpuSource : public BatchSource {
   Options options_;
   CpuMeter* meter_;
   ContainerCache containers_;
+  ExecCounters exec_counters_;  // bumped by the pool's executors
   std::unique_ptr<MaterializationScheduler> pool_;
 
   std::mutex mutex_;
   std::map<int64_t, MaterializationPlan> plans_;
   std::map<std::pair<int64_t, int64_t>, std::shared_ptr<Build>> inflight_;
-  ExecutorStats exec_stats_;
 };
 
 // --- On-demand GPU (DALI/NVDEC-like) ----------------------------------------

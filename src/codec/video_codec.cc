@@ -16,8 +16,8 @@
 namespace sand {
 namespace {
 
-// Process-global decode counters (the per-decoder AtomicDecodeStats are the
-// instance-scoped view benches diff; these feed /.sand/metrics).
+// Process-global decode metrics, resolved once per process: every
+// decoder's AtomicDecodeStats binds to these counters.
 struct GlobalDecodeMetrics {
   obs::Counter* frames_requested;
   obs::Counter* frames_decoded;
@@ -158,13 +158,27 @@ Result<std::vector<uint8_t>> VideoEncoder::Finish() {
   return out;
 }
 
+VideoDecoder::AtomicDecodeStats::AtomicDecodeStats()
+    : frames_requested(GlobalDecodeMetrics::Get().frames_requested),
+      frames_decoded(GlobalDecodeMetrics::Get().frames_decoded),
+      bytes_read(GlobalDecodeMetrics::Get().bytes_read),
+      seeks(GlobalDecodeMetrics::Get().seeks) {}
+
+DecodeStats VideoDecoder::AtomicDecodeStats::Snapshot() const {
+  DecodeStats snapshot;
+  snapshot.frames_requested = frames_requested.Value();
+  snapshot.frames_decoded = frames_decoded.Value();
+  snapshot.bytes_read = bytes_read.Value();
+  snapshot.seeks = seeks.Value();
+  return snapshot;
+}
+
 Status VideoDecoder::DecodeStep(const Parsed& parsed, int64_t index, Frame& cursor,
                                 AtomicDecodeStats& stats) {
   const VideoDecoder::IndexEntry& entry = parsed.index[static_cast<size_t>(index)];
   std::span<const uint8_t> payload(parsed.container->data() + parsed.payload_base + entry.offset,
                                    entry.size);
-  stats.bytes_read.fetch_add(entry.size, std::memory_order_relaxed);
-  GlobalDecodeMetrics::Get().bytes_read->Add(entry.size);
+  stats.bytes_read.Add(entry.size);
   Result<std::vector<uint8_t>> raw = LosslessDecompress(payload);
   if (!raw.ok()) {
     return raw.status();
@@ -183,8 +197,7 @@ Status VideoDecoder::DecodeStep(const Parsed& parsed, int64_t index, Frame& curs
   } else {
     ApplyTemporalDelta(cursor, *raw);
   }
-  stats.frames_decoded.fetch_add(1, std::memory_order_relaxed);
-  GlobalDecodeMetrics::Get().frames_decoded->Add(1);
+  stats.frames_decoded.Add(1);
   return Status::Ok();
 }
 
@@ -279,9 +292,7 @@ Result<Frame> VideoDecoder::DecodeFrame(int64_t index) {
   if (index < 0 || index >= frame_count()) {
     return OutOfRange(StrFormat("frame %lld out of range", static_cast<long long>(index)));
   }
-  const GlobalDecodeMetrics& metrics = GlobalDecodeMetrics::Get();
-  stats_->frames_requested.fetch_add(1, std::memory_order_relaxed);
-  metrics.frames_requested->Add(1);
+  stats_->frames_requested.Add(1);
   if (cursor_index_ && *cursor_index_ == index) {
     return cursor_frame_;  // repeat request; no decode work
   }
@@ -293,8 +304,7 @@ Result<Frame> VideoDecoder::DecodeFrame(int64_t index) {
     start = *cursor_index_ + 1;  // continue the current forward run
   } else {
     start = gop_start;
-    stats_->seeks.fetch_add(1, std::memory_order_relaxed);
-    metrics.seeks->Add(1);
+    stats_->seeks.Add(1);
   }
   if (start < index) {
     // The decode-amplification work: frames reconstructed only to reach
@@ -305,24 +315,18 @@ Result<Frame> VideoDecoder::DecodeFrame(int64_t index) {
     }
   }
   SAND_RETURN_IF_ERROR(DecodeIntoCursor(index));
-  metrics.frame_latency_ns->Record(static_cast<uint64_t>(SinceProcessStart() - start_ns));
+  GlobalDecodeMetrics::Get().frame_latency_ns->Record(
+      static_cast<uint64_t>(SinceProcessStart() - start_ns));
   return cursor_frame_;
 }
 
-DecodeStats VideoDecoder::stats() const {
-  DecodeStats snapshot;
-  snapshot.frames_requested = stats_->frames_requested.load(std::memory_order_relaxed);
-  snapshot.frames_decoded = stats_->frames_decoded.load(std::memory_order_relaxed);
-  snapshot.bytes_read = stats_->bytes_read.load(std::memory_order_relaxed);
-  snapshot.seeks = stats_->seeks.load(std::memory_order_relaxed);
-  return snapshot;
-}
+DecodeStats VideoDecoder::stats() const { return stats_->Snapshot(); }
 
 void VideoDecoder::ResetStats() {
-  stats_->frames_requested.store(0, std::memory_order_relaxed);
-  stats_->frames_decoded.store(0, std::memory_order_relaxed);
-  stats_->bytes_read.store(0, std::memory_order_relaxed);
-  stats_->seeks.store(0, std::memory_order_relaxed);
+  stats_->frames_requested.Reset();
+  stats_->frames_decoded.Reset();
+  stats_->bytes_read.Reset();
+  stats_->seeks.Reset();
 }
 
 Result<std::vector<Frame>> VideoDecoder::DecodeFrames(std::span<const int64_t> indices) {
@@ -440,14 +444,7 @@ Result<int64_t> GopDecoder::GopStart(int64_t index) const {
   return VideoDecoder::GopStartIn(*parsed_, index);
 }
 
-DecodeStats GopDecoder::stats() const {
-  DecodeStats snapshot;
-  snapshot.frames_requested = stats_->frames_requested.load(std::memory_order_relaxed);
-  snapshot.frames_decoded = stats_->frames_decoded.load(std::memory_order_relaxed);
-  snapshot.bytes_read = stats_->bytes_read.load(std::memory_order_relaxed);
-  snapshot.seeks = stats_->seeks.load(std::memory_order_relaxed);
-  return snapshot;
-}
+DecodeStats GopDecoder::stats() const { return stats_->Snapshot(); }
 
 Result<std::vector<Frame>> GopDecoder::DecodeSlice(int64_t gop_start,
                                                    std::span<const int64_t> indices) const {
@@ -469,11 +466,8 @@ Result<std::vector<Frame>> GopDecoder::DecodeSlice(int64_t gop_start,
     }
     previous = index;
   }
-  const GlobalDecodeMetrics& metrics = GlobalDecodeMetrics::Get();
-  stats_->frames_requested.fetch_add(indices.size(), std::memory_order_relaxed);
-  metrics.frames_requested->Add(indices.size());
-  stats_->seeks.fetch_add(1, std::memory_order_relaxed);
-  metrics.seeks->Add(1);
+  stats_->frames_requested.Add(indices.size());
+  stats_->seeks.Add(1);
 
   SAND_SPAN("gop_slice_decode");
   const int64_t max_index = indices.back();
@@ -481,6 +475,7 @@ Result<std::vector<Frame>> GopDecoder::DecodeSlice(int64_t gop_start,
   std::vector<Frame> out;
   out.reserve(indices.size());
   size_t next = 0;
+  Nanos emitted_ns = SinceProcessStart();
   for (int64_t i = gop_start; i <= max_index; ++i) {
     if (i > gop_start && parsed_->index[static_cast<size_t>(i)].type == FrameType::kIntra) {
       return InvalidArgument(
@@ -488,6 +483,15 @@ Result<std::vector<Frame>> GopDecoder::DecodeSlice(int64_t gop_start,
                     static_cast<long long>(max_index), static_cast<long long>(i)));
     }
     SAND_RETURN_IF_ERROR(VideoDecoder::DecodeStep(*parsed_, i, cursor, *stats_));
+    if (next < indices.size() && indices[next] == i) {
+      // One latency sample per distinct requested frame: the work since the
+      // previous one was emitted, as DecodeFrame records for the same
+      // ascending indices from a cold cursor.
+      Nanos now_ns = SinceProcessStart();
+      GlobalDecodeMetrics::Get().frame_latency_ns->Record(
+          static_cast<uint64_t>(now_ns - emitted_ns));
+      emitted_ns = now_ns;
+    }
     while (next < indices.size() && indices[next] == i) {
       out.push_back(cursor);
       ++next;

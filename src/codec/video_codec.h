@@ -23,7 +23,6 @@
 #ifndef SAND_CODEC_VIDEO_CODEC_H_
 #define SAND_CODEC_VIDEO_CODEC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -33,6 +32,7 @@
 #include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/common/worker_pool.h"
+#include "src/obs/metrics.h"
 #include "src/tensor/frame.h"
 
 namespace sand {
@@ -83,7 +83,7 @@ class VideoEncoder {
 
 // Cumulative decoder-side counters; the source of the "frames decoded vs
 // frames used" numbers in Fig. 3 / Fig. 16. A value snapshot — the decoder
-// maintains these atomically (obs registry counters), so stats() and
+// keeps each as an InstanceCounter on "sand.decode.<field>", so stats() and
 // ResetStats() are safe against a concurrent decode on another thread.
 // Slice decoders created from a VideoDecoder share its counters, so a
 // GOP-parallel DecodeFrames books into the same stats as the serial walk.
@@ -170,13 +170,17 @@ class VideoDecoder {
     size_t payload_base = 0;
   };
 
-  // Atomic per-decoder counters (heap-held so the decoder stays movable and
-  // slice decoders can share them).
+  // Per-decoder counters (heap-held so the decoder stays movable and slice
+  // decoders can share them). Decoders are created per job, so the process
+  // counters they bind to are resolved once per process.
   struct AtomicDecodeStats {
-    std::atomic<uint64_t> frames_requested{0};
-    std::atomic<uint64_t> frames_decoded{0};
-    std::atomic<uint64_t> bytes_read{0};
-    std::atomic<uint64_t> seeks{0};
+    AtomicDecodeStats();
+    DecodeStats Snapshot() const;
+
+    obs::InstanceCounter frames_requested;
+    obs::InstanceCounter frames_decoded;
+    obs::InstanceCounter bytes_read;
+    obs::InstanceCounter seeks;
   };
 
   VideoDecoder() = default;
@@ -227,7 +231,8 @@ class GopDecoder {
   // index). One forward pass from the I-frame to the largest requested
   // index; returns the frames in the order requested. Books one seek, one
   // request per index, and one decode per reconstructed frame into the
-  // shared stats — the same accounting as a cold serial walk of the run.
+  // shared stats, and one sand.decode.frame_latency_ns sample per distinct
+  // index — the same accounting as a cold serial walk of the run.
   Result<std::vector<Frame>> DecodeSlice(int64_t gop_start,
                                          std::span<const int64_t> indices) const;
 

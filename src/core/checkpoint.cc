@@ -84,8 +84,8 @@ Status ServiceCheckpoint::Save(ObjectStore& store, const std::string& key) const
 }
 
 Result<ServiceCheckpoint> ServiceCheckpoint::Load(ObjectStore& store, const std::string& key) {
-  SAND_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, store.Get(key));
-  return FromYaml(std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+  SAND_ASSIGN_OR_RETURN(SharedBytes bytes, store.GetShared(key));
+  return FromYaml(std::string_view(reinterpret_cast<const char*>(bytes->data()), bytes->size()));
 }
 
 }  // namespace sand

@@ -15,34 +15,17 @@
 
 namespace sand {
 
-namespace {
-
-// Process-wide mirrors of ExecutorStats ("sand.exec.*" in /.sand/metrics).
-// Instances keep their own stats_ (benches diff per-pipeline counts); the
-// registry aggregates across all executors in the process.
-struct ExecMetrics {
-  obs::Counter* frames_decoded;
-  obs::Counter* decode_ops;
-  obs::Counter* aug_ops;
-  obs::Counter* crop_ops;
-  obs::Counter* cache_hits;
-  obs::Counter* cache_stores;
-  obs::Counter* parallel_slices;
-  static ExecMetrics& Get() {
-    static ExecMetrics m{
-        obs::Registry::Get().GetCounter("sand.exec.frames_decoded"),
-        obs::Registry::Get().GetCounter("sand.exec.decode_ops"),
-        obs::Registry::Get().GetCounter("sand.exec.aug_ops"),
-        obs::Registry::Get().GetCounter("sand.exec.crop_ops"),
-        obs::Registry::Get().GetCounter("sand.exec.cache_hits"),
-        obs::Registry::Get().GetCounter("sand.exec.cache_stores"),
-        obs::Registry::Get().GetCounter("sand.exec.parallel_slices"),
-    };
-    return m;
-  }
-};
-
-}  // namespace
+ExecutorStats ExecCounters::stats() const {
+  ExecutorStats stats;
+  stats.frames_decoded = frames_decoded.Value();
+  stats.decode_ops = decode_ops.Value();
+  stats.aug_ops = aug_ops.Value();
+  stats.crop_ops = crop_ops.Value();
+  stats.cache_hits = cache_hits.Value();
+  stats.cache_stores = cache_stores.Value();
+  stats.parallel_slices = parallel_slices.Value();
+  return stats;
+}
 
 CustomOpRegistry& CustomOpRegistry::Get() {
   static CustomOpRegistry registry;
@@ -108,14 +91,24 @@ const ConcreteNode* BaseFrameNode(const VideoObjectGraph& graph, const ConcreteN
   return cur->op.type != ConcreteOpType::kSource ? cur : nullptr;
 }
 
+// Decode CPU is the dominant materialization cost; bills the time since
+// `start` to the job the current request context attributes this work to.
+void BillDecode(Nanos start) {
+  if (obs::JobMetrics* job = obs::JobMetricsFor(CurrentTraceContext().job_id)) {
+    job->decode_ns->Add(static_cast<uint64_t>(SinceProcessStart() - start));
+  }
+}
+
 }  // namespace
 
 SubtreeExecutor::SubtreeExecutor(const VideoObjectGraph& graph, ContainerCache* containers,
-                                 TieredCache* cache, CpuMeter* meter, WorkerPool* decode_pool)
+                                 TieredCache* cache, CpuMeter* meter, ExecCounters& counters,
+                                 WorkerPool* decode_pool)
     : graph_(graph),
       containers_(containers),
       cache_(cache),
       meter_(meter),
+      counters_(counters),
       decode_pool_(decode_pool) {}
 
 Result<VideoDecoder*> SubtreeExecutor::EnsureDecoderLocked() {
@@ -152,18 +145,9 @@ Result<Frame> SubtreeExecutor::Decode(int64_t frame_index) {
     decoded = decoder->stats().frames_decoded - before;
     return decoded_frame;
   }();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.frames_decoded += decoded;
-    ++stats_.decode_ops;
-  }
-  ExecMetrics::Get().frames_decoded->Add(decoded);
-  ExecMetrics::Get().decode_ops->Add(1);
-  // Decode CPU is the dominant materialization cost; bill it to the job
-  // the current request context attributes this work to.
-  if (obs::JobMetrics* job = obs::JobMetricsFor(CurrentTraceContext().job_id)) {
-    job->decode_ns->Add(static_cast<uint64_t>(SinceProcessStart() - decode_start));
-  }
+  counters_.frames_decoded.Add(decoded);
+  counters_.decode_ops.Add(1);
+  BillDecode(decode_start);
   return frame;
 }
 
@@ -173,22 +157,14 @@ Result<Frame> SubtreeExecutor::Augment(const ConcreteNode& node, const Frame& in
   if (meter_ != nullptr) {
     work.emplace(*meter_, CpuWorkKind::kAugment);
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.aug_ops;
-  }
-  ExecMetrics::Get().aug_ops->Add(1);
+  counters_.aug_ops.Add(1);
   const ConcreteOp& op = node.op;
   const AugOp& aug = op.aug;
   switch (aug.kind) {
     case OpKind::kResize:
       return Resize(input, aug.out_h, aug.out_w, aug.interp);
     case OpKind::kRandomCrop: {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.crop_ops;
-      }
-      ExecMetrics::Get().crop_ops->Add(1);
+      counters_.crop_ops.Add(1);
       return Crop(input, op.crop.y, op.crop.x, op.crop.h, op.crop.w);
     }
     case OpKind::kCenterCrop:
@@ -247,11 +223,7 @@ std::optional<Result<Frame>> SubtreeExecutor::TryCacheLoad(const ConcreteNode& n
     (void)cache_->Delete(key);
     return std::nullopt;
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.cache_hits;
-  }
-  ExecMetrics::Get().cache_hits->Add(1);
+  counters_.cache_hits.Add(1);
   if (obs::JobMetrics* job = obs::JobMetricsFor(CurrentTraceContext().job_id)) {
     job->cache_hits->Add(1);
   }
@@ -303,11 +275,7 @@ Result<Frame> SubtreeExecutor::FinishProduced(const ConcreteNode& node, Frame pr
       if (bytes.ok()) {
         Result<bool> stored = cache_->PutIfAbsent(key, *bytes, tier);
         if (stored.ok() && *stored) {
-          {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.cache_stores;
-          }
-          ExecMetrics::Get().cache_stores->Add(1);
+          counters_.cache_stores.Add(1);
         }
       }
     }
@@ -359,11 +327,7 @@ Result<Frame> SubtreeExecutor::Produce(int node_id, bool allow_cache_store) {
       if (meter_ != nullptr) {
         work.emplace(*meter_, CpuWorkKind::kAugment);
       }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.aug_ops;
-      }
-      ExecMetrics::Get().aug_ops->Add(1);
+      counters_.aug_ops.Add(1);
       produced = first;  // shares first's buffer (which the memo also holds)
       // MutableData clones before the in-place average, so the memoized
       // (and possibly cache-resident) parent stays intact. After the clone
@@ -486,6 +450,7 @@ Status SubtreeExecutor::MaterializeFlagged() {
   SAND_SPAN("materialize_parallel");
   auto run_group = [&](const GopGroup& group) -> Status {
     // Slice decode: one stateless forward pass from the run's I-frame.
+    Nanos decode_start = SinceProcessStart();
     Result<std::vector<Frame>> frames = [&] {
       if (meter_ != nullptr) {
         ScopedCpuWork work(*meter_, CpuWorkKind::kDecode);
@@ -501,15 +466,10 @@ Status SubtreeExecutor::MaterializeFlagged() {
     // serial sweep of this run would.
     uint64_t decoded =
         static_cast<uint64_t>(group.frame_indices.back() - group.gop_start + 1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stats_.frames_decoded += decoded;
-      stats_.decode_ops += group.decode_nodes.size();
-      ++stats_.parallel_slices;
-    }
-    ExecMetrics::Get().frames_decoded->Add(decoded);
-    ExecMetrics::Get().decode_ops->Add(group.decode_nodes.size());
-    ExecMetrics::Get().parallel_slices->Add(1);
+    counters_.frames_decoded.Add(decoded);
+    counters_.decode_ops.Add(group.decode_nodes.size());
+    counters_.parallel_slices.Add(1);
+    BillDecode(decode_start);
     for (size_t i = 0; i < group.decode_nodes.size(); ++i) {
       const ConcreteNode& node = graph_.node(group.decode_nodes[i]);
       Result<Frame> finished =
@@ -561,18 +521,6 @@ Status SubtreeExecutor::MaterializeFlagged() {
     SAND_RETURN_IF_ERROR(Produce(node_id, /*allow_cache_store=*/true).status());
   }
   return Status::Ok();
-}
-
-ExecutorStats SubtreeExecutor::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-ExecutorStats SubtreeExecutor::DrainStats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ExecutorStats drained = stats_;
-  stats_ = ExecutorStats{};
-  return drained;
 }
 
 void SubtreeExecutor::TrimMemo(size_t max_entries) {

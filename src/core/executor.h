@@ -10,9 +10,9 @@
 // pool, MaterializeFlagged groups decode nodes by GOP and materializes the
 // slices concurrently — each slice task runs a stateless GopDecoder pass
 // from its I-frame, then produces the flagged subtrees rooted in that GOP.
-// The memo and counters are mutex-guarded (locks are never held across
-// recursion or decode work); concurrent cache stores stay safe via the
-// store's atomic PutIfAbsent.
+// The memo is mutex-guarded (the lock is never held across recursion or
+// decode work), the counters are atomics, and concurrent cache stores stay
+// safe via the store's atomic PutIfAbsent.
 
 #ifndef SAND_CORE_EXECUTOR_H_
 #define SAND_CORE_EXECUTOR_H_
@@ -29,12 +29,13 @@
 #include "src/common/worker_pool.h"
 #include "src/core/container_cache.h"
 #include "src/graph/concrete_graph.h"
+#include "src/obs/metrics.h"
 #include "src/sim/cpu_meter.h"
 #include "src/storage/object_store.h"
 
 namespace sand {
 
-// Counters aggregated into service stats.
+// A snapshot of ExecCounters (service stats, baseline sources).
 struct ExecutorStats {
   uint64_t frames_decoded = 0;     // frames reconstructed by the codec
   uint64_t decode_ops = 0;         // decode-node materializations
@@ -43,16 +44,22 @@ struct ExecutorStats {
   uint64_t cache_hits = 0;         // nodes served from the tiered cache
   uint64_t cache_stores = 0;       // nodes persisted to the tiered cache
   uint64_t parallel_slices = 0;    // GOP slices materialized via the pool path
+};
 
-  void Accumulate(const ExecutorStats& other) {
-    frames_decoded += other.frames_decoded;
-    decode_ops += other.decode_ops;
-    aug_ops += other.aug_ops;
-    crop_ops += other.crop_ops;
-    cache_hits += other.cache_hits;
-    cache_stores += other.cache_stores;
-    parallel_slices += other.parallel_slices;
-  }
+// The executor work counts of one owner (a SandService, an
+// OnDemandCpuSource), passed to every SubtreeExecutor it creates. Each
+// field is an InstanceCounter on "sand.exec.<field>", so one bump moves the
+// owner's stats and /.sand/metrics alike.
+struct ExecCounters {
+  obs::InstanceCounter frames_decoded{"sand.exec.frames_decoded"};
+  obs::InstanceCounter decode_ops{"sand.exec.decode_ops"};
+  obs::InstanceCounter aug_ops{"sand.exec.aug_ops"};
+  obs::InstanceCounter crop_ops{"sand.exec.crop_ops"};
+  obs::InstanceCounter cache_hits{"sand.exec.cache_hits"};
+  obs::InstanceCounter cache_stores{"sand.exec.cache_stores"};
+  obs::InstanceCounter parallel_slices{"sand.exec.parallel_slices"};
+
+  ExecutorStats stats() const;
 };
 
 // Custom augmentation registry (§5.5 extensibility): user functions are
@@ -75,12 +82,14 @@ class CustomOpRegistry {
 class SubtreeExecutor {
  public:
   // `cache` may be null (pure on-demand pipelines). `meter` may be null.
+  // `counters` receives the executor's work counts and must outlive it.
   // `decode_pool` may be null (serial materialization); when set,
   // MaterializeFlagged fans GOP slices out on it. The pool is shared
   // process-wide — a saturated TrySubmit makes the slice run inline on the
   // calling thread, so executors never deadlock on it.
   SubtreeExecutor(const VideoObjectGraph& graph, ContainerCache* containers,
-                  TieredCache* cache, CpuMeter* meter, WorkerPool* decode_pool = nullptr);
+                  TieredCache* cache, CpuMeter* meter, ExecCounters& counters,
+                  WorkerPool* decode_pool = nullptr);
 
   // Produces the frame for `node_id`, recursively producing parents.
   // `allow_cache_store`: persist flagged nodes produced along the way.
@@ -97,14 +106,6 @@ class SubtreeExecutor {
   // Number of cache-flagged nodes not yet present in the cache — the
   // scheduler's remaining-work (SJF) key.
   int64_t RemainingFlagged() const;
-
-  // Snapshot of the counters (copy: safe against concurrent Produce).
-  ExecutorStats stats() const;
-
-  // Returns the counters accumulated since construction (or the last drain)
-  // and resets them. For executors reused across materialization units —
-  // each unit accounts only its own work.
-  ExecutorStats DrainStats();
 
   // Bounds the frame memo for long-lived executors (the speculative path
   // reuses one executor per video across readahead units; without a trim
@@ -141,6 +142,7 @@ class SubtreeExecutor {
   ContainerCache* containers_;
   TieredCache* cache_;
   CpuMeter* meter_;
+  ExecCounters& counters_;
   WorkerPool* decode_pool_;
 
   // Guards decoder_ (the forward cursor is single-threaded state). Never
@@ -148,12 +150,11 @@ class SubtreeExecutor {
   std::mutex decoder_mutex_;
   std::optional<VideoDecoder> decoder_;
 
-  // Guards memo_, memo_order_, stats_. Never held across recursion,
-  // decode, augment, or cache I/O.
+  // Guards memo_ and memo_order_. Never held across recursion, decode,
+  // augment, or cache I/O.
   mutable std::mutex mutex_;
   std::map<int, Frame> memo_;
   std::deque<int> memo_order_;  // node ids in first-insertion order
-  ExecutorStats stats_;
 };
 
 // The cache key of a node's materialized object: deterministic across

@@ -18,15 +18,9 @@ namespace sand {
 
 namespace {
 
-// Registry mirrors of ServiceStats ("sand.service.*" in /.sand/metrics).
+// The service's process-wide histogram and derived gauges (its counters are
+// InstanceCounters on the service itself).
 struct ServiceMetrics {
-  obs::Counter* batches_served;
-  obs::Counter* demand_materializations;
-  obs::Counter* pre_materialize_jobs;
-  obs::Counter* evictions;
-  obs::Counter* chunks_planned;
-  obs::Counter* async_units;
-  obs::Counter* speculative_batches;
   obs::Histogram* batch_assemble_ns;
   // Derived gauges refreshed by PublishObservability (the health monitor's
   // pool-saturation inputs and the history recorder's utilization columns).
@@ -34,22 +28,13 @@ struct ServiceMetrics {
   obs::Gauge* pool_async_capacity;
   obs::Gauge* pool_decode_pending;
   obs::Gauge* pool_decode_capacity;
-  obs::Gauge* cache_mem_used_bytes;
   static ServiceMetrics& Get() {
     static ServiceMetrics m{
-        obs::Registry::Get().GetCounter("sand.service.batches_served"),
-        obs::Registry::Get().GetCounter("sand.service.demand_materializations"),
-        obs::Registry::Get().GetCounter("sand.service.pre_materialize_jobs"),
-        obs::Registry::Get().GetCounter("sand.service.evictions"),
-        obs::Registry::Get().GetCounter("sand.service.chunks_planned"),
-        obs::Registry::Get().GetCounter("sand.service.async_units"),
-        obs::Registry::Get().GetCounter("sand.service.speculative_batches"),
         obs::Registry::Get().GetHistogram("sand.service.batch_assemble_ns"),
         obs::Registry::Get().GetGauge("sand.pool.async.pending"),
         obs::Registry::Get().GetGauge("sand.pool.async.capacity"),
         obs::Registry::Get().GetGauge("sand.pool.decode.pending"),
         obs::Registry::Get().GetGauge("sand.pool.decode.capacity"),
-        obs::Registry::Get().GetGauge("sand.cache.mem_used_bytes"),
     };
     return m;
   }
@@ -121,7 +106,6 @@ void SandService::PublishObservability() {
     m.pool_decode_pending->Set(static_cast<int64_t>(decode_pool_->Pending()));
     m.pool_decode_capacity->Set(static_cast<int64_t>(options_.decode_queue_depth));
   }
-  m.cache_mem_used_bytes->Set(static_cast<int64_t>(cache_->MemoryUsedBytes()));
 }
 
 SandService::~SandService() { Shutdown(); }
@@ -265,11 +249,7 @@ Result<std::shared_ptr<SandService::ChunkState>> SandService::EnsureChunk(int64_
         }
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.chunks_planned;
-    }
-    ServiceMetrics::Get().chunks_planned->Add(1);
+    chunks_planned_.Add(1);
     if (options_.pre_materialize) {
       SubmitPreMaterialization(chunk);
     }
@@ -373,19 +353,14 @@ void SandService::SubmitPreMaterialization(const std::shared_ptr<ChunkState>& ch
         return;  // a demand job already owns or finished this subtree
       }
       SubtreeExecutor executor(chunk->plan.videos[v], &containers_, cache_.get(), &cpu_meter_,
-                               decode_pool_.get());
+                               exec_counters_, decode_pool_.get());
       Status status = executor.MaterializeFlagged();
       FinishVideo(*chunk, static_cast<int>(v));
       if (!status.ok()) {
         SAND_LOG(kWarning) << "pre-materialization of video " << v
                            << " failed: " << status.ToString();
       }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.exec.Accumulate(executor.stats());
-        ++stats_.pre_materialize_jobs;
-      }
-      ServiceMetrics::Get().pre_materialize_jobs->Add(1);
+      pre_materialize_jobs_.Add(1);
       MaybeEvict();
     };
     scheduler_->Submit(std::move(job));
@@ -429,11 +404,7 @@ Future<SharedBytes> SandService::MaterializeAsync(const ViewPath& path, bool spe
     SAND_SPAN("async_inline");
     return Future<SharedBytes>::FromResult(Materialize(path));
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.async_units;
-  }
-  ServiceMetrics::Get().async_units->Add(1);
+  async_units_.Add(1);
   return future;
 }
 
@@ -478,7 +449,8 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
       }
       if (executor == nullptr) {
         executor = std::make_unique<SubtreeExecutor>(graph, &containers_, cache_.get(),
-                                                     &cpu_meter_, decode_pool_.get());
+                                                     &cpu_meter_, exec_counters_,
+                                                     decode_pool_.get());
       }
       Status status = Status::Ok();
       if (options_.pre_materialize && options_.enable_scheduling) {
@@ -513,10 +485,6 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
           break;
         }
       }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.exec.Accumulate(executor->DrainStats());
-      }
       if (speculative) {
         executor->TrimMemo(/*max_entries=*/256);
         std::lock_guard<std::mutex> lock(chunk->exec_mutex);
@@ -540,11 +508,7 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
 void SandService::FinishBatchServe(const ViewPath& path,
                                    const std::shared_ptr<ChunkState>& chunk, int task,
                                    const BatchPlan& batch) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.batches_served;
-  }
-  ServiceMetrics::Get().batches_served->Add(1);
+  batches_served_.Add(1);
   if (obs::JobMetrics* job = obs::JobMetricsFor(obs::JobRegistry::Get().Intern(path.task))) {
     job->batches_served->Add(1);
   }
@@ -650,11 +614,7 @@ Result<SharedBytes> SandService::MaterializeSpeculative(const ViewPath& path) {
     // bytes; drop the pin so the key doesn't stay blocked.
     ReleaseSpeculation(path.task, key);
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.speculative_batches;
-  }
-  ServiceMetrics::Get().speculative_batches->Add(1);
+  speculative_batches_.Add(1);
   return shared;
 }
 
@@ -720,11 +680,7 @@ Result<SharedBytes> SandService::MaterializeBatch(const ViewPath& path) {
     return bytes.status();
   }
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.demand_materializations;
-  }
-  ServiceMetrics::Get().demand_materializations->Add(1);
+  demand_materializations_.Add(1);
   FinishBatchServe(path, chunk, task, batch);
   return MakeSharedBytes(bytes.TakeValue());
 }
@@ -778,13 +734,10 @@ Result<SharedBytes> SandService::MaterializeIntermediate(const ViewPath& path) {
   if (target == nullptr) {
     return NotFound("no planned object for " + path.Format());
   }
-  SubtreeExecutor executor(*graph, &containers_, cache_.get(), &cpu_meter_, decode_pool_.get());
+  SubtreeExecutor executor(*graph, &containers_, cache_.get(), &cpu_meter_, exec_counters_,
+                           decode_pool_.get());
   SAND_ASSIGN_OR_RETURN(Frame frame, executor.Produce(target->id, /*allow_cache_store=*/true));
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.exec.frames_decoded += executor.stats().frames_decoded;
-    ++stats_.demand_materializations;
-  }
+  demand_materializations_.Add(1);
   return std::make_shared<const std::vector<uint8_t>>(frame.Serialize());
 }
 
@@ -1056,17 +1009,21 @@ void SandService::MaybeEvict() {
     }
   }
   if (evicted > 0) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_.evictions += evicted;
-    }
-    ServiceMetrics::Get().evictions->Add(evicted);
+    evictions_.Add(evicted);
   }
 }
 
 ServiceStats SandService::stats() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ServiceStats snapshot = stats_;
+  ServiceStats snapshot;
+  snapshot.exec = exec_counters_.stats();
+  snapshot.batches_served = batches_served_.Value();
+  snapshot.demand_materializations = demand_materializations_.Value();
+  snapshot.pre_materialize_jobs = pre_materialize_jobs_.Value();
+  snapshot.evictions = evictions_.Value();
+  snapshot.chunks_planned = chunks_planned_.Value();
+  snapshot.recovered_objects = recovered_objects_.load(std::memory_order_relaxed);
+  snapshot.async_units = async_units_.Value();
+  snapshot.speculative_batches = speculative_batches_.Value();
   snapshot.disk_degraded = cache_->disk_degraded() ? 1 : 0;
   return snapshot;
 }
@@ -1106,10 +1063,7 @@ Result<uint64_t> SandService::RecoverFromDisk() {
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.recovered_objects = recovered;
-  }
+  recovered_objects_.store(recovered, std::memory_order_relaxed);
   return recovered;
 }
 

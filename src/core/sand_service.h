@@ -35,6 +35,7 @@
 #include "src/graph/concrete_graph.h"
 #include "src/graph/dataset_meta.h"
 #include "src/obs/health.h"
+#include "src/obs/metrics.h"
 #include "src/pruning/graph_pruning.h"
 #include "src/sched/scheduler.h"
 #include "src/sim/cpu_meter.h"
@@ -103,6 +104,7 @@ struct ServiceOptions {
   CompressionPolicy compression;
 };
 
+// A snapshot of the service's counters (SandService::stats()).
 struct ServiceStats {
   ExecutorStats exec;
   uint64_t batches_served = 0;
@@ -141,8 +143,8 @@ class SandService : public ViewProvider {
   Status OnSessionClose(const std::string& task) override;
   void OnViewClose(const ViewPath& path) override;
   Result<std::vector<std::string>> ListChildren(const std::string& path) override;
-  // Refreshes derived gauges (pool depths, cache residency) — called by
-  // SandFs before /.sand control snapshots and by the history sampler.
+  // Refreshes derived gauges (pool depths) — called by SandFs before
+  // /.sand control snapshots and by the history sampler.
   void PublishObservability() override;
 
   // --- Introspection ------------------------------------------------------
@@ -262,6 +264,18 @@ class SandService : public ViewProvider {
   std::shared_ptr<ObjectStore> dataset_store_;
   std::shared_ptr<TieredCache> cache_;
   ContainerCache containers_;
+  // Work counts, read by stats(): the executors' on "sand.exec.*", the
+  // rest on "sand.service.<field>". Declared before the pools whose
+  // threads bump them.
+  ExecCounters exec_counters_;
+  obs::InstanceCounter batches_served_{"sand.service.batches_served"};
+  obs::InstanceCounter demand_materializations_{"sand.service.demand_materializations"};
+  obs::InstanceCounter pre_materialize_jobs_{"sand.service.pre_materialize_jobs"};
+  obs::InstanceCounter evictions_{"sand.service.evictions"};
+  obs::InstanceCounter chunks_planned_{"sand.service.chunks_planned"};
+  obs::InstanceCounter async_units_{"sand.service.async_units"};
+  obs::InstanceCounter speculative_batches_{"sand.service.speculative_batches"};
+  std::atomic<uint64_t> recovered_objects_{0};
   std::unique_ptr<MaterializationScheduler> scheduler_;
   std::unique_ptr<WorkerPool> async_pool_;
   // Shared GOP-slice decode pool (null when decode_threads == 0). Slice
@@ -289,9 +303,6 @@ class SandService : public ViewProvider {
   // when the view is served or the task's session closes.
   std::mutex spec_mutex_;
   std::map<std::string, std::vector<std::string>> spec_keys_by_task_;
-
-  std::mutex stats_mutex_;
-  ServiceStats stats_;
 
   // History-recorder hookup (DESIGN.md §12): the sampler publishes this
   // service's derived gauges and evaluates health each tick. Removed (and

@@ -49,8 +49,7 @@ SandServer::SandServer(SandApi* backend, Options options)
       options_(std::move(options)),
       request_pool_(WorkerPool::Options{
           std::max(1, options_.request_threads),
-          std::max<size_t>(1, options_.request_queue_depth)}),
-      idle_reaped_counter_(obs::Registry::Get().GetCounter("sand.net.idle_reaped")) {}
+          std::max<size_t>(1, options_.request_queue_depth)}) {}
 
 SandServer::~SandServer() { Stop(); }
 
@@ -192,11 +191,8 @@ void SandServer::AcceptLoop(int listen_fd) {
     conn->socket_fd = socket_fd;
     conn->last_active_ns.store(static_cast<int64_t>(SinceProcessStart()));
     Connection* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.connections_accepted;
-      ++stats_.active_connections;
-    }
+    ++connections_accepted_;
+    ++active_connections_;
     conn->thread = std::thread([this, raw] { ServeConnection(raw); });
     connections_.push_back(std::move(conn));
   }
@@ -241,9 +237,7 @@ void SandServer::ReaperLoop() {
       if (!reap) {
         continue;
       }
-      idle_reaped_counter_->Add(1);
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.idle_reaped;
+      idle_reaped_.Add(1);
     }
   }
 }
@@ -310,10 +304,7 @@ void SandServer::ServeConnection(Connection* conn) {
       tenant->inflight.fetch_add(1);
     }
     if (!admitted) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.rejected_quota;
-      }
+      ++rejected_quota_;
       if (metrics != nullptr) {
         metrics->rejected->Add(1);
       }
@@ -355,10 +346,7 @@ void SandServer::ServeConnection(Connection* conn) {
             tenant->inflight.fetch_sub(1);
           }
           bool wrote = WriteResponse(conn, request_id, response);
-          {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.requests_served;
-          }
+          ++requests_served_;
           if (metrics != nullptr) {
             metrics->requests->Add(1);
             metrics->materialize_wait_ns->Record(
@@ -408,10 +396,7 @@ void SandServer::ServeConnection(Connection* conn) {
       if (tenant != nullptr) {
         tenant->inflight.fetch_sub(1);
       }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.rejected_backpressure;
-      }
+      ++rejected_backpressure_;
       if (metrics != nullptr) {
         metrics->rejected->Add(1);
       }
@@ -458,10 +443,7 @@ void SandServer::ServeConnection(Connection* conn) {
     ::close(conn->socket_fd);
     conn->socket_fd = -1;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    --stats_.active_connections;
-  }
+  --active_connections_;
   // Last act: after this the accept loop may join and free us.
   conn->done.store(true);
 }
@@ -575,10 +557,7 @@ std::vector<uint8_t> SandServer::HandleOpen(Connection* conn, WireReader& reader
     uint64_t budget = tenant->quotas.storage_budget_bytes;
     if (budget > 0 && !IsControlPath(*path) &&
         tenant->resident_bytes.load() >= budget) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.rejected_quota;
-      }
+      ++rejected_quota_;
       if (obs::TenantMetrics* metrics = obs::TenantMetricsFor(conn->tenant_id)) {
         metrics->rejected->Add(1);
       }
@@ -908,8 +887,14 @@ SandServer::WireResponse SandServer::Dispatch(Connection* conn, Command command,
 }
 
 ServerStats SandServer::stats() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  ServerStats stats;
+  stats.connections_accepted = connections_accepted_.load();
+  stats.requests_served = requests_served_.load();
+  stats.rejected_backpressure = rejected_backpressure_.load();
+  stats.rejected_quota = rejected_quota_.load();
+  stats.idle_reaped = idle_reaped_.Value();
+  stats.active_connections = active_connections_.load();
+  return stats;
 }
 
 }  // namespace net

@@ -64,12 +64,10 @@
 #include "src/common/result.h"
 #include "src/common/worker_pool.h"
 #include "src/net/wire.h"
+#include "src/obs/metrics.h"
 #include "src/vfs/sand_api.h"
 
 namespace sand {
-namespace obs {
-class Counter;
-}  // namespace obs
 
 class ObjectStore;
 
@@ -243,7 +241,6 @@ class SandServer {
   SandApi* backend_;
   Options options_;
   WorkerPool request_pool_;
-  obs::Counter* idle_reaped_counter_;
 
   std::mutex mutex_;  // listeners_, connections_, running_
   std::condition_variable reaper_cv_;
@@ -257,8 +254,13 @@ class SandServer {
   std::mutex tenants_mutex_;
   std::map<uint32_t, std::unique_ptr<TenantState>> tenants_;
 
-  std::mutex stats_mutex_;
-  ServerStats stats_;
+  // Read by stats(). Only idle reaps have a /.sand/metrics counter.
+  std::atomic<uint64_t> connections_accepted_{0};
+  std::atomic<uint64_t> requests_served_{0};
+  std::atomic<uint64_t> rejected_backpressure_{0};
+  std::atomic<uint64_t> rejected_quota_{0};
+  obs::InstanceCounter idle_reaped_{"sand.net.idle_reaped"};
+  std::atomic<int> active_connections_{0};
 };
 
 }  // namespace net

@@ -1,12 +1,13 @@
 // Process-global metrics registry (DESIGN.md §7).
 //
-// One source of truth for runtime counters across the whole object path:
-// the stores, the codec, the executor, the scheduler, and the VFS all
+// The stores, the codec, the executor, the scheduler, and the VFS all
 // publish here, and the snapshot is exported as a SAND view — reading
 // "/.sand/metrics" through SandFs returns the JSON produced by
-// Registry::ToJson() (tools/sand_stat pretty-prints it).
+// Registry::ToJson() (tools/sand_stat pretty-prints it). The registry is
+// process-cumulative: every instance of a component adds into the same
+// named metric.
 //
-// Three primitives, all lock-free on the hot path:
+// Four primitives, all lock-free on the hot path:
 //   Counter   - monotonic; sharded across cache lines so concurrent bumps
 //               from different threads never contend (one relaxed
 //               fetch_add on the caller's shard, measured < 10 ns/op by
@@ -15,6 +16,12 @@
 //   Histogram - log-linear buckets (exact below 16, 4 sub-buckets per
 //               power of two above: <= 12.5% relative error) with
 //               p50/p90/p95/p99 extraction; used for latencies in ns
+//   InstanceCounter - one component instance's share of a Counter. Its
+//               Add bumps the instance's own count and the process Counter
+//               in one statement, so a component's stats() and
+//               /.sand/metrics count every event alike. This is the only
+//               way a per-instance count is kept: no component bumps a
+//               struct field beside a registry counter.
 //
 // Components cache the pointers Registry hands out at construction time;
 // the name lookup (mutex + map) never sits on a hot path. Pointers are
@@ -176,6 +183,33 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+// A per-instance count bound to the process Counter of the same meaning.
+// Add bumps both (two relaxed atomic adds); Value and Reset see only this
+// instance, while the process Counter keeps counting every instance bound
+// to it. Not copyable: owners hold it by value and read it in stats().
+class InstanceCounter {
+ public:
+  // Resolves `name` in the registry once, here.
+  explicit InstanceCounter(const std::string& name)
+      : InstanceCounter(Registry::Get().GetCounter(name)) {}
+  explicit InstanceCounter(Counter* process) : process_(process) {}
+
+  InstanceCounter(const InstanceCounter&) = delete;
+  InstanceCounter& operator=(const InstanceCounter&) = delete;
+
+  void Add(uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    process_->Add(n);
+  }
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  // Zeroes the instance count only; the process Counter is cumulative.
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> value_{0};
+  Counter* process_;
 };
 
 }  // namespace obs

@@ -11,12 +11,6 @@ namespace sand {
 
 MaterializationScheduler::MaterializationScheduler(Options options)
     : options_(std::move(options)),
-      jobs_run_(obs::Registry::Get().GetCounter("sand.sched.jobs_run")),
-      demand_jobs_run_(obs::Registry::Get().GetCounter("sand.sched.demand_jobs_run")),
-      deadline_pops_(obs::Registry::Get().GetCounter("sand.sched.deadline_pops")),
-      sjf_pops_(obs::Registry::Get().GetCounter("sand.sched.sjf_pops")),
-      speculative_pops_(obs::Registry::Get().GetCounter("sand.sched.speculative_pops")),
-      capped_skips_(obs::Registry::Get().GetCounter("sand.sched.capped_skips")),
       queue_depth_(obs::Registry::Get().GetGauge("sand.sched.queue_depth")),
       job_latency_ns_(obs::Registry::Get().GetHistogram("sand.sched.job_latency_ns")) {
   if (options_.num_threads < 1) {
@@ -69,8 +63,7 @@ MaterializationJob MaterializationScheduler::PopLocked() {
   if (!tenant_caps_.empty()) {
     for (const MaterializationJob& job : queue_) {
       if (TenantCappedLocked(job)) {
-        ++stats_.capped_skips;
-        capped_skips_->Add(1);
+        capped_skips_.Add(1);
         break;
       }
     }
@@ -154,15 +147,12 @@ MaterializationJob MaterializationScheduler::PopLocked() {
       }
       last_pop_speculative_ = best->speculative;
       if (best->speculative) {
-        ++stats_.speculative_pops;
-        speculative_pops_->Add(1);
+        speculative_pops_.Add(1);
       }
       if (use_sjf) {
-        ++stats_.sjf_pops;
-        sjf_pops_->Add(1);
+        sjf_pops_.Add(1);
       } else {
-        ++stats_.deadline_pops;
-        deadline_pops_->Add(1);
+        deadline_pops_.Add(1);
       }
     }
   }
@@ -202,12 +192,10 @@ void MaterializationScheduler::WorkerLoop() {
       }
       job = PopLocked();
       ++active_;
-      ++stats_.jobs_run;
-      ++stats_.jobs_run_by_tenant[job.ctx.tenant_id];
-      jobs_run_->Add(1);
+      jobs_run_.Add(1);
+      ++jobs_run_by_tenant_[job.ctx.tenant_id];
       if (job.demand_feeding) {
-        ++stats_.demand_jobs_run;
-        demand_jobs_run_->Add(1);
+        demand_jobs_run_.Add(1);
       }
     }
     if (obs::TenantMetrics* tenant = obs::TenantMetricsFor(job.ctx.tenant_id)) {
@@ -258,8 +246,18 @@ void MaterializationScheduler::Shutdown() {
 }
 
 SchedulerStats MaterializationScheduler::stats() {
+  // Every count is bumped under mutex_, so reading under it gives one
+  // consistent snapshot (jobs_run equals the per-tenant sum).
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  SchedulerStats stats;
+  stats.jobs_run = jobs_run_.Value();
+  stats.demand_jobs_run = demand_jobs_run_.Value();
+  stats.deadline_pops = deadline_pops_.Value();
+  stats.sjf_pops = sjf_pops_.Value();
+  stats.speculative_pops = speculative_pops_.Value();
+  stats.capped_skips = capped_skips_.Value();
+  stats.jobs_run_by_tenant = jobs_run_by_tenant_;
+  return stats;
 }
 
 size_t MaterializationScheduler::PendingCount() {

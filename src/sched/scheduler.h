@@ -136,17 +136,16 @@ class MaterializationScheduler {
   // Per-tenant running-job counts and caps (0 entries are erased).
   std::map<uint32_t, int> tenant_running_;
   std::map<uint32_t, int> tenant_caps_;
-  SchedulerStats stats_;
+  std::map<uint32_t, uint64_t> jobs_run_by_tenant_;
 
-  // Registry mirrors of stats_ plus live queue depth ("sand.sched.*" in
-  // /.sand/metrics); bumped under mutex_, so plain counters would do, but
-  // the registry types keep one publishing surface.
-  obs::Counter* jobs_run_;
-  obs::Counter* demand_jobs_run_;
-  obs::Counter* deadline_pops_;
-  obs::Counter* sjf_pops_;
-  obs::Counter* speculative_pops_;
-  obs::Counter* capped_skips_;
+  // Read by stats() ("sand.sched.<field>" in /.sand/metrics), plus the live
+  // queue depth.
+  obs::InstanceCounter jobs_run_{"sand.sched.jobs_run"};
+  obs::InstanceCounter demand_jobs_run_{"sand.sched.demand_jobs_run"};
+  obs::InstanceCounter deadline_pops_{"sand.sched.deadline_pops"};
+  obs::InstanceCounter sjf_pops_{"sand.sched.sjf_pops"};
+  obs::InstanceCounter speculative_pops_{"sand.sched.speculative_pops"};
+  obs::InstanceCounter capped_skips_{"sand.sched.capped_skips"};
   obs::Gauge* queue_depth_;
   obs::Histogram* job_latency_ns_;
 };

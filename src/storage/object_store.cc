@@ -194,11 +194,6 @@ Result<bool> ObjectStore::PutIfAbsent(const std::string& key, std::span<const ui
   return true;
 }
 
-Result<std::vector<uint8_t>> ObjectStore::Get(const std::string& key) {
-  SAND_ASSIGN_OR_RETURN(SharedBytes shared, GetShared(key));
-  return std::vector<uint8_t>(shared->begin(), shared->end());
-}
-
 // --- MemoryStore -----------------------------------------------------------
 
 MemoryStore::MemoryStore(uint64_t capacity_bytes, size_t num_shards)
@@ -1019,11 +1014,6 @@ Result<SharedBytes> TieredCache::GetShared(const std::string& key) {
   return decoded;
 }
 
-Result<std::vector<uint8_t>> TieredCache::Get(const std::string& key) {
-  SAND_ASSIGN_OR_RETURN(SharedBytes shared, GetShared(key));
-  return std::vector<uint8_t>(shared->begin(), shared->end());
-}
-
 bool TieredCache::Contains(const std::string& key) {
   if (memory_->Contains(key)) {
     return true;
@@ -1072,7 +1062,11 @@ Status TieredCache::Delete(const std::string& key) {
   // When the disk tier is offline its file (if any) stays behind; the
   // recovery Rescan picks it back up, which is safe — objects are
   // content-addressed by plan key.
-  return any ? Status::Ok() : NotFound("no object: " + key);
+  if (!any) {
+    return NotFound("no object: " + key);
+  }
+  UpdateUsageGauges();
+  return Status::Ok();
 }
 
 Status TieredCache::Demote(const std::string& key) {

@@ -66,13 +66,10 @@ class ObjectStore {
   // left unchanged). Replaces racy Contains()-then-Put() sequences.
   virtual Result<bool> PutIfAbsent(const std::string& key, std::span<const uint8_t> data);
 
-  // Primary read path: a reference to the stored bytes. Memory-resident
-  // stores hand out the cached allocation itself; callers must not mutate
-  // the pointee. Replaces racy Contains()-then-Get() sequences.
+  // The read path: a reference to the stored bytes. Memory-resident stores
+  // hand out the cached allocation itself; callers must not mutate the
+  // pointee.
   virtual Result<SharedBytes> GetShared(const std::string& key) = 0;
-
-  // Compat wrapper: copies the object out of GetShared().
-  Result<std::vector<uint8_t>> Get(const std::string& key);
 
   virtual bool Contains(const std::string& key) = 0;
 
@@ -280,10 +277,8 @@ class TieredCache {
   // Single-call insert-if-absent into `tier` (falling through to disk when
   // memory is full). True when this call stored the object.
   Result<bool> PutIfAbsent(const std::string& key, std::span<const uint8_t> data, Tier tier);
-  // Primary read path: memory-tier hits are zero-copy references.
+  // The read path: memory-tier hits are zero-copy references.
   Result<SharedBytes> GetShared(const std::string& key);
-  // Compat wrapper copying out of GetShared.
-  Result<std::vector<uint8_t>> Get(const std::string& key);
   bool Contains(const std::string& key);
   Status Delete(const std::string& key);
 

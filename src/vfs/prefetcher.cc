@@ -19,13 +19,6 @@ Prefetcher::Prefetcher(ViewProvider* provider, PrefetchOptions options)
     : provider_(provider),
       options_(options),
       liveness_(std::make_shared<char>(0)),
-      issued_(obs::Registry::Get().GetCounter("sand.prefetch.issued")),
-      hits_(obs::Registry::Get().GetCounter("sand.prefetch.hits")),
-      hits_inflight_(obs::Registry::Get().GetCounter("sand.prefetch.hits_inflight")),
-      misses_(obs::Registry::Get().GetCounter("sand.prefetch.misses")),
-      wasted_(obs::Registry::Get().GetCounter("sand.prefetch.wasted")),
-      cancelled_(obs::Registry::Get().GetCounter("sand.prefetch.cancelled")),
-      rejected_(obs::Registry::Get().GetCounter("sand.prefetch.rejected")),
       inflight_gauge_(obs::Registry::Get().GetGauge("sand.prefetch.inflight")) {}
 
 Prefetcher::~Prefetcher() {
@@ -56,8 +49,7 @@ void Prefetcher::OnSessionClose(const std::string& task) {
     if (cit->second.task == task) {
       completed_index_.erase(cit->first);
       cit = completed_.erase(cit);
-      ++stats_.cancelled;
-      cancelled_->Add(1);
+      cancelled_.Add(1);
     } else {
       ++cit;
     }
@@ -99,8 +91,7 @@ void Prefetcher::OnBatchAccess(const ViewPath& path) {
           session.last_batch_bytes > 0 ? session.last_batch_bytes : kDefaultBatchEstimate;
       if (inflight_.size() >= static_cast<size_t>(options_.max_inflight) ||
           FootprintLocked() + estimate > options_.budget_bytes) {
-        ++stats_.rejected;
-        rejected_->Add(1);
+        rejected_.Add(1);
         continue;
       }
       Spec spec;
@@ -135,8 +126,7 @@ void Prefetcher::OnBatchAccess(const ViewPath& path) {
     Future<SharedBytes> future = provider_->MaterializeAsync(issue.view, /*speculative=*/true);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.issued;
-      issued_->Add(1);
+      issued_.Add(1);
       auto it = inflight_.find(issue.key);
       if (it != inflight_.end()) {
         it->second.future = future;
@@ -166,8 +156,7 @@ void Prefetcher::OnSpeculationDone(const std::string& key, const std::string& ta
   inflight_gauge_->Set(static_cast<int64_t>(inflight_.size()));
   auto sit = sessions_.find(task);
   if (sit == sessions_.end() || sit->second.generation != generation) {
-    ++stats_.cancelled;
-    cancelled_->Add(1);
+    cancelled_.Add(1);
     return;
   }
   Session& session = sit->second;
@@ -177,8 +166,7 @@ void Prefetcher::OnSpeculationDone(const std::string& key, const std::string& ta
     if (result.status().code() == ErrorCode::kNotFound && iteration > 0) {
       session.iterations_per_epoch = iteration;
     }
-    ++stats_.wasted;
-    wasted_->Add(1);
+    wasted_.Add(1);
     if (obs::JobMetrics* job = obs::JobMetricsFor(obs::JobRegistry::Get().Intern(task))) {
       job->speculative_wasted->Add(1);
     }
@@ -210,8 +198,7 @@ std::optional<Future<SharedBytes>> Prefetcher::Take(const ViewPath& path) {
       completed_.erase(cit->second);
       completed_index_.erase(cit);
     }
-    ++stats_.hits;
-    hits_->Add(1);
+    hits_.Add(1);
     return Future<SharedBytes>::FromResult(Result<SharedBytes>(std::move(data)));
   }
   auto iit = inflight_.find(key);
@@ -220,14 +207,12 @@ std::optional<Future<SharedBytes>> Prefetcher::Take(const ViewPath& path) {
     // (A reserved-but-not-yet-issued entry has an invalid future and falls
     // through to the miss path; the cache below the provider dedupes.)
     iit->second.consumed = true;
-    ++stats_.hits_inflight;
-    hits_inflight_->Add(1);
+    hits_inflight_.Add(1);
     return iit->second.future;
   }
   auto sit = sessions_.find(path.task);
   if (sit != sessions_.end() && sit->second.window > 0) {
-    ++stats_.misses;
-    misses_->Add(1);
+    misses_.Add(1);
   }
   return std::nullopt;
 }
@@ -254,8 +239,15 @@ void Prefetcher::PinResult(const ViewPath& path, SharedBytes data) {
 }
 
 PrefetchStats Prefetcher::stats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  PrefetchStats stats;
+  stats.issued = issued_.Value();
+  stats.hits = hits_.Value();
+  stats.hits_inflight = hits_inflight_.Value();
+  stats.misses = misses_.Value();
+  stats.wasted = wasted_.Value();
+  stats.cancelled = cancelled_.Value();
+  stats.rejected = rejected_.Value();
+  return stats;
 }
 
 size_t Prefetcher::InFlight() {
@@ -291,8 +283,7 @@ void Prefetcher::EvictCompletedLocked() {
     std::string victim_task = victim->second.task;
     completed_index_.erase(victim->first);
     completed_.erase(victim);
-    ++stats_.wasted;
-    wasted_->Add(1);
+    wasted_.Add(1);
     if (obs::JobMetrics* job =
             obs::JobMetricsFor(obs::JobRegistry::Get().Intern(victim_task))) {
       job->speculative_wasted->Add(1);

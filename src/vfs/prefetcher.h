@@ -149,16 +149,15 @@ class Prefetcher {
   // by eviction and survive Take.
   std::list<std::pair<std::string, Done>> completed_;
   std::map<std::string, std::list<std::pair<std::string, Done>>::iterator> completed_index_;
-  PrefetchStats stats_;
 
-  // Registry mirrors ("sand.prefetch.*" in /.sand/metrics).
-  obs::Counter* issued_;
-  obs::Counter* hits_;
-  obs::Counter* hits_inflight_;
-  obs::Counter* misses_;
-  obs::Counter* wasted_;
-  obs::Counter* cancelled_;
-  obs::Counter* rejected_;
+  // Read by stats() ("sand.prefetch.<field>" in /.sand/metrics).
+  obs::InstanceCounter issued_{"sand.prefetch.issued"};
+  obs::InstanceCounter hits_{"sand.prefetch.hits"};
+  obs::InstanceCounter hits_inflight_{"sand.prefetch.hits_inflight"};
+  obs::InstanceCounter misses_{"sand.prefetch.misses"};
+  obs::InstanceCounter wasted_{"sand.prefetch.wasted"};
+  obs::InstanceCounter cancelled_{"sand.prefetch.cancelled"};
+  obs::InstanceCounter rejected_{"sand.prefetch.rejected"};
   obs::Gauge* inflight_gauge_;
 };
 

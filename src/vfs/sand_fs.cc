@@ -53,16 +53,11 @@ void SandFs::RegisterControlView(const std::string& name, ControlRenderer render
 SandFs::SandFs(ViewProvider* provider, PrefetchOptions prefetch)
     : provider_(provider),
       prefetcher_(provider, prefetch),
-      opens_(obs::Registry::Get().GetCounter("sand.fs.opens")),
-      reads_(obs::Registry::Get().GetCounter("sand.fs.reads")),
-      closes_(obs::Registry::Get().GetCounter("sand.fs.closes")),
-      xattrs_(obs::Registry::Get().GetCounter("sand.fs.xattrs")),
-      bytes_read_(obs::Registry::Get().GetCounter("sand.fs.bytes_read")),
       materialize_wait_ns_(obs::Registry::Get().GetHistogram("sand.fs.materialize_wait_ns")) {}
 
 Result<int> SandFs::OpenControl(const std::vector<std::string>& parts) {
-  // Derived gauges (pool depths, cache residency) are provider state, not
-  // metric writes; let it publish them before we snapshot.
+  // Derived gauges (pool depths) are provider state, not metric writes;
+  // let it publish them before we snapshot.
   provider_->PublishObservability();
   std::string body;
   const std::string& name = parts[0];
@@ -133,8 +128,7 @@ Result<int> SandFs::OpenControl(const std::vector<std::string>& parts) {
   entry.is_control = true;
   entry.data = std::make_shared<const std::vector<uint8_t>>(body.begin(), body.end());
   fds_[fd] = std::move(entry);
-  ++stats_.opens;
-  opens_->Add(1);
+  opens_.Add(1);
   return fd;
 }
 
@@ -164,8 +158,7 @@ Result<int> SandFs::Open(const std::string& path, const OpenOptions& options) {
     entry.session_task = parts[0];
     entry.options = options;
     fds_[fd] = std::move(entry);
-    ++stats_.opens;
-    opens_->Add(1);
+    opens_.Add(1);
     return fd;
   }
   SAND_ASSIGN_OR_RETURN(ViewPath view, ViewPath::Parse(path));
@@ -177,8 +170,7 @@ Result<int> SandFs::Open(const std::string& path, const OpenOptions& options) {
     entry.path = view;
     entry.options = options;
     fds_[fd] = std::move(entry);
-    ++stats_.opens;
-    opens_->Add(1);
+    opens_.Add(1);
   }
   if (options.nonblock) {
     // O_NONBLOCK: start the materialization pipeline at open so the first
@@ -313,10 +305,8 @@ Result<size_t> SandFs::Read(int fd, std::span<uint8_t> buffer) {
   size_t count = std::min(buffer.size(), data.size() - static_cast<size_t>(entry.cursor));
   std::memcpy(buffer.data(), data.data() + entry.cursor, count);
   entry.cursor += count;
-  ++stats_.reads;
-  stats_.bytes_read += count;
-  reads_->Add(1);
-  bytes_read_->Add(count);
+  reads_.Add(1);
+  bytes_read_.Add(count);
   return count;
 }
 
@@ -333,10 +323,8 @@ Result<size_t> SandFs::PRead(int fd, std::span<uint8_t> buffer, uint64_t offset)
   }
   size_t count = std::min(buffer.size(), data.size() - static_cast<size_t>(offset));
   std::memcpy(buffer.data(), data.data() + offset, count);
-  ++stats_.reads;
-  stats_.bytes_read += count;
-  reads_->Add(1);
-  bytes_read_->Add(count);
+  reads_.Add(1);
+  bytes_read_.Add(count);
   return count;
 }
 
@@ -347,10 +335,8 @@ Result<SharedBytes> SandFs::ReadAllShared(int fd) {
   if (it == fds_.end()) {
     return InvalidArgument(StrFormat("bad fd %d", fd));
   }
-  ++stats_.reads;
-  stats_.bytes_read += it->second.data->size();
-  reads_->Add(1);
-  bytes_read_->Add(it->second.data->size());
+  reads_.Add(1);
+  bytes_read_.Add(it->second.data->size());
   return it->second.data;
 }
 
@@ -379,8 +365,7 @@ Result<std::string> SandFs::GetXattr(int fd, const std::string& name) {
       return InvalidArgument("getxattr on a control fd");
     }
     path = it->second.path;
-    ++stats_.xattrs;
-    xattrs_->Add(1);
+    xattrs_.Add(1);
   }
   return provider_->GetMetadata(path, name);
 }
@@ -429,8 +414,7 @@ Status SandFs::Close(int fd) {
     }
     entry = std::move(it->second);
     fds_.erase(it);
-    ++stats_.closes;
-    closes_->Add(1);
+    closes_.Add(1);
   }
   if (entry.is_session) {
     // Cancel the task's speculation before the provider tears the session
@@ -446,8 +430,13 @@ Status SandFs::Close(int fd) {
 }
 
 SandFsStats SandFs::stats() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  SandFsStats stats;
+  stats.opens = opens_.Value();
+  stats.reads = reads_.Value();
+  stats.closes = closes_.Value();
+  stats.xattrs = xattrs_.Value();
+  stats.bytes_read = bytes_read_.Value();
+  return stats;
 }
 
 }  // namespace sand

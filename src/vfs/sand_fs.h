@@ -107,7 +107,7 @@ class ViewProvider {
 
   // Called before a /.sand control view snapshots: providers refresh
   // gauges that are derived state rather than metric writes (pool queue
-  // depths, cache residency), so the snapshot is current. Optional.
+  // depths), so the snapshot is current. Optional.
   virtual void PublishObservability() {}
 };
 
@@ -204,14 +204,13 @@ class SandFs : public SandApi {
   std::mutex mutex_;
   std::map<int, FdEntry> fds_;
   int next_fd_ = 3;  // skip stdin/stdout/stderr numbers for familiarity
-  SandFsStats stats_;
 
-  // Registry mirrors ("sand.fs.*" in /.sand/metrics).
-  obs::Counter* opens_;
-  obs::Counter* reads_;
-  obs::Counter* closes_;
-  obs::Counter* xattrs_;
-  obs::Counter* bytes_read_;
+  // Verb counts, read by stats() ("sand.fs.<field>" in /.sand/metrics).
+  obs::InstanceCounter opens_{"sand.fs.opens"};
+  obs::InstanceCounter reads_{"sand.fs.reads"};
+  obs::InstanceCounter closes_{"sand.fs.closes"};
+  obs::InstanceCounter xattrs_{"sand.fs.xattrs"};
+  obs::InstanceCounter bytes_read_{"sand.fs.bytes_read"};
   // Reader-observed wait per materializing access; the health monitor's
   // p99 SLO input.
   obs::Histogram* materialize_wait_ns_;

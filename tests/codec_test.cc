@@ -8,6 +8,7 @@
 #include "src/common/rng.h"
 #include "src/common/worker_pool.h"
 #include "src/compress/lossless.h"
+#include "src/obs/metrics.h"
 
 namespace sand {
 namespace {
@@ -391,6 +392,27 @@ TEST(GopDecoderTest, SharedStatsAccountLikeColdSerialWalk) {
   EXPECT_EQ(a.frames_decoded, b.frames_decoded);
   EXPECT_EQ(a.bytes_read, b.bytes_read);
   EXPECT_EQ(a.seeks, b.seeks);
+}
+
+TEST(GopDecoderTest, SliceRecordsOneLatencySamplePerDistinctIndex) {
+  auto container = EncodeVideo(16, 8);
+  obs::Histogram* latency = obs::Registry::Get().GetHistogram("sand.decode.frame_latency_ns");
+  auto serial = VideoDecoder::Open(container);
+  auto sliced = VideoDecoder::Open(container);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(sliced.ok());
+  // A cold serial walk over three distinct indices records three samples...
+  uint64_t before = latency->Count();
+  for (int64_t t : {9, 12, 15}) {
+    ASSERT_TRUE(serial->DecodeFrame(t).ok());
+  }
+  const uint64_t serial_samples = latency->Count() - before;
+  EXPECT_EQ(serial_samples, 3u);
+  // ...and one slice pass over the same frames, duplicates included, as many.
+  before = latency->Count();
+  std::vector<int64_t> indices = {9, 9, 12, 15, 15};
+  ASSERT_TRUE(sliced->SliceDecoder().DecodeSlice(8, indices).ok());
+  EXPECT_EQ(latency->Count() - before, serial_samples);
 }
 
 TEST(ParallelDecodeTest, MatchesSerialOnRandomizedIndexSets) {

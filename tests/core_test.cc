@@ -5,10 +5,14 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 
 #include "src/common/strings.h"
+#include "src/common/trace_context.h"
 #include "src/core/batch_format.h"
 #include "src/core/sand_service.h"
+#include "src/obs/attribution.h"
+#include "src/obs/metrics.h"
 #include "src/tensor/image_ops.h"
 #include "src/workloads/models.h"
 #include "src/workloads/synthetic.h"
@@ -380,6 +384,121 @@ TEST(SandServiceTest, ListDirWalksTheNamespace) {
   EXPECT_FALSE(fs.ListDir("relative").ok());
 }
 
+// ---------------------------------------------------------------------------
+// ServiceStats and /.sand/metrics count from the same statements.
+
+// The "sand.service.*" and "sand.exec.*" counter behind each counted
+// ServiceStats field.
+std::map<std::string, uint64_t> CountedFields(const ServiceStats& stats) {
+  return {
+      {"sand.exec.frames_decoded", stats.exec.frames_decoded},
+      {"sand.exec.decode_ops", stats.exec.decode_ops},
+      {"sand.exec.aug_ops", stats.exec.aug_ops},
+      {"sand.exec.crop_ops", stats.exec.crop_ops},
+      {"sand.exec.cache_hits", stats.exec.cache_hits},
+      {"sand.exec.cache_stores", stats.exec.cache_stores},
+      {"sand.exec.parallel_slices", stats.exec.parallel_slices},
+      {"sand.service.batches_served", stats.batches_served},
+      {"sand.service.demand_materializations", stats.demand_materializations},
+      {"sand.service.pre_materialize_jobs", stats.pre_materialize_jobs},
+      {"sand.service.evictions", stats.evictions},
+      {"sand.service.chunks_planned", stats.chunks_planned},
+      {"sand.service.async_units", stats.async_units},
+      {"sand.service.speculative_batches", stats.speculative_batches},
+  };
+}
+
+// The values of `names` in a "/.sand/metrics" snapshot read through `fs`
+// (0 for a counter the process has not registered yet).
+std::map<std::string, uint64_t> MetricsView(SandFs& fs,
+                                            const std::map<std::string, uint64_t>& names) {
+  auto fd = fs.Open("/.sand/metrics");
+  EXPECT_TRUE(fd.ok());
+  auto bytes = fs.ReadAllShared(*fd);
+  EXPECT_TRUE(bytes.ok());
+  EXPECT_TRUE(fs.Close(*fd).ok());
+  std::string body((*bytes)->begin(), (*bytes)->end());
+  std::map<std::string, uint64_t> values;
+  for (const auto& [name, unused] : names) {
+    std::string needle = "\"" + name + "\": ";
+    size_t pos = body.find(needle);
+    values[name] = pos == std::string::npos ? 0 : std::stoull(body.substr(pos + needle.size()));
+  }
+  return values;
+}
+
+TEST(ServiceStatsTest, IntermediateReadsMoveStatsAndMetricsAlike) {
+  ServiceOptions options = DefaultOptions();
+  options.pre_materialize = false;
+  TestRig rig = MakeRig(options);
+  SandFs& fs = rig.service->fs();
+  const ServiceStats stats_before = rig.service->stats();
+  const auto metrics_before = MetricsView(fs, CountedFields(stats_before));
+
+  uint64_t served = 0;
+  for (int64_t index = 0; index < 24; ++index) {
+    const std::string frame = StrFormat("/train/vid000/frame%lld", static_cast<long long>(index));
+    for (const std::string& path : {frame, frame + "/aug1", frame + "/aug2"}) {
+      auto fd = fs.Open(path);
+      ASSERT_TRUE(fd.ok());
+      if (fs.ReadAllShared(*fd).ok()) {
+        ++served;
+      }
+      ASSERT_TRUE(fs.Close(*fd).ok());
+    }
+  }
+  ASSERT_GT(served, 0u);
+
+  const auto stats_after = CountedFields(rig.service->stats());
+  const auto metrics_after = MetricsView(fs, stats_after);
+  const auto stats_start = CountedFields(stats_before);
+  for (const auto& [name, value] : stats_after) {
+    EXPECT_EQ(value - stats_start.at(name), metrics_after.at(name) - metrics_before.at(name))
+        << name;
+  }
+  EXPECT_EQ(stats_after.at("sand.service.demand_materializations") -
+                stats_start.at("sand.service.demand_materializations"),
+            served);
+  EXPECT_GT(stats_after.at("sand.exec.aug_ops"), stats_start.at("sand.exec.aug_ops"));
+}
+
+TEST(ServiceStatsTest, TwoServicesCountOnlyTheirOwnWork) {
+  ServiceOptions options = DefaultOptions();
+  options.pre_materialize = false;
+  const ServiceStats zero;
+  std::map<std::string, uint64_t> registry_before;
+  for (const auto& [name, unused] : CountedFields(zero)) {
+    registry_before[name] = obs::Registry::Get().GetCounter(name)->Value();
+  }
+  TestRig one = MakeRig(options);
+  TestRig two = MakeRig(options);
+  auto read_batch = [](TestRig& rig, int64_t iteration) {
+    SandFs& fs = rig.service->fs();
+    auto fd = fs.Open(StrFormat("/train/0/%lld/view", static_cast<long long>(iteration)));
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(fs.ReadAllShared(*fd).ok());
+    ASSERT_TRUE(fs.Close(*fd).ok());
+  };
+  read_batch(one, 0);
+  read_batch(two, 0);
+  read_batch(two, 1);
+  one.service->WaitForBackgroundWork();
+  two.service->WaitForBackgroundWork();
+
+  const ServiceStats stats_one = one.service->stats();
+  const ServiceStats stats_two = two.service->stats();
+  EXPECT_EQ(stats_one.batches_served, 1u);
+  EXPECT_EQ(stats_two.batches_served, 2u);
+  EXPECT_GT(stats_one.exec.frames_decoded, 0u);
+  const auto counts_one = CountedFields(stats_one);
+  const auto counts_two = CountedFields(stats_two);
+  for (const auto& [name, before] : registry_before) {
+    EXPECT_EQ(obs::Registry::Get().GetCounter(name)->Value() - before,
+              counts_one.at(name) + counts_two.at(name))
+        << name;
+  }
+}
+
 TEST(BatchFormatTest, RoundTrip) {
   std::vector<Clip> clips(2);
   for (Clip& clip : clips) {
@@ -430,8 +549,11 @@ TEST(SubtreeExecutorTest, ParallelMaterializeFlaggedMatchesSerial) {
                                                       std::make_shared<MemoryStore>(64ULL << 20));
     auto parallel_cache = std::make_shared<TieredCache>(
         std::make_shared<MemoryStore>(64ULL << 20), std::make_shared<MemoryStore>(64ULL << 20));
-    SubtreeExecutor serial(graph, &containers, serial_cache.get(), nullptr);
-    SubtreeExecutor parallel(graph, &containers, parallel_cache.get(), nullptr, &pool);
+    ExecCounters serial_counters;
+    ExecCounters parallel_counters;
+    SubtreeExecutor serial(graph, &containers, serial_cache.get(), nullptr, serial_counters);
+    SubtreeExecutor parallel(graph, &containers, parallel_cache.get(), nullptr, parallel_counters,
+                             &pool);
     ASSERT_TRUE(serial.MaterializeFlagged().ok());
     ASSERT_TRUE(parallel.MaterializeFlagged().ok());
 
@@ -449,8 +571,8 @@ TEST(SubtreeExecutorTest, ParallelMaterializeFlaggedMatchesSerial) {
     }
     // Deterministic accounting: the slice path books exactly what a cold
     // serial sweep books.
-    ExecutorStats a = serial.stats();
-    ExecutorStats b = parallel.stats();
+    ExecutorStats a = serial_counters.stats();
+    ExecutorStats b = parallel_counters.stats();
     EXPECT_EQ(a.frames_decoded, b.frames_decoded);
     EXPECT_EQ(a.decode_ops, b.decode_ops);
     EXPECT_EQ(a.cache_stores, b.cache_stores);
@@ -482,16 +604,48 @@ TEST(SubtreeExecutorTest, TrimMemoEvictsOldestKeepsRecent) {
   }
   ASSERT_EQ(decode_nodes.size(), 2u);
   ContainerCache containers(store, 8);
-  SubtreeExecutor executor(graph, &containers, nullptr, nullptr);
+  ExecCounters counters;
+  SubtreeExecutor executor(graph, &containers, nullptr, nullptr, counters);
   ASSERT_TRUE(executor.Produce(decode_nodes[0], false).ok());  // oldest
   ASSERT_TRUE(executor.Produce(decode_nodes[1], false).ok());  // newest
-  EXPECT_EQ(executor.stats().decode_ops, 2u);
+  EXPECT_EQ(counters.stats().decode_ops, 2u);
 
   executor.TrimMemo(1);  // must evict decode_nodes[0], keep decode_nodes[1]
   ASSERT_TRUE(executor.Produce(decode_nodes[1], false).ok());
-  EXPECT_EQ(executor.stats().decode_ops, 2u) << "recent entry must survive the trim";
+  EXPECT_EQ(counters.stats().decode_ops, 2u) << "recent entry must survive the trim";
   ASSERT_TRUE(executor.Produce(decode_nodes[0], false).ok());
-  EXPECT_EQ(executor.stats().decode_ops, 3u) << "oldest entry must have been evicted";
+  EXPECT_EQ(counters.stats().decode_ops, 3u) << "oldest entry must have been evicted";
+}
+
+TEST(SubtreeExecutorTest, SlicePathBillsDecodeToTheJob) {
+  auto store = std::make_shared<MemoryStore>();
+  auto meta = BuildSyntheticDataset(*store, SmallDataset());
+  ASSERT_TRUE(meta.ok());
+  std::vector<TaskConfig> tasks = {MakeTaskConfig(SmallProfile(), meta->path, "train")};
+  PlannerOptions planner;
+  planner.k_epochs = 2;
+  auto plan = BuildMaterializationPlan(*meta, tasks, 0, planner);
+  ASSERT_TRUE(plan.ok());
+
+  ContainerCache containers(store, 8);
+  WorkerPool pool(WorkerPool::Options{4, 64});
+  auto cache = std::make_shared<TieredCache>(std::make_shared<MemoryStore>(64ULL << 20),
+                                             std::make_shared<MemoryStore>(64ULL << 20));
+  const uint32_t job_id = obs::JobRegistry::Get().Intern("slice-decode-job");
+  obs::JobMetrics* job = obs::JobMetricsFor(job_id);
+  ASSERT_NE(job, nullptr);
+  const uint64_t before = job->decode_ns->Value();
+  ExecCounters counters;
+  {
+    ScopedTraceContext scope(BeginRequestContext(job_id, RequestClass::kDemand));
+    for (const VideoObjectGraph& graph : plan->videos) {
+      SubtreeExecutor executor(graph, &containers, cache.get(), nullptr, counters, &pool);
+      ASSERT_TRUE(executor.MaterializeFlagged().ok());
+    }
+  }
+  pool.Shutdown();
+  ASSERT_GT(counters.stats().parallel_slices, 0u) << "the GOP-slice path must run";
+  EXPECT_GT(job->decode_ns->Value(), before);
 }
 
 }  // namespace

@@ -177,7 +177,8 @@ TEST(IntegrationTest, CoordinationPreservesConvergence) {
       std::vector<double> labels;
       for (const ClipRef& ref : batch.clips) {
         const VideoObjectGraph& graph = plan->videos[static_cast<size_t>(ref.video_index)];
-        SubtreeExecutor executor(graph, &containers, nullptr, nullptr);
+        ExecCounters counters;
+        SubtreeExecutor executor(graph, &containers, nullptr, nullptr, counters);
         Clip clip;
         for (int leaf : ref.leaf_ids) {
           auto frame = executor.Produce(leaf, false);

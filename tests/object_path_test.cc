@@ -158,12 +158,12 @@ TEST(PutIfAbsentTest, ExactlyOneWinnerAcrossThreads) {
     thread.join();
   }
   EXPECT_EQ(winners.load(), 1);
-  auto value = cache.Get("contended");
+  auto value = cache.GetShared("contended");
   ASSERT_TRUE(value.ok());
-  ASSERT_EQ(value->size(), 256u);
+  ASSERT_EQ((*value)->size(), 256u);
   // All 256 bytes come from the single winning thread.
-  for (uint8_t byte : *value) {
-    EXPECT_EQ(byte, (*value)[0]);
+  for (uint8_t byte : **value) {
+    EXPECT_EQ(byte, (**value)[0]);
   }
 }
 

@@ -100,6 +100,62 @@ TEST(CounterTest, AddWithDelta) {
   EXPECT_EQ(counter.Value(), 12u);
 }
 
+TEST(InstanceCounterTest, AddMovesInstanceAndProcessCounts) {
+  Counter* process = Registry::Get().GetCounter("test.obs.instance.add");
+  const uint64_t before = process->Value();
+  obs::InstanceCounter counter("test.obs.instance.add");
+  counter.Add();
+  counter.Add(4);
+  EXPECT_EQ(counter.Value(), 5u);
+  EXPECT_EQ(process->Value() - before, 5u);
+}
+
+TEST(InstanceCounterTest, InstancesSumInTheProcessCounter) {
+  Counter* process = Registry::Get().GetCounter("test.obs.instance.sum");
+  const uint64_t before = process->Value();
+  obs::InstanceCounter a(process);
+  obs::InstanceCounter b("test.obs.instance.sum");
+  a.Add(3);
+  b.Add(7);
+  EXPECT_EQ(a.Value(), 3u);
+  EXPECT_EQ(b.Value(), 7u);
+  EXPECT_EQ(process->Value() - before, 10u);
+}
+
+TEST(InstanceCounterTest, ResetZeroesOnlyTheInstance) {
+  Counter* process = Registry::Get().GetCounter("test.obs.instance.reset");
+  const uint64_t before = process->Value();
+  obs::InstanceCounter counter(process);
+  counter.Add(6);
+  counter.Reset();
+  EXPECT_EQ(counter.Value(), 0u);
+  EXPECT_EQ(process->Value() - before, 6u);
+  counter.Add(2);
+  EXPECT_EQ(counter.Value(), 2u);
+  EXPECT_EQ(process->Value() - before, 8u);
+}
+
+TEST(InstanceCounterTest, ConcurrentAddsAreExact) {
+  Counter* process = Registry::Get().GetCounter("test.obs.instance.concurrent");
+  const uint64_t before = process->Value();
+  obs::InstanceCounter counter(process);
+  constexpr int kThreads = 8;
+  constexpr int kAdds = 10000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counter] {
+      for (int i = 0; i < kAdds; ++i) {
+        counter.Add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(counter.Value(), static_cast<uint64_t>(kThreads) * kAdds);
+  EXPECT_EQ(process->Value() - before, static_cast<uint64_t>(kThreads) * kAdds);
+}
+
 TEST(GaugeTest, SetAddReset) {
   Gauge gauge;
   gauge.Set(42);

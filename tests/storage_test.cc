@@ -14,6 +14,7 @@
 #include "src/common/clock.h"
 #include "src/storage/circuit_breaker.h"
 #include "src/storage/fault_injection.h"
+#include "src/obs/metrics.h"
 #include "src/storage/object_store.h"
 
 namespace sand {
@@ -33,13 +34,13 @@ TEST(MemoryStoreTest, PutGetDelete) {
   MemoryStore store;
   ASSERT_TRUE(store.Put("a", Bytes({1, 2, 3})).ok());
   EXPECT_TRUE(store.Contains("a"));
-  EXPECT_EQ(*store.Get("a"), Bytes({1, 2, 3}));
+  EXPECT_EQ(**store.GetShared("a"), Bytes({1, 2, 3}));
   EXPECT_EQ(*store.SizeOf("a"), 3u);
   EXPECT_EQ(store.UsedBytes(), 3u);
   ASSERT_TRUE(store.Delete("a").ok());
   EXPECT_FALSE(store.Contains("a"));
   EXPECT_EQ(store.UsedBytes(), 0u);
-  EXPECT_FALSE(store.Get("a").ok());
+  EXPECT_FALSE(store.GetShared("a").ok());
   EXPECT_FALSE(store.Delete("a").ok());
 }
 
@@ -101,7 +102,7 @@ TEST(DiskStoreTest, PutGetAcrossDirectories) {
   auto store = DiskStore::Open(dir, 1 << 20);
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("data/train/vid0.svc", Bytes({9, 8, 7})).ok());
-  EXPECT_EQ(*(*store)->Get("data/train/vid0.svc"), Bytes({9, 8, 7}));
+  EXPECT_EQ(**(*store)->GetShared("data/train/vid0.svc"), Bytes({9, 8, 7}));
   EXPECT_EQ((*store)->UsedBytes(), 3u);
   ASSERT_TRUE((*store)->Delete("data/train/vid0.svc").ok());
   EXPECT_EQ((*store)->UsedBytes(), 0u);
@@ -279,7 +280,7 @@ TEST(DiskStoreTest, CrashBeforeRenameKeepsOldObject) {
 
   Status crashed = (*store)->PutCrashBeforeRename("k", Bytes({9, 9, 9, 9}));
   EXPECT_FALSE(crashed.ok());
-  EXPECT_EQ(*(*store)->Get("k"), Bytes({1, 2, 3})) << "old version must survive the crash";
+  EXPECT_EQ(**(*store)->GetShared("k"), Bytes({1, 2, 3})) << "old version must survive the crash";
   std::filesystem::path tmp_dir = std::filesystem::path(dir) / DiskStore::kTmpDir;
   ASSERT_TRUE(std::filesystem::exists(tmp_dir));
   EXPECT_FALSE(std::filesystem::is_empty(tmp_dir)) << "crash leaves temp debris";
@@ -287,7 +288,7 @@ TEST(DiskStoreTest, CrashBeforeRenameKeepsOldObject) {
   // Recovery: reopening rescans, keeps the good object, clears the debris.
   auto recovered = DiskStore::Open(dir, 1 << 20);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(*(*recovered)->Get("k"), Bytes({1, 2, 3}));
+  EXPECT_EQ(**(*recovered)->GetShared("k"), Bytes({1, 2, 3}));
   EXPECT_EQ((*recovered)->UsedBytes(), 3u);
   EXPECT_TRUE(!std::filesystem::exists(tmp_dir) || std::filesystem::is_empty(tmp_dir))
       << "abandoned temp files must be swept on rescan";
@@ -298,8 +299,8 @@ TEST(RemoteStoreTest, CountsTraffic) {
   auto backing = std::make_shared<MemoryStore>();
   RemoteStore remote(backing, /*bandwidth=*/0, /*latency=*/0);
   ASSERT_TRUE(remote.Put("k", std::vector<uint8_t>(100)).ok());
-  ASSERT_TRUE(remote.Get("k").ok());
-  ASSERT_TRUE(remote.Get("k").ok());
+  ASSERT_TRUE(remote.GetShared("k").ok());
+  ASSERT_TRUE(remote.GetShared("k").ok());
   RemoteTraffic traffic = remote.traffic();
   EXPECT_EQ(traffic.bytes_written, 100u);
   EXPECT_EQ(traffic.bytes_read, 200u);
@@ -312,7 +313,7 @@ TEST(RemoteStoreTest, CountsTraffic) {
 TEST(RemoteStoreTest, MissesDoNotCount) {
   auto backing = std::make_shared<MemoryStore>();
   RemoteStore remote(backing, 0, 0);
-  EXPECT_FALSE(remote.Get("absent").ok());
+  EXPECT_FALSE(remote.GetShared("absent").ok());
   EXPECT_EQ(remote.traffic().read_ops, 0u);
 }
 
@@ -329,7 +330,7 @@ TEST(RemoteStoreTest, FailedOpsDoNotCountTraffic) {
   EXPECT_EQ(remote.traffic().bytes_written, 0u);
 
   // Get of a missing key: no read traffic.
-  EXPECT_FALSE(remote.Get("absent").ok());
+  EXPECT_FALSE(remote.GetShared("absent").ok());
   EXPECT_EQ(remote.traffic().read_ops, 0u);
   EXPECT_EQ(remote.traffic().bytes_read, 0u);
 
@@ -354,7 +355,7 @@ TEST(RemoteStoreTest, BandwidthDelaysTransfers) {
   // 10 MiB/s -> 100 KiB takes ~10 ms.
   RemoteStore remote(backing, 10.0 * 1024 * 1024, 0);
   Stopwatch watch;
-  ASSERT_TRUE(remote.Get("k").ok());
+  ASSERT_TRUE(remote.GetShared("k").ok());
   EXPECT_GE(watch.Elapsed(), FromMillis(8));
 }
 
@@ -365,7 +366,7 @@ TEST(TieredCacheTest, MemoryHitAvoidsDisk) {
   ASSERT_TRUE(cache.Put("hot", Bytes({1, 2}), Tier::kMemory).ok());
   EXPECT_TRUE(memory->Contains("hot"));
   EXPECT_FALSE(disk->Contains("hot"));
-  EXPECT_EQ(*cache.Get("hot"), Bytes({1, 2}));
+  EXPECT_EQ(**cache.GetShared("hot"), Bytes({1, 2}));
 }
 
 TEST(TieredCacheTest, DiskHitPromotes) {
@@ -374,7 +375,7 @@ TEST(TieredCacheTest, DiskHitPromotes) {
   TieredCache cache(memory, disk);
   ASSERT_TRUE(cache.Put("cold", Bytes({5}), Tier::kDisk).ok());
   EXPECT_FALSE(memory->Contains("cold"));
-  EXPECT_EQ(*cache.Get("cold"), Bytes({5}));
+  EXPECT_EQ(**cache.GetShared("cold"), Bytes({5}));
   EXPECT_TRUE(memory->Contains("cold")) << "read promotes to memory";
 }
 
@@ -392,10 +393,26 @@ TEST(TieredCacheTest, DeleteRemovesAllTiers) {
   auto disk = std::make_shared<MemoryStore>(1 << 20);
   TieredCache cache(memory, disk);
   ASSERT_TRUE(cache.Put("k", Bytes({1}), Tier::kDisk).ok());
-  ASSERT_TRUE(cache.Get("k").ok());  // promoted: now in both tiers
+  ASSERT_TRUE(cache.GetShared("k").ok());  // promoted: now in both tiers
   ASSERT_TRUE(cache.Delete("k").ok());
   EXPECT_FALSE(cache.Contains("k"));
   EXPECT_FALSE(cache.Delete("k").ok());
+}
+
+TEST(TieredCacheTest, DeleteRefreshesUsageGauges) {
+  TieredCache cache(std::make_shared<MemoryStore>(1 << 20), std::make_shared<MemoryStore>(1 << 20));
+  obs::Gauge* memory_used = obs::Registry::Get().GetGauge("sand.cache.memory.used_bytes");
+  obs::Gauge* disk_used = obs::Registry::Get().GetGauge("sand.cache.disk.used_bytes");
+  ASSERT_TRUE(cache.Put("mem", std::vector<uint8_t>(1000, 1), Tier::kMemory).ok());
+  ASSERT_TRUE(cache.Put("disk", std::vector<uint8_t>(500, 2), Tier::kDisk).ok());
+  EXPECT_EQ(memory_used->Value(), 1000);
+  EXPECT_EQ(disk_used->Value(), 500);
+  ASSERT_TRUE(cache.Delete("mem").ok());
+  ASSERT_TRUE(cache.Delete("disk").ok());
+  EXPECT_EQ(memory_used->Value(), static_cast<int64_t>(cache.MemoryUsedBytes()));
+  EXPECT_EQ(disk_used->Value(), static_cast<int64_t>(cache.DiskUsedBytes()));
+  EXPECT_EQ(memory_used->Value(), 0);
+  EXPECT_EQ(disk_used->Value(), 0);
 }
 
 TEST(TieredCacheTest, DemoteSpillsToDisk) {
@@ -406,7 +423,7 @@ TEST(TieredCacheTest, DemoteSpillsToDisk) {
   ASSERT_TRUE(cache.Demote("k").ok());
   EXPECT_FALSE(memory->Contains("k"));
   EXPECT_TRUE(disk->Contains("k"));
-  EXPECT_EQ(*cache.Get("k"), Bytes({7}));
+  EXPECT_EQ(**cache.GetShared("k"), Bytes({7}));
 }
 
 // --- Disk-tier retry / degradation (DESIGN.md §10) -------------------------
@@ -538,7 +555,7 @@ TEST(TieredCacheTest, NotFoundDoesNotTripBreaker) {
   TieredCache cache(memory, disk, policy);
   // Misses are healthy responses, not infrastructure failures.
   for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(cache.Get("absent" + std::to_string(i)).ok());
+    EXPECT_FALSE(cache.GetShared("absent" + std::to_string(i)).ok());
   }
   EXPECT_FALSE(cache.disk_degraded());
 }
@@ -563,7 +580,7 @@ TEST(TieredCacheTest, DegradesToMemoryOnlyThenReprobes) {
   EXPECT_FALSE(faulty->backing().Contains("a"));
   // Memory-tier service continues while degraded; absent keys read as
   // misses, not disk errors.
-  EXPECT_EQ(*cache.Get("a"), Bytes({1}));
+  EXPECT_EQ(**cache.GetShared("a"), Bytes({1}));
   Result<SharedBytes> miss = cache.GetShared("absent");
   ASSERT_FALSE(miss.ok());
   EXPECT_EQ(miss.status().code(), ErrorCode::kNotFound);

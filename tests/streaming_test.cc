@@ -21,13 +21,13 @@ TEST(LiveIngestStoreTest, VisibilityFollowsClock) {
 
   EXPECT_TRUE(store.Contains("now"));
   EXPECT_FALSE(store.Contains("later"));
-  EXPECT_FALSE(store.Get("later").ok());
+  EXPECT_FALSE(store.GetShared("later").ok());
   EXPECT_EQ(store.PendingKeys(), (std::vector<std::string>{"later"}));
   EXPECT_EQ(store.ListKeys(), (std::vector<std::string>{"now"}));
 
   store.AdvanceTo(FromSeconds(10));
   EXPECT_TRUE(store.Contains("later"));
-  EXPECT_EQ(*store.Get("later"), data);
+  EXPECT_EQ(**store.GetShared("later"), data);
   EXPECT_TRUE(store.PendingKeys().empty());
 }
 
@@ -124,10 +124,10 @@ TEST(StreamingServiceTest, IngestGatedVideosBlockUntilPublished) {
   ASSERT_TRUE(meta.ok());
   auto live = std::make_shared<LiveIngestStore>(backing);
   // Republish vid001 in the future on the ingest clock.
-  auto container = backing->Get(meta->path + "/vid001.svc");
+  auto container = backing->GetShared(meta->path + "/vid001.svc");
   ASSERT_TRUE(container.ok());
-  ASSERT_TRUE(live->PutAt(meta->path + "/vid001.svc", *container, FromSeconds(5)).ok());
-  ASSERT_TRUE(live->Put(meta->path + "/vid000.svc", *backing->Get(meta->path + "/vid000.svc"))
+  ASSERT_TRUE(live->PutAt(meta->path + "/vid001.svc", **container, FromSeconds(5)).ok());
+  ASSERT_TRUE(live->Put(meta->path + "/vid000.svc", **backing->GetShared(meta->path + "/vid000.svc"))
                   .ok());
 
   ModelProfile profile;

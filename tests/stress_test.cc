@@ -170,9 +170,9 @@ TEST(StressTest, StoreConcurrentPutGet) {
         if (!store.Put(key, data).ok()) {
           errors.fetch_add(1);
         }
-        auto got = store.Get(key);
+        auto got = store.GetShared(key);
         // Value may be any writer's, but must be well-formed when present.
-        if (got.ok() && got->empty()) {
+        if (got.ok() && (*got)->empty()) {
           errors.fetch_add(1);
         }
         if (rng.NextBool(0.2)) {

@@ -9,15 +9,17 @@
 # (fault_injection_test: retry + circuit-breaker state under chaos),
 # trace-context propagation across pool/future/scheduler hand-offs
 # (trace_context_test), the socket front-end (net_test: concurrent
-# client connections, per-tenant admission, disconnect teardown), and
-# the sharded store cluster (cluster_test: peer probe, breaker
-# transitions, node-kill failover).
+# client connections, per-tenant admission, disconnect teardown), the
+# sharded store cluster (cluster_test: peer probe, breaker transitions,
+# node-kill failover), and the atomic per-instance counters of SandFs
+# (vfs_test), OnDemandCpuSource's executors (baselines_test) and
+# concurrent services (stress_test).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-tsan}
-TESTS=(storage_test object_path_test sched_test core_test obs_test prefetch_test codec_test fault_injection_test compress_tier_test trace_context_test net_test cluster_test)
+TESTS=(storage_test object_path_test sched_test core_test obs_test prefetch_test codec_test fault_injection_test compress_tier_test trace_context_test net_test cluster_test vfs_test baselines_test stress_test)
 
 cmake -B "$BUILD_DIR" -S . -DSAND_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${TESTS[@]}"
