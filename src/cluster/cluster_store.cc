@@ -1,9 +1,13 @@
 #include "src/cluster/cluster_store.h"
 
+#include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/net/sand_client.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/vfs/sand_fs.h"
@@ -39,6 +43,107 @@ void AppendJsonString(std::ostringstream& out, const std::string& value) {
 
 }  // namespace
 
+// One remote ring member as an ObjectStore: each op is one object verb over
+// a pooled pipelined SandClient, and the traffic it moves is counted for
+// /.sand/cluster. A connection that failed in transport (UNAVAILABLE: the
+// pipelined client poisons itself) is dropped, so the GuardedStore's retry
+// redials. PutIfAbsent is the ObjectStore default, a stat then a put: not
+// atomic across the wire, but cluster keys are content-addressed plan keys,
+// so two racing writers store identical bytes and the worst case is a
+// duplicate transfer, not divergent state.
+class ClusterStore::NodeStore : public ObjectStore {
+ public:
+  NodeStore(const ClusterNodeOptions& node, const ClusterStoreOptions& options)
+      : pool_size_(static_cast<size_t>(std::max(1, options.connections_per_peer))) {
+    client_options_.unix_path = node.unix_path;
+    client_options_.host = node.host;
+    client_options_.port = node.port;
+    client_options_.tenant = options.tenant;
+  }
+
+  Status Put(const std::string& key, std::span<const uint8_t> data) override {
+    Status status = Call([&](net::SandClient& client) { return client.PutObject(key, data); });
+    if (status.ok()) {
+      bytes_pushed.fetch_add(data.size(), std::memory_order_relaxed);
+    }
+    return status;
+  }
+  Result<SharedBytes> GetShared(const std::string& key) override {
+    Result<SharedBytes> fetched =
+        Call([&](net::SandClient& client) { return client.GetObjectShared(key); });
+    if (fetched.ok()) {
+      bytes_fetched.fetch_add((*fetched)->size(), std::memory_order_relaxed);
+    }
+    return fetched;
+  }
+  bool Contains(const std::string& key) override { return SizeOf(key).ok(); }
+  Result<uint64_t> SizeOf(const std::string& key) override {
+    SAND_ASSIGN_OR_RETURN(
+        net::SandClient::ObjectStat stat,
+        Call([&](net::SandClient& client) { return client.StatObject(key); }));
+    if (!stat.exists) {
+      return NotFound("no object: " + key);
+    }
+    return stat.size;
+  }
+  Status Delete(const std::string& key) override {
+    return Call([&](net::SandClient& client) { return client.DeleteObject(key); });
+  }
+  // A remote shard is another process's store.
+  uint64_t UsedBytes() override { return 0; }
+  uint64_t CapacityBytes() override { return 0; }
+  std::vector<std::string> ListKeys() override { return {}; }
+
+  // Wire request attempts (a failed dial included), the attempts that
+  // failed in transport, and payload bytes moved.
+  std::atomic<uint64_t> requests{0};
+  std::atomic<uint64_t> errors{0};
+  std::atomic<uint64_t> bytes_fetched{0};
+  std::atomic<uint64_t> bytes_pushed{0};
+
+ private:
+  // Runs `fn` on an idle pooled client (dialing one when the pool is
+  // empty) and returns the client to the pool unless it failed in
+  // transport; the pool keeps at most pool_size_ idle connections.
+  template <typename Fn>
+  auto Call(Fn&& fn) -> decltype(fn(std::declval<net::SandClient&>())) {
+    using R = decltype(fn(std::declval<net::SandClient&>()));
+    SAND_SPAN("cluster_peer_call");
+    requests.fetch_add(1, std::memory_order_relaxed);
+    std::unique_ptr<net::SandClient> client;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!idle_.empty()) {
+        client = std::move(idle_.back());
+        idle_.pop_back();
+      }
+    }
+    if (client == nullptr) {
+      auto dialed = net::SandClient::Connect(client_options_);
+      if (!dialed.ok()) {
+        errors.fetch_add(1, std::memory_order_relaxed);
+        return R(Unavailable(dialed.status().message()));
+      }
+      client = std::move(*dialed);
+    }
+    R answer = fn(*client);
+    if (TransportFailure(StatusOf(answer))) {
+      errors.fetch_add(1, std::memory_order_relaxed);
+      return answer;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (idle_.size() < pool_size_) {
+      idle_.push_back(std::move(client));
+    }
+    return answer;
+  }
+
+  net::SandClient::Options client_options_;
+  const size_t pool_size_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<net::SandClient>> idle_;
+};
+
 ClusterStore::ClusterStore(std::shared_ptr<ObjectStore> local_shard,
                            ClusterStoreOptions options)
     : local_(std::move(local_shard)), options_(std::move(options)) {
@@ -63,23 +168,19 @@ ClusterStore::ClusterStore(std::shared_ptr<ObjectStore> local_shard,
     names.push_back(node.name);
   }
   ring_.SetMembership(std::move(names));
-  peers_.reserve(options_.nodes.size());
-  for (const ClusterNodeOptions& node : options_.nodes) {
-    peers_.push_back(std::make_unique<Peer>(node, options_.fault_policy));
+  members_.reserve(options_.nodes.size());
+  for (size_t i = 0; i < options_.nodes.size(); ++i) {
+    if (static_cast<int>(i) == options_.self_index) {
+      members_.push_back({local_});
+      continue;
+    }
+    auto remote = std::make_shared<NodeStore>(options_.nodes[i], options_);
+    auto guard = std::make_shared<GuardedStore>(
+        remote, "cluster node '" + options_.nodes[i].name + "'", options_.fault_policy,
+        TransportFailure);
+    members_.push_back({guard, guard.get(), remote.get()});
   }
 }
-
-ClusterStore::Peer::Peer(ClusterNodeOptions node, const DiskFaultPolicy& policy)
-    : spec(std::move(node)),
-      breaker(policy, [name = spec.name](bool offline, int streak) {
-        if (offline) {
-          SAND_LOG(kWarning) << "cluster node '" << name << "' marked offline after "
-                             << streak << " consecutive failures; its shard degrades to "
-                                          "local recompute";
-        } else {
-          SAND_LOG(kInfo) << "cluster node '" << name << "' back online";
-        }
-      }) {}
 
 ClusterStore::~ClusterStore() {
   if (control_view_registered_) {
@@ -97,185 +198,51 @@ Result<size_t> ClusterStore::OwnerOf(const std::string& key) const {
 }
 
 bool ClusterStore::NodeOnline(size_t node) const {
-  if (node >= peers_.size()) {
-    return false;
-  }
-  if (IsSelf(node)) {
-    return true;
-  }
-  return !peers_[node]->breaker.offline();
+  return node < members_.size() &&
+         (members_[node].guard == nullptr || !members_[node].guard->offline());
 }
 
-Result<std::unique_ptr<net::SandClient>> ClusterStore::AcquireClient(Peer& peer) {
-  {
-    std::lock_guard<std::mutex> lock(peer.mutex);
-    if (!peer.idle.empty()) {
-      std::unique_ptr<net::SandClient> client = std::move(peer.idle.back());
-      peer.idle.pop_back();
-      return client;
-    }
-  }
-  net::SandClient::Options copts;
-  copts.unix_path = peer.spec.unix_path;
-  copts.host = peer.spec.host;
-  copts.port = peer.spec.port;
-  copts.tenant = options_.tenant;
-  return net::SandClient::Connect(copts);
-}
-
-void ClusterStore::ReleaseClient(Peer& peer, std::unique_ptr<net::SandClient> client) {
-  std::lock_guard<std::mutex> lock(peer.mutex);
-  if (static_cast<int>(peer.idle.size()) < std::max(1, options_.connections_per_peer)) {
-    peer.idle.push_back(std::move(client));
-  }
-  // Else: drop the connection; the pool keeps only connections_per_peer.
-}
-
-template <typename Fn>
-auto ClusterStore::PeerCall(size_t node, Fn&& fn)
-    -> decltype(fn(std::declval<net::SandClient&>())) {
-  using R = decltype(fn(std::declval<net::SandClient&>()));
-  Peer& peer = *peers_[node];
-  if (!peer.breaker.Allow()) {
-    return R(Unavailable("cluster node '" + peer.spec.name + "' is offline"));
-  }
-  SAND_SPAN("cluster_peer_call");
-  peer.requests.fetch_add(1, std::memory_order_relaxed);
-  R result = peer.breaker.Run(
-      [&]() -> R {
-        auto client = AcquireClient(peer);
-        if (!client.ok()) {
-          return R(Unavailable(client.status().message()));
-        }
-        R answer = fn(**client);
-        if (!TransportFailure(StatusOf(answer))) {
-          // The connection is reusable. UNAVAILABLE poisons the pipelined
-          // client; it is dropped and the retry redials.
-          ReleaseClient(peer, std::move(*client));
-        }
-        return answer;
-      },
-      TransportFailure);
-  if (TransportFailure(StatusOf(result))) {
-    peer.errors.fetch_add(1, std::memory_order_relaxed);
-    return R(Unavailable("cluster node '" + peer.spec.name +
-                         "' unreachable: " + StatusOf(result).message()));
-  }
-  return result;
+Result<ObjectStore*> ClusterStore::Route(const std::string& key) const {
+  SAND_ASSIGN_OR_RETURN(size_t owner, OwnerOf(key));
+  return members_[owner].store.get();
 }
 
 Status ClusterStore::Put(const std::string& key, std::span<const uint8_t> data) {
-  SAND_ASSIGN_OR_RETURN(size_t owner, OwnerOf(key));
-  if (IsSelf(owner)) {
-    return local_->Put(key, data);
-  }
-  Status status = PeerCall(owner, [&](net::SandClient& client) {
-    return client.PutObject(key, data);
-  });
-  if (status.ok()) {
-    peers_[owner]->bytes_pushed.fetch_add(data.size(), std::memory_order_relaxed);
-  }
-  return status;
+  SAND_ASSIGN_OR_RETURN(ObjectStore* owner, Route(key));
+  return owner->Put(key, data);
 }
 
 Status ClusterStore::PutShared(const std::string& key, SharedBytes data) {
-  if (data == nullptr) {
-    return InvalidArgument("PutShared: null buffer");
-  }
-  SAND_ASSIGN_OR_RETURN(size_t owner, OwnerOf(key));
-  if (IsSelf(owner)) {
-    // The self shard adopts the reference: a locally owned key costs no
-    // copy and no wire hop.
-    return local_->PutShared(key, std::move(data));
-  }
-  Status status = PeerCall(owner, [&](net::SandClient& client) {
-    return client.PutObject(key, std::span<const uint8_t>(*data));
-  });
-  if (status.ok()) {
-    peers_[owner]->bytes_pushed.fetch_add(data->size(), std::memory_order_relaxed);
-  }
-  return status;
+  SAND_ASSIGN_OR_RETURN(ObjectStore* owner, Route(key));
+  // The self shard adopts the reference: a locally owned key costs no copy
+  // and no wire hop.
+  return owner->PutShared(key, std::move(data));
 }
 
 Result<bool> ClusterStore::PutIfAbsent(const std::string& key,
                                        std::span<const uint8_t> data) {
-  SAND_ASSIGN_OR_RETURN(size_t owner, OwnerOf(key));
-  if (IsSelf(owner)) {
-    return local_->PutIfAbsent(key, data);
-  }
-  // Stat-then-put is not atomic across the wire, but cluster keys are
-  // content-addressed plan keys: two racing writers store identical bytes,
-  // so the worst case is a duplicate transfer, not divergent state.
-  Result<net::SandClient::ObjectStat> stat = PeerCall(
-      owner, [&](net::SandClient& client) { return client.StatObject(key); });
-  if (!stat.ok()) {
-    return stat.status();
-  }
-  if (stat->exists) {
-    return false;
-  }
-  Status put = PeerCall(owner, [&](net::SandClient& client) {
-    return client.PutObject(key, data);
-  });
-  if (!put.ok()) {
-    return put;
-  }
-  peers_[owner]->bytes_pushed.fetch_add(data.size(), std::memory_order_relaxed);
-  return true;
+  SAND_ASSIGN_OR_RETURN(ObjectStore* owner, Route(key));
+  return owner->PutIfAbsent(key, data);
 }
 
 Result<SharedBytes> ClusterStore::GetShared(const std::string& key) {
-  SAND_ASSIGN_OR_RETURN(size_t owner, OwnerOf(key));
-  if (IsSelf(owner)) {
-    return local_->GetShared(key);
-  }
-  Result<SharedBytes> fetched = PeerCall(owner, [&](net::SandClient& client) {
-    return client.GetObjectShared(key);
-  });
-  if (fetched.ok()) {
-    peers_[owner]->bytes_fetched.fetch_add((*fetched)->size(),
-                                           std::memory_order_relaxed);
-  }
-  return fetched;
+  SAND_ASSIGN_OR_RETURN(ObjectStore* owner, Route(key));
+  return owner->GetShared(key);
 }
 
 bool ClusterStore::Contains(const std::string& key) {
-  auto owner = OwnerOf(key);
-  if (!owner.ok()) {
-    return false;
-  }
-  if (IsSelf(*owner)) {
-    return local_->Contains(key);
-  }
-  Result<net::SandClient::ObjectStat> stat = PeerCall(
-      *owner, [&](net::SandClient& client) { return client.StatObject(key); });
-  return stat.ok() && stat->exists;
+  Result<ObjectStore*> owner = Route(key);
+  return owner.ok() && (*owner)->Contains(key);
 }
 
 Result<uint64_t> ClusterStore::SizeOf(const std::string& key) {
-  SAND_ASSIGN_OR_RETURN(size_t owner, OwnerOf(key));
-  if (IsSelf(owner)) {
-    return local_->SizeOf(key);
-  }
-  Result<net::SandClient::ObjectStat> stat = PeerCall(
-      owner, [&](net::SandClient& client) { return client.StatObject(key); });
-  if (!stat.ok()) {
-    return stat.status();
-  }
-  if (!stat->exists) {
-    return NotFound("no object: " + key);
-  }
-  return stat->size;
+  SAND_ASSIGN_OR_RETURN(ObjectStore* owner, Route(key));
+  return owner->SizeOf(key);
 }
 
 Status ClusterStore::Delete(const std::string& key) {
-  SAND_ASSIGN_OR_RETURN(size_t owner, OwnerOf(key));
-  if (IsSelf(owner)) {
-    return local_->Delete(key);
-  }
-  return PeerCall(owner, [&](net::SandClient& client) {
-    return client.DeleteObject(key);
-  });
+  SAND_ASSIGN_OR_RETURN(ObjectStore* owner, Route(key));
+  return owner->Delete(key);
 }
 
 uint64_t ClusterStore::UsedBytes() {
@@ -305,20 +272,26 @@ std::string ClusterStore::HealthJson() const {
   out << "  \"ring_rebuilds\": "
       << registry.GetCounter("sand.cluster.ring_rebuilds")->Value() << ",\n";
   out << "  \"nodes\": [\n";
-  for (size_t i = 0; i < peers_.size(); ++i) {
-    const Peer& peer = *peers_[i];
+  for (size_t i = 0; i < members_.size(); ++i) {
+    const Member& member = members_[i];
+    // The self node moves no wire traffic and has no breaker.
+    auto count = [&](std::atomic<uint64_t> NodeStore::*field) -> uint64_t {
+      return member.remote != nullptr ? (member.remote->*field).load(std::memory_order_relaxed)
+                                      : 0;
+    };
     out << "    {\"name\": ";
-    AppendJsonString(out, peer.spec.name);
+    AppendJsonString(out, options_.nodes[i].name);
     out << ", \"endpoint\": ";
-    AppendJsonString(out, EndpointOf(peer.spec));
-    out << ", \"self\": " << (IsSelf(i) ? "true" : "false");
+    AppendJsonString(out, EndpointOf(options_.nodes[i]));
+    out << ", \"self\": " << (member.remote == nullptr ? "true" : "false");
     out << ", \"online\": " << (NodeOnline(i) ? "true" : "false");
-    out << ", \"failure_streak\": " << peer.breaker.failure_streak();
-    out << ", \"requests\": " << peer.requests.load(std::memory_order_relaxed);
-    out << ", \"errors\": " << peer.errors.load(std::memory_order_relaxed);
-    out << ", \"bytes_fetched\": " << peer.bytes_fetched.load(std::memory_order_relaxed);
-    out << ", \"bytes_pushed\": " << peer.bytes_pushed.load(std::memory_order_relaxed);
-    out << "}" << (i + 1 < peers_.size() ? "," : "") << "\n";
+    out << ", \"failure_streak\": "
+        << (member.guard != nullptr ? member.guard->failure_streak() : 0);
+    out << ", \"requests\": " << count(&NodeStore::requests);
+    out << ", \"errors\": " << count(&NodeStore::errors);
+    out << ", \"bytes_fetched\": " << count(&NodeStore::bytes_fetched);
+    out << ", \"bytes_pushed\": " << count(&NodeStore::bytes_pushed);
+    out << "}" << (i + 1 < members_.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
   out << "}\n";

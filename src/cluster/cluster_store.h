@@ -2,20 +2,22 @@
 // (DESIGN.md §14).
 //
 // Each node in the ring is a SandServer with an object-store backend,
-// reachable over the wire-v2 pipelined protocol. A ClusterStore routes
-// every Put/GetShared/Contains/SizeOf/Delete to the key's ring owner
-// (HashRing): the self shard short-circuits in-process against the local
-// store, remote shards go over pooled pipelined SandClient connections.
+// reachable over the wire-v2 pipelined protocol. A ClusterStore is a ring
+// router over one ObjectStore per node: it sends every op to the store of
+// the key's ring owner (HashRing). The self node's store is the local
+// shard, used in-process; every other node's is a GuardedStore over a
+// private NodeStore, which speaks the object verbs over that node's pooled
+// pipelined SandClient connections.
 //
-// Failure semantics: each peer sits behind the same CircuitBreaker class
-// as the TieredCache disk tier, configured by the same DiskFaultPolicy. A
-// transport failure (UNAVAILABLE) is retried on a fresh dial with
-// exponential backoff, a streak of failures marks the node offline and ops
-// on its shard short-circuit to UNAVAILABLE until a reprobe interval
-// expires — so a dead peer costs one failed probe per interval, not a dial
-// timeout per read. Callers above (TieredCache's peer probe) treat any
-// failure as a miss, degrading to local recompute; a vanished node can
-// slow a job down, never fail it.
+// Failure semantics: each remote node sits behind its own GuardedStore, the
+// decorator that guards the TieredCache disk tier, configured by the same
+// DiskFaultPolicy. A transport failure (UNAVAILABLE) is retried on a fresh
+// dial with exponential backoff, a streak of failures marks the node
+// offline and ops on its shard short-circuit to UNAVAILABLE until a reprobe
+// interval expires — so a dead peer costs one failed probe per interval,
+// not a dial timeout per read. Callers above (TieredCache's peer probe)
+// treat any failure as a miss, degrading to local recompute; a vanished
+// node can slow a job down, never fail it.
 //
 // Health: per-node breaker state and traffic land in "/.sand/cluster"
 // (RegisterControlView publishes the JSON renderer through SandFs's
@@ -24,17 +26,13 @@
 #ifndef SAND_CLUSTER_CLUSTER_STORE_H_
 #define SAND_CLUSTER_CLUSTER_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/cluster/hash_ring.h"
-#include "src/common/clock.h"
 #include "src/common/result.h"
-#include "src/net/sand_client.h"
 #include "src/storage/object_store.h"
 
 namespace sand {
@@ -62,7 +60,7 @@ struct ClusterStoreOptions {
   // Pooled pipelined connections kept per peer (extras are dialed under
   // load and dropped on release).
   int connections_per_peer = 2;
-  // Node-down retry/degrade knobs for each peer's CircuitBreaker.
+  // Node-down retry/degrade knobs for each peer's GuardedStore.
   DiskFaultPolicy fault_policy;
 };
 
@@ -89,13 +87,11 @@ class ClusterStore : public ObjectStore {
   uint64_t CapacityBytes() override;
   std::vector<std::string> ListKeys() override;
 
-  // Ring owner of `key` (index into options().nodes); FAILED_PRECONDITION
-  // on an empty ring.
+  // Ring owner of `key` (index into the options' nodes);
+  // FAILED_PRECONDITION on an empty ring.
   Result<size_t> OwnerOf(const std::string& key) const;
   // Breaker state of a node (self is always online).
   bool NodeOnline(size_t node) const;
-  const ClusterStoreOptions& options() const { return options_; }
-  const HashRing& ring() const { return ring_; }
 
   // Per-node health + traffic as JSON (the "/.sand/cluster" body).
   std::string HealthJson() const;
@@ -105,38 +101,23 @@ class ClusterStore : public ObjectStore {
   void RegisterControlView();
 
  private:
-  struct Peer {
-    Peer(ClusterNodeOptions node, const DiskFaultPolicy& policy);
+  class NodeStore;  // one remote node over the wire (cluster_store.cc)
 
-    ClusterNodeOptions spec;
-    // Connection pool (idle clients; acquisition dials when empty).
-    mutable std::mutex mutex;
-    std::vector<std::unique_ptr<net::SandClient>> idle;
-    CircuitBreaker breaker;
-    // Traffic/health counters for /.sand/cluster.
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> errors{0};
-    std::atomic<uint64_t> bytes_fetched{0};
-    std::atomic<uint64_t> bytes_pushed{0};
+  // One ring member: the store its keys route to, which is the local shard
+  // for the self node and `guard` (over `remote`) for every other node.
+  struct Member {
+    std::shared_ptr<ObjectStore> store;
+    GuardedStore* guard = nullptr;
+    NodeStore* remote = nullptr;
   };
 
-  bool IsSelf(size_t node) const {
-    return options_.self_index >= 0 && node == static_cast<size_t>(options_.self_index);
-  }
-  Result<std::unique_ptr<net::SandClient>> AcquireClient(Peer& peer);
-  void ReleaseClient(Peer& peer, std::unique_ptr<net::SandClient> client);
-
-  // Runs `fn(client)` against the peer with the retry policy. A transport
-  // failure (UNAVAILABLE — the client poisons itself) drops the connection
-  // and retries on a fresh dial; terminal failure reports UNAVAILABLE and
-  // feeds the breaker.
-  template <typename Fn>
-  auto PeerCall(size_t node, Fn&& fn) -> decltype(fn(std::declval<net::SandClient&>()));
+  // The store of `key`'s ring owner.
+  Result<ObjectStore*> Route(const std::string& key) const;
 
   std::shared_ptr<ObjectStore> local_;
   ClusterStoreOptions options_;
   HashRing ring_;
-  std::vector<std::unique_ptr<Peer>> peers_;  // parallel to options_.nodes
+  std::vector<Member> members_;  // parallel to options_.nodes
   bool control_view_registered_ = false;
 };
 

@@ -1,6 +1,7 @@
 // CircuitBreaker: retry-with-backoff plus an offline breaker for one
-// failure domain — the TieredCache disk tier, or one ClusterStore peer
-// (DESIGN.md §10, §14).
+// failure domain (DESIGN.md §10, §14). Its one user is GuardedStore
+// (object_store.h), which runs every op of a store through it; the
+// TieredCache disk tier and each remote ClusterStore node are GuardedStores.
 //
 // A domain is online until `offline_threshold` ops in a row fail. It is
 // then marked offline and Allow() refuses, so callers fail fast instead of
@@ -9,11 +10,10 @@
 // and is let through to test the domain: a success closes the breaker and
 // resets the streak, a failure pushes the next probe a full interval out.
 //
-// Run() is the retry loop. Each caller says what is transient (the disk
+// Run() is the retry loop. Each domain says what is transient (the disk
 // retries UNAVAILABLE and DATA_LOSS, a peer retries UNAVAILABLE on a fresh
-// dial); the final outcome of every run feeds the breaker. Callers keep
-// their own metrics and log lines: the state callback fires when the domain
-// goes offline or comes back.
+// dial); the final outcome of every run feeds the breaker. The state
+// callback fires when the domain goes offline or comes back.
 
 #ifndef SAND_STORAGE_CIRCUIT_BREAKER_H_
 #define SAND_STORAGE_CIRCUIT_BREAKER_H_

@@ -681,6 +681,69 @@ void RemoteStore::ResetTraffic() {
   traffic_ = RemoteTraffic{};
 }
 
+// --- GuardedStore ------------------------------------------------------------
+
+GuardedStore::GuardedStore(std::shared_ptr<ObjectStore> backing, std::string name,
+                           DiskFaultPolicy policy, bool (*transient)(const Status&),
+                           obs::Counter* retries, std::function<void(bool offline)> on_state_change)
+    : backing_(std::move(backing)),
+      name_(std::move(name)),
+      transient_(transient),
+      retries_(retries),
+      breaker_(policy, [this, on_state_change = std::move(on_state_change)](bool offline,
+                                                                            int streak) {
+        if (offline) {
+          SAND_LOG(kWarning) << name_ << " marked offline after " << streak
+                             << " consecutive failures; ops fail fast until a probe succeeds";
+        } else {
+          SAND_LOG(kInfo) << name_ << " back online";
+        }
+        if (on_state_change) {
+          on_state_change(offline);
+        }
+      }) {}
+
+template <typename Fn>
+auto GuardedStore::Guard(const std::string& what, Fn&& op) -> decltype(op()) {
+  using R = decltype(op());
+  if (!breaker_.Allow()) {
+    return R(Unavailable(name_ + " offline: " + what));
+  }
+  R result = breaker_.Run(std::forward<Fn>(op), transient_, retries_);
+  if (transient_(StatusOf(result))) {
+    return R(Unavailable(name_ + " unreachable: " + StatusOf(result).message()));
+  }
+  return result;
+}
+
+Status GuardedStore::Put(const std::string& key, std::span<const uint8_t> data) {
+  return Guard(key, [&] { return backing_->Put(key, data); });
+}
+
+Status GuardedStore::PutShared(const std::string& key, SharedBytes data) {
+  return Guard(key, [&] { return backing_->PutShared(key, data); });
+}
+
+Result<bool> GuardedStore::PutIfAbsent(const std::string& key, std::span<const uint8_t> data) {
+  return Guard(key, [&] { return backing_->PutIfAbsent(key, data); });
+}
+
+Result<SharedBytes> GuardedStore::GetShared(const std::string& key) {
+  return Guard(key, [&] { return backing_->GetShared(key); });
+}
+
+bool GuardedStore::Contains(const std::string& key) {
+  return !breaker_.offline() && backing_->Contains(key);
+}
+
+Result<uint64_t> GuardedStore::SizeOf(const std::string& key) {
+  return Guard(key, [&] { return backing_->SizeOf(key); });
+}
+
+Status GuardedStore::Delete(const std::string& key) {
+  return Guard(key, [&] { return backing_->Delete(key); });
+}
+
 // --- TieredCache -------------------------------------------------------------
 
 namespace {
@@ -696,7 +759,10 @@ bool TransientDiskError(const Status& status) {
 TieredCache::TieredCache(std::shared_ptr<ObjectStore> memory, std::shared_ptr<ObjectStore> disk,
                          DiskFaultPolicy fault_policy)
     : memory_(std::move(memory)),
-      disk_(std::move(disk)),
+      disk_(std::move(disk), "disk tier", fault_policy, TransientDiskError,
+            obs::Registry::Get().GetCounter("sand.store.disk.retries"),
+            [degraded = obs::Registry::Get().GetGauge("sand.store.disk.degraded")](
+                bool offline) { degraded->Set(offline ? 1 : 0); }),
       memory_hits_(obs::Registry::Get().GetCounter("sand.cache.memory.hits")),
       disk_hits_(obs::Registry::Get().GetCounter("sand.cache.disk.hits")),
       misses_(obs::Registry::Get().GetCounter("sand.cache.misses")),
@@ -708,28 +774,17 @@ TieredCache::TieredCache(std::shared_ptr<ObjectStore> memory, std::shared_ptr<Ob
       bytes_read_disk_(obs::Registry::Get().GetCounter("sand.cache.disk.bytes_read")),
       bytes_written_memory_(obs::Registry::Get().GetCounter("sand.cache.memory.bytes_written")),
       bytes_written_disk_(obs::Registry::Get().GetCounter("sand.cache.disk.bytes_written")),
-      disk_retries_(obs::Registry::Get().GetCounter("sand.store.disk.retries")),
       demote_failures_(obs::Registry::Get().GetCounter("sand.cache.demote_failures")),
       peer_hits_(obs::Registry::Get().GetCounter("sand.cluster.peer_hits")),
       peer_misses_(obs::Registry::Get().GetCounter("sand.cluster.peer_misses")),
       peer_bytes_(obs::Registry::Get().GetCounter("sand.cluster.peer_bytes")),
       memory_used_(obs::Registry::Get().GetGauge("sand.cache.memory.used_bytes")),
       disk_used_(obs::Registry::Get().GetGauge("sand.cache.disk.used_bytes")),
-      pinned_keys_(obs::Registry::Get().GetGauge("sand.cache.pinned_keys")),
-      disk_degraded_gauge_(obs::Registry::Get().GetGauge("sand.store.disk.degraded")),
-      disk_breaker_(fault_policy, [this](bool offline, int streak) {
-        disk_degraded_gauge_->Set(offline ? 1 : 0);
-        if (offline) {
-          SAND_LOG(kWarning) << "disk tier marked offline after " << streak
-                             << " consecutive failures; degrading to memory-only";
-        } else {
-          SAND_LOG(kInfo) << "disk tier back online";
-        }
-      }) {}
+      pinned_keys_(obs::Registry::Get().GetGauge("sand.cache.pinned_keys")) {}
 
 void TieredCache::UpdateUsageGauges() {
   memory_used_->Set(static_cast<int64_t>(memory_->UsedBytes()));
-  disk_used_->Set(static_cast<int64_t>(disk_->UsedBytes()));
+  disk_used_->Set(static_cast<int64_t>(disk_.UsedBytes()));
 }
 
 void TieredCache::SetPeerStore(std::shared_ptr<ObjectStore> peer) {
@@ -737,47 +792,9 @@ void TieredCache::SetPeerStore(std::shared_ptr<ObjectStore> peer) {
   peer_ = std::move(peer);
 }
 
-bool TieredCache::has_peer() const {
-  std::lock_guard<std::mutex> lock(peer_mutex_);
-  return peer_ != nullptr;
-}
-
 std::shared_ptr<ObjectStore> TieredCache::PeerStore() const {
   std::lock_guard<std::mutex> lock(peer_mutex_);
   return peer_;
-}
-
-Result<SharedBytes> TieredCache::PeerOrMiss(const std::string& key,
-                                            Result<SharedBytes> miss) {
-  std::shared_ptr<ObjectStore> peer = PeerStore();
-  if (peer == nullptr) {
-    misses_->Add(1);
-    return miss;
-  }
-  SAND_SPAN("peer_probe");
-  Result<SharedBytes> fetched = peer->GetShared(key);
-  if (fetched.ok()) {
-    // The peer normally holds raw bytes, but a node running compressed
-    // disk puts may have published an encoded container; undecodable
-    // bytes read as a miss, never as corrupt data.
-    Result<SharedBytes> decoded = MaybeDecode(*fetched);
-    if (decoded.ok()) {
-      peer_hits_->Add(1);
-      peer_bytes_->Add((*decoded)->size());
-      // Promote so the next read is a local memory hit (best-effort).
-      if (memory_->PutShared(key, *decoded).ok()) {
-        promotions_->Add(1);
-        UpdateUsageGauges();
-      }
-      return decoded;
-    }
-  }
-  // Peer miss, dead node (UNAVAILABLE via the ClusterStore's breaker), or
-  // undecodable bytes: all read as a plain cache miss so the caller
-  // recomputes locally instead of surfacing a cluster error to the job.
-  peer_misses_->Add(1);
-  misses_->Add(1);
-  return miss;
 }
 
 void TieredCache::PublishToPeer(const std::string& key, const Payload& payload) {
@@ -838,18 +855,13 @@ std::shared_ptr<ObjectCodec> TieredCache::Codec() const {
   return codec_;
 }
 
-TieredCache::Payload TieredCache::EncodeForDisk(const std::string& key, const Payload& raw,
-                                                Tier tier) {
-  if (tier != Tier::kDisk) {
-    return raw;
-  }
+TieredCache::Payload TieredCache::Encode(const std::string& key, const Payload& raw) {
   auto codec = Codec();
-  if (!codec || !codec->policy().compress_on_disk_put) {
+  if (!codec) {
     return raw;
   }
   auto encoded = codec->Encode(key, raw.bytes);
   if (!encoded.ok() || !encoded->has_value()) {
-    // Encode trouble never fails a put; the object is stored raw.
     return raw;
   }
   SharedBytes bytes = MakeSharedBytes(std::move((**encoded).bytes));
@@ -870,11 +882,6 @@ Result<SharedBytes> TieredCache::MaybeDecode(SharedBytes data) {
   return MakeSharedBytes(std::move(decoded));
 }
 
-template <typename Fn>
-auto TieredCache::DiskOp(Fn&& fn) -> decltype(fn()) {
-  return disk_breaker_.Run(std::forward<Fn>(fn), TransientDiskError, disk_retries_);
-}
-
 Status TieredCache::Put(const std::string& key, std::span<const uint8_t> data, Tier tier) {
   return Place(key, Payload{data, nullptr}, tier, PutMode::kReplace).status();
 }
@@ -893,19 +900,24 @@ Result<bool> TieredCache::PutIfAbsent(const std::string& key, std::span<const ui
 }
 
 Result<bool> TieredCache::Write(ObjectStore& store, const std::string& key,
-                                const Payload& payload, PutMode mode) {
+                                const Payload& payload, PutMode mode, obs::Counter* puts,
+                                obs::Counter* bytes_written) {
+  Result<bool> stored = true;
   if (mode == PutMode::kIfAbsent) {
-    return store.PutIfAbsent(key, payload.bytes);
+    stored = store.PutIfAbsent(key, payload.bytes);
+  } else {
+    Status status = payload.shared != nullptr ? store.PutShared(key, payload.shared)
+                                              : store.Put(key, payload.bytes);
+    if (!status.ok()) {
+      stored = status;
+    }
   }
-  SAND_RETURN_IF_ERROR(payload.shared != nullptr ? store.PutShared(key, payload.shared)
-                                                 : store.Put(key, payload.bytes));
-  return true;
-}
-
-void TieredCache::CountPut(obs::Counter* puts, obs::Counter* bytes_written, size_t bytes) {
-  puts->Add(1);
-  bytes_written->Add(bytes);
-  UpdateUsageGauges();
+  if (stored.ok() && *stored) {
+    puts->Add(1);
+    bytes_written->Add(payload.bytes.size());
+    UpdateUsageGauges();
+  }
+  return stored;
 }
 
 Result<bool> TieredCache::Place(const std::string& key, const Payload& raw, Tier tier,
@@ -913,38 +925,25 @@ Result<bool> TieredCache::Place(const std::string& key, const Payload& raw, Tier
   SAND_SPAN("store_put");
   auto place_locally = [&]() -> Result<bool> {
     if (tier == Tier::kMemory) {
-      Result<bool> in_memory = Write(*memory_, key, raw, mode);
+      Result<bool> in_memory = Write(*memory_, key, raw, mode, memory_puts_, bytes_written_memory_);
       if (in_memory.ok()) {
-        if (*in_memory) {
-          CountPut(memory_puts_, bytes_written_memory_, raw.bytes.size());
-        }
         return in_memory;
       }
       // Memory full: fall through to disk rather than failing the pipeline.
     }
-    const Payload disk_form = EncodeForDisk(key, raw, tier);
-    Result<bool> on_disk = disk_breaker_.Allow()
-                               ? DiskOp([&] { return Write(*disk_, key, disk_form, mode); })
-                               : Result<bool>(Unavailable("disk tier offline: " + key));
-    if (on_disk.ok()) {
-      if (*on_disk) {
-        CountPut(disk_puts_, bytes_written_disk_, disk_form.bytes.size());
-      }
+    const Payload disk_form =
+        tier == Tier::kDisk && compresses_disk_puts() ? Encode(key, raw) : raw;
+    Result<bool> on_disk = Write(disk_, key, disk_form, mode, disk_puts_, bytes_written_disk_);
+    if (on_disk.ok() || tier != Tier::kDisk ||
+        on_disk.status().code() != ErrorCode::kUnavailable) {
       return on_disk;
     }
-    if (tier == Tier::kDisk && TransientDiskError(on_disk.status())) {
-      // Degraded mode: keep the pipeline alive in memory. The object simply
-      // is not durable until the tier recovers. The encoded form is parked
-      // to keep the footprint small; reads decode it transparently.
-      Result<bool> parked = Write(*memory_, key, disk_form, mode);
-      if (parked.ok()) {
-        if (*parked) {
-          CountPut(memory_puts_, bytes_written_memory_, disk_form.bytes.size());
-        }
-        return parked;
-      }
-    }
-    return on_disk;
+    // Degraded mode: keep the pipeline alive in memory. The object simply
+    // is not durable until the tier recovers. The encoded form is parked to
+    // keep the footprint small; reads decode it transparently.
+    Result<bool> parked =
+        Write(*memory_, key, disk_form, mode, memory_puts_, bytes_written_memory_);
+    return parked.ok() ? parked : on_disk;
   };
   Result<bool> stored = place_locally();
   if (stored.ok() && *stored) {
@@ -955,72 +954,63 @@ Result<bool> TieredCache::Place(const std::string& key, const Payload& raw, Tier
 
 Status TieredCache::PutDisk(const std::string& key, std::span<const uint8_t> data) {
   SAND_SPAN("store_put");
-  if (!disk_breaker_.Allow()) {
-    return Unavailable("disk tier offline: " + key);
-  }
-  Status status = DiskOp([&] { return disk_->Put(key, data); });
-  if (status.ok()) {
-    CountPut(disk_puts_, bytes_written_disk_, data.size());
-  }
-  return status;
+  return Write(disk_, key, Payload{data, nullptr}, PutMode::kReplace, disk_puts_,
+               bytes_written_disk_)
+      .status();
 }
 
-Result<SharedBytes> TieredCache::GetShared(const std::string& key) {
-  SAND_SPAN("store_get");
-  Result<SharedBytes> hot = memory_->GetShared(key);
-  if (hot.ok()) {
-    memory_hits_->Add(1);
-    bytes_read_memory_->Add((*hot)->size());
-    // The hot tier normally holds raw bytes, but disk-offline degradation
-    // can park an encoded object in memory; decode it on the way out.
-    Result<SharedBytes> decoded = MaybeDecode(*hot);
-    if (!decoded.ok()) {
-      // Undecodable container (corrupt, or its shared-basis base is gone):
-      // drop it and report a miss so the caller rematerializes.
-      (void)Delete(key);
-      return PeerOrMiss(key, NotFound("compressed object unreadable: " + key));
-    }
-    if (*decoded != *hot && memory_->PutShared(key, *decoded).ok()) {
-      // Keep the hot tier raw so the next hit skips the decode.
-      UpdateUsageGauges();
-    }
+Result<SharedBytes> TieredCache::Probe(ObjectStore& store, const std::string& key,
+                                       obs::Counter* hits, obs::Counter* bytes_read) {
+  SAND_ASSIGN_OR_RETURN(SharedBytes stored, store.GetShared(key));
+  // Any level may hold an encoded object: the disk by policy, memory when
+  // an offline disk parked one there, a peer whose owner published one.
+  Result<SharedBytes> decoded = MaybeDecode(stored);
+  if (!decoded.ok()) {
+    // Undecodable container (corrupt, or its shared-basis base is gone):
+    // drop it so the caller rematerializes.
+    (void)Delete(key);
     return decoded;
   }
-  if (!disk_breaker_.Allow()) {
-    // Degraded: a cold object reads as a miss after the peer probe (the
-    // caller rematerializes), never as an error surfaced to the training
-    // loop.
-    return PeerOrMiss(key, NotFound("disk tier offline: " + key));
-  }
-  Result<SharedBytes> cold = DiskOp([&] { return disk_->GetShared(key); });
-  if (!cold.ok()) {
-    // Third probe level: memory missed, disk missed — maybe another node
-    // in the ring already materialized this object.
-    return PeerOrMiss(key, std::move(cold));
-  }
-  disk_hits_->Add(1);
-  bytes_read_disk_->Add((*cold)->size());
-  Result<SharedBytes> decoded = MaybeDecode(*cold);
-  if (!decoded.ok()) {
-    (void)Delete(key);
-    return PeerOrMiss(key, NotFound("compressed object unreadable: " + key));
-  }
-  // Best-effort promotion of the decoded bytes (the just-read buffer when
-  // the object was stored raw); ignore failure (memory may be full).
-  if (memory_->PutShared(key, *decoded).ok()) {
-    promotions_->Add(1);
+  hits->Add(1);
+  bytes_read->Add(stored->size());
+  const bool from_below = &store != memory_.get();
+  // Best-effort: memory may be full.
+  if ((from_below || *decoded != stored) && memory_->PutShared(key, *decoded).ok()) {
+    if (from_below) {
+      promotions_->Add(1);
+    }
     UpdateUsageGauges();
   }
   return decoded;
 }
 
-bool TieredCache::Contains(const std::string& key) {
-  if (memory_->Contains(key)) {
-    return true;
+Result<SharedBytes> TieredCache::GetShared(const std::string& key) {
+  SAND_SPAN("store_get");
+  // A level that misses, faults, is offline or holds undecodable bytes
+  // reads on to the next; the caller rematerializes after the last, so a
+  // training loop never sees an infrastructure error here.
+  Result<SharedBytes> hit = Probe(*memory_, key, memory_hits_, bytes_read_memory_);
+  if (!hit.ok()) {
+    hit = Probe(disk_, key, disk_hits_, bytes_read_disk_);
   }
-  // No probe claim here: Contains has no error channel to report through,
-  // so an offline tier just reads as "not cached".
-  return !disk_breaker_.offline() && disk_->Contains(key);
+  if (hit.ok()) {
+    return hit;
+  }
+  // Third level: maybe another node in the ring already materialized it.
+  if (std::shared_ptr<ObjectStore> peer = PeerStore()) {
+    SAND_SPAN("peer_probe");
+    hit = Probe(*peer, key, peer_hits_, peer_bytes_);
+    if (hit.ok()) {
+      return hit;
+    }
+    peer_misses_->Add(1);
+  }
+  misses_->Add(1);
+  return NotFound("no object: " + key);
+}
+
+bool TieredCache::Contains(const std::string& key) {
+  return memory_->Contains(key) || disk_.Contains(key);
 }
 
 void TieredCache::Pin(const std::string& key) {
@@ -1050,19 +1040,12 @@ Status TieredCache::Delete(const std::string& key) {
   if (IsPinned(key)) {
     return FailedPrecondition("pinned: " + key);
   }
-  bool any = false;
-  if (memory_->Delete(key).ok()) {
-    any = true;
-  }
-  if (disk_breaker_.Allow()) {
-    if (DiskOp([&] { return disk_->Delete(key); }).ok()) {
-      any = true;
-    }
-  }
-  // When the disk tier is offline its file (if any) stays behind; the
+  const bool in_memory = memory_->Delete(key).ok();
+  // An offline disk tier refuses, and its file (if any) stays behind; the
   // recovery Rescan picks it back up, which is safe — objects are
   // content-addressed by plan key.
-  if (!any) {
+  const bool on_disk = disk_.Delete(key).ok();
+  if (!in_memory && !on_disk) {
     return NotFound("no object: " + key);
   }
   UpdateUsageGauges();
@@ -1073,7 +1056,9 @@ Status TieredCache::Demote(const std::string& key) {
   if (IsPinned(key)) {
     return FailedPrecondition("pinned: " + key);
   }
-  if (!disk_breaker_.Allow()) {
+  // Reads the breaker without claiming its probe slot: an offline tier
+  // refuses the spill here, and a due probe is left to the next disk op.
+  if (disk_.offline()) {
     return Unavailable("disk tier offline: cannot demote " + key);
   }
   if (Codec() != nullptr) {
@@ -1102,21 +1087,9 @@ Status TieredCache::DemoteCompressed(const std::string& key) {
   if (IsPinned(key)) {
     return FailedPrecondition("pinned: " + key);
   }
-  if (!disk_breaker_.Allow()) {
-    return Unavailable("disk tier offline: cannot demote " + key);
-  }
   SAND_ASSIGN_OR_RETURN(SharedBytes data, memory_->GetShared(key));
-  std::span<const uint8_t> to_write(*data);
-  std::vector<uint8_t> encoded;
-  if (auto codec = Codec()) {
-    auto enc = codec->Encode(key, to_write);
-    if (enc.ok() && enc->has_value()) {
-      encoded = std::move((**enc).bytes);
-      to_write = encoded;
-    }
-    // Encode trouble never loses the object; it spills raw.
-  }
-  SAND_RETURN_IF_ERROR(DiskOp([&] { return disk_->Put(key, to_write); }));
+  const Payload spill = Encode(key, Payload{std::span<const uint8_t>(*data), data});
+  SAND_RETURN_IF_ERROR(disk_.Put(key, spill.bytes));
   {
     // Atomic against Pin: once a key is pinned, the hot copy stays resident
     // (the disk copy is then a harmless spare that reads identically).
@@ -1127,7 +1100,7 @@ Status TieredCache::DemoteCompressed(const std::string& key) {
     (void)memory_->Delete(key);
   }
   demotions_->Add(1);
-  bytes_written_disk_->Add(to_write.size());
+  bytes_written_disk_->Add(spill.bytes.size());
   UpdateUsageGauges();
   return Status::Ok();
 }

@@ -7,15 +7,17 @@
 //   DiskStore    - local NVMe (real files under a root dir, capacity-capped)
 //   RemoteStore  - Filestore/S3-like remote volume (bandwidth-throttled
 //                  wrapper with traffic accounting)
-//   TieredCache  - memory over disk, the physical home of materialized views
+//   GuardedStore - any store behind a CircuitBreaker (retries, fail-fast
+//                  while offline); guards the disk tier and cluster peers
+//   TieredCache  - memory over a guarded disk (and optionally a peer), the
+//                  physical home of materialized views
 //
 // Concurrency and the zero-copy read path: MemoryStore and DiskStore shard
 // their key space by hash with one mutex per shard, so concurrent jobs
 // touching different objects never serialize on a global lock. GetShared()
-// is the primary read path — a memory-tier hit hands out a reference to the
-// cached allocation itself (SharedBytes), not a copy; callers must treat the
-// buffer as immutable. The byte-oriented Get() remains as a thin compat
-// wrapper that copies out of GetShared().
+// is the only read verb: a memory-tier hit hands out a reference to the
+// cached allocation itself (SharedBytes), not a copy, so callers must treat
+// the buffer as immutable.
 
 #ifndef SAND_STORAGE_OBJECT_STORE_H_
 #define SAND_STORAGE_OBJECT_STORE_H_
@@ -242,6 +244,56 @@ class RemoteStore : public ObjectStore {
   RemoteTraffic traffic_;
 };
 
+// One failure domain (DESIGN.md §10): every op of the backing store runs
+// through one CircuitBreaker. While the breaker is open an op is refused
+// without touching the store, bar one probe per reprobe interval; an op that
+// ends in a `transient` error is retried with backoff, and its final outcome
+// feeds the breaker. An open breaker and an exhausted retry both read as
+// UNAVAILABLE; every other answer, NotFound included, passes through.
+// Contains has no error channel, so it reads the breaker's state without
+// claiming the probe or feeding the breaker. Usage, capacity, listing and
+// Rescan pass straight through.
+class GuardedStore : public ObjectStore {
+ public:
+  // `name` ("disk tier", "cluster node 'b'") starts the UNAVAILABLE messages
+  // and the offline/online log lines; `retries` (may be null) counts each
+  // retry; `on_state_change` runs when the domain goes offline or comes back.
+  GuardedStore(std::shared_ptr<ObjectStore> backing, std::string name, DiskFaultPolicy policy,
+               bool (*transient)(const Status&), obs::Counter* retries = nullptr,
+               std::function<void(bool offline)> on_state_change = {});
+
+  GuardedStore(const GuardedStore&) = delete;
+  GuardedStore& operator=(const GuardedStore&) = delete;
+
+  Status Put(const std::string& key, std::span<const uint8_t> data) override;
+  Status PutShared(const std::string& key, SharedBytes data) override;
+  Result<bool> PutIfAbsent(const std::string& key, std::span<const uint8_t> data) override;
+  Result<SharedBytes> GetShared(const std::string& key) override;
+  bool Contains(const std::string& key) override;
+  Result<uint64_t> SizeOf(const std::string& key) override;
+  Status Delete(const std::string& key) override;
+  uint64_t UsedBytes() override { return backing_->UsedBytes(); }
+  uint64_t CapacityBytes() override { return backing_->CapacityBytes(); }
+  std::vector<std::string> ListKeys() override { return backing_->ListKeys(); }
+  Status Rescan() override { return backing_->Rescan(); }
+
+  bool offline() const { return breaker_.offline(); }
+  int failure_streak() const { return breaker_.failure_streak(); }
+  ObjectStore& backing() { return *backing_; }
+
+ private:
+  // Runs `op` (idempotent, like every store op) under the breaker; `what`
+  // names the op's key in the UNAVAILABLE messages.
+  template <typename Fn>
+  auto Guard(const std::string& what, Fn&& op) -> decltype(op());
+
+  const std::shared_ptr<ObjectStore> backing_;
+  const std::string name_;
+  bool (*const transient_)(const Status&);
+  obs::Counter* const retries_;
+  CircuitBreaker breaker_;
+};
+
 // Which tier a cached object should land in.
 enum class Tier {
   kMemory,
@@ -249,22 +301,22 @@ enum class Tier {
 };
 
 // Two-level cache: a MemoryStore in front of a disk (or any) store. Reads
-// check memory first and promote on hit from below; promotion reuses the
-// disk tier's buffer (PutShared), so a promoted object is held once. The
-// eviction *policy* lives in the SAND core; this class only provides the
-// mechanics.
+// probe memory, then disk, then the optional peer store, and promote a hit
+// from below into memory; promotion reuses the lower level's buffer
+// (PutShared), so a promoted object is held once. The eviction *policy*
+// lives in the SAND core; this class only provides the mechanics.
 //
 // Every instance publishes hit/miss/promotion/byte counters to the global
 // obs registry ("sand.cache.*", visible at /.sand/metrics) and emits
 // store_get/store_put trace spans; the pointers are resolved once at
 // construction so the hot path stays a relaxed fetch_add.
-// Fault tolerance (DESIGN.md §10): the disk tier sits behind a
-// CircuitBreaker. Disk ops that fail with UNAVAILABLE or DATA_LOSS are
-// retried per the DiskFaultPolicy (counted on `sand.store.disk.retries`); a
-// tier that keeps failing is marked offline (`sand.store.disk.degraded`
-// gauge) and the cache degrades to memory-only — disk-destined puts land in
-// memory best-effort, reads miss instead of erroring — re-probing the tier
-// once per reprobe interval.
+// Fault tolerance (DESIGN.md §10): the disk tier is a GuardedStore. Disk
+// ops that fail with UNAVAILABLE or DATA_LOSS are retried per the
+// DiskFaultPolicy (counted on `sand.store.disk.retries`); a tier that keeps
+// failing is marked offline (`sand.store.disk.degraded` gauge) and the cache
+// degrades to memory-only — disk-destined puts land in memory best-effort,
+// reads miss instead of erroring — re-probing the tier once per reprobe
+// interval.
 class TieredCache {
  public:
   TieredCache(std::shared_ptr<ObjectStore> memory, std::shared_ptr<ObjectStore> disk,
@@ -277,7 +329,8 @@ class TieredCache {
   // Single-call insert-if-absent into `tier` (falling through to disk when
   // memory is full). True when this call stored the object.
   Result<bool> PutIfAbsent(const std::string& key, std::span<const uint8_t> data, Tier tier);
-  // The read path: memory-tier hits are zero-copy references.
+  // The read path: memory-tier hits are zero-copy references. NotFound
+  // when every level misses (a faulty or offline level reads as a miss).
   Result<SharedBytes> GetShared(const std::string& key);
   bool Contains(const std::string& key);
   Status Delete(const std::string& key);
@@ -340,18 +393,17 @@ class TieredCache {
   // to the peer store best-effort so other nodes can find the object.
   // Call at startup, like SetCompression; pass nullptr to detach.
   void SetPeerStore(std::shared_ptr<ObjectStore> peer);
-  bool has_peer() const;
 
   // True while the disk tier is marked offline (memory-only degradation).
-  bool disk_degraded() const { return disk_breaker_.offline(); }
+  bool disk_degraded() const { return disk_.offline(); }
 
   uint64_t MemoryUsedBytes() { return memory_->UsedBytes(); }
-  uint64_t DiskUsedBytes() { return disk_->UsedBytes(); }
+  uint64_t DiskUsedBytes() { return disk_.UsedBytes(); }
   uint64_t MemoryCapacityBytes() { return memory_->CapacityBytes(); }
-  uint64_t DiskCapacityBytes() { return disk_->CapacityBytes(); }
 
+  // The stores as passed to the constructor (the disk without its guard).
   ObjectStore& memory() { return *memory_; }
-  ObjectStore& disk() { return *disk_; }
+  ObjectStore& disk() { return disk_.backing(); }
 
  private:
   void UpdateUsageGauges();
@@ -366,24 +418,27 @@ class TieredCache {
   enum class PutMode { kReplace, kIfAbsent };
 
   // The one put path behind Put, PutShared and PutIfAbsent: memory first
-  // for Tier::kMemory, then the breaker-guarded disk tier (encoded when the
-  // policy compresses disk puts), then the degraded memory fallback for a
+  // for Tier::kMemory, then the guarded disk tier (encoded when the policy
+  // compresses disk puts), then the degraded memory fallback for a
   // disk-destined object; then counters, usage gauges and the peer
   // publish. True when this call stored the object (kIfAbsent may find it
   // present).
   Result<bool> Place(const std::string& key, const Payload& raw, Tier tier, PutMode mode);
-  // One write of `payload` into `store` in `mode`.
-  static Result<bool> Write(ObjectStore& store, const std::string& key, const Payload& payload,
-                            PutMode mode);
-  // Bumps one tier's put counters and refreshes the usage gauges.
-  void CountPut(obs::Counter* puts, obs::Counter* bytes_written, size_t bytes);
+  // One write of `payload` into `store` in `mode`; when it stores the
+  // object, counts it on that tier's `puts`/`bytes_written` and refreshes
+  // the usage gauges.
+  Result<bool> Write(ObjectStore& store, const std::string& key, const Payload& payload,
+                     PutMode mode, obs::Counter* puts, obs::Counter* bytes_written);
 
+  // One level of GetShared (memory, disk or peer): gets `key` from `store`
+  // and decodes it, dropping an undecodable object from the local tiers. A
+  // hit counts on `hits`/`bytes_read` and is promoted into memory (at the
+  // memory level only a decoded object is re-stored). Any failure is
+  // returned for GetShared to read on.
+  Result<SharedBytes> Probe(ObjectStore& store, const std::string& key, obs::Counter* hits,
+                            obs::Counter* bytes_read);
   // Snapshot of the attached peer store (null when detached).
   std::shared_ptr<ObjectStore> PeerStore() const;
-  // The third probe level: tries the peer on a local miss, returning
-  // `miss` (counted on sand.cache.misses) when no peer is attached, the
-  // peer misses, or the fetched object fails to decode.
-  Result<SharedBytes> PeerOrMiss(const std::string& key, Result<SharedBytes> miss);
   // Best-effort publish of a freshly stored object to the peer store
   // (copied into a refcounted buffer only when a peer is attached and the
   // payload has none).
@@ -391,23 +446,19 @@ class TieredCache {
 
   // Snapshot of the codec engine (null when compression is disabled).
   std::shared_ptr<ObjectCodec> Codec() const;
-  // The form `raw` takes in the disk tier: encoded per the policy when
-  // `tier` is the disk tier and the policy compresses disk puts, else raw.
-  Payload EncodeForDisk(const std::string& key, const Payload& raw, Tier tier);
+  // The one encoder behind disk-tier puts and Demote: `raw` encoded per the
+  // policy's codec for its key class, or `raw` itself when compression is
+  // off or encoding fails (which never fails a put or a spill).
+  Payload Encode(const std::string& key, const Payload& raw);
   // Decodes `data` when it is a compressed container; passthrough otherwise.
-  // An undecodable object returns the decode error (callers turn it into a
+  // An undecodable object returns the decode error (Probe turns it into a
   // miss).
   Result<SharedBytes> MaybeDecode(SharedBytes data);
   // The encode+spill half of Demote (runs inline or on the worker pool).
   Status DemoteCompressed(const std::string& key);
 
-  // Runs one disk-tier op through the breaker's retry loop. `fn` must be
-  // idempotent (all store ops are).
-  template <typename Fn>
-  auto DiskOp(Fn&& fn) -> decltype(fn());
-
   std::shared_ptr<ObjectStore> memory_;
-  std::shared_ptr<ObjectStore> disk_;
+  GuardedStore disk_;
 
   // Peer store (cluster probe level). Published under peer_mutex_ (cold
   // path: attach at startup, snapshot per miss/put).
@@ -438,7 +489,6 @@ class TieredCache {
   obs::Counter* bytes_read_disk_;
   obs::Counter* bytes_written_memory_;
   obs::Counter* bytes_written_disk_;
-  obs::Counter* disk_retries_;
   obs::Counter* demote_failures_;
   obs::Counter* peer_hits_;
   obs::Counter* peer_misses_;
@@ -446,10 +496,6 @@ class TieredCache {
   obs::Gauge* memory_used_;
   obs::Gauge* disk_used_;
   obs::Gauge* pinned_keys_;
-  obs::Gauge* disk_degraded_gauge_;
-
-  // Declared after the gauge its state callback sets.
-  CircuitBreaker disk_breaker_;
 };
 
 }  // namespace sand

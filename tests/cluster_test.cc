@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/cluster/cluster_store.h"
@@ -261,6 +263,45 @@ TEST_F(ClusterTest, NodeKillDegradesToLocalRecompute) {
   EXPECT_FALSE(cluster->NodeOnline(0)) << "failure streak should trip the breaker";
   std::string health = cluster->HealthJson();
   EXPECT_NE(health.find("\"online\": false"), std::string::npos) << health;
+}
+
+TEST_F(ClusterTest, RestartedNodeIsProbedBackOnline) {
+  auto peer_node = std::make_unique<StoreNode>(SocketPath(1));
+  ASSERT_TRUE(peer_node->server->Start().ok());
+
+  ClusterStoreOptions options;
+  options.nodes = {{"node-b", peer_node->path}};
+  options.self_index = -1;
+  options.fault_policy = FastFaultPolicy();
+  auto cluster = std::make_shared<ClusterStore>(nullptr, options);
+
+  TieredCache cache(std::make_shared<MemoryStore>(1 << 20),
+                    std::make_shared<MemoryStore>(1 << 20));
+  cache.SetPeerStore(cluster);
+  ASSERT_TRUE(peer_node->shard->Put("view/before", std::vector<uint8_t>{1}).ok());
+  ASSERT_TRUE(cache.GetShared("view/before").ok()) << "peer reachable before the kill";
+
+  // Kill the node and read its shard until the breaker trips.
+  peer_node.reset();
+  for (int i = 0; i < 4 && cluster->NodeOnline(0); ++i) {
+    EXPECT_EQ(cache.GetShared("view/miss" + std::to_string(i)).status().code(),
+              ErrorCode::kNotFound);
+  }
+  ASSERT_FALSE(cluster->NodeOnline(0));
+
+  // A new node comes up on the same socket with a fresh shard. After one
+  // reprobe interval the next read is the probe: it redials, succeeds and
+  // closes the breaker.
+  peer_node = std::make_unique<StoreNode>(SocketPath(1));
+  ASSERT_TRUE(peer_node->server->Start().ok());
+  const std::vector<uint8_t> view(512, 3);
+  ASSERT_TRUE(peer_node->shard->Put("view/after", view).ok());
+  std::this_thread::sleep_for(
+      std::chrono::nanoseconds(options.fault_policy.reprobe_interval + 5 * kNanosPerMilli));
+  auto got = cache.GetShared("view/after");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(**got, view);
+  EXPECT_TRUE(cluster->NodeOnline(0));
 }
 
 TEST_F(ClusterTest, ControlViewPublishesClusterHealth) {

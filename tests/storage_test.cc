@@ -598,6 +598,50 @@ TEST(TieredCacheTest, DegradesToMemoryOnlyThenReprobes) {
   EXPECT_TRUE(cache.PutDisk("ckpt", Bytes({3})).ok());
 }
 
+TEST(TieredCacheTest, DiskReadFaultBelowTheThresholdReadsAsMiss) {
+  auto memory = std::make_shared<MemoryStore>(1 << 20);
+  auto faulty = std::make_shared<FaultInjectingStore>(std::make_shared<MemoryStore>(1 << 20));
+  ASSERT_TRUE(faulty->backing().Put("k", Bytes({1})).ok());
+  FaultRule rule;
+  rule.kind = FaultKind::kReadError;  // every read fails, retries included
+  faulty->AddRule(rule);
+  DiskFaultPolicy policy = FastPolicy();
+  policy.offline_threshold = 100;  // the breaker stays closed
+  TieredCache cache(memory, faulty, policy);
+
+  // Served exactly as it was Put, or NotFound: a failed read is a miss
+  // whether or not the breaker has tripped yet.
+  Result<SharedBytes> got = cache.GetShared("k");
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), ErrorCode::kNotFound) << got.status().ToString();
+  EXPECT_FALSE(cache.disk_degraded());
+  EXPECT_GT(faulty->stats().read_errors, 0u);
+}
+
+TEST(TieredCacheTest, DemoteDoesNotSpendTheDiskReprobe) {
+  auto memory = std::make_shared<MemoryStore>(1 << 20);
+  auto faulty = std::make_shared<FaultInjectingStore>(std::make_shared<MemoryStore>(1 << 20));
+  FaultRule rule;
+  rule.kind = FaultKind::kWriteError;
+  faulty->AddRule(rule);
+  DiskFaultPolicy policy = FastPolicy();
+  policy.max_retries = 0;
+  TieredCache cache(memory, faulty, policy);
+  ASSERT_TRUE(cache.Put("hot", Bytes({9}), Tier::kMemory).ok());
+  EXPECT_TRUE(cache.Put("a", Bytes({1}), Tier::kDisk).ok());
+  EXPECT_TRUE(cache.Put("b", Bytes({2}), Tier::kDisk).ok());
+  ASSERT_TRUE(cache.disk_degraded());
+
+  // The disk heals and a reprobe falls due. An eviction-driven Demote gets
+  // there first; it must leave the probe to the next disk op.
+  faulty->ClearRules();
+  std::this_thread::sleep_for(std::chrono::milliseconds(8));
+  (void)cache.Demote("hot");
+  EXPECT_TRUE(cache.Put("c", Bytes({3}), Tier::kDisk).ok());
+  EXPECT_TRUE(faulty->backing().Contains("c")) << "the put must probe the healed disk";
+  EXPECT_FALSE(cache.disk_degraded());
+}
+
 TEST(TieredCacheTest, PutDiskIsDurableOrFails) {
   auto memory = std::make_shared<MemoryStore>(1 << 20);
   auto faulty = std::make_shared<FaultInjectingStore>(std::make_shared<MemoryStore>(1 << 20));

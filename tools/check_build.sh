@@ -165,7 +165,8 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   echo "==== asan suite ===="
   ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
   ASAN_TESTS=(vfs_test prefetch_test core_test codec_test fault_injection_test
-              compress_test compress_tier_test net_test cluster_test obs_test)
+              compress_test compress_tier_test net_test cluster_test obs_test
+              storage_test object_path_test stress_test)
   cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
   for test in "${ASAN_TESTS[@]}"; do
