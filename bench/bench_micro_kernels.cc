@@ -3,9 +3,14 @@
 //
 // Each kernel runs both paths over the same buffers: outputs are asserted
 // byte-identical (the golden-test property, re-checked here on bench-sized
-// inputs), then timed. Results report ns/byte and the fast/reference
-// speedup. All kernels are single-threaded CPU loops, so the numbers are
-// meaningful even on a 1-CPU container.
+// inputs), then timed. Results report ns per output byte and the
+// fast/reference speedup. All kernels are single-threaded CPU loops, so the
+// numbers are meaningful even on a 1-CPU container.
+//
+// The point and blur rows run on one noisy frame (256x256x3, 64x64x3 under
+// --smoke). The geometric rows use the SlowFast augment chain's own shapes
+// in both modes: a decoded 64x96x3 frame resized to 48x64, and the 40x40x3
+// crop that gets flipped; rotate runs on the 64x96x3 frame.
 //
 // Modes:
 //   (default)  full-size frames, several repetitions, JSON on stdout
@@ -191,7 +196,55 @@ int Main(int argc, char** argv) {
     Frame fast, ref;
     const int blur_reps = smoke ? 5 : 20;  // the reference is O(r^2)/pixel
     r.fast_ns_per_byte = TimeNs(blur_reps, [&] { fast = *BoxBlur(cur, k); }) / bytes;
-    r.ref_ns_per_byte = TimeNs(blur_reps, [&] { ref = *BoxBlurReference(cur, k); }) / bytes;
+    r.ref_ns_per_byte = TimeNs(blur_reps, [&] { ref = *pixel_reference::BoxBlur(cur, k); }) / bytes;
+    r.identical = fast == ref;
+    results.push_back(r);
+  }
+
+  const Frame decoded = NoisyFrame(64, 96, 3, 4);
+  const Frame cropped = NoisyFrame(40, 40, 3, 5);
+  const int geo_reps = smoke ? 50 : 2000;
+  {
+    KernelResult r{"resize_bilinear_64x96_to_48x64"};
+    Frame fast, ref;
+    const double out_bytes = 48.0 * 64 * 3;
+    r.fast_ns_per_byte = TimeNs(geo_reps, [&] { fast = *Resize(decoded, 48, 64); }) / out_bytes;
+    r.ref_ns_per_byte =
+        TimeNs(geo_reps, [&] { ref = pixel_reference::ResizeBilinear(decoded, 48, 64); }) /
+        out_bytes;
+    r.identical = fast == ref;
+    results.push_back(r);
+  }
+  {
+    KernelResult r{"resize_nearest_64x96_to_48x64"};
+    Frame fast, ref;
+    const double out_bytes = 48.0 * 64 * 3;
+    r.fast_ns_per_byte =
+        TimeNs(geo_reps, [&] { fast = *Resize(decoded, 48, 64, Interpolation::kNearest); }) /
+        out_bytes;
+    r.ref_ns_per_byte =
+        TimeNs(geo_reps, [&] { ref = pixel_reference::ResizeNearest(decoded, 48, 64); }) /
+        out_bytes;
+    r.identical = fast == ref;
+    results.push_back(r);
+  }
+  {
+    KernelResult r{"flip_40x40"};
+    Frame fast, ref;
+    const double out_bytes = static_cast<double>(cropped.size_bytes());
+    r.fast_ns_per_byte = TimeNs(geo_reps, [&] { fast = FlipHorizontal(cropped); }) / out_bytes;
+    r.ref_ns_per_byte =
+        TimeNs(geo_reps, [&] { ref = pixel_reference::FlipHorizontal(cropped); }) / out_bytes;
+    r.identical = fast == ref;
+    results.push_back(r);
+  }
+  {
+    KernelResult r{"rotate90_64x96"};
+    Frame fast, ref;
+    const double out_bytes = static_cast<double>(decoded.size_bytes());
+    r.fast_ns_per_byte = TimeNs(geo_reps, [&] { fast = Rotate90(decoded); }) / out_bytes;
+    r.ref_ns_per_byte =
+        TimeNs(geo_reps, [&] { ref = pixel_reference::Rotate90(decoded); }) / out_bytes;
     r.identical = fast == ref;
     results.push_back(r);
   }

@@ -184,7 +184,9 @@ Result<std::shared_ptr<OnDemandCpuSource::Build>> OnDemandCpuSource::StartBuild(
       }
       promise->set_value(std::move(status));
     };
-    pool_->Submit(std::move(job));
+    if (!pool_->Submit(std::move(job))) {
+      promise->set_value(Unavailable("dataloader workers shut down"));
+    }
   }
   std::lock_guard<std::mutex> lock(mutex_);
   inflight_[{epoch, iteration}] = build;

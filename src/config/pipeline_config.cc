@@ -8,6 +8,10 @@
 namespace sand {
 namespace {
 
+// Largest accepted resize/crop side. Every pipeline in the repository uses
+// at most 320; 16384 leaves room for 8K video.
+constexpr int kMaxShapeSide = 16384;
+
 Result<std::vector<std::string>> ParseStringList(const YamlNode* node, const char* what) {
   std::vector<std::string> out;
   if (node == nullptr || node->IsNull()) {
@@ -39,11 +43,14 @@ Result<AugOp> ParseOp(const std::string& op_name, const YamlNode& params) {
     }
     SAND_ASSIGN_OR_RETURN(int64_t h, shape->items()[0].AsInt());
     SAND_ASSIGN_OR_RETURN(int64_t w, shape->items()[1].AsInt());
+    // Checked before narrowing to int: a wrapped value would pass, and an
+    // accepted huge side would size a multi-GB frame in the resize kernel.
+    if (h < 1 || h > kMaxShapeSide || w < 1 || w > kMaxShapeSide) {
+      return InvalidArgument(StrFormat("config: %s shape sides must be in [1, %d]",
+                                       op_name.c_str(), kMaxShapeSide));
+    }
     op.out_h = static_cast<int>(h);
     op.out_w = static_cast<int>(w);
-    if (op.out_h <= 0 || op.out_w <= 0) {
-      return InvalidArgument("config: " + op_name + " shape must be positive");
-    }
     if (params.IsMap()) {
       const YamlNode* interp = params.Find("interpolation");
       if (interp != nullptr) {

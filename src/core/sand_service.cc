@@ -363,7 +363,11 @@ void SandService::SubmitPreMaterialization(const std::shared_ptr<ChunkState>& ch
       pre_materialize_jobs_.Add(1);
       MaybeEvict();
     };
-    scheduler_->Submit(std::move(job));
+    if (!scheduler_->Submit(std::move(job))) {
+      // Shutting down: nothing will consume the rest of this chunk either.
+      SAND_LOG(kInfo) << "scheduler shut down; dropped pre-materialization from video " << v;
+      return;
+    }
   }
 }
 
@@ -424,9 +428,10 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
   }
   std::vector<std::future<Status>> parts;
   parts.reserve(by_video.size());
+  bool refused = false;
   for (const auto& [video_index, clip_slots] : by_video) {
     auto promise = std::make_shared<std::promise<Status>>();
-    parts.push_back(promise->get_future());
+    std::future<Status> part = promise->get_future();
     MaterializationJob job;
     job.demand_feeding = !speculative;
     job.speculative = speculative;
@@ -494,11 +499,25 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
       }
       promise->set_value(std::move(status));
     };
-    scheduler_->Submit(std::move(job));
+    if (!scheduler_->Submit(std::move(job))) {
+      refused = true;  // shutting down: this part's promise is never set
+      break;
+    }
+    parts.push_back(std::move(part));
   }
+  // Every queued part writes into `clips` and reads `batch`, so wait for all
+  // of them before returning, on the error paths too.
+  Status status = Status::Ok();
   for (std::future<Status>& part : parts) {
-    SAND_RETURN_IF_ERROR(part.get());
+    Status part_status = part.get();
+    if (status.ok()) {
+      status = std::move(part_status);
+    }
   }
+  if (refused) {
+    return Unavailable("service shut down before the batch was assembled");
+  }
+  SAND_RETURN_IF_ERROR(status);
   Result<std::vector<uint8_t>> serialized = SerializeBatch(clips);
   ServiceMetrics::Get().batch_assemble_ns->Record(
       static_cast<uint64_t>(SinceProcessStart() - assemble_start));
@@ -544,7 +563,9 @@ void SandService::FinishBatchServe(const ViewPath& path,
                              << result.status().ToString();
         }
       };
-      scheduler_->Submit(std::move(plan_job));
+      if (!scheduler_->Submit(std::move(plan_job))) {
+        SAND_LOG(kInfo) << "scheduler shut down; chunk " << next << " not planned ahead";
+      }
     }
   }
   MaybeEvict();

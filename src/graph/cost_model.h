@@ -17,7 +17,12 @@ struct CostModel {
   // Decoding one frame at random access: the GOP dependency forces ~half a
   // GOP of extra frames on average, folded into this per-frame figure.
   double decode_ns_per_pixel = 14.0;
-  // Augmentation coefficients (per output pixel).
+  // Augmentation coefficients (per output pixel). These are planning
+  // weights: pruning ranks views by them, so changing one changes which
+  // views are kept and how much work a tight budget recomputes. The resize
+  // and flip weights predate the row kernels in pixel_kernels.cc, which
+  // made both ops several times cheaper; they are left as they were on
+  // purpose, and re-weighting them is a separate, measured change.
   double resize_ns_per_pixel = 6.0;
   double crop_ns_per_pixel = 0.8;
   double flip_ns_per_pixel = 1.2;

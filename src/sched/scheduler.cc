@@ -24,14 +24,17 @@ MaterializationScheduler::MaterializationScheduler(Options options)
 
 MaterializationScheduler::~MaterializationScheduler() { Shutdown(); }
 
-void MaterializationScheduler::Submit(MaterializationJob job) {
+bool MaterializationScheduler::Submit(MaterializationJob job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    assert(!shutdown_ && "Submit after Shutdown");
+    if (shutdown_) {
+      return false;
+    }
     queue_.push_back(std::move(job));
     queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   }
   wake_.notify_one();
+  return true;
 }
 
 bool MaterializationScheduler::TenantCappedLocked(const MaterializationJob& job) {

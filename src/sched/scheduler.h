@@ -90,7 +90,11 @@ class MaterializationScheduler {
   MaterializationScheduler(const MaterializationScheduler&) = delete;
   MaterializationScheduler& operator=(const MaterializationScheduler&) = delete;
 
-  void Submit(MaterializationJob job);
+  // Queues `job` and returns true. Once Shutdown() has begun it returns
+  // false instead and the job never runs: the workers may already have
+  // exited, so a late job would sit in the queue forever. Jobs queued
+  // before Shutdown() still drain.
+  bool Submit(MaterializationJob job);
 
   // Caps how many of `tenant_id`'s jobs may run concurrently (its
   // scheduler quota). Clamped to >= 1 so a capped tenant always makes
@@ -100,7 +104,8 @@ class MaterializationScheduler {
   // Blocks until the queue is empty and all workers are idle.
   void WaitIdle();
 
-  // Stops accepting work and joins workers (pending jobs are completed).
+  // Stops accepting work (Submit returns false from here on) and joins the
+  // workers after they complete every job already queued.
   void Shutdown();
 
   SchedulerStats stats();

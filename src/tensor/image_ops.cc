@@ -1,18 +1,10 @@
 #include "src/tensor/image_ops.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/tensor/pixel_kernels.h"
 
 namespace sand {
-namespace {
-
-uint8_t SaturateD(double v) {
-  return static_cast<uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5);
-}
-
-}  // namespace
 
 Result<Frame> Resize(const Frame& in, int out_h, int out_w, Interpolation interp) {
   if (in.empty()) {
@@ -21,34 +13,13 @@ Result<Frame> Resize(const Frame& in, int out_h, int out_w, Interpolation interp
   if (out_h <= 0 || out_w <= 0) {
     return InvalidArgument("Resize: non-positive output size");
   }
-  const int c = in.channels();
-  Frame out(out_h, out_w, c);
-  const double scale_y = static_cast<double>(in.height()) / out_h;
-  const double scale_x = static_cast<double>(in.width()) / out_w;
-  for (int y = 0; y < out_h; ++y) {
-    for (int x = 0; x < out_w; ++x) {
-      if (interp == Interpolation::kNearest) {
-        int sy = std::min(static_cast<int>(y * scale_y), in.height() - 1);
-        int sx = std::min(static_cast<int>(x * scale_x), in.width() - 1);
-        for (int ch = 0; ch < c; ++ch) {
-          out.At(y, x, ch) = in.At(sy, sx, ch);
-        }
-      } else {
-        double fy = (y + 0.5) * scale_y - 0.5;
-        double fx = (x + 0.5) * scale_x - 0.5;
-        int y0 = std::clamp(static_cast<int>(std::floor(fy)), 0, in.height() - 1);
-        int x0 = std::clamp(static_cast<int>(std::floor(fx)), 0, in.width() - 1);
-        int y1 = std::min(y0 + 1, in.height() - 1);
-        int x1 = std::min(x0 + 1, in.width() - 1);
-        double wy = std::clamp(fy - y0, 0.0, 1.0);
-        double wx = std::clamp(fx - x0, 0.0, 1.0);
-        for (int ch = 0; ch < c; ++ch) {
-          double top = in.At(y0, x0, ch) * (1 - wx) + in.At(y0, x1, ch) * wx;
-          double bot = in.At(y1, x0, ch) * (1 - wx) + in.At(y1, x1, ch) * wx;
-          out.At(y, x, ch) = SaturateD(top * (1 - wy) + bot * wy);
-        }
-      }
-    }
+  Frame out(out_h, out_w, in.channels());
+  if (interp == Interpolation::kNearest) {
+    ResizeNearestBytes(in.data(), in.height(), in.width(), in.channels(), out.MutableData(), out_h,
+                       out_w);
+  } else {
+    ResizeBilinearBytes(in.data(), in.height(), in.width(), in.channels(), out.MutableData(),
+                        out_h, out_w);
   }
   return out;
 }
@@ -78,27 +49,17 @@ Result<Frame> CenterCrop(const Frame& in, int h, int w) {
 }
 
 Frame FlipHorizontal(const Frame& in) {
-  const int c = in.channels();
-  Frame out(in.height(), in.width(), c);
-  for (int y = 0; y < in.height(); ++y) {
-    for (int x = 0; x < in.width(); ++x) {
-      for (int ch = 0; ch < c; ++ch) {
-        out.At(y, x, ch) = in.At(y, in.width() - 1 - x, ch);
-      }
-    }
+  Frame out(in.height(), in.width(), in.channels());
+  if (!in.empty()) {
+    FlipHorizontalBytes(in.data(), in.height(), in.width(), in.channels(), out.MutableData());
   }
   return out;
 }
 
 Frame Rotate90(const Frame& in) {
-  const int c = in.channels();
-  Frame out(in.width(), in.height(), c);
-  for (int y = 0; y < in.height(); ++y) {
-    for (int x = 0; x < in.width(); ++x) {
-      for (int ch = 0; ch < c; ++ch) {
-        out.At(x, in.height() - 1 - y, ch) = in.At(y, x, ch);
-      }
-    }
+  Frame out(in.width(), in.height(), in.channels());
+  if (!in.empty()) {
+    Rotate90Bytes(in.data(), in.height(), in.width(), in.channels(), out.MutableData());
   }
   return out;
 }
@@ -135,7 +96,7 @@ Result<Frame> BoxBlur(const Frame& in, int k) {
     return in;
   }
   // Separable sliding-window sums: O(1) per pixel instead of the O(r^2)
-  // gather in BoxBlurReference. The exact 2D window sum is kept in 32 bits
+  // gather in pixel_reference::BoxBlur. The exact 2D window sum is kept in 32 bits
   // and divided once by the true (clamped) window area, so output is
   // byte-identical to the reference including at the borders.
   const int h = in.height();
@@ -207,38 +168,6 @@ Result<Frame> BoxBlur(const Frame& in, int k) {
       for (int ch = 0; ch < c; ++ch) {
         out_row[static_cast<size_t>(x) * c + ch] =
             static_cast<uint8_t>(win[static_cast<size_t>(ch)] / area);
-      }
-    }
-  }
-  return out;
-}
-
-Result<Frame> BoxBlurReference(const Frame& in, int k) {
-  if (k <= 0 || k % 2 == 0) {
-    return InvalidArgument("BoxBlur: kernel must be positive odd");
-  }
-  if (k == 1) {
-    return in;
-  }
-  const int c = in.channels();
-  const int r = k / 2;
-  Frame out(in.height(), in.width(), c);
-  for (int y = 0; y < in.height(); ++y) {
-    for (int x = 0; x < in.width(); ++x) {
-      for (int ch = 0; ch < c; ++ch) {
-        int sum = 0;
-        int count = 0;
-        for (int dy = -r; dy <= r; ++dy) {
-          for (int dx = -r; dx <= r; ++dx) {
-            int sy = y + dy;
-            int sx = x + dx;
-            if (sy >= 0 && sy < in.height() && sx >= 0 && sx < in.width()) {
-              sum += in.At(sy, sx, ch);
-              ++count;
-            }
-          }
-        }
-        out.At(y, x, ch) = static_cast<uint8_t>(sum / count);
       }
     }
   }

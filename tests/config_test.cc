@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/config/pipeline_config.h"
 #include "src/config/yaml.h"
 
@@ -326,6 +330,39 @@ TEST(PipelineConfigTest, ValidationCatchesNegativeSampling) {
       "  sampling:\n"
       "    frame_stride: -1\n");
   EXPECT_FALSE(bad.ok());
+}
+
+// One `op: {shape: [h, w]}` stage, for the shape range checks.
+std::string ShapeConfig(const std::string& op, const std::string& h, const std::string& w) {
+  return "dataset:\n"
+         "  tag: t\n"
+         "  video_dataset_path: /d\n"
+         "  augmentation:\n"
+         "  - name: s\n"
+         "    branch_type: single\n"
+         "    inputs: [\"frame\"]\n"
+         "    outputs: [\"o\"]\n"
+         "    config:\n"
+         "    - " + op + ":\n"
+         "        shape: [" + h + ", " + w + "]\n";
+}
+
+TEST(PipelineConfigTest, ShapeSidesAreRangeCheckedBeforeNarrowing) {
+  // 4294967297 = 2^32 + 1 narrows to 1; 2147483648 = 2^31 narrows to a
+  // negative int; 100000 is in int range but would size a ~30 GB frame.
+  for (const char* op : {"resize", "random_crop", "center_crop"}) {
+    for (auto [h, w] : std::vector<std::pair<std::string, std::string>>{
+             {"4294967297", "40"}, {"40", "4294967297"}, {"2147483648", "40"},
+             {"100000", "100000"}, {"16385", "40"}, {"0", "40"}, {"40", "-1"}}) {
+      auto bad = ParseTaskConfigText(ShapeConfig(op, h, w));
+      ASSERT_FALSE(bad.ok()) << op << " [" << h << ", " << w << "] must be rejected";
+      EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument) << bad.status().ToString();
+    }
+  }
+  auto largest = ParseTaskConfigText(ShapeConfig("resize", "16384", "1"));
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->augmentation[0].ops[0].out_h, 16384);
+  EXPECT_EQ(largest->augmentation[0].ops[0].out_w, 1);
 }
 
 TEST(PipelineConfigTest, MergeNeedsTwoInputs) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <map>
 
@@ -227,6 +228,48 @@ TEST(SandServiceTest, UnknownBatchRejected) {
   auto fd2 = rig.service->fs().Open("/wrongtask/0/0/view");
   ASSERT_TRUE(fd2.ok());
   EXPECT_FALSE(rig.service->fs().ReadAllShared(*fd2).ok());
+}
+
+TEST(SandServiceTest, BatchReadAfterShutdownIsUnavailable) {
+  // The scheduler's workers are gone after Shutdown, so a demand batch must
+  // be refused at submission; a queued part would block the read forever.
+  TestRig rig = MakeRig(DefaultOptions());
+  rig.service->Shutdown();
+  SandFs& fs = rig.service->fs();
+  auto fd = fs.Open("/train/0/1/view");
+  ASSERT_TRUE(fd.ok());
+  auto start = std::chrono::steady_clock::now();
+  auto bytes = fs.ReadAllShared(*fd);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.status().code(), ErrorCode::kUnavailable) << bytes.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_TRUE(fs.Close(*fd).ok());
+}
+
+TEST(SandServiceTest, FailedBatchPartWaitsForItsSiblingParts) {
+  // A batch is one scheduler job per source video, each writing into the
+  // batch's clip slots. With one video's container gone, its part fails at
+  // once while the sibling part is still decoding: the read must return
+  // the failure only after the sibling is done (under ASan, returning early
+  // is a heap-use-after-free of the clip slots).
+  ServiceOptions options = DefaultOptions();
+  options.pre_materialize = false;
+  TestRig rig = MakeRig(options);
+  ASSERT_TRUE(
+      rig.dataset_store->Delete(rig.meta.path + "/" + rig.meta.video_names[0] + ".svc").ok());
+  int failed = 0;
+  for (int iteration = 0; iteration < 2; ++iteration) {
+    auto fd = rig.service->fs().Open(StrFormat("/train/0/%d/view", iteration));
+    ASSERT_TRUE(fd.ok());
+    auto bytes = rig.service->fs().ReadAllShared(*fd);
+    if (!bytes.ok()) {
+      ++failed;
+      EXPECT_EQ(bytes.status().code(), ErrorCode::kNotFound) << bytes.status().ToString();
+    }
+    EXPECT_TRUE(rig.service->fs().Close(*fd).ok());
+  }
+  EXPECT_EQ(failed, 1) << "epoch 0 reads each of the 4 videos once, 2 per batch";
 }
 
 TEST(SandServiceTest, MultiTaskSharingMergesWork) {

@@ -168,6 +168,29 @@ TEST(SchedulerTest, ShutdownDrainsQueue) {
   EXPECT_EQ(count.load(), 10) << "pending jobs must complete on shutdown";
 }
 
+TEST(SchedulerTest, SubmitAfterShutdownIsRefused) {
+  MaterializationScheduler::Options options;
+  options.num_threads = 2;
+  MaterializationScheduler scheduler(options);
+  std::atomic<int> ran{0};
+  MaterializationJob before;
+  before.run = [&ran] { ran.fetch_add(1); };
+  EXPECT_TRUE(scheduler.Submit(std::move(before)));
+  scheduler.Shutdown();
+  EXPECT_EQ(ran.load(), 1) << "a job queued before Shutdown still runs";
+
+  for (bool demand : {false, true}) {
+    MaterializationJob late;
+    late.demand_feeding = demand;
+    late.run = [&ran] { ran.fetch_add(100); };
+    EXPECT_FALSE(scheduler.Submit(std::move(late)));
+  }
+  EXPECT_EQ(scheduler.PendingCount(), 0u) << "a refused job must not be queued";
+  scheduler.Shutdown();  // idempotent
+  EXPECT_EQ(ran.load(), 1) << "a refused job must never run";
+  EXPECT_EQ(scheduler.stats().jobs_run, 1u);
+}
+
 TEST(SchedulerTest, WaitIdleWaitsForRunningJobs) {
   MaterializationScheduler::Options options;
   options.num_threads = 4;

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
+#include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/rng.h"
 #include "src/tensor/frame.h"
 #include "src/tensor/image_ops.h"
@@ -282,9 +285,10 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ResizeSweepTest,
 
 
 // ---------------------------------------------------------------------------
-// Golden kernel tests: every vectorized kernel in pixel_kernels.cc (and the
-// separable BoxBlur) is pinned byte-for-byte against the retained scalar
-// reference, across edge shapes: 1x1, odd widths, r >= image size.
+// Golden kernel tests: every kernel in pixel_kernels.cc (and the separable
+// BoxBlur) is pinned byte-for-byte against the retained scalar reference,
+// across edge shapes: 1x1, odd widths, r >= image size, 1-pixel resize
+// targets, and seeded random geometry.
 
 Frame NoisyFrame(int h, int w, int c, uint64_t seed) {
   Frame frame(h, w, c);
@@ -365,11 +369,42 @@ TEST_P(KernelGoldenTest, SeparableBlurMatchesReference) {
   // fully clamped windows on every pixel.
   for (int k : {1, 3, 5, 9, 2 * std::max(h, w) + 1}) {
     auto fast = BoxBlur(in, k);
-    auto ref = BoxBlurReference(in, k);
+    auto ref = pixel_reference::BoxBlur(in, k);
     ASSERT_TRUE(fast.ok());
     ASSERT_TRUE(ref.ok());
     EXPECT_EQ(*fast, *ref) << "k=" << k << " shape " << h << "x" << w << "x" << c;
   }
+}
+
+// Both interpolations against their references at edge targets: 1-pixel
+// sides, identity, 2x up, ~half down, and one side up while the other
+// shrinks. KernelGoldenSeededTest covers random geometry.
+TEST_P(KernelGoldenTest, ResizeMatchesReference) {
+  auto [h, w, c] = GetParam();
+  Frame in = NoisyFrame(h, w, c, 55);
+  const std::vector<std::pair<int, int>> targets = {
+      {1, 1}, {1, w}, {h, 1}, {h, w}, {2 * h, 2 * w}, {std::max(1, h / 2), std::max(1, w / 2)},
+      {h + 1, std::max(1, w - 1)}};
+  for (auto [out_h, out_w] : targets) {
+    auto bilinear = Resize(in, out_h, out_w, Interpolation::kBilinear);
+    auto nearest = Resize(in, out_h, out_w, Interpolation::kNearest);
+    ASSERT_TRUE(bilinear.ok());
+    ASSERT_TRUE(nearest.ok());
+    EXPECT_EQ(*bilinear, pixel_reference::ResizeBilinear(in, out_h, out_w))
+        << h << "x" << w << "x" << c << " -> " << out_h << "x" << out_w;
+    EXPECT_EQ(*nearest, pixel_reference::ResizeNearest(in, out_h, out_w))
+        << h << "x" << w << "x" << c << " -> " << out_h << "x" << out_w;
+  }
+}
+
+TEST_P(KernelGoldenTest, FlipAndRotateMatchReference) {
+  auto [h, w, c] = GetParam();
+  Frame in = NoisyFrame(h, w, c, 66);
+  EXPECT_EQ(FlipHorizontal(in), pixel_reference::FlipHorizontal(in));
+  Frame rotated = Rotate90(in);
+  EXPECT_EQ(rotated, pixel_reference::Rotate90(in));
+  EXPECT_EQ(rotated.height(), w);
+  EXPECT_EQ(rotated.width(), h);
 }
 
 INSTANTIATE_TEST_SUITE_P(EdgeShapes, KernelGoldenTest,
@@ -377,6 +412,90 @@ INSTANTIATE_TEST_SUITE_P(EdgeShapes, KernelGoldenTest,
                                            KernelShape{5, 7, 3}, KernelShape{3, 1, 2},
                                            KernelShape{16, 17, 1}, KernelShape{9, 13, 4},
                                            KernelShape{32, 24, 3}));
+
+// Seeded random geometry: inputs up to 70x70 with 1-5 channels (5 takes
+// the kernels' runtime-channel-count path), upscaling and downscaling to
+// targets up to 100x100, each case against the references.
+TEST(KernelGoldenSeededTest, ResizeFlipRotateMatchReferenceOnRandomShapes) {
+  Rng rng(20261017);
+  for (int i = 0; i < 400; ++i) {
+    const int h = static_cast<int>(rng.NextInRange(1, 70));
+    const int w = static_cast<int>(rng.NextInRange(1, 70));
+    const int c = static_cast<int>(rng.NextInRange(1, 5));
+    const int out_h = static_cast<int>(rng.NextInRange(1, 100));
+    const int out_w = static_cast<int>(rng.NextInRange(1, 100));
+    Frame in = NoisyFrame(h, w, c, rng.Next());
+    SCOPED_TRACE(::testing::Message() << "case " << i << ": " << h << "x" << w << "x" << c
+                                      << " -> " << out_h << "x" << out_w);
+    ASSERT_EQ(*Resize(in, out_h, out_w), pixel_reference::ResizeBilinear(in, out_h, out_w));
+    ASSERT_EQ(*Resize(in, out_h, out_w, Interpolation::kNearest),
+              pixel_reference::ResizeNearest(in, out_h, out_w));
+    ASSERT_EQ(FlipHorizontal(in), pixel_reference::FlipHorizontal(in));
+    ASSERT_EQ(Rotate90(in), pixel_reference::Rotate90(in));
+  }
+}
+
+// Cached views are shared by key across builds and cluster nodes, so the
+// bytes must not depend on compile flags. The digest below was recorded
+// from Resize/FlipHorizontal/Rotate90/AdjustContrast as they stood before
+// the geometric kernels (per-pixel loops, default build); tools/
+// check_build.sh also runs this test in a SAND_NATIVE_ARCH=ON tree, where
+// an FMA-contracted build of pixel_kernels.cc produces a different digest.
+TEST(KernelGoldenSeededTest, OutputBytesMatchRecordedDigest) {
+  Rng rng(20261017);
+  uint64_t digest = 1469598103934665603ULL;  // FNV-1a 64
+  auto mix = [&digest](const Frame& frame) {
+    for (uint8_t b : frame.data()) {
+      digest = (digest ^ b) * 1099511628211ULL;
+    }
+  };
+  for (int i = 0; i < 300; ++i) {
+    const int h = static_cast<int>(rng.NextInRange(1, 70));
+    const int w = static_cast<int>(rng.NextInRange(1, 70));
+    const int c = static_cast<int>(rng.NextInRange(1, 5));
+    const int out_h = static_cast<int>(rng.NextInRange(1, 100));
+    const int out_w = static_cast<int>(rng.NextInRange(1, 100));
+    Frame in(h, w, c);
+    for (uint8_t& v : in.MutableData()) {
+      v = static_cast<uint8_t>(rng.NextBounded(256));
+    }
+    mix(*Resize(in, out_h, out_w));
+    mix(*Resize(in, out_h, out_w, Interpolation::kNearest));
+    mix(FlipHorizontal(in));
+    mix(Rotate90(in));
+    mix(AdjustContrast(in, 0.5 + rng.NextDouble()));
+  }
+  EXPECT_EQ(digest, 0xbb7431545799a755ULL);
+}
+
+// The kernels read a cache-resident view in place: resizing, flipping and
+// rotating a DeserializeShared frame must leave the cached bytes untouched
+// and must not clone the view's buffer.
+TEST(KernelAliasingTest, GeometricOpsLeaveCachedViewBytesUntouched) {
+  Frame original = NoisyFrame(12, 20, 3, 88);
+  SharedBytes bytes = MakeSharedBytes(original.Serialize());
+  const std::vector<uint8_t> snapshot = *bytes;
+  auto view = Frame::DeserializeShared(bytes);
+  ASSERT_TRUE(view.ok());
+  const uint8_t* pixels = view->data().data();
+
+  auto bilinear = Resize(*view, 7, 31);
+  auto nearest = Resize(*view, 24, 9, Interpolation::kNearest);
+  ASSERT_TRUE(bilinear.ok());
+  ASSERT_TRUE(nearest.ok());
+  Frame flipped = FlipHorizontal(*view);
+  Frame rotated = Rotate90(*view);
+
+  EXPECT_EQ(*bytes, snapshot) << "a geometric op wrote through the cached view";
+  EXPECT_EQ(view->data().data(), pixels) << "reading the view must not clone it";
+  EXPECT_EQ(*bilinear, pixel_reference::ResizeBilinear(original, 7, 31));
+  EXPECT_EQ(*nearest, pixel_reference::ResizeNearest(original, 24, 9));
+  EXPECT_EQ(flipped, pixel_reference::FlipHorizontal(original));
+  EXPECT_EQ(rotated, pixel_reference::Rotate90(original));
+  for (const Frame* out : {&*bilinear, &*nearest, &flipped, &rotated}) {
+    EXPECT_NE(out->data().data(), pixels);
+  }
+}
 
 }  // namespace
 }  // namespace sand

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # One-command verification: configure + build the default tree, run the
-# full ctest suite, then run the ThreadSanitizer suite (tools/check_tsan.sh)
-# and the AddressSanitizer pass over the async demand path, each in its own
-# build tree. This is the tier-1 gate plus the concurrency/lifetime gates.
+# full ctest suite and the smokes, rerun the pixel kernels' tests in a
+# SAND_NATIVE_ARCH=ON tree, then run the ThreadSanitizer suite
+# (tools/check_tsan.sh) and the AddressSanitizer pass over the async demand
+# path, each in its own build tree. This is the tier-1 gate plus the
+# concurrency/lifetime gates.
 #
 # Usage: tools/check_build.sh
 #   BUILD_DIR         override the default build tree (default: build)
+#   NATIVE_BUILD_DIR  override the -march=native tree (default: build-native)
 #   SKIP_TSAN=1       skip the ThreadSanitizer suite
 #   SKIP_ASAN=1       skip the AddressSanitizer suite
 #   MAKE_BENCH_JSON=1 also regenerate BENCH_PR10.json (slow: full benches
@@ -26,6 +29,17 @@ echo "==== ctest ===="
 echo "==== kernel smoke (bench_micro_kernels --smoke) ===="
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_micro_kernels
 "$BUILD_DIR/bench/bench_micro_kernels" --smoke
+
+echo "==== native-arch kernels (SAND_NATIVE_ARCH=ON: tensor_test + kernel smoke) ===="
+# pixel_kernels.cc and pixel_reference.cc build with -ffp-contract=off, so
+# -march=native may not fuse their double math into FMA. tensor_test's
+# recorded-digest case fails if this tree's bytes differ from the default
+# build's.
+NATIVE_BUILD_DIR=${NATIVE_BUILD_DIR:-build-native}
+cmake -B "$NATIVE_BUILD_DIR" -S . -DSAND_NATIVE_ARCH=ON
+cmake --build "$NATIVE_BUILD_DIR" -j"$(nproc)" --target tensor_test bench_micro_kernels
+"$NATIVE_BUILD_DIR/tests/tensor_test"
+"$NATIVE_BUILD_DIR/bench/bench_micro_kernels" --smoke
 
 echo "==== lossless decoder smoke (bench_micro_compress --smoke) ===="
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_micro_compress
@@ -166,7 +180,8 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
   ASAN_TESTS=(vfs_test prefetch_test core_test codec_test fault_injection_test
               compress_test compress_tier_test net_test cluster_test obs_test
-              storage_test object_path_test stress_test)
+              storage_test object_path_test stress_test tensor_test config_test
+              sched_test)
   cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
   for test in "${ASAN_TESTS[@]}"; do
