@@ -196,7 +196,7 @@ int Main(int argc, char** argv) {
     Frame fast, ref;
     const int blur_reps = smoke ? 5 : 20;  // the reference is O(r^2)/pixel
     r.fast_ns_per_byte = TimeNs(blur_reps, [&] { fast = *BoxBlur(cur, k); }) / bytes;
-    r.ref_ns_per_byte = TimeNs(blur_reps, [&] { ref = *pixel_reference::BoxBlur(cur, k); }) / bytes;
+    r.ref_ns_per_byte = TimeNs(blur_reps, [&] { ref = *BoxBlurReference(cur, k); }) / bytes;
     r.identical = fast == ref;
     results.push_back(r);
   }

@@ -82,17 +82,25 @@ Result<AugOp> ParseOp(const std::string& op_name, const YamlNode& params) {
   if (op_name == "color_jitter") {
     op.kind = OpKind::kColorJitter;
     if (params.IsMap()) {
-      op.max_delta = static_cast<int>(params.GetIntOr("max_delta", 20));
+      // Checked before narrowing, like shape sides. A negative bound would
+      // also leave the jitter draw an empty range.
+      int64_t max_delta = params.GetIntOr("max_delta", 20);
+      if (max_delta < 0 || max_delta > 255) {
+        return InvalidArgument("config: color_jitter max_delta must be in [0, 255]");
+      }
+      op.max_delta = static_cast<int>(max_delta);
       op.max_contrast = params.GetDoubleOr("max_contrast", 0.2);
     }
     return op;
   }
   if (op_name == "blur") {
     op.kind = OpKind::kBlur;
-    op.kernel = params.IsMap() ? static_cast<int>(params.GetIntOr("kernel", 3)) : 3;
-    if (op.kernel <= 0 || op.kernel % 2 == 0) {
-      return InvalidArgument("config: blur kernel must be positive odd");
+    int64_t kernel = params.IsMap() ? params.GetIntOr("kernel", 3) : 3;
+    if (kernel < 1 || kernel > kMaxShapeSide || kernel % 2 == 0) {
+      return InvalidArgument(
+          StrFormat("config: blur kernel must be odd and in [1, %d]", kMaxShapeSide));
     }
+    op.kernel = static_cast<int>(kernel);
     return op;
   }
   if (op_name == "rotate90") {

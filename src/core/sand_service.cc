@@ -1,7 +1,6 @@
 #include "src/core/sand_service.h"
 
 #include <algorithm>
-#include <future>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -419,26 +418,25 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
   Nanos assemble_start = SinceProcessStart();
   // Group the batch's clips by source video: one decoder cursor and memo
   // per video, and one parallel job per video group — demand-feeding class
-  // for the trainer's blocking read, speculative class for readahead (which
-  // alternates with pre-materialization instead of preempting it).
+  // for the trainer's blocking read (this thread runs whatever no worker
+  // has started), speculative class for readahead (which alternates with
+  // pre-materialization instead of preempting it).
   std::vector<Clip> clips(batch.clips.size());
   std::map<int, std::vector<size_t>> by_video;
   for (size_t c = 0; c < batch.clips.size(); ++c) {
     by_video[batch.clips[c].video_index].push_back(c);
   }
-  std::vector<std::future<Status>> parts;
+  std::vector<Status> statuses(by_video.size());
+  std::vector<MaterializationJob> parts;
   parts.reserve(by_video.size());
-  bool refused = false;
   for (const auto& [video_index, clip_slots] : by_video) {
-    auto promise = std::make_shared<std::promise<Status>>();
-    std::future<Status> part = promise->get_future();
     MaterializationJob job;
     job.demand_feeding = !speculative;
     job.speculative = speculative;
     job.deadline = batch.global_iteration;
     job.remaining_work = static_cast<int64_t>(clip_slots.size());
     job.run = [this, chunk, &batch, &clips, video_index = video_index,
-               slots = clip_slots, speculative, promise] {
+               slots = clip_slots, speculative, &status = statuses[parts.size()]] {
       const VideoObjectGraph& graph = chunk->plan.videos[static_cast<size_t>(video_index)];
       // Speculative units reuse a per-video executor across readahead
       // batches (warm decoder cursor + memo). Checked out exclusively; a
@@ -457,7 +455,6 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
                                                      &cpu_meter_, exec_counters_,
                                                      decode_pool_.get());
       }
-      Status status = Status::Ok();
       if (options_.pre_materialize && options_.enable_scheduling) {
         // Demand-feeding coordination is part of priority scheduling: never
         // duplicate the subtree's work — either claim it (and run the
@@ -497,27 +494,15 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
           chunk->spec_executors[video_index] = std::move(executor);
         }
       }
-      promise->set_value(std::move(status));
     };
-    if (!scheduler_->Submit(std::move(job))) {
-      refused = true;  // shutting down: this part's promise is never set
-      break;
-    }
-    parts.push_back(std::move(part));
+    parts.push_back(std::move(job));
   }
-  // Every queued part writes into `clips` and reads `batch`, so wait for all
-  // of them before returning, on the error paths too.
-  Status status = Status::Ok();
-  for (std::future<Status>& part : parts) {
-    Status part_status = part.get();
-    if (status.ok()) {
-      status = std::move(part_status);
-    }
-  }
-  if (refused) {
+  if (!scheduler_->RunGroup(std::move(parts))) {
     return Unavailable("service shut down before the batch was assembled");
   }
-  SAND_RETURN_IF_ERROR(status);
+  for (Status& status : statuses) {
+    SAND_RETURN_IF_ERROR(status);
+  }
   Result<std::vector<uint8_t>> serialized = SerializeBatch(clips);
   ServiceMetrics::Get().batch_assemble_ns->Record(
       static_cast<uint64_t>(SinceProcessStart() - assemble_start));

@@ -30,10 +30,46 @@ bool MaterializationScheduler::Submit(MaterializationJob job) {
     if (shutdown_) {
       return false;
     }
-    queue_.push_back(std::move(job));
+    queue_.push_back(Queued{std::move(job)});
     queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   }
   wake_.notify_one();
+  return true;
+}
+
+bool MaterializationScheduler::RunGroup(std::vector<MaterializationJob> jobs) {
+  Group group;
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (shutdown_) {
+    return false;
+  }
+  group.unfinished = jobs.size();
+  for (MaterializationJob& job : jobs) {
+    queue_.push_back(Queued{std::move(job), &group});
+  }
+  queue_depth_->Set(static_cast<int64_t>(queue_.size()));
+  wake_.notify_all();
+  while (group.unfinished > 0) {
+    auto mine = std::find_if(queue_.begin(), queue_.end(), [&](const Queued& queued) {
+      return queued.group == &group && queued.job.demand_feeding &&
+             !options_.disable_priorities && !TenantCappedLocked(queued.job);
+    });
+    if (mine == queue_.end()) {
+      // The rest is running on workers, or left to them.
+      group.done.wait(lock);
+      continue;
+    }
+    Queued queued = StartLocked(mine);
+    caller_runs_.Add(1);
+    lock.unlock();
+    RunJob(queued.job);
+    lock.lock();
+    FinishLocked(queued);
+    // As after a worker's job: may unblock a worker parked on a capped
+    // tenant, or a WaitIdle caller.
+    wake_.notify_all();
+    idle_.notify_all();
+  }
   return true;
 }
 
@@ -50,28 +86,28 @@ bool MaterializationScheduler::HasRunnableLocked() {
   if (tenant_caps_.empty()) {
     return !queue_.empty();
   }
-  for (const MaterializationJob& job : queue_) {
-    if (!TenantCappedLocked(job)) {
+  for (const Queued& queued : queue_) {
+    if (!TenantCappedLocked(queued.job)) {
       return true;
     }
   }
   return false;
 }
 
-MaterializationJob MaterializationScheduler::PopLocked() {
+MaterializationScheduler::Queued MaterializationScheduler::PopLocked() {
   assert(!queue_.empty());
   ++pop_seq_;
   // A pop that had to pass over a quota-capped tenant's work is the signal
   // quota enforcement is active (tests and the /.sand/tenants views read it).
   if (!tenant_caps_.empty()) {
-    for (const MaterializationJob& job : queue_) {
-      if (TenantCappedLocked(job)) {
+    for (const Queued& queued : queue_) {
+      if (TenantCappedLocked(queued.job)) {
         capped_skips_.Add(1);
         break;
       }
     }
   }
-  auto runnable = [this](const MaterializationJob& job) { return !TenantCappedLocked(job); };
+  auto runnable = [this](const Queued& queued) { return !TenantCappedLocked(queued.job); };
   // The least-recently-served runnable tenant in `served` wins; queue
   // order breaks ties, so single-tenant workloads reduce to the legacy
   // policy exactly.
@@ -80,8 +116,9 @@ MaterializationJob MaterializationScheduler::PopLocked() {
     uint32_t best_tenant = 0;
     uint64_t best_seq = 0;
     *found = false;
-    for (const MaterializationJob& job : queue_) {
-      if (job.demand_feeding != demand_class || !runnable(job)) {
+    for (const Queued& queued : queue_) {
+      const MaterializationJob& job = queued.job;
+      if (job.demand_feeding != demand_class || !runnable(queued)) {
         continue;
       }
       auto it = served.find(job.ctx.tenant_id);
@@ -110,7 +147,7 @@ MaterializationJob MaterializationScheduler::PopLocked() {
     uint32_t demand_tenant = pick_tenant(/*demand_class=*/true, demand_last_served_, &have_demand);
     if (have_demand) {
       for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->demand_feeding && it->ctx.tenant_id == demand_tenant) {
+        if (it->job.demand_feeding && it->job.ctx.tenant_id == demand_tenant) {
           best = it;
           break;
         }
@@ -124,8 +161,9 @@ MaterializationJob MaterializationScheduler::PopLocked() {
       background_last_served_[tenant] = pop_seq_;
       double pressure = options_.memory_pressure ? options_.memory_pressure() : 0.0;
       bool use_sjf = pressure >= options_.sjf_watermark;
-      auto better = [use_sjf](const MaterializationJob& a, const MaterializationJob& b) {
-        return use_sjf ? a.remaining_work < b.remaining_work : a.deadline < b.deadline;
+      auto better = [use_sjf](const Queued& a, const Queued& b) {
+        return use_sjf ? a.job.remaining_work < b.job.remaining_work
+                       : a.job.deadline < b.job.deadline;
       };
       // Rank the chosen tenant's jobs within each background class, then
       // pick the class: alternate when both speculative (prefetch) and
@@ -133,10 +171,10 @@ MaterializationJob MaterializationScheduler::PopLocked() {
       auto best_pre = queue_.end();
       auto best_spec = queue_.end();
       for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->demand_feeding || it->ctx.tenant_id != tenant || !runnable(*it)) {
+        if (it->job.demand_feeding || it->job.ctx.tenant_id != tenant || !runnable(*it)) {
           continue;
         }
-        auto& slot = it->speculative ? best_spec : best_pre;
+        auto& slot = it->job.speculative ? best_spec : best_pre;
         if (slot == queue_.end() || better(*it, *slot)) {
           slot = it;
         }
@@ -148,8 +186,8 @@ MaterializationJob MaterializationScheduler::PopLocked() {
       } else {
         best = last_pop_speculative_ ? best_pre : best_spec;
       }
-      last_pop_speculative_ = best->speculative;
-      if (best->speculative) {
+      last_pop_speculative_ = best->job.speculative;
+      if (best->job.speculative) {
         speculative_pops_.Add(1);
       }
       if (use_sjf) {
@@ -160,11 +198,46 @@ MaterializationJob MaterializationScheduler::PopLocked() {
     }
   }
   assert(best != queue_.end() && "PopLocked without a runnable job");
-  MaterializationJob job = std::move(*best);
-  queue_.erase(best);
-  ++tenant_running_[job.ctx.tenant_id];
+  return StartLocked(best);
+}
+
+MaterializationScheduler::Queued MaterializationScheduler::StartLocked(
+    std::list<Queued>::iterator it) {
+  Queued queued = std::move(*it);
+  queue_.erase(it);
   queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-  return job;
+  const MaterializationJob& job = queued.job;
+  ++tenant_running_[job.ctx.tenant_id];
+  ++active_;
+  jobs_run_.Add(1);
+  ++jobs_run_by_tenant_[job.ctx.tenant_id];
+  if (job.demand_feeding) {
+    demand_jobs_run_.Add(1);
+  }
+  return queued;
+}
+
+void MaterializationScheduler::RunJob(MaterializationJob& job) {
+  if (obs::TenantMetrics* tenant = obs::TenantMetricsFor(job.ctx.tenant_id)) {
+    tenant->sched_jobs_run->Add(1);
+  }
+  ScopedTraceContext trace_scope(job.ctx);
+  SAND_SPAN("sched_job");
+  Nanos start = SinceProcessStart();
+  job.run();
+  job_latency_ns_->Record(static_cast<uint64_t>(SinceProcessStart() - start));
+}
+
+void MaterializationScheduler::FinishLocked(const Queued& queued) {
+  --active_;
+  auto running = tenant_running_.find(queued.job.ctx.tenant_id);
+  if (running != tenant_running_.end() && --running->second <= 0) {
+    tenant_running_.erase(running);
+  }
+  if (queued.group != nullptr && --queued.group->unfinished == 0) {
+    // Under mutex_: the group is gone as soon as its caller sees zero.
+    queued.group->done.notify_one();
+  }
 }
 
 void MaterializationScheduler::SetTenantRunningCap(uint32_t tenant_id, int max_running) {
@@ -181,7 +254,7 @@ void MaterializationScheduler::SetTenantRunningCap(uint32_t tenant_id, int max_r
 
 void MaterializationScheduler::WorkerLoop() {
   while (true) {
-    MaterializationJob job;
+    Queued queued;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // A queue holding only quota-capped tenants' jobs is not runnable
@@ -193,31 +266,12 @@ void MaterializationScheduler::WorkerLoop() {
       if (queue_.empty()) {
         return;  // shutdown with nothing left
       }
-      job = PopLocked();
-      ++active_;
-      jobs_run_.Add(1);
-      ++jobs_run_by_tenant_[job.ctx.tenant_id];
-      if (job.demand_feeding) {
-        demand_jobs_run_.Add(1);
-      }
+      queued = PopLocked();
     }
-    if (obs::TenantMetrics* tenant = obs::TenantMetricsFor(job.ctx.tenant_id)) {
-      tenant->sched_jobs_run->Add(1);
-    }
-    {
-      ScopedTraceContext trace_scope(job.ctx);
-      SAND_SPAN("sched_job");
-      Nanos start = SinceProcessStart();
-      job.run();
-      job_latency_ns_->Record(static_cast<uint64_t>(SinceProcessStart() - start));
-    }
+    RunJob(queued.job);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      auto running = tenant_running_.find(job.ctx.tenant_id);
-      if (running != tenant_running_.end() && --running->second <= 0) {
-        tenant_running_.erase(running);
-      }
+      FinishLocked(queued);
     }
     // Completion may unblock a worker parked on a capped tenant as well as
     // a WaitIdle caller.
@@ -259,6 +313,7 @@ SchedulerStats MaterializationScheduler::stats() {
   stats.sjf_pops = sjf_pops_.Value();
   stats.speculative_pops = speculative_pops_.Value();
   stats.capped_skips = capped_skips_.Value();
+  stats.caller_runs = caller_runs_.Value();
   stats.jobs_run_by_tenant = jobs_run_by_tenant_;
   return stats;
 }

@@ -19,6 +19,12 @@
 // them (EDF/SJF ordering applies within each class) — neither readahead
 // nor pre-materialization can monopolize the background share.
 //
+// A demand read hands its batch to RunGroup, which does not leave the
+// reading thread idle: every demand-feeding job of the group that no worker
+// has started yet runs on that thread. Workers may all be inside long
+// background jobs when a batch arrives; demand work then starts at once
+// instead of waiting for one of them to finish.
+//
 // Multi-tenant fair-share (DESIGN.md §13): jobs carry the submitting
 // tenant in their TraceContext. Within each class, pops rotate across
 // tenants that have queued work (least-recently-served tenant first, job
@@ -68,6 +74,7 @@ struct SchedulerStats {
   uint64_t sjf_pops = 0;         // background pops under the SJF policy
   uint64_t speculative_pops = 0;  // background pops that chose a prefetch job
   uint64_t capped_skips = 0;      // pops that bypassed a tenant at its running cap
+  uint64_t caller_runs = 0;       // RunGroup jobs run on the calling thread
   // Jobs completed per tenant id (0 = untenanted in-process work).
   std::map<uint32_t, uint64_t> jobs_run_by_tenant;
 };
@@ -96,6 +103,15 @@ class MaterializationScheduler {
   // before Shutdown() still drain.
   bool Submit(MaterializationJob job);
 
+  // Queues `jobs` as one group and returns once every one of them has run.
+  // Meanwhile the calling thread runs each demand-feeding job of the group
+  // that no worker has popped yet, so the group never waits for a worker to
+  // finish a background job. It leaves to the workers a job whose tenant is
+  // at its running cap, and everything under disable_priorities (the FIFO
+  // ablation). Returns false, queueing none of them, once Shutdown() has
+  // begun.
+  bool RunGroup(std::vector<MaterializationJob> jobs);
+
   // Caps how many of `tenant_id`'s jobs may run concurrently (its
   // scheduler quota). Clamped to >= 1 so a capped tenant always makes
   // progress; 0 removes the cap. Takes effect at the next pop.
@@ -112,10 +128,29 @@ class MaterializationScheduler {
   size_t PendingCount();
 
  private:
+  // The RunGroup call a queued job belongs to; it lives on that call's
+  // stack and is guarded by mutex_.
+  struct Group {
+    size_t unfinished = 0;
+    std::condition_variable done;
+  };
+  struct Queued {
+    MaterializationJob job;
+    Group* group = nullptr;  // null for Submit
+  };
+
   void WorkerLoop();
   // Extracts the next job per the current policy. Caller holds mutex_ and
   // has verified HasRunnableLocked().
-  MaterializationJob PopLocked();
+  Queued PopLocked();
+  // Removes `it` from the queue and counts it as running. Caller holds
+  // mutex_.
+  Queued StartLocked(std::list<Queued>::iterator it);
+  // Runs a started job under its trace context. Caller does not hold mutex_.
+  void RunJob(MaterializationJob& job);
+  // Counts a started job as done and wakes its group's caller. Caller holds
+  // mutex_.
+  void FinishLocked(const Queued& queued);
   // True when some queued job belongs to a tenant under its running cap.
   bool HasRunnableLocked();
   // True when `job`'s tenant is at its running cap right now.
@@ -125,7 +160,7 @@ class MaterializationScheduler {
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable idle_;
-  std::list<MaterializationJob> queue_;
+  std::list<Queued> queue_;
   std::vector<std::thread> workers_;
   int active_ = 0;
   bool shutdown_ = false;
@@ -151,6 +186,7 @@ class MaterializationScheduler {
   obs::InstanceCounter sjf_pops_{"sand.sched.sjf_pops"};
   obs::InstanceCounter speculative_pops_{"sand.sched.speculative_pops"};
   obs::InstanceCounter capped_skips_{"sand.sched.capped_skips"};
+  obs::InstanceCounter caller_runs_{"sand.sched.caller_runs"};
   obs::Gauge* queue_depth_;
   obs::Histogram* job_latency_ns_;
 };

@@ -96,7 +96,7 @@ Result<Frame> BoxBlur(const Frame& in, int k) {
     return in;
   }
   // Separable sliding-window sums: O(1) per pixel instead of the O(r^2)
-  // gather in pixel_reference::BoxBlur. The exact 2D window sum is kept in 32 bits
+  // gather in BoxBlurReference. The exact 2D window sum is kept in 32 bits
   // and divided once by the true (clamped) window area, so output is
   // byte-identical to the reference including at the borders.
   const int h = in.height();
@@ -168,6 +168,38 @@ Result<Frame> BoxBlur(const Frame& in, int k) {
       for (int ch = 0; ch < c; ++ch) {
         out_row[static_cast<size_t>(x) * c + ch] =
             static_cast<uint8_t>(win[static_cast<size_t>(ch)] / area);
+      }
+    }
+  }
+  return out;
+}
+
+Result<Frame> BoxBlurReference(const Frame& in, int k) {
+  if (k <= 0 || k % 2 == 0) {
+    return InvalidArgument("BoxBlur: kernel must be positive odd");
+  }
+  if (k == 1) {
+    return in;
+  }
+  const int c = in.channels();
+  const int r = k / 2;
+  Frame out(in.height(), in.width(), c);
+  for (int y = 0; y < in.height(); ++y) {
+    for (int x = 0; x < in.width(); ++x) {
+      for (int ch = 0; ch < c; ++ch) {
+        int sum = 0;
+        int count = 0;
+        for (int dy = -r; dy <= r; ++dy) {
+          for (int dx = -r; dx <= r; ++dx) {
+            int sy = y + dy;
+            int sx = x + dx;
+            if (sy >= 0 && sy < in.height() && sx >= 0 && sx < in.width()) {
+              sum += in.At(sy, sx, ch);
+              ++count;
+            }
+          }
+        }
+        out.At(y, x, ch) = static_cast<uint8_t>(sum / count);
       }
     }
   }

@@ -48,9 +48,12 @@ Frame AdjustContrast(const Frame& in, double factor);
 Frame ColorJitter(const Frame& in, Rng& rng, int max_delta, double max_contrast);
 
 // Box blur with odd kernel size k (k=1 returns a copy). Separable
-// sliding-window implementation, O(1) per pixel in k; byte-identical to the
-// retained O(r^2) gather, pixel_reference::BoxBlur.
+// sliding-window implementation, O(1) per pixel in k.
 Result<Frame> BoxBlur(const Frame& in, int k);
+
+// The retained O(r^2)-per-pixel scalar blur; byte-identical to BoxBlur.
+// Kept as the golden reference for tensor_test.cc and bench_micro_kernels.
+Result<Frame> BoxBlurReference(const Frame& in, int k);
 
 // Inverts pixel values (255 - v); the paper's `inv_sample` example op.
 Frame Invert(const Frame& in);

@@ -12,8 +12,11 @@ uint8_t SaturateD(double v) {
   return static_cast<uint8_t>(std::clamp(v, 0.0, 255.0) + 0.5);
 }
 
-// Channel counts 1-4 get a compile-time inner loop; kChannels == 0 reads
-// the runtime count instead.
+// The row loops below take the channel count as a template argument:
+// kChannels == 3 (every RGB frame) fixes the per-pixel loop's length at
+// compile time; kChannels == 0 reads the runtime count. At the SlowFast
+// shapes a runtime-count loop made nearest, flip and rotate 2.6-5.1x
+// slower and bilinear 1.2x slower (bench_micro_kernels).
 template <int kChannels>
 int ChannelCount(int channels) {
   return kChannels > 0 ? kChannels : channels;
@@ -83,22 +86,15 @@ void RotateRow(const uint8_t* __restrict column, size_t src_row_stride, int h, i
   }
 }
 
-// Runs fn(std::integral_constant<int, C>{}) with C = channels for 1-4 and
-// C = 0 (runtime count) otherwise, so each kernel dispatches once per call.
+// Runs fn(std::integral_constant<int, C>{}) with C = 3 for three channels
+// and C = 0 (runtime count) otherwise, so each kernel dispatches once per
+// call.
 template <typename Fn>
 void WithChannels(int channels, Fn&& fn) {
-  switch (channels) {
-    case 1:
-      return fn(std::integral_constant<int, 1>{});
-    case 2:
-      return fn(std::integral_constant<int, 2>{});
-    case 3:
-      return fn(std::integral_constant<int, 3>{});
-    case 4:
-      return fn(std::integral_constant<int, 4>{});
-    default:
-      return fn(std::integral_constant<int, 0>{});
+  if (channels == 3) {
+    return fn(std::integral_constant<int, 3>{});
   }
+  return fn(std::integral_constant<int, 0>{});
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 // Every kernel has a retained scalar reference in `pixel_reference` — the
 // original per-byte formulations — which the golden tests in tensor_test.cc
 // and the --smoke mode of bench_micro_kernels pin the fast paths against
-// byte-for-byte. Both TUs build with -ffp-contract=off (src/tensor/
+// byte-for-byte. The project builds with -ffp-contract=off (top-level
 // CMakeLists.txt): the double math must not fuse into FMA under
 // -march=native, so every build produces the same bytes.
 
@@ -107,10 +107,6 @@ Frame ResizeBilinear(const Frame& in, int out_h, int out_w);
 Frame ResizeNearest(const Frame& in, int out_h, int out_w);
 Frame FlipHorizontal(const Frame& in);
 Frame Rotate90(const Frame& in);
-
-// The O(r^2)-per-pixel gather BoxBlur replaced, with BoxBlur's argument
-// checks: k must be positive and odd; k == 1 returns the input.
-Result<Frame> BoxBlur(const Frame& in, int k);
 
 }  // namespace pixel_reference
 

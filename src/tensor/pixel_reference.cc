@@ -121,38 +121,6 @@ Frame Rotate90(const Frame& in) {
   return out;
 }
 
-Result<Frame> BoxBlur(const Frame& in, int k) {
-  if (k <= 0 || k % 2 == 0) {
-    return InvalidArgument("BoxBlur: kernel must be positive odd");
-  }
-  if (k == 1) {
-    return in;
-  }
-  const int c = in.channels();
-  const int r = k / 2;
-  Frame out(in.height(), in.width(), c);
-  for (int y = 0; y < in.height(); ++y) {
-    for (int x = 0; x < in.width(); ++x) {
-      for (int ch = 0; ch < c; ++ch) {
-        int sum = 0;
-        int count = 0;
-        for (int dy = -r; dy <= r; ++dy) {
-          for (int dx = -r; dx <= r; ++dx) {
-            int sy = y + dy;
-            int sx = x + dx;
-            if (sy >= 0 && sy < in.height() && sx >= 0 && sx < in.width()) {
-              sum += in.At(sy, sx, ch);
-              ++count;
-            }
-          }
-        }
-        out.At(y, x, ch) = static_cast<uint8_t>(sum / count);
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace pixel_reference
 
 }  // namespace sand

@@ -333,7 +333,8 @@ TEST(PipelineConfigTest, ValidationCatchesNegativeSampling) {
 }
 
 // One `op: {shape: [h, w]}` stage, for the shape range checks.
-std::string ShapeConfig(const std::string& op, const std::string& h, const std::string& w) {
+// A one-op pipeline whose op carries the single parameter line `param`.
+std::string OpConfig(const std::string& op, const std::string& param) {
   return "dataset:\n"
          "  tag: t\n"
          "  video_dataset_path: /d\n"
@@ -344,7 +345,11 @@ std::string ShapeConfig(const std::string& op, const std::string& h, const std::
          "    outputs: [\"o\"]\n"
          "    config:\n"
          "    - " + op + ":\n"
-         "        shape: [" + h + ", " + w + "]\n";
+         "        " + param + "\n";
+}
+
+std::string ShapeConfig(const std::string& op, const std::string& h, const std::string& w) {
+  return OpConfig(op, "shape: [" + h + ", " + w + "]");
 }
 
 TEST(PipelineConfigTest, ShapeSidesAreRangeCheckedBeforeNarrowing) {
@@ -363,6 +368,30 @@ TEST(PipelineConfigTest, ShapeSidesAreRangeCheckedBeforeNarrowing) {
   ASSERT_TRUE(largest.ok()) << largest.status().ToString();
   EXPECT_EQ(largest->augmentation[0].ops[0].out_h, 16384);
   EXPECT_EQ(largest->augmentation[0].ops[0].out_w, 1);
+}
+
+TEST(PipelineConfigTest, IntParamsAreRangeCheckedBeforeNarrowing) {
+  // 4294967299 = 2^32 + 3 narrows to a valid kernel of 3, and 4294967312 =
+  // 2^32 + 16 to a max_delta of 16; a negative max_delta empties the draw.
+  for (const char* kernel : {"4294967299", "2147483649", "16385", "0", "-3", "4"}) {
+    auto bad = ParseTaskConfigText(OpConfig("blur", std::string("kernel: ") + kernel));
+    ASSERT_FALSE(bad.ok()) << "blur kernel " << kernel << " must be rejected";
+    EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument) << bad.status().ToString();
+  }
+  for (const char* delta : {"4294967312", "2147483648", "256", "-1"}) {
+    auto bad = ParseTaskConfigText(OpConfig("color_jitter", std::string("max_delta: ") + delta));
+    ASSERT_FALSE(bad.ok()) << "max_delta " << delta << " must be rejected";
+    EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument) << bad.status().ToString();
+  }
+  auto blur = ParseTaskConfigText(OpConfig("blur", "kernel: 16383"));
+  ASSERT_TRUE(blur.ok()) << blur.status().ToString();
+  EXPECT_EQ(blur->augmentation[0].ops[0].kernel, 16383);
+  for (int delta : {0, 255}) {
+    auto jitter =
+        ParseTaskConfigText(OpConfig("color_jitter", "max_delta: " + std::to_string(delta)));
+    ASSERT_TRUE(jitter.ok()) << jitter.status().ToString();
+    EXPECT_EQ(jitter->augmentation[0].ops[0].max_delta, delta);
+  }
 }
 
 TEST(PipelineConfigTest, MergeNeedsTwoInputs) {

@@ -185,10 +185,116 @@ TEST(SchedulerTest, SubmitAfterShutdownIsRefused) {
     late.run = [&ran] { ran.fetch_add(100); };
     EXPECT_FALSE(scheduler.Submit(std::move(late)));
   }
+  std::vector<MaterializationJob> group(1);
+  group[0].demand_feeding = true;
+  group[0].run = [&ran] { ran.fetch_add(1000); };
+  EXPECT_FALSE(scheduler.RunGroup(std::move(group)));
   EXPECT_EQ(scheduler.PendingCount(), 0u) << "a refused job must not be queued";
   scheduler.Shutdown();  // idempotent
   EXPECT_EQ(ran.load(), 1) << "a refused job must never run";
   EXPECT_EQ(scheduler.stats().jobs_run, 1u);
+}
+
+// Occupies the scheduler's only worker with a background job until the
+// gate opens; returns once the worker is inside it.
+void BlockOnlyWorker(MaterializationScheduler& scheduler, Gate& gate, uint32_t tenant = 0) {
+  std::atomic<bool> started{false};
+  MaterializationJob blocker;
+  blocker.ctx.tenant_id = tenant;
+  blocker.run = [&started, &gate] {
+    started.store(true);
+    gate.Wait();
+  };
+  scheduler.Submit(std::move(blocker));
+  while (!started.load()) {
+    std::this_thread::yield();
+  }
+}
+
+// One job per slot of `ran_on`, recording the thread it ran on.
+std::vector<MaterializationJob> RecordingGroup(std::vector<std::thread::id>& ran_on,
+                                               bool demand, bool speculative) {
+  std::vector<MaterializationJob> group;
+  for (size_t i = 0; i < ran_on.size(); ++i) {
+    MaterializationJob job;
+    job.demand_feeding = demand;
+    job.speculative = speculative;
+    job.run = [&ran_on, i] { ran_on[i] = std::this_thread::get_id(); };
+    group.push_back(std::move(job));
+  }
+  return group;
+}
+
+TEST(SchedulerTest, RunGroupRunsDemandJobsOnTheCallerWhileWorkersAreBusy) {
+  MaterializationScheduler::Options options;
+  options.num_threads = 1;
+  MaterializationScheduler scheduler(options);
+  Gate gate;
+  BlockOnlyWorker(scheduler, gate);
+  // The worker stays inside the background job until after RunGroup
+  // returns, so the demand group must not wait for it. Should it wait
+  // anyway, the watchdog frees the worker after 5 s: the test then fails
+  // on the thread ids instead of hanging.
+  std::atomic<bool> returned{false};
+  std::thread watchdog([&returned, &gate] {
+    for (int i = 0; i < 500 && !returned.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    gate.Open();
+  });
+  std::vector<std::thread::id> ran_on(3);
+  EXPECT_TRUE(scheduler.RunGroup(RecordingGroup(ran_on, /*demand=*/true, false)));
+  returned.store(true);
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.caller_runs, 3u);
+  EXPECT_EQ(stats.demand_jobs_run, 3u);
+  watchdog.join();
+  scheduler.WaitIdle();
+  EXPECT_EQ(scheduler.stats().jobs_run, 4u);
+}
+
+TEST(SchedulerTest, RunGroupLeavesBackgroundAndFifoGroupsToWorkers) {
+  for (bool fifo : {false, true}) {
+    MaterializationScheduler::Options options;
+    options.num_threads = 1;
+    options.disable_priorities = fifo;
+    MaterializationScheduler scheduler(options);
+    // A speculative group under priorities, a demand group under the FIFO
+    // ablation: both wait for the worker, and RunGroup still returns only
+    // after every job ran.
+    std::vector<std::thread::id> ran_on(2);
+    EXPECT_TRUE(scheduler.RunGroup(RecordingGroup(ran_on, /*demand=*/fifo, !fifo)));
+    for (const std::thread::id& id : ran_on) {
+      EXPECT_NE(id, std::thread::id()) << "fifo=" << fifo;
+      EXPECT_NE(id, std::this_thread::get_id()) << "fifo=" << fifo;
+    }
+    EXPECT_EQ(scheduler.stats().caller_runs, 0u);
+  }
+}
+
+TEST(SchedulerTest, RunGroupLeavesACappedTenantsJobsToWorkers) {
+  MaterializationScheduler::Options options;
+  options.num_threads = 1;
+  MaterializationScheduler scheduler(options);
+  scheduler.SetTenantRunningCap(7, 1);
+  Gate gate;
+  BlockOnlyWorker(scheduler, gate, /*tenant=*/7);
+  std::vector<std::thread::id> ran_on(1);
+  std::vector<MaterializationJob> group = RecordingGroup(ran_on, /*demand=*/true, false);
+  group[0].ctx.tenant_id = 7;
+  std::thread opener([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.Open();
+  });
+  EXPECT_TRUE(scheduler.RunGroup(std::move(group)));
+  opener.join();
+  EXPECT_NE(ran_on[0], std::thread::id());
+  EXPECT_NE(ran_on[0], std::this_thread::get_id())
+      << "tenant 7 was at its cap: its job must wait for the worker";
+  EXPECT_EQ(scheduler.stats().caller_runs, 0u);
 }
 
 TEST(SchedulerTest, WaitIdleWaitsForRunningJobs) {

@@ -369,7 +369,7 @@ TEST_P(KernelGoldenTest, SeparableBlurMatchesReference) {
   // fully clamped windows on every pixel.
   for (int k : {1, 3, 5, 9, 2 * std::max(h, w) + 1}) {
     auto fast = BoxBlur(in, k);
-    auto ref = pixel_reference::BoxBlur(in, k);
+    auto ref = BoxBlurReference(in, k);
     ASSERT_TRUE(fast.ok());
     ASSERT_TRUE(ref.ok());
     EXPECT_EQ(*fast, *ref) << "k=" << k << " shape " << h << "x" << w << "x" << c;

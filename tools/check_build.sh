@@ -31,10 +31,9 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_micro_kernels
 "$BUILD_DIR/bench/bench_micro_kernels" --smoke
 
 echo "==== native-arch kernels (SAND_NATIVE_ARCH=ON: tensor_test + kernel smoke) ===="
-# pixel_kernels.cc and pixel_reference.cc build with -ffp-contract=off, so
-# -march=native may not fuse their double math into FMA. tensor_test's
-# recorded-digest case fails if this tree's bytes differ from the default
-# build's.
+# The project builds with -ffp-contract=off, so -march=native may not fuse
+# double math into FMA. tensor_test's recorded-digest case fails if this
+# tree's bytes differ from the default build's.
 NATIVE_BUILD_DIR=${NATIVE_BUILD_DIR:-build-native}
 cmake -B "$NATIVE_BUILD_DIR" -S . -DSAND_NATIVE_ARCH=ON
 cmake --build "$NATIVE_BUILD_DIR" -j"$(nproc)" --target tensor_test bench_micro_kernels
