@@ -44,17 +44,21 @@ void AppendJsonString(std::ostringstream& out, const std::string& value) {
 }  // namespace
 
 // One remote ring member as an ObjectStore: each op is one object verb over
-// a pooled pipelined SandClient, and the traffic it moves is counted for
-// /.sand/cluster. A connection that failed in transport (UNAVAILABLE: the
-// pipelined client poisons itself) is dropped, so the GuardedStore's retry
-// redials. PutIfAbsent is the ObjectStore default, a stat then a put: not
-// atomic across the wire, but cluster keys are content-addressed plan keys,
-// so two racing writers store identical bytes and the worst case is a
-// duplicate transfer, not divergent state.
+// one of the node's connections, and the traffic it moves is counted for
+// /.sand/cluster. The connections are pipelined SandClients that stay open
+// and are shared by every call: a call takes the next one round-robin, so
+// concurrent calls multiplex over connections_per_peer sockets instead of
+// dialing more. A connection that failed in transport (UNAVAILABLE: the
+// client poisons itself) is dropped once, by the first call to see it fail,
+// and the next call on that slot (the GuardedStore's retry) dials afresh.
+// PutIfAbsent is the ObjectStore default, a stat then a put: not atomic
+// across the wire, but cluster keys are content-addressed plan keys, so two
+// racing writers store identical bytes and the worst case is a duplicate
+// transfer, not divergent state.
 class ClusterStore::NodeStore : public ObjectStore {
  public:
   NodeStore(const ClusterNodeOptions& node, const ClusterStoreOptions& options)
-      : pool_size_(static_cast<size_t>(std::max(1, options.connections_per_peer))) {
+      : slots_(static_cast<size_t>(std::max(1, options.connections_per_peer))) {
     client_options_.unix_path = node.unix_path;
     client_options_.host = node.host;
     client_options_.port = node.port;
@@ -69,12 +73,24 @@ class ClusterStore::NodeStore : public ObjectStore {
     return status;
   }
   Result<SharedBytes> GetShared(const std::string& key) override {
-    Result<SharedBytes> fetched =
-        Call([&](net::SandClient& client) { return client.GetObjectShared(key); });
-    if (fetched.ok()) {
-      bytes_fetched.fetch_add((*fetched)->size(), std::memory_order_relaxed);
+    return std::move(GetManyShared(std::span<const std::string>(&key, 1)).front());
+  }
+  // One kGetObjects request for every key (more only past the frame cap).
+  std::vector<Result<SharedBytes>> GetManyShared(std::span<const std::string> keys) override {
+    if (keys.empty()) {
+      return {};
     }
-    return fetched;
+    Result<std::vector<Result<SharedBytes>>> fetched =
+        Call([&](net::SandClient& client) { return client.GetObjects(keys); });
+    if (!fetched.ok()) {
+      return std::vector<Result<SharedBytes>>(keys.size(), fetched.status());
+    }
+    for (const Result<SharedBytes>& object : *fetched) {
+      if (object.ok()) {
+        bytes_fetched.fetch_add((*object)->size(), std::memory_order_relaxed);
+      }
+    }
+    return fetched.TakeValue();
   }
   bool Contains(const std::string& key) override { return SizeOf(key).ok(); }
   Result<uint64_t> SizeOf(const std::string& key) override {
@@ -102,46 +118,47 @@ class ClusterStore::NodeStore : public ObjectStore {
   std::atomic<uint64_t> bytes_pushed{0};
 
  private:
-  // Runs `fn` on an idle pooled client (dialing one when the pool is
-  // empty) and returns the client to the pool unless it failed in
-  // transport; the pool keeps at most pool_size_ idle connections.
+  // One of the node's connections: dialed on first use, then shared.
+  struct Slot {
+    std::mutex mutex;  // guards `client`, and serializes its dial
+    std::shared_ptr<net::SandClient> client;
+  };
+
+  // Runs `fn` on the next slot's connection, dialing it when the slot is
+  // empty, and empties the slot when `fn` failed in transport on it.
   template <typename Fn>
   auto Call(Fn&& fn) -> decltype(fn(std::declval<net::SandClient&>())) {
     using R = decltype(fn(std::declval<net::SandClient&>()));
     SAND_SPAN("cluster_peer_call");
     requests.fetch_add(1, std::memory_order_relaxed);
-    std::unique_ptr<net::SandClient> client;
+    Slot& slot = slots_[next_slot_.fetch_add(1, std::memory_order_relaxed) % slots_.size()];
+    std::shared_ptr<net::SandClient> client;
     {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!idle_.empty()) {
-        client = std::move(idle_.back());
-        idle_.pop_back();
+      std::lock_guard<std::mutex> lock(slot.mutex);
+      if (slot.client == nullptr) {
+        auto dialed = net::SandClient::Connect(client_options_);
+        if (!dialed.ok()) {
+          errors.fetch_add(1, std::memory_order_relaxed);
+          return R(Unavailable(dialed.status().message()));
+        }
+        slot.client = std::move(*dialed);
       }
-    }
-    if (client == nullptr) {
-      auto dialed = net::SandClient::Connect(client_options_);
-      if (!dialed.ok()) {
-        errors.fetch_add(1, std::memory_order_relaxed);
-        return R(Unavailable(dialed.status().message()));
-      }
-      client = std::move(*dialed);
+      client = slot.client;
     }
     R answer = fn(*client);
     if (TransportFailure(StatusOf(answer))) {
       errors.fetch_add(1, std::memory_order_relaxed);
-      return answer;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (idle_.size() < pool_size_) {
-      idle_.push_back(std::move(client));
+      std::lock_guard<std::mutex> lock(slot.mutex);
+      if (slot.client == client) {
+        slot.client.reset();
+      }
     }
     return answer;
   }
 
   net::SandClient::Options client_options_;
-  const size_t pool_size_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<net::SandClient>> idle_;
+  std::vector<Slot> slots_;
+  std::atomic<size_t> next_slot_{0};
 };
 
 ClusterStore::ClusterStore(std::shared_ptr<ObjectStore> local_shard,
@@ -228,6 +245,35 @@ Result<bool> ClusterStore::PutIfAbsent(const std::string& key,
 Result<SharedBytes> ClusterStore::GetShared(const std::string& key) {
   SAND_ASSIGN_OR_RETURN(ObjectStore* owner, Route(key));
   return owner->GetShared(key);
+}
+
+std::vector<Result<SharedBytes>> ClusterStore::GetManyShared(std::span<const std::string> keys) {
+  std::vector<Result<SharedBytes>> results(keys.size());
+  // The keys each node owns (positions into `keys`): one call per owner.
+  std::vector<std::vector<size_t>> owned(members_.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Result<size_t> owner = OwnerOf(keys[i]);
+    if (owner.ok()) {
+      owned[*owner].push_back(i);
+    } else {
+      results[i] = owner.status();
+    }
+  }
+  for (size_t node = 0; node < members_.size(); ++node) {
+    if (owned[node].empty()) {
+      continue;
+    }
+    std::vector<std::string> subset;
+    subset.reserve(owned[node].size());
+    for (size_t i : owned[node]) {
+      subset.push_back(keys[i]);
+    }
+    std::vector<Result<SharedBytes>> answers = members_[node].store->GetManyShared(subset);
+    for (size_t j = 0; j < owned[node].size(); ++j) {
+      results[owned[node][j]] = std::move(answers[j]);
+    }
+  }
+  return results;
 }
 
 bool ClusterStore::Contains(const std::string& key) {

@@ -6,12 +6,14 @@
 // router over one ObjectStore per node: it sends every op to the store of
 // the key's ring owner (HashRing). The self node's store is the local
 // shard, used in-process; every other node's is a GuardedStore over a
-// private NodeStore, which speaks the object verbs over that node's pooled
-// pipelined SandClient connections.
+// private NodeStore, which speaks the object verbs over that node's shared
+// pipelined SandClient connections. A multi-key read costs one request per
+// owner node.
 //
 // Failure semantics: each remote node sits behind its own GuardedStore, the
 // decorator that guards the TieredCache disk tier, configured by the same
-// DiskFaultPolicy. A transport failure (UNAVAILABLE) is retried on a fresh
+// DiskFaultPolicy, with one breaker op per request (a multi-key read
+// included). A transport failure (UNAVAILABLE) is retried on a fresh
 // dial with exponential backoff, a streak of failures marks the node
 // offline and ops on its shard short-circuit to UNAVAILABLE until a reprobe
 // interval expires — so a dead peer costs one failed probe per interval,
@@ -57,8 +59,9 @@ struct ClusterStoreOptions {
   // Tenant tag peer connections HELLO with.
   std::string tenant = "cluster";
   int virtual_nodes = HashRing::kDefaultVirtualNodes;
-  // Pooled pipelined connections kept per peer (extras are dialed under
-  // load and dropped on release).
+  // Pipelined connections opened to each peer. They stay open and every
+  // call through this store shares them, round-robin; a connection is
+  // replaced only after it failed in transport.
   int connections_per_peer = 2;
   // Node-down retry/degrade knobs for each peer's GuardedStore.
   DiskFaultPolicy fault_policy;
@@ -78,6 +81,9 @@ class ClusterStore : public ObjectStore {
   Status PutShared(const std::string& key, SharedBytes data) override;
   Result<bool> PutIfAbsent(const std::string& key, std::span<const uint8_t> data) override;
   Result<SharedBytes> GetShared(const std::string& key) override;
+  // One GetManyShared call per owner node: a remote owner answers all of
+  // its keys with one pipelined request.
+  std::vector<Result<SharedBytes>> GetManyShared(std::span<const std::string> keys) override;
   bool Contains(const std::string& key) override;
   Result<uint64_t> SizeOf(const std::string& key) override;
   Status Delete(const std::string& key) override;

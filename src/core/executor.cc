@@ -193,20 +193,25 @@ std::optional<Result<Frame>> SubtreeExecutor::TryCacheLoad(const ConcreteNode& n
   if (!node.cache || cache_ == nullptr) {
     return std::nullopt;
   }
-  // Cached object? Load it. Objects destined for the memory tier are kept
-  // raw; the disk tier holds losslessly compressed frames (§6: libpng-class
-  // codec for persisted objects). The two are distinguished by size: a raw
-  // object is exactly header + h*w*c bytes.
-  //
   // Single GetShared call (no Contains pre-check): an eviction between a
   // Contains and the Get would turn a hit into a spurious corrupt-entry
-  // path. A raw memory-tier hit is zero-copy — the Frame aliases the
-  // cache-resident bytes and clones only if someone later mutates it.
+  // path.
   std::string key = NodeCacheKey(graph_, node);
-  Result<SharedBytes> bytes = cache_->GetShared(key);
+  return AcceptCached(node, key, cache_->GetShared(key));
+}
+
+std::optional<Result<Frame>> SubtreeExecutor::AcceptCached(const ConcreteNode& node,
+                                                           const std::string& key,
+                                                           const Result<SharedBytes>& bytes) {
   if (!bytes.ok()) {
     return std::nullopt;
   }
+  // Objects destined for the memory tier are kept raw; the disk tier holds
+  // losslessly compressed frames (§6: libpng-class codec for persisted
+  // objects). The two are distinguished by size: a raw object is exactly
+  // header + h*w*c bytes. A raw memory-tier hit is zero-copy — the Frame
+  // aliases the cache-resident bytes and clones only if someone later
+  // mutates it.
   bool raw = (*bytes)->size() == 12 + node.RawBytes();
   Result<Frame> frame = [&]() -> Result<Frame> {
     if (raw) {
@@ -228,6 +233,35 @@ std::optional<Result<Frame>> SubtreeExecutor::TryCacheLoad(const ConcreteNode& n
     job->cache_hits->Add(1);
   }
   return InsertMemo(node.id, *std::move(frame));
+}
+
+std::set<int> SubtreeExecutor::LoadCached(const std::vector<int>& node_ids) {
+  std::vector<int> wanted;
+  if (cache_ != nullptr) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (int id : node_ids) {
+      if (graph_.node(id).cache && memo_.count(id) == 0 &&
+          std::find(wanted.begin(), wanted.end(), id) == wanted.end()) {
+        wanted.push_back(id);
+      }
+    }
+  }
+  if (wanted.empty()) {
+    return {};
+  }
+  std::vector<std::string> keys;
+  keys.reserve(wanted.size());
+  for (int id : wanted) {
+    keys.push_back(NodeCacheKey(graph_, graph_.node(id)));
+  }
+  std::vector<Result<SharedBytes>> loaded = cache_->GetManyShared(keys);
+  std::set<int> missed;
+  for (size_t i = 0; i < wanted.size(); ++i) {
+    if (!AcceptCached(graph_.node(wanted[i]), keys[i], loaded[i])) {
+      missed.insert(wanted[i]);
+    }
+  }
+  return missed;
 }
 
 Frame SubtreeExecutor::InsertMemo(int node_id, Frame frame) {
@@ -283,7 +317,7 @@ Result<Frame> SubtreeExecutor::FinishProduced(const ConcreteNode& node, Frame pr
   return InsertMemo(node.id, std::move(produced));
 }
 
-Result<Frame> SubtreeExecutor::Produce(int node_id, bool allow_cache_store) {
+Result<Frame> SubtreeExecutor::Produce(int node_id, bool allow_cache_store, bool probe_cache) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto memo_it = memo_.find(node_id);
@@ -296,8 +330,10 @@ Result<Frame> SubtreeExecutor::Produce(int node_id, bool allow_cache_store) {
     return InvalidArgument("cannot produce the video source node as a frame");
   }
 
-  if (std::optional<Result<Frame>> cached = TryCacheLoad(node)) {
-    return *std::move(cached);
+  if (probe_cache) {
+    if (std::optional<Result<Frame>> cached = TryCacheLoad(node)) {
+      return *std::move(cached);
+    }
   }
 
   Frame produced;

@@ -23,6 +23,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "src/codec/video_codec.h"
@@ -93,10 +95,19 @@ class SubtreeExecutor {
 
   // Produces the frame for `node_id`, recursively producing parents.
   // `allow_cache_store`: persist flagged nodes produced along the way.
+  // `probe_cache` = false skips the cache read for `node_id` itself (its
+  // parents still read theirs): a node LoadCached just missed.
   // Thread-safe: concurrent Produce calls share the memo (first writer
   // wins; node materialization is deterministic, so duplicated compute
   // yields identical bytes).
-  Result<Frame> Produce(int node_id, bool allow_cache_store);
+  Result<Frame> Produce(int node_id, bool allow_cache_store, bool probe_cache = true);
+
+  // Reads the cache-flagged nodes among `node_ids` that are not memoized
+  // with one cache read (TieredCache::GetManyShared: one peer request per
+  // owner node for what the local tiers miss) and memoizes the hits.
+  // Returns the nodes it read and missed, for Produce to compute without
+  // reading again.
+  std::set<int> LoadCached(const std::vector<int>& node_ids);
 
   // Produces and persists every cache-flagged node of the graph (the
   // pre-materialization job body). Skips nodes already in the cache.
@@ -125,6 +136,11 @@ class SubtreeExecutor {
 
   // Tries the tiered cache for a flagged node; returns nullopt on miss.
   std::optional<Result<Frame>> TryCacheLoad(const ConcreteNode& node);
+  // Turns what the cache answered for flagged `node` (under `key`) into a
+  // memoized frame; nullopt on a miss, or on an undecodable object, which
+  // is deleted so the node is recomputed.
+  std::optional<Result<Frame>> AcceptCached(const ConcreteNode& node, const std::string& key,
+                                            const Result<SharedBytes>& bytes);
 
   // The post-compute half of Produce: store to the cache if flagged, then
   // memoize (first writer wins) and return the memoized frame.

@@ -1,6 +1,7 @@
 #include "src/core/sand_service.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -472,10 +473,20 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
           }
         }
       }
+      // The part's flagged leaves come from the cache in one read (one
+      // request per owner node when they come from cluster peers); a leaf
+      // that read missed is computed without asking the cache again.
+      std::vector<int> leaves;
+      for (size_t slot : slots) {
+        const ClipRef& ref = batch.clips[slot];
+        leaves.insert(leaves.end(), ref.leaf_ids.begin(), ref.leaf_ids.end());
+      }
+      const std::set<int> missed = executor->LoadCached(leaves);
       for (size_t slot : slots) {
         const ClipRef& ref = batch.clips[slot];
         for (int leaf : ref.leaf_ids) {
-          Result<Frame> frame = executor->Produce(leaf, /*allow_cache_store=*/true);
+          Result<Frame> frame = executor->Produce(leaf, /*allow_cache_store=*/true,
+                                                  /*probe_cache=*/missed.count(leaf) == 0);
           if (!frame.ok()) {
             status = frame.status();
             break;
@@ -573,6 +584,13 @@ bool SandService::ReleaseSpeculation(const std::string& task, const std::string&
   return true;
 }
 
+bool SandService::Speculated(const std::string& task, const std::string& key) {
+  std::lock_guard<std::mutex> lock(spec_mutex_);
+  auto it = spec_keys_by_task_.find(task);
+  return it != spec_keys_by_task_.end() &&
+         std::find(it->second.begin(), it->second.end(), key) != it->second.end();
+}
+
 Result<SharedBytes> SandService::MaterializeSpeculative(const ViewPath& path) {
   SAND_SPAN("speculative_batch");
   SAND_ASSIGN_OR_RETURN(int task, TaskIndex(path.task));
@@ -665,17 +683,21 @@ Result<SharedBytes> SandService::MaterializeBatch(const ViewPath& path) {
   const BatchPlan& batch = chunk->plan.batches[it->second];
 
   // A speculative unit may already have assembled this batch into the
-  // cache (e.g. the prefetcher's completed-LRU evicted its copy).
+  // cache (e.g. the prefetcher's completed-LRU evicted its copy). Only a
+  // speculation still on record can have: without one the read would miss
+  // in every tier and in the ring.
   std::string key = path.Format();
-  Result<SharedBytes> speculated = cache_->GetShared(key);
-  if (speculated.ok()) {
-    if (ReleaseSpeculation(path.task, key)) {
-      (void)cache_->Delete(key);
-      std::lock_guard<std::mutex> lock(evict_mutex_);
-      evict_index_.erase(key);
+  if (Speculated(path.task, key)) {
+    Result<SharedBytes> speculated = cache_->GetShared(key);
+    if (speculated.ok()) {
+      if (ReleaseSpeculation(path.task, key)) {
+        (void)cache_->Delete(key);
+        std::lock_guard<std::mutex> lock(evict_mutex_);
+        evict_index_.erase(key);
+      }
+      FinishBatchServe(path, chunk, task, batch);
+      return speculated;
     }
-    FinishBatchServe(path, chunk, task, batch);
-    return speculated;
   }
 
   // Demand-feeding: AssembleBatch fans one job per source video into the

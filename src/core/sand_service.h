@@ -245,6 +245,8 @@ class SandService : public ViewProvider {
   // Unpins (and drops the tracking of) a speculative cache object. Returns
   // true when `key` was a live speculation of `task`.
   bool ReleaseSpeculation(const std::string& task, const std::string& key);
+  // True while `key` is a live speculation of `task`.
+  bool Speculated(const std::string& task, const std::string& key);
 
   // Serves frame / aug-frame intermediate views.
   Result<SharedBytes> MaterializeIntermediate(const ViewPath& path);

@@ -455,22 +455,6 @@ std::vector<int> VideoObjectGraph::LeafIds() const {
   return out;
 }
 
-double VideoObjectGraph::SubtreeEdgeCost(int id) const {
-  double total = node(id).op_cost_ns;
-  for (int child : node(id).children) {
-    total += SubtreeEdgeCost(child);
-  }
-  return total;
-}
-
-uint64_t VideoObjectGraph::SubtreeCachedBytes(int id) const {
-  uint64_t total = node(id).cache ? node(id).est_stored_bytes : 0;
-  for (int child : node(id).children) {
-    total += SubtreeCachedBytes(child);
-  }
-  return total;
-}
-
 int64_t VideoObjectGraph::EarliestDeadline(int id) const {
   int64_t earliest = INT64_MAX;
   for (const Consumer& consumer : node(id).consumers) {

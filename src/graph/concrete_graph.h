@@ -100,12 +100,6 @@ class VideoObjectGraph {
 
   std::vector<int> LeafIds() const;
 
-  // Sum of op costs in the subtree rooted at `id` (the recomputation price
-  // of pruning everything under it).
-  double SubtreeEdgeCost(int id) const;
-  // Sum of est_stored_bytes over currently cached nodes in the subtree.
-  uint64_t SubtreeCachedBytes(int id) const;
-
   // Earliest global iteration at which any consumer needs node `id`.
   int64_t EarliestDeadline(int id) const;
 };

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 namespace sand {
@@ -38,9 +39,9 @@ Result<std::unique_ptr<SandClient>> SandClient::Connect(const Options& options) 
   std::vector<uint8_t> hello = RequestHead(Command::kHello);
   PutU16(hello, kProtocolVersion);
   PutString(hello, options.tenant);
-  std::vector<uint8_t> response;
+  Response response;
   SAND_RETURN_IF_ERROR(client->Call(std::move(hello), response));
-  WireReader reader(response);
+  WireReader reader(response.head);
   (void)reader.TakeU8();  // status head, already checked
   SAND_ASSIGN_OR_RETURN(client->tenant_id_, reader.TakeU32());
   return client;
@@ -71,38 +72,116 @@ void SandClient::StartReader() {
 
 void SandClient::ReaderLoop() {
   Status failure = Unavailable("server connection lost");
-  std::vector<uint8_t> frame;
-  while (ReadFrame(socket_fd_, frame)) {
-    WireReader reader(frame);
-    auto id = reader.TakeU64();
-    if (!id.ok()) {
-      failure = Unavailable("malformed response frame: missing request id");
+  // u32 frame length | u64 request id: read first, so the payload can be
+  // parsed in the shape its request expects.
+  std::vector<uint8_t> prefix(4 + kRequestIdBytes);
+  while (ReadExact(socket_fd_, prefix.data(), prefix.size())) {
+    WireReader reader(prefix);
+    const uint32_t size = *reader.TakeU32();
+    const uint64_t id = *reader.TakeU64();
+    if (size < kRequestIdBytes || size > kMaxFrameBytes) {
+      failure = Unavailable("malformed response frame: length " + std::to_string(size));
       break;
     }
-    std::vector<uint8_t> payload = reader.TakeRest();
-    Promise<std::vector<uint8_t>> promise;
+    std::optional<Pending> pending;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      auto it = pending_.find(*id);
+      auto it = pending_.find(id);
       if (it == pending_.end()) {
         // A response we never asked for (or asked for twice): the stream
         // can no longer be trusted to pair responses with requests.
-        failure = Unavailable("response for unknown request id " +
-                              std::to_string(*id) + "; stream desynchronized");
+        failure = Unavailable("response for unknown request id " + std::to_string(id) +
+                              "; stream desynchronized");
         break;
       }
-      promise = std::move(it->second);
+      pending.emplace(std::move(it->second));
       pending_.erase(it);
     }
+    Result<Response> response = ReadPayload(size - kRequestIdBytes, pending->shape);
+    if (!response.ok()) {
+      failure = response.status();
+      pending->promise.Set(failure);
+      break;
+    }
     // Outside the lock: Set runs continuations inline.
-    promise.Set(std::move(payload));
-    frame.clear();
+    pending->promise.Set(response.TakeValue());
   }
   Poison(failure);
 }
 
+Result<SandClient::Response> SandClient::ReadPayload(size_t size, Shape shape) {
+  const Status lost = Unavailable("server connection lost");
+  const Status malformed = Unavailable("malformed response frame");
+  Response response;
+  // Appends the payload's next `count` bytes to the head.
+  auto take = [&](size_t count) -> Status {
+    if (count > size) {
+      return malformed;
+    }
+    const size_t start = response.head.size();
+    response.head.resize(start + count);
+    if (!ReadExact(socket_fd_, response.head.data() + start, count)) {
+      return lost;
+    }
+    size -= count;
+    return Status::Ok();
+  };
+  // An inline payload, and the error answer of any shape, is read whole.
+  if (shape == Shape::kInline || size == 0) {
+    SAND_RETURN_IF_ERROR(take(size));
+    return response;
+  }
+  SAND_RETURN_IF_ERROR(take(1));
+  if (response.head[0] != 0) {
+    SAND_RETURN_IF_ERROR(take(size));
+    return response;
+  }
+  SAND_RETURN_IF_ERROR(take(4));
+  WireReader reader(response.head);
+  (void)reader.Skip(1);
+  const uint32_t word = *reader.TakeU32();
+  std::vector<std::vector<uint8_t>> bodies;
+  if (shape == Shape::kBulk) {
+    // ok | u32 size | body: the body is the rest of the frame.
+    if (word != size) {
+      return malformed;
+    }
+    bodies.emplace_back(size);
+  } else {
+    // ok | u32 count | count x (u8 status | u32 size) | found objects.
+    if (word > kMaxObjectsPerRequest) {
+      return malformed;
+    }
+    SAND_RETURN_IF_ERROR(take(static_cast<size_t>(word) * 5));
+    uint64_t total = 0;
+    for (uint32_t i = 0; i < word; ++i) {
+      const uint8_t status = *reader.TakeU8();
+      const uint32_t length = *reader.TakeU32();
+      // Only a found object carries bytes, and they must fit the frame.
+      if (status != 0 ? length != 0 : length > size - total) {
+        return malformed;
+      }
+      if (status == 0) {
+        total += length;
+        bodies.emplace_back(length);
+      }
+    }
+    if (total != size) {
+      return malformed;
+    }
+  }
+  if (!ReadScatter(socket_fd_, bodies)) {
+    return lost;
+  }
+  response.bodies.reserve(bodies.size());
+  for (std::vector<uint8_t>& body : bodies) {
+    response.bodies.push_back(MakeSharedBytes(std::move(body)));
+  }
+  return response;
+}
+
 void SandClient::Poison(const Status& status) {
-  std::map<uint64_t, Promise<std::vector<uint8_t>>> orphans;
+  std::map<uint64_t, Pending> orphans;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     dead_ = true;
@@ -111,15 +190,15 @@ void SandClient::Poison(const Status& status) {
       ::shutdown(socket_fd_, SHUT_RDWR);
     }
   }
-  for (auto& [id, promise] : orphans) {
+  for (auto& [id, pending] : orphans) {
     (void)id;
-    promise.Set(Result<std::vector<uint8_t>>(status));
+    pending.promise.Set(Result<Response>(status));
   }
 }
 
-Future<std::vector<uint8_t>> SandClient::Issue(std::vector<uint8_t> request) {
-  Promise<std::vector<uint8_t>> promise;
-  Future<std::vector<uint8_t>> future = promise.future();
+Future<SandClient::Response> SandClient::Issue(std::vector<uint8_t> request, Shape shape) {
+  Promise<Response> promise;
+  Future<Response> future = promise.future();
   bool lost = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -130,31 +209,31 @@ Future<std::vector<uint8_t>> SandClient::Issue(std::vector<uint8_t> request) {
       }
       // Register before writing: the response cannot legally outrun an
       // entry the reader can match it to.
-      auto it = pending_.emplace(id, std::move(promise)).first;
+      auto it = pending_.emplace(id, Pending{shape, std::move(promise)}).first;
       if (WriteFrame(socket_fd_, request)) {
         return future;
       }
       // A half-written request poisons the stream; the reader (woken by
       // the shutdown) fails the other pending requests.
-      promise = std::move(it->second);
+      promise = std::move(it->second.promise);
       pending_.erase(it);
       dead_ = true;
       ::shutdown(socket_fd_, SHUT_RDWR);
       lost = true;
     }
   }
-  promise.Set(Result<std::vector<uint8_t>>(
+  promise.Set(Result<Response>(
       Unavailable(lost ? "server connection lost" : "connection closed")));
   return future;
 }
 
-Status SandClient::Call(std::vector<uint8_t> request, std::vector<uint8_t>& response) {
-  Result<std::vector<uint8_t>> result = Issue(std::move(request)).Get();
+Status SandClient::Call(std::vector<uint8_t> request, Response& response, Shape shape) {
+  Result<Response> result = Issue(std::move(request), shape).Get();
   if (!result.ok()) {
     return result.status();
   }
-  response = std::move(*result);
-  return DecodeResponseStatus(response);
+  response = result.TakeValue();
+  return DecodeResponseStatus(response.head);
 }
 
 Result<int> SandClient::Open(const std::string& path, const OpenOptions& options) {
@@ -162,9 +241,9 @@ Result<int> SandClient::Open(const std::string& path, const OpenOptions& options
   std::vector<uint8_t> request = RequestHead(Command::kOpen);
   PutString(request, path);
   PutBytes(request, options.Serialize());
-  std::vector<uint8_t> response;
+  Response response;
   SAND_RETURN_IF_ERROR(Call(std::move(request), response));
-  WireReader reader(response);
+  WireReader reader(response.head);
   (void)reader.TakeU8();
   SAND_ASSIGN_OR_RETURN(int fd, reader.TakeI32());
   return fd;
@@ -174,9 +253,9 @@ Result<size_t> SandClient::Read(int fd, std::span<uint8_t> buffer) {
   std::vector<uint8_t> request = RequestHead(Command::kRead);
   PutI32(request, fd);
   PutU64(request, buffer.size());
-  std::vector<uint8_t> response;
+  Response response;
   SAND_RETURN_IF_ERROR(Call(std::move(request), response));
-  WireReader reader(response);
+  WireReader reader(response.head);
   (void)reader.TakeU8();
   SAND_ASSIGN_OR_RETURN(std::vector<uint8_t> data, reader.TakeBytes());
   size_t count = std::min(data.size(), buffer.size());
@@ -189,9 +268,9 @@ Result<size_t> SandClient::PRead(int fd, std::span<uint8_t> buffer, uint64_t off
   PutI32(request, fd);
   PutU64(request, offset);
   PutU64(request, buffer.size());
-  std::vector<uint8_t> response;
+  Response response;
   SAND_RETURN_IF_ERROR(Call(std::move(request), response));
-  WireReader reader(response);
+  WireReader reader(response.head);
   (void)reader.TakeU8();
   SAND_ASSIGN_OR_RETURN(std::vector<uint8_t> data, reader.TakeBytes());
   size_t count = std::min(data.size(), buffer.size());
@@ -206,30 +285,23 @@ Result<SharedBytes> SandClient::ReadAllShared(int fd) {
 Future<SharedBytes> SandClient::ReadAllSharedAsync(int fd) {
   std::vector<uint8_t> request = RequestHead(Command::kReadAll);
   PutI32(request, fd);
-  Future<std::vector<uint8_t>> raw = Issue(std::move(request));
-  // Map the raw payload onto SharedBytes on whichever thread resolves it
-  // (the demux reader in steady state); the parse is one bounds check and
-  // the single off-the-wire copy.
+  Future<Response> raw = Issue(std::move(request), Shape::kBulk);
+  // The reader already read the body into its own buffer; resolving hands
+  // that buffer out (on whichever thread resolves it, the demux reader in
+  // steady state).
   auto promise = std::make_shared<Promise<SharedBytes>>();
   Future<SharedBytes> future = promise->future();
-  raw.OnReady([promise](const Result<std::vector<uint8_t>>& result) {
+  raw.OnReady([promise](const Result<Response>& result) {
     if (!result.ok()) {
       promise->Set(result.status());
       return;
     }
-    Status head = DecodeResponseStatus(*result);
+    Status head = DecodeResponseStatus(result->head);
     if (!head.ok()) {
       promise->Set(head);
       return;
     }
-    WireReader reader(*result);
-    (void)reader.TakeU8();
-    auto data = reader.TakeBytes();
-    if (!data.ok()) {
-      promise->Set(data.status());
-      return;
-    }
-    promise->Set(std::make_shared<const std::vector<uint8_t>>(std::move(*data)));
+    promise->Set(result->bodies.front());
   });
   return future;
 }
@@ -237,9 +309,9 @@ Future<SharedBytes> SandClient::ReadAllSharedAsync(int fd) {
 Result<uint64_t> SandClient::SizeOf(int fd) {
   std::vector<uint8_t> request = RequestHead(Command::kSizeOf);
   PutI32(request, fd);
-  std::vector<uint8_t> response;
+  Response response;
   SAND_RETURN_IF_ERROR(Call(std::move(request), response));
-  WireReader reader(response);
+  WireReader reader(response.head);
   (void)reader.TakeU8();
   SAND_ASSIGN_OR_RETURN(uint64_t size, reader.TakeU64());
   return size;
@@ -249,9 +321,9 @@ Result<std::string> SandClient::GetXattr(int fd, const std::string& name) {
   std::vector<uint8_t> request = RequestHead(Command::kGetXattr);
   PutI32(request, fd);
   PutString(request, name);
-  std::vector<uint8_t> response;
+  Response response;
   SAND_RETURN_IF_ERROR(Call(std::move(request), response));
-  WireReader reader(response);
+  WireReader reader(response.head);
   (void)reader.TakeU8();
   SAND_ASSIGN_OR_RETURN(std::string value, reader.TakeString());
   return value;
@@ -260,9 +332,9 @@ Result<std::string> SandClient::GetXattr(int fd, const std::string& name) {
 Result<std::vector<std::string>> SandClient::ListDir(const std::string& path) {
   std::vector<uint8_t> request = RequestHead(Command::kListDir);
   PutString(request, path);
-  std::vector<uint8_t> response;
+  Response response;
   SAND_RETURN_IF_ERROR(Call(std::move(request), response));
-  WireReader reader(response);
+  WireReader reader(response.head);
   (void)reader.TakeU8();
   SAND_ASSIGN_OR_RETURN(uint32_t count, reader.TakeU32());
   std::vector<std::string> entries;
@@ -277,7 +349,7 @@ Result<std::vector<std::string>> SandClient::ListDir(const std::string& path) {
 Status SandClient::Close(int fd) {
   std::vector<uint8_t> request = RequestHead(Command::kClose);
   PutI32(request, fd);
-  std::vector<uint8_t> response;
+  Response response;
   return Call(std::move(request), response);
 }
 
@@ -286,27 +358,74 @@ Status SandClient::PutObject(const std::string& key, std::span<const uint8_t> da
   PutString(request, key);
   PutU32(request, static_cast<uint32_t>(data.size()));
   request.insert(request.end(), data.begin(), data.end());
-  std::vector<uint8_t> response;
+  Response response;
   return Call(std::move(request), response);
 }
 
-Result<SharedBytes> SandClient::GetObjectShared(const std::string& key) {
-  std::vector<uint8_t> request = RequestHead(Command::kGetObject);
-  PutString(request, key);
-  std::vector<uint8_t> response;
-  SAND_RETURN_IF_ERROR(Call(std::move(request), response));
-  WireReader reader(response);
-  (void)reader.TakeU8();
-  SAND_ASSIGN_OR_RETURN(std::vector<uint8_t> data, reader.TakeBytes());
-  return std::make_shared<const std::vector<uint8_t>>(std::move(data));
+Result<std::vector<Result<SharedBytes>>> SandClient::GetObjects(
+    std::span<const std::string> keys) {
+  std::vector<Result<SharedBytes>> results(keys.size());
+  // Indices of the keys still to ask for: every key at first, then the
+  // ones past a request's key limit or deferred by the server.
+  std::vector<size_t> pending(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    pending[i] = i;
+  }
+  while (!pending.empty()) {
+    const size_t count = std::min<size_t>(pending.size(), kMaxObjectsPerRequest);
+    std::vector<uint8_t> request = RequestHead(Command::kGetObjects);
+    PutU32(request, static_cast<uint32_t>(count));
+    for (size_t i = 0; i < count; ++i) {
+      PutString(request, keys[pending[i]]);
+    }
+    if (request.size() > kMaxFrameBytes) {
+      // Refused here: a frame the server would not read poisons the
+      // connection every caller shares.
+      return InvalidArgument("object keys overflow a request frame");
+    }
+    Response response;
+    SAND_RETURN_IF_ERROR(Call(std::move(request), response, Shape::kObjects));
+    WireReader reader(response.head);
+    (void)reader.TakeU8();
+    if (*reader.TakeU32() != count) {
+      return Internal("object response answers a different number of keys");
+    }
+    std::vector<size_t> later(pending.begin() + static_cast<long>(count), pending.end());
+    size_t body = 0;
+    for (size_t i = 0; i < count; ++i) {
+      const size_t index = pending[i];
+      const uint8_t status = *reader.TakeU8();
+      (void)reader.TakeU32();
+      if (status == 0) {
+        results[index] = response.bodies[body++];
+      } else if (status == kObjectDeferred) {
+        later.push_back(index);
+      } else if (status == static_cast<uint8_t>(ErrorCode::kNotFound)) {
+        results[index] = NotFound("no object: " + keys[index]);
+      } else {
+        const ErrorCode code = status > static_cast<uint8_t>(ErrorCode::kInternal)
+                                   ? ErrorCode::kInternal
+                                   : static_cast<ErrorCode>(status);
+        results[index] = Status(code, std::string("peer answered ") + ErrorCodeName(code) +
+                                          " for " + keys[index]);
+      }
+    }
+    if (later.size() == pending.size()) {
+      // The server guarantees the first found key a place; a response that
+      // answered nothing would loop forever.
+      return Internal("object response deferred every key");
+    }
+    pending = std::move(later);
+  }
+  return results;
 }
 
 Result<SandClient::ObjectStat> SandClient::StatObject(const std::string& key) {
   std::vector<uint8_t> request = RequestHead(Command::kStatObject);
   PutString(request, key);
-  std::vector<uint8_t> response;
+  Response response;
   SAND_RETURN_IF_ERROR(Call(std::move(request), response));
-  WireReader reader(response);
+  WireReader reader(response.head);
   (void)reader.TakeU8();
   SAND_ASSIGN_OR_RETURN(uint8_t exists, reader.TakeU8());
   SAND_ASSIGN_OR_RETURN(uint64_t size, reader.TakeU64());
@@ -316,7 +435,7 @@ Result<SandClient::ObjectStat> SandClient::StatObject(const std::string& key) {
 Status SandClient::DeleteObject(const std::string& key) {
   std::vector<uint8_t> request = RequestHead(Command::kDeleteObject);
   PutString(request, key);
-  std::vector<uint8_t> response;
+  Response response;
   return Call(std::move(request), response);
 }
 

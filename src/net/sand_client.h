@@ -11,7 +11,9 @@
 // whatever order the server completes them — back to per-request
 // Promises. The sync verbs are the async path plus a Get();
 // ReadAllSharedAsync exposes it directly so one thread can keep a window
-// of reads outstanding.
+// of reads outstanding. The reader parses each frame as it arrives, so a
+// ReadAll body or a kGetObjects object goes from the socket straight into
+// the buffer its SharedBytes hands out: one copy, the kernel's.
 //
 // Status codes round-trip: a RESOURCE_EXHAUSTED here is the server's
 // admission control talking, and retrying after a backoff is the intended
@@ -30,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/future.h"
 #include "src/net/wire.h"
 #include "src/vfs/sand_api.h"
@@ -82,33 +85,61 @@ class SandClient : public SandApi {
     uint64_t size = 0;
   };
   Status PutObject(const std::string& key, std::span<const uint8_t> data);
-  Result<SharedBytes> GetObjectShared(const std::string& key);
+  // Reads `keys` with one kGetObjects request, or more only past
+  // kMaxObjectsPerRequest keys or when the server defers found objects
+  // past the frame cap (wire.h): one result per key, in order, NOT_FOUND
+  // for an absent key. The call fails as a whole when a request does:
+  // UNAVAILABLE on a dead connection, or the server's refusal (an older
+  // server answers "unknown command").
+  Result<std::vector<Result<SharedBytes>>> GetObjects(std::span<const std::string> keys);
   Result<ObjectStat> StatObject(const std::string& key);
   Status DeleteObject(const std::string& key);
 
  private:
   explicit SandClient(int socket_fd) : socket_fd_(socket_fd) {}
 
+  // How the reader takes a response payload off the socket.
+  enum class Shape : uint8_t {
+    kInline,   // the whole payload into Response::head
+    kBulk,     // ok | u32 size | body (ReadAll): the body into its own buffer
+    kObjects,  // ok | kGetObjects table: each found object into its own buffer
+  };
+  // A response as the reader took it: the payload from the status byte on
+  // (for kBulk and kObjects, up to the first body), and the bodies, each
+  // read straight from the socket into the buffer that becomes its
+  // SharedBytes.
+  struct Response {
+    std::vector<uint8_t> head;
+    std::vector<SharedBytes> bodies;
+  };
+  struct Pending {
+    Shape shape = Shape::kInline;
+    Promise<Response> promise;
+  };
+
   // Sends one request built on RequestHead (id slot + command byte + body)
-  // and returns a future for the raw response payload (status head
-  // included, request id stripped). Resolves with UNAVAILABLE on a dead
-  // connection.
-  Future<std::vector<uint8_t>> Issue(std::vector<uint8_t> request);
-  // Issue + Get + status decode: the sync round trip. On ok, `response`
-  // holds the payload (status head at byte 0).
-  Status Call(std::vector<uint8_t> request, std::vector<uint8_t>& response);
+  // and returns a future for its response. Resolves with UNAVAILABLE on a
+  // dead connection.
+  Future<Response> Issue(std::vector<uint8_t> request, Shape shape);
+  // Issue + Get + status decode: the sync round trip.
+  Status Call(std::vector<uint8_t> request, Response& response,
+              Shape shape = Shape::kInline);
 
   // Demultiplexer: reads response frames, matches ids to pending promises.
-  // Exits when the stream dies, failing every pending request with
-  // UNAVAILABLE.
+  // Exits when the stream dies or a frame is malformed, failing every
+  // pending request with UNAVAILABLE.
   void ReaderLoop();
+  // Reads one response payload of `size` bytes (the request id already
+  // read) in `shape`; UNAVAILABLE when the stream ends or the payload
+  // contradicts itself (the stream can then no longer be trusted).
+  Result<Response> ReadPayload(size_t size, Shape shape);
   void StartReader();
   // Fails all pending requests and marks the stream dead. Caller must not
   // hold mutex_.
   void Poison(const Status& status);
 
   mutable std::mutex mutex_;  // pending_, next_request_id_, dead_, writes
-  std::map<uint64_t, Promise<std::vector<uint8_t>>> pending_;
+  std::map<uint64_t, Pending> pending_;
   uint64_t next_request_id_ = 1;
   bool dead_ = false;
 

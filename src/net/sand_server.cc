@@ -264,7 +264,7 @@ void SandServer::ServeConnection(Connection* conn) {
 
     if (command == Command::kHello) {
       if (!WriteResponse(conn, request_id,
-                         WireResponse{HandleHello(conn, reader), nullptr})) {
+                         WireResponse{HandleHello(conn, reader)})) {
         break;
       }
       continue;
@@ -273,8 +273,7 @@ void SandServer::ServeConnection(Connection* conn) {
       if (!WriteResponse(conn, request_id,
                          WireResponse{EncodeErrorResponse(FailedPrecondition(
                                           "HELLO with a tenant tag must precede "
-                                          "other commands")),
-                                      nullptr})) {
+                                          "other commands"))})) {
         break;
       }
       continue;
@@ -283,7 +282,7 @@ void SandServer::ServeConnection(Connection* conn) {
       // Close runs inline and is never refused: cleanup must always be
       // possible, or backpressure would turn into an fd leak.
       if (!WriteResponse(conn, request_id,
-                         WireResponse{HandleClose(conn, reader), nullptr})) {
+                         WireResponse{HandleClose(conn, reader)})) {
         break;
       }
       continue;
@@ -311,8 +310,7 @@ void SandServer::ServeConnection(Connection* conn) {
       if (!WriteResponse(conn, request_id,
                          WireResponse{EncodeErrorResponse(ResourceExhausted(
                                           "tenant '" + conn->tenant_tag +
-                                          "' inflight quota exceeded")),
-                                      nullptr})) {
+                                          "' inflight quota exceeded"))})) {
         break;
       }
       continue;
@@ -363,9 +361,11 @@ void SandServer::ServeConnection(Connection* conn) {
                   bytes = response.head.size() > 5 ? response.head.size() - 5 : 0;
                   break;
                 case Command::kReadAll:
-                case Command::kGetObject:
-                  // Bulk payload rides the scatter-gather body.
-                  bytes = response.body != nullptr ? response.body->size() : 0;
+                case Command::kGetObjects:
+                  // Bulk payloads ride the scatter-gather bodies.
+                  for (const SharedBytes& payload : response.bodies) {
+                    bytes += payload->size();
+                  }
                   break;
                 default:
                   break;
@@ -403,8 +403,7 @@ void SandServer::ServeConnection(Connection* conn) {
       if (!WriteResponse(conn, request_id,
                          WireResponse{EncodeErrorResponse(ResourceExhausted(
                                           "server saturated: request queue is "
-                                          "full, retry")),
-                                      nullptr})) {
+                                          "full, retry"))})) {
         break;
       }
       continue;
@@ -454,14 +453,8 @@ bool SandServer::WriteResponse(Connection* conn, uint64_t request_id,
   head.reserve(8 + response.head.size());
   PutU64(head, request_id);
   head.insert(head.end(), response.head.begin(), response.head.end());
-  const uint8_t* body = nullptr;
-  size_t body_size = 0;
-  if (response.body != nullptr) {
-    body = response.body->data();
-    body_size = response.body->size();
-  }
   std::lock_guard<std::mutex> lock(conn->write_mutex);
-  return WriteFrameScatter(conn->socket_fd, head, body, body_size);
+  return WriteFrameScatter(conn->socket_fd, head, response.bodies);
 }
 
 std::vector<uint8_t> SandServer::HandleHello(Connection* conn, WireReader& reader) {
@@ -637,29 +630,28 @@ SandServer::WireResponse SandServer::Dispatch(Connection* conn, Command command,
                                               WireReader& reader) {
   switch (command) {
     case Command::kOpen:
-      return {HandleOpen(conn, reader), nullptr};
+      return {HandleOpen(conn, reader)};
 
     case Command::kRead:
     case Command::kPRead: {
       auto fd = reader.TakeI32();
       if (!fd.ok()) {
-        return {EncodeErrorResponse(fd.status()), nullptr};
+        return {EncodeErrorResponse(fd.status())};
       }
       uint64_t offset = 0;
       if (command == Command::kPRead) {
         auto off = reader.TakeU64();
         if (!off.ok()) {
-          return {EncodeErrorResponse(off.status()), nullptr};
+          return {EncodeErrorResponse(off.status())};
         }
         offset = *off;
       }
       auto max_bytes = reader.TakeU64();
       if (!max_bytes.ok()) {
-        return {EncodeErrorResponse(max_bytes.status()), nullptr};
+        return {EncodeErrorResponse(max_bytes.status())};
       }
       if (!FdOwned(conn, *fd)) {
-        return {EncodeErrorResponse(InvalidArgument("fd not owned by this connection")),
-                nullptr};
+        return {EncodeErrorResponse(InvalidArgument("fd not owned by this connection"))};
       }
       // The client's max_bytes is untrusted: clamp the buffer to what the
       // object can actually yield before allocating, falling back to half
@@ -678,26 +670,25 @@ SandServer::WireResponse SandServer::Dispatch(Connection* conn, Command command,
               ? backend_->Read(*fd, std::span<uint8_t>(buffer))
               : backend_->PRead(*fd, std::span<uint8_t>(buffer), offset);
       if (!read.ok()) {
-        return {EncodeErrorResponse(read.status()), nullptr};
+        return {EncodeErrorResponse(read.status())};
       }
       buffer.resize(*read);
       std::vector<uint8_t> response = EncodeOkHead();
       PutBytes(response, buffer);
-      return {std::move(response), nullptr};
+      return {std::move(response)};
     }
 
     case Command::kReadAll: {
       auto fd = reader.TakeI32();
       if (!fd.ok()) {
-        return {EncodeErrorResponse(fd.status()), nullptr};
+        return {EncodeErrorResponse(fd.status())};
       }
       if (!FdOwned(conn, *fd)) {
-        return {EncodeErrorResponse(InvalidArgument("fd not owned by this connection")),
-                nullptr};
+        return {EncodeErrorResponse(InvalidArgument("fd not owned by this connection"))};
       }
       auto bytes = backend_->ReadAllShared(*fd);
       if (!bytes.ok()) {
-        return {EncodeErrorResponse(bytes.status()), nullptr};
+        return {EncodeErrorResponse(bytes.status())};
       }
       ChargeFd(conn, *fd, (*bytes)->size());
       if ((*bytes)->size() > kMaxFrameBytes - 16) {
@@ -706,72 +697,68 @@ SandServer::WireResponse SandServer::Dispatch(Connection* conn, Command command,
         return {EncodeErrorResponse(OutOfRange(
                     "object is " + std::to_string((*bytes)->size()) +
                     " bytes, larger than the " + std::to_string(kMaxFrameBytes) +
-                    "-byte frame cap; read it in chunks with PRead")),
-                nullptr};
+                    "-byte frame cap; read it in chunks with PRead"))};
       }
       // The payload ships as the scatter-gather tail of the frame, straight
       // from the cache's buffer: the head carries only status + length.
       std::vector<uint8_t> head = EncodeOkHead();
       PutU32(head, static_cast<uint32_t>((*bytes)->size()));
-      return {std::move(head), *bytes};
+      return {std::move(head), {*bytes}};
     }
 
     case Command::kSizeOf: {
       auto fd = reader.TakeI32();
       if (!fd.ok()) {
-        return {EncodeErrorResponse(fd.status()), nullptr};
+        return {EncodeErrorResponse(fd.status())};
       }
       if (!FdOwned(conn, *fd)) {
-        return {EncodeErrorResponse(InvalidArgument("fd not owned by this connection")),
-                nullptr};
+        return {EncodeErrorResponse(InvalidArgument("fd not owned by this connection"))};
       }
       auto size = backend_->SizeOf(*fd);
       if (!size.ok()) {
-        return {EncodeErrorResponse(size.status()), nullptr};
+        return {EncodeErrorResponse(size.status())};
       }
       ChargeFd(conn, *fd, *size);
       std::vector<uint8_t> response = EncodeOkHead();
       PutU64(response, *size);
-      return {std::move(response), nullptr};
+      return {std::move(response)};
     }
 
     case Command::kGetXattr: {
       auto fd = reader.TakeI32();
       if (!fd.ok()) {
-        return {EncodeErrorResponse(fd.status()), nullptr};
+        return {EncodeErrorResponse(fd.status())};
       }
       auto name = reader.TakeString();
       if (!name.ok()) {
-        return {EncodeErrorResponse(name.status()), nullptr};
+        return {EncodeErrorResponse(name.status())};
       }
       if (!FdOwned(conn, *fd)) {
-        return {EncodeErrorResponse(InvalidArgument("fd not owned by this connection")),
-                nullptr};
+        return {EncodeErrorResponse(InvalidArgument("fd not owned by this connection"))};
       }
       auto value = backend_->GetXattr(*fd, *name);
       if (!value.ok()) {
-        return {EncodeErrorResponse(value.status()), nullptr};
+        return {EncodeErrorResponse(value.status())};
       }
       std::vector<uint8_t> response = EncodeOkHead();
       PutString(response, *value);
-      return {std::move(response), nullptr};
+      return {std::move(response)};
     }
 
     case Command::kListDir: {
       auto path = reader.TakeString();
       if (!path.ok()) {
-        return {EncodeErrorResponse(path.status()), nullptr};
+        return {EncodeErrorResponse(path.status())};
       }
       // Same isolation gate as Open: entry names are data too.
       if (options_.isolate_tenant_tasks && !TenantMayAccess(conn->tenant_tag, *path)) {
         return {EncodeErrorResponse(FailedPrecondition(
                     "tenant '" + conn->tenant_tag + "' may not list task '" +
-                    TaskComponent(*path) + "'")),
-                nullptr};
+                    TaskComponent(*path) + "'"))};
       }
       auto entries = backend_->ListDir(*path);
       if (!entries.ok()) {
-        return {EncodeErrorResponse(entries.status()), nullptr};
+        return {EncodeErrorResponse(entries.status())};
       }
       // The root listing enumerates task names; under isolation a tenant
       // only sees its own (plus the shared control tree).
@@ -788,68 +775,91 @@ SandServer::WireResponse SandServer::Dispatch(Connection* conn, Command command,
       for (const std::string& entry : *entries) {
         PutString(response, entry);
       }
-      return {std::move(response), nullptr};
+      return {std::move(response)};
     }
 
     case Command::kPutObject: {
       auto key = reader.TakeString();
       if (!key.ok()) {
-        return {EncodeErrorResponse(key.status()), nullptr};
+        return {EncodeErrorResponse(key.status())};
       }
       auto data = reader.TakeBytes();
       if (!data.ok()) {
-        return {EncodeErrorResponse(data.status()), nullptr};
+        return {EncodeErrorResponse(data.status())};
       }
       if (options_.object_store == nullptr) {
         return {EncodeErrorResponse(
-                    FailedPrecondition("server has no object-store backend")),
-                nullptr};
+                    FailedPrecondition("server has no object-store backend"))};
       }
       Status status = options_.object_store->PutShared(
           *key, MakeSharedBytes(std::move(*data)));
       if (!status.ok()) {
-        return {EncodeErrorResponse(status), nullptr};
+        return {EncodeErrorResponse(status)};
       }
-      return {EncodeOkHead(), nullptr};
+      return {EncodeOkHead()};
     }
 
-    case Command::kGetObject: {
-      auto key = reader.TakeString();
-      if (!key.ok()) {
-        return {EncodeErrorResponse(key.status()), nullptr};
+    case Command::kGetObjects: {
+      auto count = reader.TakeU32();
+      if (!count.ok()) {
+        return {EncodeErrorResponse(count.status())};
+      }
+      // Every key carries at least its u32 length word: a count the payload
+      // cannot hold is refused before anything is reserved for it.
+      if (*count > kMaxObjectsPerRequest || *count > reader.remaining() / 4) {
+        return {EncodeErrorResponse(InvalidArgument(
+                    "object read names " + std::to_string(*count) + " keys; at most " +
+                    std::to_string(kMaxObjectsPerRequest) + " fit a request"))};
+      }
+      std::vector<std::string> keys;
+      keys.reserve(*count);
+      for (uint32_t i = 0; i < *count; ++i) {
+        auto key = reader.TakeString();
+        if (!key.ok()) {
+          return {EncodeErrorResponse(key.status())};
+        }
+        keys.push_back(std::move(*key));
       }
       if (options_.object_store == nullptr) {
         return {EncodeErrorResponse(
-                    FailedPrecondition("server has no object-store backend")),
-                nullptr};
+                    FailedPrecondition("server has no object-store backend"))};
       }
-      auto bytes = options_.object_store->GetShared(*key);
-      if (!bytes.ok()) {
-        return {EncodeErrorResponse(bytes.status()), nullptr};
+      std::vector<Result<SharedBytes>> found = options_.object_store->GetManyShared(keys);
+      // One (status, size) entry per key; found objects ride the
+      // scatter-gather tail straight from the store's buffers while the
+      // frame has room, and the rest are deferred for the client to ask
+      // again (wire.h). The table leaves room for one kMaxObjectBytes
+      // object, so the first found key is never deferred.
+      WireResponse response{EncodeOkHead()};
+      PutU32(response.head, static_cast<uint32_t>(keys.size()));
+      uint64_t room = kMaxFrameBytes - 8 - 1 - 4 - 5 * static_cast<uint64_t>(keys.size());
+      for (const Result<SharedBytes>& object : found) {
+        uint8_t status = 0;
+        uint64_t size = object.ok() ? (*object)->size() : 0;
+        if (!object.ok()) {
+          status = static_cast<uint8_t>(object.status().code());
+        } else if (size > kMaxObjectBytes) {
+          status = static_cast<uint8_t>(ErrorCode::kOutOfRange);
+        } else if (size > room) {
+          status = kObjectDeferred;
+        } else {
+          room -= size;
+          response.bodies.push_back(*object);
+        }
+        PutU8(response.head, status);
+        PutU32(response.head, status == 0 ? static_cast<uint32_t>(size) : 0);
       }
-      if ((*bytes)->size() > kMaxFrameBytes - 16) {
-        return {EncodeErrorResponse(OutOfRange(
-                    "object is " + std::to_string((*bytes)->size()) +
-                    " bytes, larger than the " + std::to_string(kMaxFrameBytes) +
-                    "-byte frame cap")),
-                nullptr};
-      }
-      // Same shape as ReadAll: the payload rides the scatter-gather tail
-      // straight from the store's SharedBytes allocation.
-      std::vector<uint8_t> head = EncodeOkHead();
-      PutU32(head, static_cast<uint32_t>((*bytes)->size()));
-      return {std::move(head), *bytes};
+      return response;
     }
 
     case Command::kStatObject: {
       auto key = reader.TakeString();
       if (!key.ok()) {
-        return {EncodeErrorResponse(key.status()), nullptr};
+        return {EncodeErrorResponse(key.status())};
       }
       if (options_.object_store == nullptr) {
         return {EncodeErrorResponse(
-                    FailedPrecondition("server has no object-store backend")),
-                nullptr};
+                    FailedPrecondition("server has no object-store backend"))};
       }
       // One verb answers both Contains and SizeOf: absence is data, not an
       // error, so a cluster probe costs a single round trip either way.
@@ -857,24 +867,23 @@ SandServer::WireResponse SandServer::Dispatch(Connection* conn, Command command,
       std::vector<uint8_t> response = EncodeOkHead();
       PutU8(response, size.ok() ? 1 : 0);
       PutU64(response, size.ok() ? *size : 0);
-      return {std::move(response), nullptr};
+      return {std::move(response)};
     }
 
     case Command::kDeleteObject: {
       auto key = reader.TakeString();
       if (!key.ok()) {
-        return {EncodeErrorResponse(key.status()), nullptr};
+        return {EncodeErrorResponse(key.status())};
       }
       if (options_.object_store == nullptr) {
         return {EncodeErrorResponse(
-                    FailedPrecondition("server has no object-store backend")),
-                nullptr};
+                    FailedPrecondition("server has no object-store backend"))};
       }
       Status status = options_.object_store->Delete(*key);
       if (!status.ok()) {
-        return {EncodeErrorResponse(status), nullptr};
+        return {EncodeErrorResponse(status)};
       }
-      return {EncodeOkHead(), nullptr};
+      return {EncodeOkHead()};
     }
 
     case Command::kHello:
@@ -882,8 +891,7 @@ SandServer::WireResponse SandServer::Dispatch(Connection* conn, Command command,
       break;  // handled inline by ServeConnection
   }
   return {EncodeErrorResponse(InvalidArgument(
-              "unknown command " + std::to_string(static_cast<int>(command)))),
-          nullptr};
+              "unknown command " + std::to_string(static_cast<int>(command))))};
 }
 
 ServerStats SandServer::stats() {

@@ -13,8 +13,8 @@
 // worker pool immediately, so many requests from one connection execute
 // concurrently and responses are written *out of order, as they complete*
 // (a per-connection write mutex keeps frames atomic; bulk ReadAllShared
-// payloads leave via scatter-gather writes straight from the cache's
-// SharedBytes, no frame-assembly copy).
+// and kGetObjects payloads leave via scatter-gather writes straight from
+// the stores' SharedBytes, no frame-assembly copy).
 //
 // Tenancy:
 //   - HELLO interns the tag in obs::TenantRegistry; the dense id rides
@@ -58,6 +58,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -136,7 +137,7 @@ class SandServer {
     std::function<void(uint32_t tenant_id, int max_running)> sched_cap_hook;
 
     // Optional object-store backend for the cluster verbs (kPutObject,
-    // kGetObject, kStatObject, kDeleteObject): the shard of the object
+    // kGetObjects, kStatObject, kDeleteObject): the shard of the object
     // namespace this node owns. Must outlive the server. When null the
     // store verbs answer FAILED_PRECONDITION — a plain serving node.
     ObjectStore* object_store = nullptr;
@@ -207,10 +208,13 @@ class SandServer {
   };
 
   // A response ready to leave: scalar head (status byte + small body) and
-  // an optional bulk payload that rides a scatter-gather write.
+  // the bulk payloads (a ReadAll body, kGetObjects objects) that ride a
+  // scatter-gather write after it.
   struct WireResponse {
+    WireResponse(std::vector<uint8_t> head_bytes, std::vector<SharedBytes> body_list = {})
+        : head(std::move(head_bytes)), bodies(std::move(body_list)) {}
     std::vector<uint8_t> head;
-    SharedBytes body;  // may be null
+    std::vector<SharedBytes> bodies;
   };
 
   void AcceptLoop(int listen_fd);

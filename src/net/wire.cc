@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -51,19 +52,19 @@ bool WriteFull(int fd, const uint8_t* data, size_t count) {
   return true;
 }
 
-bool ReadFull(int fd, uint8_t* data, size_t count) {
-  while (count > 0) {
-    ssize_t n = ::read(fd, data, count);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;  // EOF or error
-    }
-    data += n;
-    count -= static_cast<size_t>(n);
+// Per-call cap on iovec entries (the kernel refuses more than IOV_MAX).
+constexpr size_t kMaxIov = 64;
+
+// Advances an iovec cursor past `taken` bytes that the kernel moved.
+void AdvanceIov(iovec* iov, size_t count, size_t& first, size_t taken) {
+  while (first < count && taken >= iov[first].iov_len) {
+    taken -= iov[first].iov_len;
+    ++first;
   }
-  return true;
+  if (first < count) {
+    iov[first].iov_base = static_cast<uint8_t*>(iov[first].iov_base) + taken;
+    iov[first].iov_len -= taken;
+  }
 }
 
 }  // namespace
@@ -194,8 +195,11 @@ bool WriteFrame(int fd, const std::vector<uint8_t>& payload) {
 }
 
 bool WriteFrameScatter(int fd, const std::vector<uint8_t>& head,
-                       const uint8_t* body, size_t body_size) {
-  size_t total = head.size() + body_size;
+                       std::span<const SharedBytes> bodies) {
+  size_t total = head.size();
+  for (const SharedBytes& body : bodies) {
+    total += body != nullptr ? body->size() : 0;
+  }
   if (total > kMaxFrameBytes) {
     return false;
   }
@@ -204,23 +208,25 @@ bool WriteFrameScatter(int fd, const std::vector<uint8_t>& head,
   for (int i = 0; i < 4; ++i) {
     header[i] = static_cast<uint8_t>(size >> (8 * i));
   }
-  iovec iov[3];
-  iov[0].iov_base = header;
-  iov[0].iov_len = sizeof(header);
-  iov[1].iov_base = const_cast<uint8_t*>(head.data());
-  iov[1].iov_len = head.size();
-  iov[2].iov_base = const_cast<uint8_t*>(body);
-  iov[2].iov_len = body_size;
-  int iov_count = body_size > 0 ? 3 : 2;
+  std::vector<iovec> iov;
+  iov.reserve(2 + bodies.size());
+  iov.push_back({header, sizeof(header)});
+  iov.push_back({const_cast<uint8_t*>(head.data()), head.size()});
+  for (const SharedBytes& body : bodies) {
+    if (body != nullptr && !body->empty()) {
+      iov.push_back({const_cast<uint8_t*>(body->data()), body->size()});
+    }
+  }
   size_t remaining = sizeof(header) + total;
-  int first = 0;
+  size_t first = 0;
   while (remaining > 0) {
+    const size_t batch = std::min(iov.size() - first, kMaxIov);
     msghdr msg{};
-    msg.msg_iov = iov + first;
-    msg.msg_iovlen = static_cast<size_t>(iov_count - first);
+    msg.msg_iov = iov.data() + first;
+    msg.msg_iovlen = batch;
     ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0 && errno == ENOTSOCK) {
-      n = ::writev(fd, iov + first, iov_count - first);
+      n = ::writev(fd, iov.data() + first, static_cast<int>(batch));
     }
     if (n < 0) {
       if (errno == EINTR) {
@@ -229,23 +235,55 @@ bool WriteFrameScatter(int fd, const std::vector<uint8_t>& head,
       return false;
     }
     remaining -= static_cast<size_t>(n);
-    // Advance the iovec cursor past what the kernel took.
-    size_t taken = static_cast<size_t>(n);
-    while (first < iov_count && taken >= iov[first].iov_len) {
-      taken -= iov[first].iov_len;
-      ++first;
+    AdvanceIov(iov.data(), iov.size(), first, static_cast<size_t>(n));
+  }
+  return true;
+}
+
+bool ReadExact(int fd, uint8_t* data, size_t count) {
+  while (count > 0) {
+    ssize_t n = ::read(fd, data, count);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      return false;  // EOF or error
     }
-    if (first < iov_count) {
-      iov[first].iov_base = static_cast<uint8_t*>(iov[first].iov_base) + taken;
-      iov[first].iov_len -= taken;
+    data += n;
+    count -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+bool ReadScatter(int fd, std::span<std::vector<uint8_t>> buffers) {
+  std::vector<iovec> iov;
+  iov.reserve(buffers.size());
+  size_t remaining = 0;
+  for (std::vector<uint8_t>& buffer : buffers) {
+    if (!buffer.empty()) {
+      iov.push_back({buffer.data(), buffer.size()});
+      remaining += buffer.size();
     }
+  }
+  size_t first = 0;
+  while (remaining > 0) {
+    ssize_t n = ::readv(fd, iov.data() + first,
+                        static_cast<int>(std::min(iov.size() - first, kMaxIov)));
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      return false;  // EOF or error
+    }
+    remaining -= static_cast<size_t>(n);
+    AdvanceIov(iov.data(), iov.size(), first, static_cast<size_t>(n));
   }
   return true;
 }
 
 bool ReadFrame(int fd, std::vector<uint8_t>& payload) {
   uint8_t header[4];
-  if (!ReadFull(fd, header, sizeof(header))) {
+  if (!ReadExact(fd, header, sizeof(header))) {
     return false;
   }
   uint32_t size = static_cast<uint32_t>(GetLe(header, 4));
@@ -253,7 +291,7 @@ bool ReadFrame(int fd, std::vector<uint8_t>& payload) {
     return false;
   }
   payload.resize(size);
-  return size == 0 || ReadFull(fd, payload.data(), size);
+  return size == 0 || ReadExact(fd, payload.data(), size);
 }
 
 Result<int> ListenUnix(const std::string& path, int backlog) {

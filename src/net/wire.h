@@ -22,9 +22,11 @@
 #define SAND_NET_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/result.h"
 
 namespace sand {
@@ -53,11 +55,33 @@ enum class Command : uint8_t {
   kListDir = 8,  // string path
   kClose = 9,    // i32 fd
   // Object-store verbs (served only when the server has a store backend).
+  // Code 11 was a one-key object read; kGetObjects replaced it, and a
+  // server answers 11 as an unknown command.
   kPutObject = 10,     // string key | bytes data            -> ok
-  kGetObject = 11,     // string key                         -> ok | bytes data
   kStatObject = 12,    // string key                         -> ok | u8 exists | u64 size
   kDeleteObject = 13,  // string key                         -> ok
+  kGetObjects = 14,    // u32 count | count x string key     -> ok | objects (below)
 };
+
+// kGetObjects, the multi-key object read. The request names at most
+// kMaxObjectsPerRequest keys. The ok response answers each key in request
+// order (a duplicate key is answered each time):
+//
+//   u32 count | count x (u8 status | u32 size) | the found objects' bytes
+//
+// A status of 0 means found: `size` bytes of the object follow the table,
+// in key order, and the server sends them scatter-gather from the store's
+// own buffers. Any other status has size 0: an ErrorCode (NOT_FOUND for an
+// absent key; OUT_OF_RANGE for an object larger than kMaxObjectBytes, which
+// no response can carry), or kObjectDeferred for a found object that did
+// not fit in this frame next to the ones before it. The client asks again
+// for deferred keys. The table of a full request leaves room for one
+// kMaxObjectBytes object, so the first found key always fits and each
+// round makes progress.
+inline constexpr uint32_t kMaxObjectsPerRequest = 1024;
+inline constexpr uint32_t kMaxObjectBytes =
+    kMaxFrameBytes - 8 - 1 - 4 - 5 * kMaxObjectsPerRequest;
+inline constexpr uint8_t kObjectDeferred = 0xFF;
 
 // --- scalar/string packing ---------------------------------------------------
 
@@ -118,14 +142,22 @@ Status DecodeResponseStatus(const std::vector<uint8_t>& response);
 bool WriteFrame(int fd, const std::vector<uint8_t>& payload);
 bool ReadFrame(int fd, std::vector<uint8_t>& payload);
 
-// Scatter-gather frame write: emits one frame whose payload is
-// `head` followed by `body_size` bytes at `body`, without assembling the
-// concatenation in memory. The length word, head, and body go out in a
-// single sendmsg when the fd is a socket, so a large ReadAllShared payload
-// travels from the cache's SharedBytes allocation straight to the kernel
-// with no frame-assembly copy. `body` may be null when body_size is 0.
+// Scatter-gather frame write: emits one frame whose payload is `head`
+// followed by each of `bodies` (null ones skipped), without assembling the
+// concatenation in memory. The length word, head, and bodies go out in as
+// few sendmsg calls as the kernel's iovec limit allows when the fd is a
+// socket, so a ReadAllShared payload or a kGetObjects answer travels from
+// the store's SharedBytes allocations straight to the kernel with no
+// frame-assembly copy.
 bool WriteFrameScatter(int fd, const std::vector<uint8_t>& head,
-                       const uint8_t* body, size_t body_size);
+                       std::span<const SharedBytes> bodies);
+
+// Blocking exact reads for a reader that parses a frame as it arrives:
+// ReadExact fills `count` bytes at `data`; ReadScatter fills every buffer
+// of `buffers` in order, with as few readv calls as the iovec limit
+// allows. Both return false on EOF or error.
+bool ReadExact(int fd, uint8_t* data, size_t count);
+bool ReadScatter(int fd, std::span<std::vector<uint8_t>> buffers);
 
 // --- sockets -----------------------------------------------------------------
 

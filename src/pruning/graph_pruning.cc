@@ -27,44 +27,54 @@ std::vector<int> SubtreeBelow(const VideoObjectGraph& graph, int id) {
   return out;
 }
 
-double SubtreeWeight(const VideoObjectGraph& graph, int id) {
-  double total = 0;
-  for (int node : SubtreeBelow(graph, id)) {
-    total += graph.node(node).op_cost_ns;
+// Every node's subtree (SubtreeBelow's list, in its order) and its weight,
+// the op costs of that list summed in the same order. Pruning flips only
+// cache flags, never edges, so one walk per node serves every round of a
+// PruneToBudget, and the sums come out bit-equal to a fresh walk's.
+struct Subtrees {
+  std::vector<std::vector<int>> below;
+  std::vector<double> weight;
+};
+
+Subtrees IndexSubtrees(const VideoObjectGraph& graph) {
+  Subtrees subtrees;
+  subtrees.below.reserve(graph.nodes.size());
+  subtrees.weight.reserve(graph.nodes.size());
+  for (const ConcreteNode& node : graph.nodes) {
+    subtrees.below.push_back(SubtreeBelow(graph, node.id));
+    double total = 0;
+    for (int id : subtrees.below.back()) {
+      total += graph.node(id).op_cost_ns;
+    }
+    subtrees.weight.push_back(total);
   }
-  return total;
+  return subtrees;
 }
 
-// Candidate parents: non-cached, non-leaf nodes with at least one cached
-// node strictly below them (the generalized "parents of leaves").
-std::vector<int> CollectCandidates(const VideoObjectGraph& graph) {
+// One collapse of Algorithm 1 (see PruneGraphOnce) over indexed subtrees.
+uint64_t PruneOnce(VideoObjectGraph& graph, const Subtrees& subtrees) {
+  // Candidate parents: non-cached, non-leaf nodes with at least one cached
+  // node strictly below them (the generalized "parents of leaves").
   std::vector<int> candidates;
   for (const ConcreteNode& node : graph.nodes) {
     if (node.cache) {
       continue;
     }
-    for (int below : SubtreeBelow(graph, node.id)) {
+    for (int below : subtrees.below[static_cast<size_t>(node.id)]) {
       if (graph.node(below).cache) {
         candidates.push_back(node.id);
         break;
       }
     }
   }
-  return candidates;
-}
-
-}  // namespace
-
-uint64_t PruneGraphOnce(VideoObjectGraph& graph) {
-  std::vector<int> candidates = CollectCandidates(graph);
   // Rank by subtree edge weight: the cheapest recomputation first
   // (Algorithm 1, SORT-BY-SUBTREE-WEIGHTS).
-  std::sort(candidates.begin(), candidates.end(), [&graph](int a, int b) {
-    return SubtreeWeight(graph, a) < SubtreeWeight(graph, b);
+  std::sort(candidates.begin(), candidates.end(), [&subtrees](int a, int b) {
+    return subtrees.weight[static_cast<size_t>(a)] < subtrees.weight[static_cast<size_t>(b)];
   });
   for (int candidate : candidates) {
+    const std::vector<int>& below = subtrees.below[static_cast<size_t>(candidate)];
     uint64_t below_cached = 0;
-    std::vector<int> below = SubtreeBelow(graph, candidate);
     for (int node : below) {
       if (graph.node(node).cache) {
         below_cached += graph.node(node).est_stored_bytes;
@@ -89,18 +99,30 @@ uint64_t PruneGraphOnce(VideoObjectGraph& graph) {
   return 0;
 }
 
+}  // namespace
+
+uint64_t PruneGraphOnce(VideoObjectGraph& graph) {
+  return PruneOnce(graph, IndexSubtrees(graph));
+}
+
 PruningReport PruneToBudget(MaterializationPlan& plan, uint64_t budget_bytes) {
   PruningReport report;
   report.budget_bytes = budget_bytes;
   report.initial_bytes = plan.CachedBytes();
 
+  // Indexed once, on the first round that reaches a graph.
+  std::vector<Subtrees> subtrees(plan.videos.size());
   uint64_t data_size = report.initial_bytes;
   bool progress = true;
   while (data_size > budget_bytes && progress) {
     progress = false;
     ++report.rounds;
-    for (VideoObjectGraph& graph : plan.videos) {
-      uint64_t reduced = PruneGraphOnce(graph);
+    for (size_t v = 0; v < plan.videos.size(); ++v) {
+      VideoObjectGraph& graph = plan.videos[v];
+      if (subtrees[v].below.empty()) {
+        subtrees[v] = IndexSubtrees(graph);
+      }
+      uint64_t reduced = PruneOnce(graph, subtrees[v]);
       if (reduced > 0) {
         progress = true;
         ++report.subtrees_pruned;

@@ -184,6 +184,15 @@ Status ObjectStore::PutShared(const std::string& key, SharedBytes data) {
   return Put(key, *data);
 }
 
+std::vector<Result<SharedBytes>> ObjectStore::GetManyShared(std::span<const std::string> keys) {
+  std::vector<Result<SharedBytes>> results;
+  results.reserve(keys.size());
+  for (const std::string& key : keys) {
+    results.push_back(GetShared(key));
+  }
+  return results;
+}
+
 Result<bool> ObjectStore::PutIfAbsent(const std::string& key, std::span<const uint8_t> data) {
   // Best-effort default for stores without native support; sharded stores
   // override this with an atomic check-and-insert.
@@ -732,6 +741,33 @@ Result<SharedBytes> GuardedStore::GetShared(const std::string& key) {
   return Guard(key, [&] { return backing_->GetShared(key); });
 }
 
+std::vector<Result<SharedBytes>> GuardedStore::GetManyShared(std::span<const std::string> keys) {
+  if (keys.empty()) {
+    return {};
+  }
+  std::vector<Result<SharedBytes>> results;
+  const Status request = Guard(std::to_string(keys.size()) + " keys", [&]() -> Status {
+    results = backing_->GetManyShared(keys);
+    for (const Result<SharedBytes>& result : results) {
+      if (transient_(result.status())) {
+        return result.status();
+      }
+    }
+    return Status::Ok();
+  });
+  if (!request.ok()) {
+    // Refused while offline (no answers at all), or still failing after
+    // the retries.
+    results.resize(keys.size(), Result<SharedBytes>(request));
+    for (Result<SharedBytes>& result : results) {
+      if (transient_(result.status())) {
+        result = request;
+      }
+    }
+  }
+  return results;
+}
+
 bool GuardedStore::Contains(const std::string& key) {
   return !breaker_.offline() && backing_->Contains(key);
 }
@@ -960,11 +996,14 @@ Status TieredCache::PutDisk(const std::string& key, std::span<const uint8_t> dat
 }
 
 Result<SharedBytes> TieredCache::Probe(ObjectStore& store, const std::string& key,
-                                       obs::Counter* hits, obs::Counter* bytes_read) {
-  SAND_ASSIGN_OR_RETURN(SharedBytes stored, store.GetShared(key));
+                                       Result<SharedBytes> stored, obs::Counter* hits,
+                                       obs::Counter* bytes_read) {
+  if (!stored.ok()) {
+    return stored;
+  }
   // Any level may hold an encoded object: the disk by policy, memory when
   // an offline disk parked one there, a peer whose owner published one.
-  Result<SharedBytes> decoded = MaybeDecode(stored);
+  Result<SharedBytes> decoded = MaybeDecode(*stored);
   if (!decoded.ok()) {
     // Undecodable container (corrupt, or its shared-basis base is gone):
     // drop it so the caller rematerializes.
@@ -972,10 +1011,10 @@ Result<SharedBytes> TieredCache::Probe(ObjectStore& store, const std::string& ke
     return decoded;
   }
   hits->Add(1);
-  bytes_read->Add(stored->size());
+  bytes_read->Add((*stored)->size());
   const bool from_below = &store != memory_.get();
   // Best-effort: memory may be full.
-  if ((from_below || *decoded != stored) && memory_->PutShared(key, *decoded).ok()) {
+  if ((from_below || *decoded != *stored) && memory_->PutShared(key, *decoded).ok()) {
     if (from_below) {
       promotions_->Add(1);
     }
@@ -984,29 +1023,72 @@ Result<SharedBytes> TieredCache::Probe(ObjectStore& store, const std::string& ke
   return decoded;
 }
 
-Result<SharedBytes> TieredCache::GetShared(const std::string& key) {
-  SAND_SPAN("store_get");
+Result<SharedBytes> TieredCache::ProbeLocal(const std::string& key) {
   // A level that misses, faults, is offline or holds undecodable bytes
   // reads on to the next; the caller rematerializes after the last, so a
   // training loop never sees an infrastructure error here.
-  Result<SharedBytes> hit = Probe(*memory_, key, memory_hits_, bytes_read_memory_);
+  Result<SharedBytes> hit =
+      Probe(*memory_, key, memory_->GetShared(key), memory_hits_, bytes_read_memory_);
   if (!hit.ok()) {
-    hit = Probe(disk_, key, disk_hits_, bytes_read_disk_);
+    hit = Probe(disk_, key, disk_.GetShared(key), disk_hits_, bytes_read_disk_);
   }
-  if (hit.ok()) {
-    return hit;
-  }
-  // Third level: maybe another node in the ring already materialized it.
-  if (std::shared_ptr<ObjectStore> peer = PeerStore()) {
-    SAND_SPAN("peer_probe");
-    hit = Probe(*peer, key, peer_hits_, peer_bytes_);
-    if (hit.ok()) {
-      return hit;
-    }
+  return hit;
+}
+
+Status TieredCache::Missed(const std::string& key, bool peer_asked) {
+  if (peer_asked) {
     peer_misses_->Add(1);
   }
   misses_->Add(1);
   return NotFound("no object: " + key);
+}
+
+Result<SharedBytes> TieredCache::GetShared(const std::string& key) {
+  SAND_SPAN("store_get");
+  Result<SharedBytes> hit = ProbeLocal(key);
+  if (hit.ok()) {
+    return hit;
+  }
+  // Third level: maybe another node in the ring already materialized it.
+  std::shared_ptr<ObjectStore> peer = PeerStore();
+  if (peer != nullptr) {
+    SAND_SPAN("peer_probe");
+    hit = Probe(*peer, key, peer->GetShared(key), peer_hits_, peer_bytes_);
+    if (hit.ok()) {
+      return hit;
+    }
+  }
+  return Missed(key, peer != nullptr);
+}
+
+std::vector<Result<SharedBytes>> TieredCache::GetManyShared(std::span<const std::string> keys) {
+  SAND_SPAN("store_get");
+  std::vector<Result<SharedBytes>> hits;
+  hits.reserve(keys.size());
+  std::vector<size_t> missing;
+  std::vector<std::string> missing_keys;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    hits.push_back(ProbeLocal(keys[i]));
+    if (!hits.back().ok()) {
+      missing.push_back(i);
+      missing_keys.push_back(keys[i]);
+    }
+  }
+  std::shared_ptr<ObjectStore> peer = missing.empty() ? nullptr : PeerStore();
+  if (peer != nullptr) {
+    SAND_SPAN("peer_probe");
+    std::vector<Result<SharedBytes>> fetched = peer->GetManyShared(missing_keys);
+    for (size_t j = 0; j < missing.size(); ++j) {
+      hits[missing[j]] =
+          Probe(*peer, missing_keys[j], std::move(fetched[j]), peer_hits_, peer_bytes_);
+    }
+  }
+  for (size_t i : missing) {
+    if (!hits[i].ok()) {
+      hits[i] = Missed(keys[i], peer != nullptr);
+    }
+  }
+  return hits;
 }
 
 bool TieredCache::Contains(const std::string& key) {

@@ -73,6 +73,12 @@ class ObjectStore {
   // pointee.
   virtual Result<SharedBytes> GetShared(const std::string& key) = 0;
 
+  // GetShared for several keys at once: one result per key, in order (a
+  // duplicate key is answered each time). Default: a GetShared loop. A
+  // store that pays per request (a cluster peer over the wire) overrides
+  // it to pay once.
+  virtual std::vector<Result<SharedBytes>> GetManyShared(std::span<const std::string> keys);
+
   virtual bool Contains(const std::string& key) = 0;
 
   // Size of the stored object, or NOT_FOUND.
@@ -269,6 +275,11 @@ class GuardedStore : public ObjectStore {
   Status PutShared(const std::string& key, SharedBytes data) override;
   Result<bool> PutIfAbsent(const std::string& key, std::span<const uint8_t> data) override;
   Result<SharedBytes> GetShared(const std::string& key) override;
+  // One breaker op for the whole request: the backing store's first
+  // transient answer is the op's outcome, a retry re-reads every key, and
+  // when the op fails every key without a healthy answer reads as its
+  // UNAVAILABLE.
+  std::vector<Result<SharedBytes>> GetManyShared(std::span<const std::string> keys) override;
   bool Contains(const std::string& key) override;
   Result<uint64_t> SizeOf(const std::string& key) override;
   Status Delete(const std::string& key) override;
@@ -332,6 +343,12 @@ class TieredCache {
   // The read path: memory-tier hits are zero-copy references. NotFound
   // when every level misses (a faulty or offline level reads as a miss).
   Result<SharedBytes> GetShared(const std::string& key);
+  // GetShared for several keys: each key probes memory, then disk, and the
+  // keys both miss go to the peer store in one GetManyShared call (one
+  // request per owner node). Every level goes through the probe routine
+  // GetShared uses, so decode, drop, promotion and counters per key are
+  // GetShared's.
+  std::vector<Result<SharedBytes>> GetManyShared(std::span<const std::string> keys);
   bool Contains(const std::string& key);
   Status Delete(const std::string& key);
 
@@ -430,13 +447,19 @@ class TieredCache {
   Result<bool> Write(ObjectStore& store, const std::string& key, const Payload& payload,
                      PutMode mode, obs::Counter* puts, obs::Counter* bytes_written);
 
-  // One level of GetShared (memory, disk or peer): gets `key` from `store`
-  // and decodes it, dropping an undecodable object from the local tiers. A
-  // hit counts on `hits`/`bytes_read` and is promoted into memory (at the
-  // memory level only a decoded object is re-stored). Any failure is
-  // returned for GetShared to read on.
-  Result<SharedBytes> Probe(ObjectStore& store, const std::string& key, obs::Counter* hits,
+  // One level of a read (memory, disk or peer): takes what `store`
+  // answered for `key` and decodes it, dropping an undecodable object from
+  // the local tiers. A hit counts on `hits`/`bytes_read` and is promoted
+  // into memory (at the memory level only a decoded object is re-stored).
+  // Any failure is returned for the read to go on.
+  Result<SharedBytes> Probe(ObjectStore& store, const std::string& key,
+                            Result<SharedBytes> stored, obs::Counter* hits,
                             obs::Counter* bytes_read);
+  // The local levels of a read: memory, then disk.
+  Result<SharedBytes> ProbeLocal(const std::string& key);
+  // The end of a read every level missed: counts the miss (and the peer
+  // miss when a peer was asked).
+  Status Missed(const std::string& key, bool peer_asked);
   // Snapshot of the attached peer store (null when detached).
   std::shared_ptr<ObjectStore> PeerStore() const;
   // Best-effort publish of a freshly stored object to the peer store

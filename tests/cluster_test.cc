@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -302,6 +303,169 @@ TEST_F(ClusterTest, RestartedNodeIsProbedBackOnline) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(**got, view);
   EXPECT_TRUE(cluster->NodeOnline(0));
+}
+
+TEST_F(ClusterTest, ConcurrentReadsShareTheNodesConnections) {
+  StoreNode node_a(SocketPath(1));
+  ASSERT_TRUE(node_a.server->Start().ok());
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(node_a.shard->Put("view/" + std::to_string(i),
+                                  std::vector<uint8_t>(64, static_cast<uint8_t>(i)))
+                    .ok());
+  }
+
+  ClusterStoreOptions options;
+  options.nodes = {{"node-a", node_a.path}};
+  options.self_index = -1;
+  options.connections_per_peer = 2;
+  ClusterStore store(nullptr, options);
+
+  // 8 readers x 500 reads, single and batched, all in flight at once: the
+  // calls multiplex over the node's connections instead of dialing more.
+  std::vector<std::thread> readers;
+  std::atomic<int> wrong{0};
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([&store, &wrong, t] {
+      for (int i = 0; i < 500; ++i) {
+        const int first = (t + i) % 16;
+        if (i % 2 == 0) {
+          auto got = store.GetShared("view/" + std::to_string(first));
+          if (!got.ok() || (**got)[0] != first) {
+            ++wrong;
+          }
+          continue;
+        }
+        const std::vector<std::string> keys = {"view/" + std::to_string(first),
+                                               "view/absent",
+                                               "view/" + std::to_string((first + 1) % 16)};
+        auto got = store.GetManyShared(keys);
+        if (got.size() != 3 || !got[0].ok() || (*got[0])->at(0) != first ||
+            got[1].status().code() != ErrorCode::kNotFound || !got[2].ok() ||
+            (*got[2])->at(0) != (first + 1) % 16) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  const net::ServerStats stats = node_a.server->stats();
+  EXPECT_LE(stats.connections_accepted, 2u);
+  // One request per read, batched or not.
+  EXPECT_EQ(stats.requests_served, 8u * 500u);
+}
+
+TEST_F(ClusterTest, BatchedReadAsksEachOwnerOnce) {
+  StoreNode node_b(SocketPath(1));
+  StoreNode node_c(SocketPath(2));
+  ASSERT_TRUE(node_b.server->Start().ok());
+  ASSERT_TRUE(node_c.server->Start().ok());
+  auto local = std::make_shared<MemoryStore>();
+  ClusterStoreOptions options;
+  options.nodes = {{"node-a", ""}, {"node-b", node_b.path}, {"node-c", node_c.path}};
+  options.self_index = 0;
+  ClusterStore store(local, options);
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 40; ++i) {
+    keys.push_back("obj-" + std::to_string(i));
+    if (i % 4 != 3) {  // every fourth key is absent
+      ASSERT_TRUE(store.Put(keys.back(), std::vector<uint8_t>(8, static_cast<uint8_t>(i))).ok());
+    }
+  }
+  const uint64_t served_b = node_b.server->stats().requests_served;
+  const uint64_t served_c = node_c.server->stats().requests_served;
+  std::vector<Result<SharedBytes>> got = store.GetManyShared(keys);
+  ASSERT_EQ(got.size(), keys.size());
+  for (int i = 0; i < 40; ++i) {
+    if (i % 4 == 3) {
+      EXPECT_EQ(got[i].status().code(), ErrorCode::kNotFound) << keys[i];
+    } else {
+      ASSERT_TRUE(got[i].ok()) << keys[i] << ": " << got[i].status().ToString();
+      EXPECT_EQ(**got[i], std::vector<uint8_t>(8, static_cast<uint8_t>(i)));
+    }
+  }
+  EXPECT_EQ(node_b.server->stats().requests_served, served_b + 1);
+  EXPECT_EQ(node_c.server->stats().requests_served, served_c + 1);
+}
+
+TEST_F(ClusterTest, NodeKillMidBatchTripsTheBreakerAndDegrades) {
+  auto peer_node = std::make_unique<StoreNode>(SocketPath(1));
+  ASSERT_TRUE(peer_node->server->Start().ok());
+
+  ClusterStoreOptions options;
+  options.nodes = {{"node-b", peer_node->path}};
+  options.self_index = -1;
+  options.fault_policy = FastFaultPolicy();
+  auto cluster = std::make_shared<ClusterStore>(nullptr, options);
+  cluster->RegisterControlView();
+  TieredCache cache(std::make_shared<MemoryStore>(1 << 20),
+                    std::make_shared<MemoryStore>(1 << 20));
+  cache.SetPeerStore(cluster);
+
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(peer_node->shard->Put("view/" + std::to_string(i),
+                                      std::vector<uint8_t>{static_cast<uint8_t>(i)})
+                    .ok());
+  }
+  std::vector<Result<SharedBytes>> alive =
+      cache.GetManyShared(std::vector<std::string>{"view/0", "view/1"});
+  ASSERT_TRUE(alive[0].ok() && alive[1].ok()) << "peer reachable before the kill";
+
+  // A reader keeps batched reads of keys it has not read yet (so not
+  // promoted) in flight while the node dies under it. Each batched read is
+  // one breaker op, and a key the dead node cannot answer reads as a miss
+  // the caller recomputes, never as an error.
+  std::atomic<bool> killed{false};
+  std::atomic<int> errors{0};
+  std::thread reader([&] {
+    int next = 2;
+    for (int after_kill = 0; after_kill < 6; next += 2) {
+      const bool dead = killed.load();
+      const std::vector<std::string> keys = {"view/" + std::to_string(next),
+                                             "view/" + std::to_string(next + 1)};
+      for (const Result<SharedBytes>& result : cache.GetManyShared(keys)) {
+        if (!result.ok() && result.status().code() != ErrorCode::kNotFound) {
+          ++errors;
+        }
+      }
+      after_kill += dead ? 1 : 0;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  peer_node.reset();
+  killed.store(true);
+  reader.join();
+  EXPECT_EQ(errors.load(), 0);
+
+  for (int i = 0; i < 2; ++i) {
+    const std::vector<std::string> keys = {"view/dead" + std::to_string(i),
+                                           "view/other" + std::to_string(i)};
+    std::vector<Result<SharedBytes>> missed = cache.GetManyShared(keys);
+    ASSERT_EQ(missed.size(), 2u);
+    for (const Result<SharedBytes>& result : missed) {
+      EXPECT_EQ(result.status().code(), ErrorCode::kNotFound) << result.status().ToString();
+    }
+    // Recompute-and-continue: the local put succeeds though the publish to
+    // the dead owner goes nowhere, and the next read is local.
+    ASSERT_TRUE(cache.Put(keys[0], std::vector<uint8_t>{static_cast<uint8_t>(i)},
+                          Tier::kMemory)
+                    .ok());
+    EXPECT_TRUE(cache.GetManyShared(keys)[0].ok());
+  }
+  EXPECT_FALSE(cluster->NodeOnline(0)) << "failure streak should trip the breaker";
+
+  NullProvider provider;
+  SandFs fs(&provider);
+  auto fd = fs.Open("/.sand/cluster", OpenOptions{});
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  auto body = fs.ReadAllShared(*fd);
+  ASSERT_TRUE(body.ok());
+  std::string text(reinterpret_cast<const char*>((*body)->data()), (*body)->size());
+  EXPECT_NE(text.find("\"online\": false"), std::string::npos) << text;
+  ASSERT_TRUE(fs.Close(*fd).ok());
 }
 
 TEST_F(ClusterTest, ControlViewPublishesClusterHealth) {

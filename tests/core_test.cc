@@ -7,6 +7,11 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <mutex>
+#include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "src/common/strings.h"
 #include "src/common/trace_context.h"
@@ -468,6 +473,118 @@ std::map<std::string, uint64_t> MetricsView(SandFs& fs,
     values[name] = pos == std::string::npos ? 0 : std::stoull(body.substr(pos + needle.size()));
   }
   return values;
+}
+
+// The peer store a node sees: counts every read, one-key and batched, and
+// the keys each one asked for.
+class CountingPeer : public ObjectStore {
+ public:
+  explicit CountingPeer(std::shared_ptr<ObjectStore> inner) : inner_(std::move(inner)) {}
+
+  Status Put(const std::string& key, std::span<const uint8_t> data) override {
+    return inner_->Put(key, data);
+  }
+  Result<SharedBytes> GetShared(const std::string& key) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++single_gets_;
+    asked_.push_back(key);
+    return inner_->GetShared(key);
+  }
+  std::vector<Result<SharedBytes>> GetManyShared(std::span<const std::string> keys) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++batched_gets_;
+    asked_.insert(asked_.end(), keys.begin(), keys.end());
+    return inner_->GetManyShared(keys);
+  }
+  bool Contains(const std::string& key) override { return inner_->Contains(key); }
+  Result<uint64_t> SizeOf(const std::string& key) override { return inner_->SizeOf(key); }
+  Status Delete(const std::string& key) override { return inner_->Delete(key); }
+  uint64_t UsedBytes() override { return inner_->UsedBytes(); }
+  uint64_t CapacityBytes() override { return inner_->CapacityBytes(); }
+  std::vector<std::string> ListKeys() override { return inner_->ListKeys(); }
+
+  int single_gets() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return single_gets_;
+  }
+  int batched_gets() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return batched_gets_;
+  }
+  std::vector<std::string> asked() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return asked_;
+  }
+
+ private:
+  std::shared_ptr<ObjectStore> inner_;
+  std::mutex mutex_;
+  int single_gets_ = 0;
+  int batched_gets_ = 0;
+  std::vector<std::string> asked_;
+};
+
+// Reads one batch view through `rig`'s fs.
+Result<SharedBytes> ReadBatch(TestRig& rig, const std::string& path) {
+  SAND_ASSIGN_OR_RETURN(int fd, rig.service->fs().Open(path));
+  Result<SharedBytes> bytes = rig.service->fs().ReadAllShared(fd);
+  (void)rig.service->fs().Close(fd);
+  return bytes;
+}
+
+TEST(SandServiceTest, PeerOnlyBatchReadAsksThePeerOncePerPart) {
+  // Node A materializes the batch on demand and publishes every object it
+  // stores to the ring's store.
+  ServiceOptions options = DefaultOptions();
+  options.pre_materialize = false;
+  auto ring = std::make_shared<MemoryStore>();
+  TestRig node_a = MakeRig(options);
+  node_a.cache->SetPeerStore(ring);
+  auto expected = ReadBatch(node_a, "/train/0/0/view");
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  // Node B plans the same chunk and finds every leaf at the peer. Its
+  // batch has at most videos_per_batch parts.
+  TestRig node_b = MakeRig(options);
+  auto peer = std::make_shared<CountingPeer>(ring);
+  node_b.cache->SetPeerStore(peer);
+  auto got = ReadBatch(node_b, "/train/0/0/view");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(**got, **expected);
+
+  EXPECT_EQ(peer->single_gets(), 0) << "no per-leaf gets and no batch-view probe";
+  EXPECT_GE(peer->batched_gets(), 1);
+  EXPECT_LE(peer->batched_gets(), SmallProfile().videos_per_batch);
+  const std::vector<std::string> asked = peer->asked();
+  EXPECT_EQ(std::set<std::string>(asked.begin(), asked.end()).size(), asked.size())
+      << "each leaf is asked for once";
+  const ServiceStats stats = node_b.service->stats();
+  EXPECT_EQ(stats.exec.cache_hits, asked.size()) << "every leaf came from the peer";
+  EXPECT_EQ(stats.exec.frames_decoded, 0u);
+}
+
+TEST(SandServiceTest, LeavesTheBatchedLoadMissedAreNotAskedForAgain) {
+  // An empty ring: every leaf misses the batched load and is computed
+  // locally without a second read of its key.
+  ServiceOptions options = DefaultOptions();
+  options.pre_materialize = false;
+  TestRig node = MakeRig(options);
+  auto peer = std::make_shared<CountingPeer>(std::make_shared<MemoryStore>());
+  node.cache->SetPeerStore(peer);
+  TestRig reference = MakeRig(options);
+  auto got = ReadBatch(node, "/train/0/1/view");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto expected = ReadBatch(reference, "/train/0/1/view");
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(**got, **expected);
+
+  EXPECT_EQ(peer->single_gets(), 0);
+  EXPECT_LE(peer->batched_gets(), SmallProfile().videos_per_batch);
+  const std::vector<std::string> asked = peer->asked();
+  EXPECT_FALSE(asked.empty());
+  EXPECT_EQ(std::set<std::string>(asked.begin(), asked.end()).size(), asked.size());
+  EXPECT_EQ(node.service->stats().exec.cache_hits, 0u);
+  EXPECT_GT(node.service->stats().exec.frames_decoded, 0u);
 }
 
 TEST(ServiceStatsTest, IntermediateReadsMoveStatsAndMetricsAlike) {

@@ -2,11 +2,14 @@
 // (DESIGN.md §13): tenant sessions, quota enforcement, backpressure as
 // RESOURCE_EXHAUSTED over the wire, leak-free disconnects, and the
 // pipelined protocol (out-of-order completion, request-id demux, version
-// check, idle reaping, peer-cred auth). Runs in the TSan suite
-// (tools/check_tsan.sh).
+// check, idle reaping, peer-cred auth), and the multi-key object read
+// (hits, misses, duplicates, the frame cap, tenant bytes, and seeded
+// mutations of its request and response decoders). Runs in the TSan suite
+// (tools/check_tsan.sh) and the ASan suite (tools/check_build.sh).
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,9 +24,11 @@
 #include <vector>
 
 #include "src/common/future.h"
+#include "src/common/rng.h"
 #include "src/net/sand_client.h"
 #include "src/net/sand_server.h"
 #include "src/obs/attribution.h"
+#include "src/storage/object_store.h"
 #include "src/vfs/sand_fs.h"
 
 namespace sand {
@@ -892,6 +897,458 @@ TEST_F(NetTest, PeerCredAllowlistRefusesForeignUid) {
   auto refused = SandClient::Connect(client_options);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), ErrorCode::kFailedPrecondition);
+}
+
+// --- Multi-key object reads (kGetObjects) -------------------------------------
+
+// A raw connection past HELLO as `tenant`, with a receive timeout so a
+// missing answer fails the test instead of hanging it; -1 on failure.
+int RawSession(const std::string& path, const std::string& tenant) {
+  auto socket_fd = net::ConnectUnix(path);
+  if (!socket_fd.ok()) {
+    return -1;
+  }
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(*socket_fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::vector<uint8_t> hello = RawRequest(1, net::Command::kHello);
+  net::PutU16(hello, net::kProtocolVersion);
+  net::PutString(hello, tenant);
+  std::vector<uint8_t> response;
+  if (!net::WriteFrame(*socket_fd, hello) || !ReadRawResponse(*socket_fd, 1, response) ||
+      response.empty() || response[0] != 0) {
+    ::close(*socket_fd);
+    return -1;
+  }
+  return *socket_fd;
+}
+
+std::vector<uint8_t> GetObjectsRequest(uint64_t id, const std::vector<std::string>& keys) {
+  std::vector<uint8_t> frame = RawRequest(id, net::Command::kGetObjects);
+  net::PutU32(frame, static_cast<uint32_t>(keys.size()));
+  for (const std::string& key : keys) {
+    net::PutString(frame, key);
+  }
+  return frame;
+}
+
+struct ObjectEntry {
+  uint8_t status = 0;
+  uint32_t size = 0;
+};
+
+// The entries of an ok kGetObjects payload (status head first), checking
+// that the found objects' sizes account for exactly the bytes after the
+// table; false when the payload is malformed.
+bool ParseObjectTable(const std::vector<uint8_t>& payload, std::vector<ObjectEntry>& entries) {
+  net::WireReader reader(payload);
+  auto head = reader.TakeU8();
+  auto count = reader.TakeU32();
+  if (!head.ok() || *head != 0 || !count.ok()) {
+    return false;
+  }
+  entries.clear();
+  uint64_t bodies = 0;
+  for (uint32_t i = 0; i < *count; ++i) {
+    auto status = reader.TakeU8();
+    auto size = reader.TakeU32();
+    if (!status.ok() || !size.ok() || (*status != 0 && *size != 0)) {
+      return false;
+    }
+    entries.push_back({*status, *size});
+    bodies += *size;
+  }
+  return bodies == reader.remaining();
+}
+
+class ObjectNetTest : public NetTest {
+ protected:
+  void StartObjectServer() {
+    SandServer::Options options;
+    options.object_store = store_.get();
+    StartServer(options);
+  }
+  std::shared_ptr<MemoryStore> store_ = std::make_shared<MemoryStore>();
+};
+
+TEST_F(ObjectNetTest, GetObjectsAnswersHitsMissesDuplicatesAndEmptyLists) {
+  ASSERT_TRUE(store_->Put("a", std::vector<uint8_t>{1, 2}).ok());
+  ASSERT_TRUE(store_->Put("b", std::vector<uint8_t>{3}).ok());
+  ASSERT_TRUE(store_->Put("empty", std::vector<uint8_t>{}).ok());
+  StartObjectServer();
+  auto client = Connect("alpha");
+  ASSERT_NE(client, nullptr);
+
+  const std::vector<std::string> keys = {"a", "missing", "b", "a", "empty"};
+  auto got = client->GetObjects(keys);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), keys.size());
+  ASSERT_TRUE((*got)[0].ok());
+  EXPECT_EQ(*(*got)[0].value(), (std::vector<uint8_t>{1, 2}));
+  EXPECT_EQ((*got)[1].status().code(), ErrorCode::kNotFound);
+  ASSERT_TRUE((*got)[2].ok());
+  EXPECT_EQ(*(*got)[2].value(), (std::vector<uint8_t>{3}));
+  ASSERT_TRUE((*got)[3].ok()) << "a duplicate key is answered each time";
+  EXPECT_EQ(*(*got)[3].value(), (std::vector<uint8_t>{1, 2}));
+  ASSERT_TRUE((*got)[4].ok());
+  EXPECT_TRUE((*got)[4].value()->empty());
+
+  auto none = client->GetObjects({});
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+
+  // On the wire: an empty list is an ok, empty table; the retired one-key
+  // read (code 11) is an unknown command, which a caller reads as a miss.
+  int raw = RawSession(socket_path_, "alpha");
+  ASSERT_GE(raw, 0);
+  ASSERT_TRUE(net::WriteFrame(raw, GetObjectsRequest(2, {})));
+  std::vector<uint8_t> response;
+  ASSERT_TRUE(ReadRawResponse(raw, 2, response));
+  std::vector<ObjectEntry> entries;
+  ASSERT_TRUE(ParseObjectTable(response, entries));
+  EXPECT_TRUE(entries.empty());
+  std::vector<uint8_t> old_get = RawRequest(3, static_cast<net::Command>(11));
+  net::PutString(old_get, "a");
+  ASSERT_TRUE(net::WriteFrame(raw, old_get));
+  ASSERT_TRUE(ReadRawResponse(raw, 3, response));
+  EXPECT_EQ(net::DecodeResponseStatus(response).code(), ErrorCode::kInvalidArgument);
+  ::close(raw);
+  // Five keys, one request; the empty list sent none.
+  for (int i = 0; i < 500 && server_->stats().requests_served < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server_->stats().requests_served, 3u);
+}
+
+TEST_F(ObjectNetTest, ResponsePastTheFrameCapDefersKeysWithoutDroppingTheConnection) {
+  // Two keys over one buffer: each fits a response, both together do not.
+  SharedBytes big = MakeSharedBytes(std::vector<uint8_t>(net::kMaxFrameBytes / 2 + 4096, 7));
+  ASSERT_TRUE(store_->PutShared("big/1", big).ok());
+  ASSERT_TRUE(store_->PutShared("big/2", big).ok());
+  ASSERT_TRUE(store_->Put("small", std::vector<uint8_t>{1, 2, 3}).ok());
+  StartObjectServer();
+  int raw = RawSession(socket_path_, "alpha");
+  ASSERT_GE(raw, 0);
+
+  // Reads one kGetObjects response as it streams in, without holding the
+  // big bodies: the table, then each body in chunks, checked byte by byte.
+  auto read_objects = [raw](uint64_t id, std::vector<ObjectEntry>& entries,
+                            std::vector<uint8_t>& small) -> bool {
+    std::vector<uint8_t> prefix(4 + 8 + 1 + 4);
+    if (!net::ReadExact(raw, prefix.data(), prefix.size())) {
+      return false;
+    }
+    net::WireReader reader(prefix);
+    const uint32_t length = *reader.TakeU32();
+    EXPECT_EQ(*reader.TakeU64(), id);
+    EXPECT_EQ(*reader.TakeU8(), 0);
+    const uint32_t count = *reader.TakeU32();
+    std::vector<uint8_t> table(static_cast<size_t>(count) * 5);
+    if (!net::ReadExact(raw, table.data(), table.size())) {
+      return false;
+    }
+    uint64_t bodies = 0;
+    entries.clear();
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint8_t* e = table.data() + 5 * i;
+      const uint32_t size = static_cast<uint32_t>(e[1]) | static_cast<uint32_t>(e[2]) << 8 |
+                            static_cast<uint32_t>(e[3]) << 16 |
+                            static_cast<uint32_t>(e[4]) << 24;
+      entries.push_back({e[0], size});
+      bodies += size;
+    }
+    EXPECT_EQ(length, 8 + 1 + 4 + table.size() + bodies);
+    EXPECT_LE(length, net::kMaxFrameBytes);
+    std::vector<uint8_t> chunk(1 << 20);
+    for (const ObjectEntry& entry : entries) {
+      size_t left = entry.size;
+      while (left > 0) {
+        const size_t take = std::min(left, chunk.size());
+        if (!net::ReadExact(raw, chunk.data(), take)) {
+          return false;
+        }
+        if (entry.size == 3) {
+          small.assign(chunk.begin(), chunk.begin() + 3);
+        } else if (std::any_of(chunk.begin(), chunk.begin() + static_cast<long>(take),
+                               [](uint8_t b) { return b != 7; })) {
+          return false;
+        }
+        left -= take;
+      }
+    }
+    return true;
+  };
+
+  ASSERT_TRUE(net::WriteFrame(raw, GetObjectsRequest(2, {"big/1", "small", "big/2"})));
+  std::vector<ObjectEntry> entries;
+  std::vector<uint8_t> small;
+  ASSERT_TRUE(read_objects(2, entries, small));
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].status, 0);
+  EXPECT_EQ(entries[0].size, big->size());
+  EXPECT_EQ(entries[1].status, 0) << "a found object that still fits is sent";
+  EXPECT_EQ(small, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(entries[2].status, net::kObjectDeferred);
+  EXPECT_EQ(entries[2].size, 0u);
+
+  // Same connection: the deferred key, asked again, arrives whole.
+  ASSERT_TRUE(net::WriteFrame(raw, GetObjectsRequest(3, {"big/2"})));
+  ASSERT_TRUE(read_objects(3, entries, small));
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].status, 0);
+  EXPECT_EQ(entries[0].size, big->size());
+  EXPECT_EQ(server_->stats().connections_accepted, 1u);
+  ::close(raw);
+}
+
+TEST_F(ObjectNetTest, ClientAsksAgainForDeferredKeys) {
+  // A hand-rolled server that defers the second key of the first request;
+  // the client must ask again for exactly that key and return both.
+  std::string path = ::testing::TempDir() + "sand_defer_" + std::to_string(::getpid()) + ".sock";
+  auto listen_fd = net::ListenUnix(path, /*backlog=*/4);
+  ASSERT_TRUE(listen_fd.ok());
+  std::vector<std::string> second_request;
+  std::thread deferring_server([&listen_fd, &second_request] {
+    int conn = ::accept(*listen_fd, nullptr, nullptr);
+    ASSERT_GE(conn, 0);
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(net::ReadFrame(conn, frame));  // HELLO
+    net::WireReader hello(frame);
+    std::vector<uint8_t> ok;
+    net::PutU64(ok, *hello.TakeU64());
+    ok.push_back(0);
+    net::PutU32(ok, 7);
+    ASSERT_TRUE(net::WriteFrame(conn, ok));
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_TRUE(net::ReadFrame(conn, frame));
+      net::WireReader request(frame);
+      const uint64_t id = *request.TakeU64();
+      EXPECT_EQ(*request.TakeU8(), static_cast<uint8_t>(net::Command::kGetObjects));
+      const uint32_t count = *request.TakeU32();
+      std::vector<std::string> keys;
+      for (uint32_t i = 0; i < count; ++i) {
+        keys.push_back(*request.TakeString());
+      }
+      std::vector<uint8_t> response;
+      net::PutU64(response, id);
+      response.push_back(0);
+      if (round == 0) {
+        net::PutU32(response, 2);
+        net::PutU8(response, 0);
+        net::PutU32(response, 3);
+        net::PutU8(response, net::kObjectDeferred);
+        net::PutU32(response, 0);
+        response.insert(response.end(), {'a', 'b', 'c'});
+      } else {
+        second_request = keys;
+        net::PutU32(response, 1);
+        net::PutU8(response, 0);
+        net::PutU32(response, 2);
+        response.insert(response.end(), {'d', 'e'});
+      }
+      ASSERT_TRUE(net::WriteFrame(conn, response));
+    }
+    EXPECT_FALSE(net::ReadFrame(conn, frame));  // the client hangs up
+    ::close(conn);
+  });
+
+  {
+    SandClient::Options options;
+    options.unix_path = path;
+    options.tenant = "alpha";
+    auto client = SandClient::Connect(options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto got = (*client)->GetObjects(std::vector<std::string>{"first", "second"});
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->size(), 2u);
+    ASSERT_TRUE((*got)[0].ok() && (*got)[1].ok());
+    EXPECT_EQ(*(*got)[0].value(), (std::vector<uint8_t>{'a', 'b', 'c'}));
+    EXPECT_EQ(*(*got)[1].value(), (std::vector<uint8_t>{'d', 'e'}));
+  }
+  deferring_server.join();
+  EXPECT_EQ(second_request, (std::vector<std::string>{"second"}));
+  ::close(*listen_fd);
+  ::unlink(path.c_str());
+}
+
+TEST_F(ObjectNetTest, ObjectBodiesCountInTenantBytesRead) {
+  ASSERT_TRUE(store_->Put("ten", std::vector<uint8_t>(10, 1)).ok());
+  ASSERT_TRUE(store_->Put("twenty", std::vector<uint8_t>(20, 2)).ok());
+  StartObjectServer();
+  auto client = Connect("objbytes");
+  ASSERT_NE(client, nullptr);
+  obs::TenantMetrics* metrics = obs::TenantMetricsFor(client->tenant_id());
+  ASSERT_NE(metrics, nullptr);
+  const int64_t baseline = metrics->bytes_read->Value();
+  ASSERT_TRUE(
+      client->GetObjects(std::vector<std::string>{"ten", "missing", "twenty", "ten"}).ok());
+  int64_t counted = 0;
+  for (int i = 0; i < 500; ++i) {
+    counted = metrics->bytes_read->Value() - baseline;
+    if (counted >= 40) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(counted, 40);
+}
+
+// Seeded mutations of a valid payload past its first `keep` bytes: byte
+// flips, u32 words overwritten with boundary values, truncation, and
+// appended bytes.
+void Mutate(std::vector<uint8_t>& bytes, size_t keep, Rng& rng) {
+  const int edits = 1 + static_cast<int>(rng.NextBounded(4));
+  for (int e = 0; e < edits && bytes.size() > keep; ++e) {
+    const size_t span = bytes.size() - keep;
+    const size_t at = keep + static_cast<size_t>(rng.NextBounded(span));
+    switch (rng.NextBounded(5)) {
+      case 0:
+        bytes[at] ^= static_cast<uint8_t>(1u << rng.NextBounded(8));
+        break;
+      case 1:
+        bytes[at] = static_cast<uint8_t>(rng.Next());
+        break;
+      case 2: {
+        static constexpr uint32_t kWords[] = {0,          1,          4,    5,
+                                              1023,       1024,       1025, 0x7FFFFFFF,
+                                              0xFFFFFFFF, 0x80000000, 255,  0xFFFF};
+        const uint32_t word = kWords[rng.NextBounded(std::size(kWords))];
+        for (size_t i = 0; i < 4 && at + i < bytes.size(); ++i) {
+          bytes[at + i] = static_cast<uint8_t>(word >> (8 * i));
+        }
+        break;
+      }
+      case 3:
+        bytes.resize(at);
+        break;
+      default:
+        for (uint64_t n = 1 + rng.NextBounded(16); n > 0; --n) {
+          bytes.push_back(static_cast<uint8_t>(rng.Next()));
+        }
+        break;
+    }
+  }
+}
+
+TEST_F(ObjectNetTest, RequestDecoderSurvivesSeededMutations) {
+  ASSERT_TRUE(store_->Put("k/0", std::vector<uint8_t>(5, 1)).ok());
+  ASSERT_TRUE(store_->Put("k/1", std::vector<uint8_t>{}).ok());
+  ASSERT_TRUE(store_->Put("key-two", std::vector<uint8_t>(300, 2)).ok());
+  StartObjectServer();
+  int raw = RawSession(socket_path_, "alpha");
+  ASSERT_GE(raw, 0);
+  const std::vector<std::string> keys = {"k/0", "k/1", "absent", "key-two", "k/0"};
+  Rng rng(0x5eed0b1ec75ULL);
+  int answered_ok = 0;
+  for (uint64_t id = 100; id < 2100; ++id) {
+    std::vector<uint8_t> frame = GetObjectsRequest(id, keys);
+    Mutate(frame, /*keep=*/9, rng);  // request id and command stay intact
+    ASSERT_TRUE(net::WriteFrame(raw, frame));
+    // Every mutated request is answered on the same connection: an error,
+    // or a well-formed table.
+    std::vector<uint8_t> response;
+    ASSERT_TRUE(ReadRawResponse(raw, id, response)) << "request " << id << " went unanswered";
+    ASSERT_FALSE(response.empty());
+    if (response[0] == 0) {
+      std::vector<ObjectEntry> entries;
+      ASSERT_TRUE(ParseObjectTable(response, entries)) << "request " << id;
+      ++answered_ok;
+    }
+  }
+  EXPECT_GT(answered_ok, 0) << "some mutations keep the request decodable";
+  ASSERT_TRUE(net::WriteFrame(raw, GetObjectsRequest(5000, keys)));
+  std::vector<uint8_t> response;
+  ASSERT_TRUE(ReadRawResponse(raw, 5000, response));
+  std::vector<ObjectEntry> entries;
+  ASSERT_TRUE(ParseObjectTable(response, entries));
+  ASSERT_EQ(entries.size(), keys.size());
+  EXPECT_EQ(entries[2].status, static_cast<uint8_t>(ErrorCode::kNotFound));
+  EXPECT_EQ(entries[3].size, 300u);
+  ::close(raw);
+}
+
+TEST_F(ObjectNetTest, ResponseDecoderSurvivesSeededMutations) {
+  // A hand-rolled server answers each connection's kGetObjects with a
+  // mutated response; the client must return a result or an error status,
+  // never read out of bounds, hang, or hand out bytes it was not sent.
+  std::string path = ::testing::TempDir() + "sand_mutate_" + std::to_string(::getpid()) + ".sock";
+  auto listen_fd = net::ListenUnix(path, /*backlog=*/4);
+  ASSERT_TRUE(listen_fd.ok());
+  constexpr int kConnections = 300;
+  std::thread mutating_server([&listen_fd] {
+    Rng rng(0xdec0de5ULL);
+    for (int i = 0; i < kConnections; ++i) {
+      int conn = ::accept(*listen_fd, nullptr, nullptr);
+      ASSERT_GE(conn, 0);
+      timeval timeout{};
+      timeout.tv_sec = 10;
+      ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      std::vector<uint8_t> frame;
+      ASSERT_TRUE(net::ReadFrame(conn, frame));  // HELLO
+      net::WireReader hello(frame);
+      std::vector<uint8_t> ok;
+      net::PutU64(ok, *hello.TakeU64());
+      ok.push_back(0);
+      net::PutU32(ok, 7);
+      ASSERT_TRUE(net::WriteFrame(conn, ok));
+      ASSERT_TRUE(net::ReadFrame(conn, frame));
+      // The valid answer for (found "hello", absent, found "abc").
+      net::WireReader request(frame);
+      std::vector<uint8_t> response;
+      net::PutU64(response, *request.TakeU64());
+      response.push_back(0);
+      net::PutU32(response, 3);
+      net::PutU8(response, 0);
+      net::PutU32(response, 5);
+      net::PutU8(response, static_cast<uint8_t>(ErrorCode::kNotFound));
+      net::PutU32(response, 0);
+      net::PutU8(response, 0);
+      net::PutU32(response, 3);
+      response.insert(response.end(), {'h', 'e', 'l', 'l', 'o', 'a', 'b', 'c'});
+      Mutate(response, /*keep=*/rng.NextBool(0.9) ? 8 : 0, rng);
+      // Mostly a true length word; sometimes one that over- or under-states.
+      int64_t length = static_cast<int64_t>(response.size());
+      if (rng.NextBool(0.2)) {
+        length = std::max<int64_t>(0, length + rng.NextInRange(-3, 3));
+      }
+      std::vector<uint8_t> wire;
+      net::PutU32(wire, static_cast<uint32_t>(length));
+      wire.insert(wire.end(), response.begin(), response.end());
+      ASSERT_EQ(::send(conn, wire.data(), wire.size(), MSG_NOSIGNAL),
+                static_cast<ssize_t>(wire.size()));
+      // No more bytes follow: a client waiting on a longer frame sees EOF.
+      // Then wait for it to hang up (it may first ask for deferred keys).
+      ::shutdown(conn, SHUT_WR);
+      while (net::ReadFrame(conn, frame)) {
+      }
+      ::close(conn);
+    }
+  });
+
+  const std::vector<std::string> keys = {"x", "y", "z"};
+  int answered = 0;
+  for (int i = 0; i < kConnections; ++i) {
+    SandClient::Options options;
+    options.unix_path = path;
+    options.tenant = "alpha";
+    auto client = SandClient::Connect(options);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto got = (*client)->GetObjects(keys);
+    if (!got.ok()) {
+      continue;
+    }
+    ++answered;
+    ASSERT_EQ(got->size(), keys.size());
+    for (const Result<SharedBytes>& object : *got) {
+      if (object.ok()) {
+        EXPECT_LE((*object)->size(), 16u) << "no more bytes than the frame carried";
+      }
+    }
+  }
+  mutating_server.join();
+  EXPECT_GT(answered, 0) << "some mutations keep the response decodable";
+  ::close(*listen_fd);
+  ::unlink(path.c_str());
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "src/pruning/graph_pruning.h"
 #include "src/workloads/models.h"
 
@@ -175,6 +180,115 @@ TEST(PruningTest, BudgetMonotonicity) {
     EXPECT_GE(report.final_bytes, previous);
     previous = report.final_bytes;
   }
+}
+
+// PruneToBudget's round loop with every step a fresh PruneGraphOnce: the
+// reference its memoized subtrees must reproduce decision for decision.
+PruningReport PruneStepByStep(MaterializationPlan& plan, uint64_t budget_bytes) {
+  PruningReport report;
+  uint64_t data_size = plan.CachedBytes();
+  bool progress = true;
+  while (data_size > budget_bytes && progress) {
+    progress = false;
+    ++report.rounds;
+    for (VideoObjectGraph& graph : plan.videos) {
+      uint64_t reduced = PruneGraphOnce(graph);
+      if (reduced > 0) {
+        progress = true;
+        ++report.subtrees_pruned;
+        data_size -= std::min(reduced, data_size);
+      }
+      if (data_size <= budget_bytes) {
+        break;
+      }
+    }
+  }
+  report.final_bytes = plan.CachedBytes();
+  return report;
+}
+
+std::vector<bool> CacheFlags(const MaterializationPlan& plan) {
+  std::vector<bool> flags;
+  for (const VideoObjectGraph& graph : plan.videos) {
+    for (const ConcreteNode& node : graph.nodes) {
+      flags.push_back(node.cache);
+    }
+  }
+  return flags;
+}
+
+TEST(PruningTest, PruneToBudgetMatchesStepByStepRounds) {
+  struct Shape {
+    int videos;
+    int k;
+  };
+  for (Shape shape : {Shape{1, 1}, Shape{4, 2}, Shape{6, 3}, Shape{3, 5}}) {
+    const uint64_t initial = MakePlan(shape.videos, shape.k).CachedBytes();
+    for (uint64_t divisor : {1, 2, 3, 4, 8, 16}) {
+      SCOPED_TRACE(std::to_string(shape.videos) + " videos, k " + std::to_string(shape.k) +
+                   ", budget initial/" + std::to_string(divisor));
+      MaterializationPlan memoized = MakePlan(shape.videos, shape.k);
+      MaterializationPlan stepped = MakePlan(shape.videos, shape.k);
+      PruningReport report = PruneToBudget(memoized, initial / divisor);
+      PruningReport reference = PruneStepByStep(stepped, initial / divisor);
+      EXPECT_EQ(CacheFlags(memoized), CacheFlags(stepped));
+      EXPECT_EQ(report.rounds, reference.rounds);
+      EXPECT_EQ(report.subtrees_pruned, reference.subtrees_pruned);
+      EXPECT_EQ(report.final_bytes, reference.final_bytes);
+    }
+  }
+}
+
+TEST(PruningTest, BudgetCompressedPlanKeepsRecordedCachedSet) {
+  // The shape of the data-path benchmark's budget_compressed plan: 24
+  // videos x 96 frames at 64x96, GOP 8, SlowFast clips, a 12-epoch chunk
+  // from planner seed 7, pruned to 75% (the eviction watermark) of 3 MiB.
+  // The digest of its cached set was recorded from the re-walking
+  // implementation, so a faster pruning must keep every decision.
+  DatasetMeta meta;
+  meta.path = "/dataset/train";
+  for (int v = 0; v < 24; ++v) {
+    meta.video_names.push_back("video_" + std::to_string(v));
+  }
+  meta.frames_per_video = 96;
+  meta.height = 64;
+  meta.width = 96;
+  meta.channels = 3;
+  meta.gop_size = 8;
+  meta.encoded_bytes_per_video = 200000;
+  std::vector<TaskConfig> tasks = {MakeTaskConfig(SlowFastProfile(), meta.path, "train")};
+  PlannerOptions options;
+  options.k_epochs = 12;
+  options.seed = 7;
+  auto plan = BuildMaterializationPlan(meta, tasks, 0, options);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  PruningReport report = PruneToBudget(*plan, (3u << 20) / 4 * 3);
+  EXPECT_TRUE(report.fits_budget);
+
+  // FNV-1a over "<video>:<node>," for every cached node, in plan order.
+  uint64_t digest = 1469598103934665603ULL;
+  size_t nodes = 0;
+  size_t cached = 0;
+  for (size_t v = 0; v < plan->videos.size(); ++v) {
+    for (const ConcreteNode& node : plan->videos[v].nodes) {
+      ++nodes;
+      if (!node.cache) {
+        continue;
+      }
+      ++cached;
+      for (char c : std::to_string(v) + ":" + std::to_string(node.id) + ",") {
+        digest = (digest ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
+      }
+    }
+  }
+  std::printf("plan: %zu nodes, %zu cached, %d rounds, %d subtrees pruned, digest %llu\n",
+              nodes, cached, report.rounds, report.subtrees_pruned,
+              static_cast<unsigned long long>(digest));
+  EXPECT_EQ(nodes, 4112u);
+  EXPECT_EQ(cached, 667u);
+  EXPECT_EQ(report.rounds, 67);
+  EXPECT_EQ(report.subtrees_pruned, 1358);
+  EXPECT_EQ(digest, 5240712353829857510ULL);
 }
 
 }  // namespace

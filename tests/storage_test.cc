@@ -9,9 +9,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/clock.h"
+#include "src/compress/lossy.h"
 #include "src/storage/circuit_breaker.h"
 #include "src/storage/fault_injection.h"
 #include "src/obs/metrics.h"
@@ -656,6 +660,112 @@ TEST(TieredCacheTest, PutDiskIsDurableOrFails) {
   EXPECT_FALSE(status.ok()) << "PutDisk must not silently fall back to memory";
   EXPECT_FALSE(memory->Contains("ckpt"));
   EXPECT_FALSE(faulty->backing().Contains("ckpt"));
+}
+
+// A cache over memory, a disk tier holding a raw, an encoded and an
+// undecodable object, and a peer holding a raw and an undecodable one.
+struct ThreeLevelCache {
+  static std::vector<uint8_t> Frame(uint8_t value) {
+    // Serialized-frame shape (12-byte header + pixels), smooth enough for
+    // the lossless codec to shrink it.
+    std::vector<uint8_t> bytes(12 + 16 * 16 * 3, value);
+    bytes[0] = bytes[4] = 16;
+    bytes[8] = 3;
+    for (size_t i : {1, 2, 3, 5, 6, 7, 9, 10, 11}) {
+      bytes[i] = 0;
+    }
+    return bytes;
+  }
+  static std::vector<uint8_t> Undecodable() {
+    // A well-formed container header over a garbage payload.
+    std::vector<uint8_t> bogus = {'S', 'C', 'O', '1', 1,    0,    0,    0,
+                                  200, 0,   0,   0,   0xde, 0xad, 0xbe, 0xef};
+    bogus.resize(256, 0xab);
+    return bogus;
+  }
+
+  ThreeLevelCache() {
+    CompressionPolicy policy;
+    policy.enabled = true;
+    policy.frame_codec = Codec::kLossless;
+    policy.compress_on_disk_put = true;
+    policy.min_object_bytes = 64;
+    cache.SetCompression(policy);
+    EXPECT_TRUE(memory->Put("cache/v/f0/nmem", Frame(1)).ok());
+    EXPECT_TRUE(disk->Put("cache/v/f1/nraw", Frame(2)).ok());
+    EXPECT_TRUE(cache.Put("cache/v/f2/nenc", Frame(3), Tier::kDisk).ok());
+    EXPECT_TRUE(disk->Put("cache/v/f3/nbad", Undecodable()).ok());
+    EXPECT_TRUE(peer->Put("cache/v/f4/npeer", Frame(4)).ok());
+    EXPECT_TRUE(peer->Put("cache/v/f5/npbad", Undecodable()).ok());
+    EXPECT_TRUE(ObjectCodec::IsEncoded(**disk->GetShared("cache/v/f2/nenc")));
+    cache.SetPeerStore(peer);
+  }
+
+  std::shared_ptr<MemoryStore> memory = std::make_shared<MemoryStore>();
+  std::shared_ptr<MemoryStore> disk = std::make_shared<MemoryStore>();
+  std::shared_ptr<MemoryStore> peer = std::make_shared<MemoryStore>();
+  TieredCache cache{memory, disk};
+};
+
+// The registry counters a cache read moves.
+std::map<std::string, int64_t> ReadCounters() {
+  std::map<std::string, int64_t> values;
+  for (const char* name :
+       {"sand.cache.memory.hits", "sand.cache.disk.hits", "sand.cache.misses",
+        "sand.cache.promotions", "sand.cache.memory.bytes_read", "sand.cache.disk.bytes_read",
+        "sand.cluster.peer_hits", "sand.cluster.peer_misses", "sand.cluster.peer_bytes",
+        "sand.compress.hits"}) {
+    values[name] = obs::Registry::Get().GetCounter(name)->Value();
+  }
+  return values;
+}
+
+std::map<std::string, int64_t> Delta(const std::map<std::string, int64_t>& before,
+                                     const std::map<std::string, int64_t>& after) {
+  std::map<std::string, int64_t> delta;
+  for (const auto& [name, value] : after) {
+    delta[name] = value - before.at(name);
+  }
+  return delta;
+}
+
+TEST(TieredCacheTest, GetManySharedReturnsAndCountsWhatPerKeyGetsDo) {
+  // Memory, disk (raw and decoded) and peer hits, a miss everywhere, and an
+  // undecodable object at the disk and at the peer; the memory key twice.
+  const std::vector<std::string> keys = {
+      "cache/v/f0/nmem", "cache/v/f1/nraw",  "cache/v/f4/npeer", "cache/v/f9/nabsent",
+      "cache/v/f2/nenc", "cache/v/f3/nbad",  "cache/v/f5/npbad", "cache/v/f0/nmem"};
+  ThreeLevelCache per_key;
+  ThreeLevelCache batched;
+
+  auto before = ReadCounters();
+  std::vector<Result<SharedBytes>> expected;
+  for (const std::string& key : keys) {
+    expected.push_back(per_key.cache.GetShared(key));
+  }
+  const auto per_key_counts = Delta(before, ReadCounters());
+
+  before = ReadCounters();
+  std::vector<Result<SharedBytes>> got = batched.cache.GetManyShared(keys);
+  const auto batched_counts = Delta(before, ReadCounters());
+
+  ASSERT_EQ(got.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    SCOPED_TRACE(keys[i]);
+    ASSERT_EQ(got[i].status().code(), expected[i].status().code());
+    if (expected[i].ok()) {
+      EXPECT_EQ(**got[i], **expected[i]);
+    }
+  }
+  EXPECT_EQ(batched_counts, per_key_counts);
+  EXPECT_EQ(per_key_counts.at("sand.cache.promotions"), 3) << "disk raw, disk encoded, peer";
+  EXPECT_EQ(per_key_counts.at("sand.cluster.peer_hits"), 1);
+  EXPECT_EQ(per_key_counts.at("sand.cluster.peer_misses"), 3) << "absent and both undecodable";
+  // Same promotions into memory, same undecodable objects dropped.
+  EXPECT_EQ(batched.memory->ListKeys(), per_key.memory->ListKeys());
+  EXPECT_EQ(batched.disk->ListKeys(), per_key.disk->ListKeys());
+  EXPECT_FALSE(batched.disk->Contains("cache/v/f3/nbad"));
+  EXPECT_TRUE(batched.cache.GetManyShared({}).empty());
 }
 
 }  // namespace

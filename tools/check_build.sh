@@ -180,7 +180,7 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ASAN_TESTS=(vfs_test prefetch_test core_test codec_test fault_injection_test
               compress_test compress_tier_test net_test cluster_test obs_test
               storage_test object_path_test stress_test tensor_test config_test
-              sched_test)
+              sched_test pruning_test)
   cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
   for test in "${ASAN_TESTS[@]}"; do
