@@ -81,12 +81,6 @@ std::vector<uint8_t> TemporalDelta(const Frame& cur, const Frame& prev) {
   return delta;
 }
 
-void ApplyTemporalDelta(Frame& target, std::span<const uint8_t> delta) {
-  // MutableData: the cursor frame may be shared with a frame previously
-  // returned to a caller; copy-on-write keeps that frame intact.
-  DeltaApplyBytes(target.MutableData(), delta);
-}
-
 }  // namespace
 
 VideoEncoder::VideoEncoder(int height, int width, int channels, VideoEncoderOptions options)
@@ -191,12 +185,17 @@ Status VideoDecoder::DecodeStep(const Parsed& parsed, int64_t index, Frame& curs
     return DataLoss(StrFormat("frame %lld payload decodes to %zu bytes, expected %zu",
                               static_cast<long long>(index), raw->size(), frame_bytes));
   }
-  if (entry.type == FrameType::kIntra) {
-    SAND_ASSIGN_OR_RETURN(cursor, Frame::FromPixels(parsed.height, parsed.width,
-                                                    parsed.channels, raw.TakeValue()));
-  } else {
-    ApplyTemporalDelta(cursor, *raw);
+  if (entry.type == FrameType::kDelta) {
+    if (cursor.size_bytes() != frame_bytes) {
+      return Internal("delta frame without a decoded frame before it");
+    }
+    // Add the cursor into the delta just decoded and adopt that buffer as
+    // the new frame: the cursor may be shared with frames returned to
+    // callers, and writing it in place would first clone it.
+    DeltaApplyBytes(*raw, cursor.data());
   }
+  SAND_ASSIGN_OR_RETURN(cursor, Frame::FromPixels(parsed.height, parsed.width, parsed.channels,
+                                                  raw.TakeValue()));
   stats.frames_decoded.Add(1);
   return Status::Ok();
 }
@@ -243,6 +242,8 @@ Result<VideoDecoder> VideoDecoder::Open(SharedBytes container) {
     return DataLoss("container index truncated");
   }
   parsed->index.reserve(frame_count);
+  parsed->payload_base = kHeaderSize + index_bytes;
+  const size_t payload_bytes = container->size() - parsed->payload_base;
   size_t pos = kHeaderSize;
   for (uint32_t i = 0; i < frame_count; ++i) {
     IndexEntry entry;
@@ -252,17 +253,17 @@ Result<VideoDecoder> VideoDecoder::Open(SharedBytes container) {
     if (entry.type != FrameType::kIntra && entry.type != FrameType::kDelta) {
       return DataLoss("corrupt frame type");
     }
+    // Every payload must lie inside the container: DecodeStep slices it
+    // without another check.
+    if (entry.offset > payload_bytes || entry.size > payload_bytes - entry.offset) {
+      return DataLoss(StrFormat("frame %u payload out of range", i));
+    }
     parsed->index.push_back(entry);
     pos += kIndexEntrySize;
   }
   if (parsed->index.front().type != FrameType::kIntra) {
     // GopStartIn walks back to an I-frame and relies on frame 0 being one.
     return DataLoss("first frame is not an I-frame");
-  }
-  parsed->payload_base = pos;
-  const IndexEntry& last = parsed->index.back();
-  if (container->size() < parsed->payload_base + last.offset + last.size) {
-    return DataLoss("container payload truncated");
   }
   parsed->container = std::move(container);
   VideoDecoder decoder;

@@ -37,8 +37,6 @@ const char* Basename(const char* path) {
 
 void SetLogLevel(LogLevel level) { g_level.store(static_cast<int>(level)); }
 
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load()); }
-
 void LogLine(LogLevel level, const std::string& message) {
   // Monotonic seconds since process start + small thread id: the same
   // epoch and ids the tracer stamps on spans, so log lines and trace

@@ -24,7 +24,6 @@ enum class LogLevel : int {
 
 // Global threshold; messages below it are discarded.
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 // Internal: emits one formatted line ("[I 12.345678 t03] message"): level,
 // monotonic seconds since process start, small thread id — the same epoch

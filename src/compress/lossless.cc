@@ -25,18 +25,15 @@ enum Filter : uint8_t {
   kPaeth = 4,
 };
 
+// PNG's Paeth predictor: whichever of left (a), up (b) and up-left (c) is
+// nearest to a + b - c, ties going to a, then b. Written as selects, which
+// compile to conditional moves rather than data-dependent branches.
 uint8_t PaethPredict(int a, int b, int c) {
-  int p = a + b - c;
-  int pa = std::abs(p - a);
-  int pb = std::abs(p - b);
-  int pc = std::abs(p - c);
-  if (pa <= pb && pa <= pc) {
-    return static_cast<uint8_t>(a);
-  }
-  if (pb <= pc) {
-    return static_cast<uint8_t>(b);
-  }
-  return static_cast<uint8_t>(c);
+  const int pa = std::abs(b - c);          // |p - a|
+  const int pb = std::abs(a - c);          // |p - b|
+  const int pc = std::abs(a + b - 2 * c);  // |p - c|
+  const int b_or_c = pb <= pc ? b : c;
+  return static_cast<uint8_t>((pa <= pb) & (pa <= pc) ? a : b_or_c);
 }
 
 // Applies `filter` to one row; prev is the prior raw row (empty for row 0).
@@ -68,8 +65,9 @@ void FilterRow(Filter filter, std::span<const uint8_t> row, std::span<const uint
   }
 }
 
-// Inverse of FilterRow for the Average and Paeth filters, in place, a byte
-// at a time; UnfilterInto has specialised loops for the other three.
+// Inverse of FilterRow for the Average and Paeth filters at any bpp, in
+// place, a byte at a time; UnfilterInto runs compile-time loops instead for
+// bpp 1 and 3 and for the other three filters.
 void UnfilterAverageOrPaeth(Filter filter, std::span<uint8_t> row,
                             std::span<const uint8_t> prev, size_t bpp) {
   for (size_t i = 0; i < row.size(); ++i) {
@@ -311,7 +309,11 @@ uint32_t GetU32(std::span<const uint8_t> in, size_t offset) {
 
 constexpr size_t kEntropyHeaderSize = 5;  // flag + u32 raw size
 constexpr size_t kCodeLengthBytes = 128;  // 256 nibble-packed code lengths
-constexpr int kTableBits = 11;
+constexpr int kTableBits = 12;
+constexpr uint32_t kTableSize = 1u << kTableBits;
+// Table lookups per refill: each consumes at most kTableBits of the >= 56
+// bits RefillWord leaves in the buffer.
+constexpr int kLookupsPerRefill = 56 / kTableBits;
 // Bytes past the logical end of the LZ output buffer: an 8-byte match word
 // may run up to 7 bytes beyond the match it copies.
 constexpr size_t kLzSlack = 8;
@@ -321,6 +323,15 @@ uint64_t LoadBigEndian64(const uint8_t* p) {
   std::memcpy(&v, p, sizeof(v));
   if constexpr (std::endian::native == std::endian::little) {
     v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+uint16_t LoadLittleEndian16(const uint8_t* p) {
+  uint16_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap16(v);
   }
   return v;
 }
@@ -385,48 +396,98 @@ class HuffmanDecoder {
         symbols_by_code_[cursor[lengths[s]]++] = static_cast<uint8_t>(s);
       }
     }
-    // A table slot holds the code the bit-serial walk would match first:
-    // filling from the longest length down lets shorter codes win.
-    for (int len = kTableBits; len >= 1; --len) {
-      const uint32_t first = first_code_[len];
-      const uint32_t last = std::min<uint32_t>(first + count_at_len_[len], 1u << len);
-      const int spread = kTableBits - len;
-      for (uint32_t c = first; c < last; ++c) {
-        const uint16_t entry = static_cast<uint16_t>(
-            (len << 8) | symbols_by_code_[first_index_[len] + (c - first)]);
-        std::fill(table_.begin() + (c << spread), table_.begin() + ((c + 1) << spread), entry);
+    // Each slot holds the code the bit-serial walk would match first in its
+    // top bits and, when the bits after that code start a whole code too,
+    // that second code. Codes fill in from the longest length down, so the
+    // shorter code wins a slot that over-subscribed lengths claim twice.
+    int min_len = 1;
+    while (min_len <= kTableBits && count_at_len_[min_len] == 0) {
+      ++min_len;
+    }
+    // Second codes first. Row r of `seconds` (entries [2^r, 2^(r+1))) maps
+    // the r bits left after a (kTableBits - r)-bit code to the code they
+    // start, as length | symbol << 16 | 1 << 24 (one more symbol), or to 0
+    // when no code fits in them. The widest row is filled from the codes;
+    // each narrower one reads the next wider at the same prefix and keeps
+    // the codes that still fit.
+    std::array<uint32_t, kTableSize> seconds{};
+    const int widest = kTableBits - min_len;
+    if (widest >= 1) {
+      uint32_t* row = seconds.data() + (1u << widest);
+      ForEachCode(widest, [&](int len, uint32_t c, uint8_t symbol) {
+        const int spread = widest - len;
+        std::fill(row + (c << spread), row + ((c + 1) << spread),
+                  static_cast<uint32_t>(len) | (symbol << 16) | (1u << 24));
+      });
+      for (int r = widest - 1; r >= 1; --r) {
+        const uint32_t* wider = seconds.data() + (2u << r);
+        uint32_t* narrow = seconds.data() + (1u << r);
+        for (uint32_t y = 0; y < (1u << r); ++y) {
+          const uint32_t second = wider[2 * y];
+          narrow[y] = (second & 0xff) <= static_cast<uint32_t>(r) ? second : 0;
+        }
       }
     }
+    // Then every slot of a first code: its own fields plus the second code
+    // its remaining bits start (fields are disjoint or sum without carry).
+    ForEachCode(kTableBits, [&](int len, uint32_t c, uint8_t symbol) {
+      const int rest = kTableBits - len;
+      const uint32_t first = static_cast<uint32_t>(len) | (symbol << 8) | (1u << 24) |
+                             (static_cast<uint32_t>(len) << 28);
+      const uint32_t* second = seconds.data() + (1u << rest);
+      uint32_t* slot = table_.data() + (c << rest);
+      if (rest < 2) {
+        slot[0] = first + second[0];
+        if (rest == 1) {
+          slot[1] = first + second[1];
+        }
+        return;
+      }
+      // Blocks of 4: a loop of constant trip count vectorizes at -O2.
+      for (uint32_t y = 0; y < (1u << rest); y += 4) {
+        for (uint32_t k = 0; k < 4; ++k) {
+          slot[y + k] = first + second[y + k];
+        }
+      }
+    });
   }
 
-  Status Decode(BitReader& reader, std::span<uint8_t> out) const {
+  // Takes the reader by value: a local copy keeps its fields in registers
+  // through the lookup loop (no caller reads it afterwards).
+  Status Decode(BitReader reader, std::span<uint8_t> out) const {
     uint8_t* dst = out.data();
     size_t n = 0;
-    // Four table hits use at most 44 of the >= 56 bits one refill loads.
-    while (out.size() - n >= 4 && reader.end - reader.next >= 8) {
+    // A hit writes both symbol bytes even when it holds one symbol (the next
+    // write covers the spare), so the loop keeps two bytes per lookup free.
+    while (out.size() - n >= 2 * kLookupsPerRefill && reader.end - reader.next >= 8) {
       reader.RefillWord();
       int hits = 0;
-      for (; hits < 4; ++hits) {
-        const uint16_t entry = table_[reader.Peek()];
+      for (; hits < kLookupsPerRefill; ++hits) {
+        const uint32_t entry = table_[reader.Peek()];
         if (entry == 0) {
           break;
         }
-        dst[n++] = static_cast<uint8_t>(entry);
-        reader.Consume(entry >> 8);
+        dst[n] = static_cast<uint8_t>(entry >> 8);
+        dst[n + 1] = static_cast<uint8_t>(entry >> 16);
+        n += (entry >> 24) & 0xf;
+        reader.Consume(static_cast<int>(entry & 63));
       }
-      if (hits < 4) {
+      if (hits < kLookupsPerRefill) {
         SAND_ASSIGN_OR_RETURN(dst[n], Walk(reader));
         ++n;
       }
     }
+    // The tail takes one symbol per lookup, and only a code that lies
+    // wholly within the bits left.
     while (n < out.size()) {
       if (reader.count < kTableBits) {
         reader.RefillBytes();
       }
-      const uint16_t entry = table_[reader.Peek()];
-      if (entry != 0 && (entry >> 8) <= reader.count) {
-        dst[n++] = static_cast<uint8_t>(entry);
-        reader.Consume(entry >> 8);
+      const uint32_t entry = table_[reader.Peek()];
+      const int first_len = static_cast<int>(entry >> 28);
+      if (entry != 0 && first_len <= reader.count) {
+        dst[n++] = static_cast<uint8_t>(entry >> 8);
+        reader.Consume(first_len);
       } else {
         SAND_ASSIGN_OR_RETURN(dst[n], Walk(reader));
         ++n;
@@ -436,6 +497,19 @@ class HuffmanDecoder {
   }
 
  private:
+  // Calls fill(len, code, symbol) for every code of 1..max_len bits, longest
+  // first, skipping codes an over-subscribed length pushes past len bits.
+  template <typename Fill>
+  void ForEachCode(int max_len, Fill fill) const {
+    for (int len = max_len; len >= 1; --len) {
+      const uint32_t first = first_code_[len];
+      const uint32_t last = std::min<uint32_t>(first + count_at_len_[len], 1u << len);
+      for (uint32_t c = first; c < last; ++c) {
+        fill(len, c, symbols_by_code_[first_index_[len] + (c - first)]);
+      }
+    }
+  }
+
   // One symbol, a bit at a time: codes longer than the table, and every
   // malformed or truncated code, with the reference decoder's checks.
   Result<uint8_t> Walk(BitReader& reader) const {
@@ -463,8 +537,11 @@ class HuffmanDecoder {
   std::array<uint16_t, kMaxCodeLength + 1> first_index_{};
   std::array<uint16_t, kMaxCodeLength + 1> count_at_len_{};
   std::array<uint8_t, 256> symbols_by_code_{};
-  // (length << 8) | symbol, or 0 where no code of <= kTableBits bits matches.
-  std::array<uint16_t, 1 << kTableBits> table_{};
+  // Per slot, the codes its top bits start: bits 0-7 the bits they take
+  // (Consume's shift count, so no shift extracts it), 8-15 the first symbol,
+  // 16-23 the second, 24-27 how many (1 or 2) and 28-31 the first code's
+  // length. 0 where no code of <= kTableBits bits starts.
+  std::array<uint32_t, kTableSize> table_{};
 };
 
 Result<std::vector<uint8_t>> EntropyDecode(std::span<const uint8_t> in) {
@@ -506,45 +583,46 @@ Result<std::vector<uint8_t>> LzDecompress(std::span<const uint8_t> in, size_t ex
   size_t i = 0;
   while (i < in.size()) {
     const uint8_t ctrl = in[i++];
-    if (ctrl < 0x80) {
-      const size_t run = static_cast<size_t>(ctrl) + 1;
-      if (i + run > in.size()) {
-        return DataLoss("lz literal run truncated");
+    // Match tokens outnumber literal runs about ten to one: test for them first.
+    if (ctrl >= 0x80) {
+      if (in.size() - i < 2) {
+        return DataLoss("lz match header truncated");
       }
-      if (run > expected_size - n) {
+      const size_t len = static_cast<size_t>(ctrl & 0x7f) + kMinMatch;
+      const size_t dist = LoadLittleEndian16(in.data() + i);
+      i += 2;
+      if (dist == 0 || dist > n) {
+        return DataLoss("lz match distance out of range");
+      }
+      if (len > expected_size - n) {
         return DataLoss("lz output size mismatch");
       }
-      std::memcpy(base + n, in.data() + i, run);
-      n += run;
-      i += run;
+      uint8_t* dst = base + n;
+      const uint8_t* src = dst - dist;
+      if (dist >= 8) {
+        // Each word reads only bytes already written; the last may spill up
+        // to 7 bytes into the slack (or into bytes later tokens overwrite).
+        for (size_t k = 0; k < len; k += 8) {
+          std::memcpy(dst + k, src + k, 8);
+        }
+      } else {
+        for (size_t k = 0; k < len; ++k) {
+          dst[k] = src[k];  // overlapping copies are intentional
+        }
+      }
+      n += len;
       continue;
     }
-    const size_t len = static_cast<size_t>(ctrl & 0x7f) + kMinMatch;
-    if (i + 2 > in.size()) {
-      return DataLoss("lz match header truncated");
+    const size_t run = static_cast<size_t>(ctrl) + 1;
+    if (run > in.size() - i) {
+      return DataLoss("lz literal run truncated");
     }
-    const size_t dist = static_cast<size_t>(in[i]) | (static_cast<size_t>(in[i + 1]) << 8);
-    i += 2;
-    if (dist == 0 || dist > n) {
-      return DataLoss("lz match distance out of range");
-    }
-    if (len > expected_size - n) {
+    if (run > expected_size - n) {
       return DataLoss("lz output size mismatch");
     }
-    uint8_t* dst = base + n;
-    const uint8_t* src = dst - dist;
-    if (dist >= 8) {
-      // Each word reads only bytes already written; the last may spill up
-      // to 7 bytes into the slack (or into bytes later tokens overwrite).
-      for (size_t k = 0; k < len; k += 8) {
-        std::memcpy(dst + k, src + k, 8);
-      }
-    } else {
-      for (size_t k = 0; k < len; ++k) {
-        dst[k] = src[k];  // overlapping copies are intentional
-      }
-    }
-    n += len;
+    std::memcpy(base + n, in.data() + i, run);
+    n += run;
+    i += run;
   }
   if (n != expected_size) {
     return DataLoss("lz output size mismatch");
@@ -552,20 +630,96 @@ Result<std::vector<uint8_t>> LzDecompress(std::span<const uint8_t> in, size_t ex
   return out;
 }
 
+// Inverse Sub for a compile-time bpp: `left` carries each channel's
+// reconstructed left neighbour in a register, so no byte of the row being
+// written is read back. A partial last pixel continues the same channels.
+template <size_t kBpp>
+void UnfilterSub(const uint8_t* __restrict src, uint8_t* __restrict row, size_t stride) {
+  std::array<uint8_t, kBpp> left{};
+  size_t i = 0;
+  for (; i + kBpp <= stride; i += kBpp) {
+#pragma GCC unroll 4
+    for (size_t c = 0; c < kBpp; ++c) {
+      left[c] = static_cast<uint8_t>(left[c] + src[i + c]);
+      row[i + c] = left[c];
+    }
+  }
+  for (size_t c = 0; i + c < stride; ++c) {
+    row[i + c] = static_cast<uint8_t>(left[c] + src[i + c]);
+  }
+}
+
+// Inverse Average or Paeth (`predict(left, up, up_left)`) for a
+// compile-time bpp, over a row that has one above it.
+template <size_t kBpp, typename Predict>
+void UnfilterWithPrev(const uint8_t* __restrict src, uint8_t* __restrict row,
+                      const uint8_t* __restrict prev, size_t stride, Predict predict) {
+  std::array<uint8_t, kBpp> left{};
+  std::array<uint8_t, kBpp> up_left{};
+  size_t i = 0;
+  for (; i + kBpp <= stride; i += kBpp) {
+#pragma GCC unroll 4
+    for (size_t c = 0; c < kBpp; ++c) {
+      const uint8_t up = prev[i + c];
+      left[c] = static_cast<uint8_t>(src[i + c] + predict(left[c], up, up_left[c]));
+      up_left[c] = up;
+      row[i + c] = left[c];
+    }
+  }
+  for (size_t c = 0; i + c < stride; ++c) {
+    row[i + c] = static_cast<uint8_t>(src[i + c] + predict(left[c], prev[i + c], up_left[c]));
+  }
+}
+
+// Sub, Average and Paeth rows at a compile-time bpp; the Average row 0 goes
+// to the byte-at-a-time loop instead.
+template <size_t kBpp>
+void UnfilterLeft(Filter filter, const uint8_t* src, uint8_t* row, const uint8_t* prev,
+                  size_t stride) {
+  if (filter == kSub) {
+    UnfilterSub<kBpp>(src, row, stride);
+  } else if (filter == kAverage) {
+    UnfilterWithPrev<kBpp>(src, row, prev, stride, [](int left, int up, int) {
+      return (left + up) >> 1;
+    });
+  } else {
+    UnfilterWithPrev<kBpp>(src, row, prev, stride, [](int left, int up, int up_left) {
+      return PaethPredict(left, up, up_left);
+    });
+  }
+}
+
 // Reconstructs one row from its filtered bytes (`prev` is null on row 0).
+// Sub, Average and Paeth rows run compile-time loops for bpp 1 (every
+// LosslessCompress stream) and 3 (CompressFrame of RGB); any other bpp
+// takes the byte-at-a-time loops.
 void UnfilterInto(Filter filter, const uint8_t* __restrict src, uint8_t* __restrict row,
                   const uint8_t* __restrict prev, size_t stride, size_t bpp) {
+  if (prev == nullptr && filter == kPaeth) {
+    filter = kSub;  // with no row above, Paeth predicts the left byte
+  }
   if (filter == kNone || (filter == kUp && prev == nullptr)) {
     std::memcpy(row, src, stride);
+  } else if (filter == kUp) {
+    // 16-byte blocks: a loop of constant trip count vectorizes at -O2.
+    size_t i = 0;
+    for (; i + 16 <= stride; i += 16) {
+      for (size_t k = 0; k < 16; ++k) {
+        row[i + k] = static_cast<uint8_t>(src[i + k] + prev[i + k]);
+      }
+    }
+    for (; i < stride; ++i) {
+      row[i] = static_cast<uint8_t>(src[i] + prev[i]);
+    }
+  } else if (bpp == 1 && (prev != nullptr || filter == kSub)) {
+    UnfilterLeft<1>(filter, src, row, prev, stride);
+  } else if (bpp == 3 && (prev != nullptr || filter == kSub)) {
+    UnfilterLeft<3>(filter, src, row, prev, stride);
   } else if (filter == kSub) {
     const size_t head = std::min(bpp, stride);
     std::memcpy(row, src, head);
     for (size_t i = head; i < stride; ++i) {
       row[i] = static_cast<uint8_t>(src[i] + row[i - bpp]);
-    }
-  } else if (filter == kUp) {
-    for (size_t i = 0; i < stride; ++i) {
-      row[i] = static_cast<uint8_t>(src[i] + prev[i]);
     }
   } else {
     std::memcpy(row, src, stride);

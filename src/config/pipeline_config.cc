@@ -191,30 +191,6 @@ Result<AugStage> ParseStage(const YamlNode& node) {
 
 }  // namespace
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kResize:
-      return "resize";
-    case OpKind::kCenterCrop:
-      return "center_crop";
-    case OpKind::kRandomCrop:
-      return "random_crop";
-    case OpKind::kFlip:
-      return "flip";
-    case OpKind::kColorJitter:
-      return "color_jitter";
-    case OpKind::kBlur:
-      return "blur";
-    case OpKind::kRotate90:
-      return "rotate90";
-    case OpKind::kInvert:
-      return "invert";
-    case OpKind::kCustom:
-      return "custom";
-  }
-  return "unknown";
-}
-
 const char* BranchTypeName(BranchType type) {
   switch (type) {
     case BranchType::kSingle:

@@ -46,8 +46,6 @@ enum class OpKind {
   kCustom,       // user-registered function (§5.5 extensibility)
 };
 
-const char* OpKindName(OpKind kind);
-
 struct AugOp {
   OpKind kind = OpKind::kResize;
   std::string custom_name;  // set for kCustom

@@ -570,15 +570,4 @@ void SubtreeExecutor::TrimMemo(size_t max_entries) {
   }
 }
 
-int64_t SubtreeExecutor::RemainingFlagged() const {
-  int64_t remaining = 0;
-  for (const ConcreteNode& node : graph_.nodes) {
-    if (node.cache && node.op.type != ConcreteOpType::kSource &&
-        (cache_ == nullptr || !cache_->Contains(NodeCacheKey(graph_, node)))) {
-      ++remaining;
-    }
-  }
-  return remaining;
-}
-
 }  // namespace sand

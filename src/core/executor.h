@@ -114,10 +114,6 @@ class SubtreeExecutor {
   // With a decode pool, GOP slices materialize concurrently.
   Status MaterializeFlagged();
 
-  // Number of cache-flagged nodes not yet present in the cache — the
-  // scheduler's remaining-work (SJF) key.
-  int64_t RemainingFlagged() const;
-
   // Bounds the frame memo for long-lived executors (the speculative path
   // reuses one executor per video across readahead units; without a trim
   // the memo would pin every frame the video ever produced). Evicts

@@ -157,7 +157,6 @@ class SandService : public ViewProvider {
   void SetTenantRunningCap(uint32_t tenant_id, int max_running) {
     scheduler_->SetTenantRunningCap(tenant_id, max_running);
   }
-  WorkerPoolStats async_pool_stats() { return async_pool_->stats(); }
   // Stats of the shared GOP-decode pool; zeros when decode_threads == 0.
   WorkerPoolStats decode_pool_stats() {
     return decode_pool_ ? decode_pool_->stats() : WorkerPoolStats{};

@@ -40,14 +40,6 @@ int64_t MaxClipSpan(std::span<const SamplingConfig> tasks) {
   return span;
 }
 
-std::vector<int64_t> FramePool::GridIndices() const {
-  std::vector<int64_t> out;
-  for (int64_t offset = 0; offset < span; offset += grid_stride) {
-    out.push_back((start + offset) % video_frames);
-  }
-  return out;
-}
-
 FramePool PlanFramePool(uint64_t seed, int64_t video_frames,
                         std::span<const SamplingConfig> tasks, int span_slack) {
   FramePool pool;
@@ -125,10 +117,6 @@ CropWindow SubCrop(const CropWindow& window, int h, int w) {
   crop.y = window.y + (window.h - crop.h) / 2;
   crop.x = window.x + (window.w - crop.w) / 2;
   return crop;
-}
-
-CropWindow IndependentCrop(uint64_t seed, int parent_h, int parent_w, int h, int w) {
-  return PlanSharedWindow(seed, parent_h, parent_w, h, w);
 }
 
 MaxCropDims MaxRandomCropDims(std::span<const TaskConfig> tasks) {

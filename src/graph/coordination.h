@@ -51,10 +51,6 @@ struct FramePool {
   int64_t grid_stride = 1;  // GCD of task strides
   int64_t span = 1;         // frames covered (<= video length when possible)
   int64_t video_frames = 0;
-
-  // All grid slots of the pool (start, start+g, ... while < start+span),
-  // wrapped into [0, video_frames).
-  std::vector<int64_t> GridIndices() const;
 };
 
 // Plans the pool. `seed` must be task-agnostic for coordination. The pool
@@ -98,9 +94,6 @@ CropWindow PlanSharedWindow(uint64_t seed, int parent_h, int parent_w, int max_h
 // A task's crop inside the shared window: the centered h x w sub-rectangle.
 // Equal sizes yield identical rectangles (mergeable objects).
 CropWindow SubCrop(const CropWindow& window, int h, int w);
-
-// Uncoordinated baseline: an independent uniform crop placement.
-CropWindow IndependentCrop(uint64_t seed, int parent_h, int parent_w, int h, int w);
 
 // Largest random-crop dimensions requested by any task at any stage whose
 // operation signature matches `signature`. The paper's "maximum spatial

@@ -337,18 +337,16 @@ void SandServer::ServeConnection(Connection* conn) {
           WireReader task_reader(body);
           (void)task_reader.Skip(cursor);
           WireResponse response = Dispatch(conn, command, task_reader);
-          // Release the tenant quota slot before the response hits the wire:
-          // a client that observes completion and immediately issues the next
-          // request must find the slot free, not race our bookkeeping.
+          // Release the tenant quota slot and count the request before the
+          // response hits the wire: a client that observes completion and
+          // immediately issues the next request, or reads the stats, must
+          // find the slot free and the counts moved, not race our bookkeeping.
           if (tenant != nullptr) {
             tenant->inflight.fetch_sub(1);
           }
-          bool wrote = WriteResponse(conn, request_id, response);
           ++requests_served_;
           if (metrics != nullptr) {
             metrics->requests->Add(1);
-            metrics->materialize_wait_ns->Record(
-                static_cast<uint64_t>(SinceProcessStart() - start));
             if (!response.head.empty() && response.head[0] == 0) {
               // Only data-bearing reads count as tenant read traffic:
               // charging every ok response (Open, ListDir, GetXattr...)
@@ -374,6 +372,11 @@ void SandServer::ServeConnection(Connection* conn) {
                 metrics->bytes_read->Add(static_cast<int64_t>(bytes));
               }
             }
+          }
+          bool wrote = WriteResponse(conn, request_id, response);
+          if (metrics != nullptr) {
+            metrics->materialize_wait_ns->Record(
+                static_cast<uint64_t>(SinceProcessStart() - start));
             metrics->inflight->Add(-1);
           }
           if (!wrote) {

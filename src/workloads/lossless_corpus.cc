@@ -164,11 +164,13 @@ std::vector<uint8_t> Slz1(size_t filtered_size, uint32_t stride, uint8_t bpp,
   return out;
 }
 
-// `rows` filtered rows, filter ids cycling through none/sub/up/avg/paeth.
-std::vector<uint8_t> FilteredRows(size_t rows, size_t stride, Rng& rng) {
+// `rows` filtered rows, filter ids cycling through none/sub/up/avg/paeth
+// from `first_filter`.
+std::vector<uint8_t> FilteredRows(size_t rows, size_t stride, Rng& rng,
+                                  size_t first_filter = 0) {
   std::vector<uint8_t> out;
   for (size_t r = 0; r < rows; ++r) {
-    out.push_back(static_cast<uint8_t>(r % 5));
+    out.push_back(static_cast<uint8_t>((first_filter + r) % 5));
     for (size_t i = 0; i < stride; ++i) {
       out.push_back(static_cast<uint8_t>(rng.NextBounded(256)));
     }
@@ -242,6 +244,17 @@ std::vector<LosslessCorpusEntry> EdgeStreams() {
     lz.Literals(FilteredRows(10, 127, rng));
     out.push_back({"edge/literal_runs",
                    Slz1(lz.decoded().size(), 127, 3, HuffmanBlock(lz.tokens(), flat))});
+  }
+  // Row 0 under each filter id, which has no row above it, at the two bpp
+  // values the decoder has compile-time loops for and at one it does not.
+  // The 29-byte stride leaves a partial last pixel at bpp 3 and 4.
+  for (uint8_t bpp : {1, 3, 4}) {
+    for (size_t filter = 0; filter < 5; ++filter) {
+      LzTokens lz;
+      lz.Literals(FilteredRows(7, 29, rng, filter));
+      out.push_back({StrFormat("edge/row0/filter%zu_bpp%u", filter, static_cast<unsigned>(bpp)),
+                     Slz1(lz.decoded().size(), 29, bpp, HuffmanBlock(lz.tokens(), flat))});
+    }
   }
   {
     // bpp 255 over a 40-byte stride: no byte has a left neighbour.

@@ -259,6 +259,107 @@ TEST(DecoderTest, RejectsContainerStartingWithDelta) {
   EXPECT_EQ(decoder.status().code(), ErrorCode::kDataLoss);
 }
 
+// Seeded mutations of a whole SVC1 container: header fields, index entries,
+// payload bytes and truncation. Every decode either fails with a Status or
+// yields frames of exactly height x width x channels bytes (the ASan suite
+// runs this too, so an out-of-range read fails it as well).
+TEST(ContainerMutationTest, DecodersReturnStatusOrWholeFrames) {
+  constexpr int kFrames = 12;
+  const std::vector<uint8_t> container = EncodeVideo(kFrames, 4, 8, 12, 3, 5);
+  constexpr size_t kHeader = 16;
+  constexpr size_t kIndex = kFrames * 13;
+  ASSERT_GT(container.size(), kHeader + kIndex);
+  Rng rng(20261019);
+  constexpr int kMutations = 3000;
+  int opened = 0;
+  int decoded = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    std::vector<uint8_t> bytes = container;
+    const uint64_t kind = rng.NextBounded(4);
+    if (kind == 0) {
+      bytes.resize(rng.NextBounded(bytes.size()));
+    } else {
+      // 1-3 byte overwrites in the header, the index or the payload.
+      const size_t begin = kind == 1 ? 0 : kind == 2 ? kHeader : kHeader + kIndex;
+      const size_t end = kind == 1 ? kHeader : kind == 2 ? kHeader + kIndex : bytes.size();
+      for (uint64_t k = 0, n = 1 + rng.NextBounded(3); k < n; ++k) {
+        bytes[begin + rng.NextBounded(end - begin)] = static_cast<uint8_t>(rng.NextBounded(256));
+      }
+    }
+    auto decoder = VideoDecoder::Open(std::move(bytes));
+    if (!decoder.ok()) {
+      continue;
+    }
+    ++opened;
+    const size_t frame_bytes =
+        static_cast<size_t>(decoder->height()) * decoder->width() * decoder->channels();
+    auto check = [&](const std::vector<Frame>& frames) {
+      for (const Frame& frame : frames) {
+        ASSERT_EQ(frame.size_bytes(), frame_bytes) << "mutation " << m;
+        ASSERT_EQ(frame.height(), decoder->height()) << "mutation " << m;
+        ASSERT_EQ(frame.width(), decoder->width()) << "mutation " << m;
+        ASSERT_EQ(frame.channels(), decoder->channels()) << "mutation " << m;
+      }
+    };
+    std::vector<int64_t> all(static_cast<size_t>(decoder->frame_count()));
+    for (size_t i = 0; i < all.size(); ++i) {
+      all[i] = static_cast<int64_t>(i);
+    }
+    auto frames = decoder->DecodeFrames(all);
+    if (frames.ok()) {
+      ASSERT_EQ(frames->size(), all.size());
+      check(*frames);
+      ++decoded;
+    }
+    // Each GOP once more through a slice decoder, from its I-frame to its end.
+    const GopDecoder slices = decoder->SliceDecoder();
+    for (int64_t start = 0; start < decoder->frame_count();) {
+      int64_t end = start + 1;
+      while (end < decoder->frame_count() && slices.GopStart(end).ValueOr(-1) == start) {
+        ++end;
+      }
+      const std::vector<int64_t> gop(all.begin() + start, all.begin() + end);
+      auto slice = slices.DecodeSlice(start, gop);
+      if (slice.ok()) {
+        ASSERT_EQ(slice->size(), gop.size());
+        check(*slice);
+      }
+      start = end;
+    }
+  }
+  // Both outcomes are exercised: many mutants open, and some still decode.
+  EXPECT_GT(opened, kMutations / 4);
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, kMutations);
+}
+
+// A P-frame is built in a fresh buffer (the delta plus the cursor), never
+// in the cursor's: frames handed out earlier share that buffer and must
+// keep their pixels, through DecodeFrame and through a slice decode.
+TEST(DecoderTest, ReturnedFramesSurviveLaterDeltas) {
+  constexpr int kFrames = 8;
+  auto container = EncodeVideo(kFrames, kFrames, 16, 24, 3, 7);
+  auto decoder = VideoDecoder::Open(container);
+  ASSERT_TRUE(decoder.ok());
+  std::vector<Frame> returned;
+  for (int64_t t = 0; t < kFrames; ++t) {
+    auto frame = decoder->DecodeFrame(t);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    returned.push_back(*frame);
+  }
+  std::vector<int64_t> all(kFrames);
+  for (int64_t t = 0; t < kFrames; ++t) {
+    all[static_cast<size_t>(t)] = t;
+  }
+  auto slice = decoder->SliceDecoder().DecodeSlice(0, all);
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  for (int64_t t = 0; t < kFrames; ++t) {
+    const Frame expected = MotionFrame(t, 16, 24, 3, 7);
+    EXPECT_EQ(returned[static_cast<size_t>(t)], expected) << "DecodeFrame " << t;
+    EXPECT_EQ((*slice)[static_cast<size_t>(t)], expected) << "DecodeSlice " << t;
+  }
+}
+
 TEST(DecoderTest, CompressionIsEffective) {
   auto container = EncodeVideo(32, 8, 32, 48, 3);
   size_t raw = 32u * 32 * 48 * 3;

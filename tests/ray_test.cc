@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+
 #include "src/baselines/sources.h"
 #include "src/ray/mini_ray.h"
 
@@ -102,6 +106,44 @@ TEST(TuneRunnerTest, PropagatesSourceErrors) {
   EXPECT_FALSE(result.ok());
 }
 
+// A latch the jobs' sources meet at: each source's first NextBatch waits
+// inside the call until every source has entered its own, so only a runner
+// that has the jobs in flight at once releases it. A serial runner would
+// hang there; after 5 s the wait fails the batch instead.
+struct Rendezvous {
+  std::mutex mutex;
+  std::condition_variable cv;
+  int expected = 0;
+  int arrived = 0;
+};
+
+class RendezvousSource : public BatchSource {
+ public:
+  RendezvousSource(Rendezvous* rendezvous, int64_t iterations)
+      : rendezvous_(rendezvous), iterations_(iterations) {}
+
+  Result<SharedBytes> NextBatch(int64_t, int64_t) override {
+    if (!met_) {
+      met_ = true;
+      std::unique_lock<std::mutex> lock(rendezvous_->mutex);
+      ++rendezvous_->arrived;
+      rendezvous_->cv.notify_all();
+      if (!rendezvous_->cv.wait_for(lock, std::chrono::seconds(5), [this] {
+            return rendezvous_->arrived == rendezvous_->expected;
+          })) {
+        return Unavailable("the other job never entered NextBatch while this one waited");
+      }
+    }
+    return MakeSharedBytes(std::vector<uint8_t>(64, 0));
+  }
+  int64_t IterationsPerEpoch() const override { return iterations_; }
+
+ private:
+  Rendezvous* rendezvous_;
+  int64_t iterations_;
+  bool met_ = false;
+};
+
 TEST(MultiTaskRunnerTest, RunsConcurrently) {
   GpuSpec spec;
   spec.time_scale = 0.1;
@@ -109,18 +151,20 @@ TEST(MultiTaskRunnerTest, RunsConcurrently) {
   GpuModel gpu1(spec);
   ModelProfile profile;
   profile.gpu_step = FromMillis(1.0);
+  Rendezvous rendezvous;
+  rendezvous.expected = 2;
   std::vector<MultiTaskJob> jobs;
-  jobs.push_back(MultiTaskJob{profile, InstantSource(4), &gpu0});
-  jobs.push_back(MultiTaskJob{profile, InstantSource(4), &gpu1});
+  jobs.push_back(
+      MultiTaskJob{profile, std::make_unique<RendezvousSource>(&rendezvous, 4), &gpu0});
+  jobs.push_back(
+      MultiTaskJob{profile, std::make_unique<RendezvousSource>(&rendezvous, 4), &gpu1});
   auto result = RunMultiTask(std::move(jobs), /*epochs=*/2, /*cpu_cores=*/2, PowerSpec{},
                              nullptr);
-  ASSERT_TRUE(result.ok());
+  // Concurrent: both jobs were inside NextBatch at once, or a batch failed.
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->per_task.size(), 2u);
   EXPECT_EQ(result->per_task[0].batches, 8u);
   EXPECT_EQ(result->per_task[1].batches, 8u);
-  // Concurrent: total wall must be well under the serial sum.
-  EXPECT_LT(result->wall_ns,
-            result->per_task[0].wall_ns + result->per_task[1].wall_ns);
 }
 
 TEST(DdpRunnerTest, ShardsIterationsAcrossRanks) {

@@ -2,15 +2,16 @@
 # One-command verification: configure + build the default tree, run the
 # full ctest suite and the smokes, rerun the pixel kernels' tests in a
 # SAND_NATIVE_ARCH=ON tree, then run the ThreadSanitizer suite
-# (tools/check_tsan.sh) and the AddressSanitizer pass over the async demand
-# path, each in its own build tree. This is the tier-1 gate plus the
+# (tools/check_tsan.sh) and the AddressSanitizer + UndefinedBehaviorSanitizer
+# pass over the async demand path and the decoders, each in its own build
+# tree. This is the tier-1 gate plus the
 # concurrency/lifetime gates.
 #
 # Usage: tools/check_build.sh
 #   BUILD_DIR         override the default build tree (default: build)
 #   NATIVE_BUILD_DIR  override the -march=native tree (default: build-native)
 #   SKIP_TSAN=1       skip the ThreadSanitizer suite
-#   SKIP_ASAN=1       skip the AddressSanitizer suite
+#   SKIP_ASAN=1       skip the AddressSanitizer + UBSan suite
 #   MAKE_BENCH_JSON=1 also regenerate BENCH_PR10.json (slow: full benches
 #                     plus the tracing-overhead comparison)
 set -euo pipefail
@@ -181,11 +182,15 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
               compress_test compress_tier_test net_test cluster_test obs_test
               storage_test object_path_test stress_test tensor_test config_test
               sched_test pruning_test)
-  cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  # The same tree carries UndefinedBehaviorSanitizer (SAND_UBSAN), built
+  # without recovery: any UB report fails the test as an ASan report does.
+  cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DSAND_UBSAN=ON \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
   for test in "${ASAN_TESTS[@]}"; do
-    echo "==== ASAN: $test ===="
-    ASAN_OPTIONS="halt_on_error=1" "$ASAN_BUILD_DIR/tests/$test"
+    echo "==== ASAN+UBSAN: $test ===="
+    ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
+        "$ASAN_BUILD_DIR/tests/$test"
   done
 fi
 
