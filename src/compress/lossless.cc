@@ -327,15 +327,6 @@ uint64_t LoadBigEndian64(const uint8_t* p) {
   return v;
 }
 
-uint16_t LoadLittleEndian16(const uint8_t* p) {
-  uint16_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::big) {
-    v = __builtin_bswap16(v);
-  }
-  return v;
-}
-
 // MSB-first reader over the Huffman bitstream. `bits` holds `count` valid
 // bits at its top; the bits below them are zero or already equal to the
 // stream bits that follow, so both refills may OR bytes in again.
@@ -583,46 +574,45 @@ Result<std::vector<uint8_t>> LzDecompress(std::span<const uint8_t> in, size_t ex
   size_t i = 0;
   while (i < in.size()) {
     const uint8_t ctrl = in[i++];
-    // Match tokens outnumber literal runs about ten to one: test for them first.
-    if (ctrl >= 0x80) {
-      if (in.size() - i < 2) {
-        return DataLoss("lz match header truncated");
+    if (ctrl < 0x80) {
+      const size_t run = static_cast<size_t>(ctrl) + 1;
+      if (i + run > in.size()) {
+        return DataLoss("lz literal run truncated");
       }
-      const size_t len = static_cast<size_t>(ctrl & 0x7f) + kMinMatch;
-      const size_t dist = LoadLittleEndian16(in.data() + i);
-      i += 2;
-      if (dist == 0 || dist > n) {
-        return DataLoss("lz match distance out of range");
-      }
-      if (len > expected_size - n) {
+      if (run > expected_size - n) {
         return DataLoss("lz output size mismatch");
       }
-      uint8_t* dst = base + n;
-      const uint8_t* src = dst - dist;
-      if (dist >= 8) {
-        // Each word reads only bytes already written; the last may spill up
-        // to 7 bytes into the slack (or into bytes later tokens overwrite).
-        for (size_t k = 0; k < len; k += 8) {
-          std::memcpy(dst + k, src + k, 8);
-        }
-      } else {
-        for (size_t k = 0; k < len; ++k) {
-          dst[k] = src[k];  // overlapping copies are intentional
-        }
-      }
-      n += len;
+      std::memcpy(base + n, in.data() + i, run);
+      n += run;
+      i += run;
       continue;
     }
-    const size_t run = static_cast<size_t>(ctrl) + 1;
-    if (run > in.size() - i) {
-      return DataLoss("lz literal run truncated");
+    const size_t len = static_cast<size_t>(ctrl & 0x7f) + kMinMatch;
+    if (i + 2 > in.size()) {
+      return DataLoss("lz match header truncated");
     }
-    if (run > expected_size - n) {
+    const size_t dist = static_cast<size_t>(in[i]) | (static_cast<size_t>(in[i + 1]) << 8);
+    i += 2;
+    if (dist == 0 || dist > n) {
+      return DataLoss("lz match distance out of range");
+    }
+    if (len > expected_size - n) {
       return DataLoss("lz output size mismatch");
     }
-    std::memcpy(base + n, in.data() + i, run);
-    n += run;
-    i += run;
+    uint8_t* dst = base + n;
+    const uint8_t* src = dst - dist;
+    if (dist >= 8) {
+      // Each word reads only bytes already written; the last may spill up
+      // to 7 bytes into the slack (or into bytes later tokens overwrite).
+      for (size_t k = 0; k < len; k += 8) {
+        std::memcpy(dst + k, src + k, 8);
+      }
+    } else {
+      for (size_t k = 0; k < len; ++k) {
+        dst[k] = src[k];  // overlapping copies are intentional
+      }
+    }
+    n += len;
   }
   if (n != expected_size) {
     return DataLoss("lz output size mismatch");

@@ -15,11 +15,11 @@
 // Decoding is table-driven. One lookup on a 64-bit bit buffer resolves up
 // to two Huffman codes whose lengths sum to at most 12 bits; longer codes
 // take a bit-serial walk. The table is rebuilt per stream from its code
-// lengths in time linear in its 4,096 slots. The LZ loop tests for match
-// tokens first and copies 8-byte match words. Rows unfilter in specialised
-// loops: None and Up at any bpp, Sub, Average and Paeth with the left
-// neighbour in a register for bpp 1 (every LosslessCompress stream) and 3,
-// byte at a time for any other bpp.
+// lengths in time linear in its 4,096 slots. LZ copies move whole literal
+// runs and 8-byte match words. Rows unfilter in specialised loops: None
+// and Up at any bpp, Sub, Average and Paeth with the left neighbour in a
+// register for bpp 1 (every LosslessCompress stream) and 3, byte at a
+// time for any other bpp.
 // Decoders size their buffers only after bounding the untrusted header: an
 // entropy block may claim at most 8 bytes per bitstream byte (every symbol
 // costs at least a bit), and an LZ stream at most 130 bytes per 3-byte

@@ -245,17 +245,6 @@ std::vector<LosslessCorpusEntry> EdgeStreams() {
     out.push_back({"edge/literal_runs",
                    Slz1(lz.decoded().size(), 127, 3, HuffmanBlock(lz.tokens(), flat))});
   }
-  // Row 0 under each filter id, which has no row above it, at the two bpp
-  // values the decoder has compile-time loops for and at one it does not.
-  // The 29-byte stride leaves a partial last pixel at bpp 3 and 4.
-  for (uint8_t bpp : {1, 3, 4}) {
-    for (size_t filter = 0; filter < 5; ++filter) {
-      LzTokens lz;
-      lz.Literals(FilteredRows(7, 29, rng, filter));
-      out.push_back({StrFormat("edge/row0/filter%zu_bpp%u", filter, static_cast<unsigned>(bpp)),
-                     Slz1(lz.decoded().size(), 29, bpp, HuffmanBlock(lz.tokens(), flat))});
-    }
-  }
   {
     // bpp 255 over a 40-byte stride: no byte has a left neighbour.
     LzTokens lz;
@@ -286,6 +275,18 @@ std::vector<LosslessCorpusEntry> EdgeStreams() {
     under[1] = 2;
     out.push_back({"edge/incomplete",
                    Slz1(lz.decoded().size(), 2, 1, HuffmanBlock(lz.tokens(), under))});
+  }
+  // Row 0 under each filter id, which has no row above it, at the two bpp
+  // values the decoder has compile-time loops for and at one it does not.
+  // The 29-byte stride leaves a partial last pixel at bpp 3 and 4. They
+  // draw from `rng` last, so the streams above do not depend on them.
+  for (uint8_t bpp : {1, 3, 4}) {
+    for (size_t filter = 0; filter < 5; ++filter) {
+      LzTokens lz;
+      lz.Literals(FilteredRows(7, 29, rng, filter));
+      out.push_back({StrFormat("edge/row0/filter%zu_bpp%u", filter, static_cast<unsigned>(bpp)),
+                     Slz1(lz.decoded().size(), 29, bpp, HuffmanBlock(lz.tokens(), flat))});
+    }
   }
   return out;
 }

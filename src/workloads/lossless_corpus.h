@@ -6,8 +6,8 @@
 // quant8 containers — plus hand-built edge streams the encoder rarely or
 // never emits: a stored entropy block, a one-symbol alphabet, 15-bit
 // Huffman codes, LZ matches at distances 1-7 and overlapping their own
-// output, 128-byte literal runs, a first row under each of the five
-// filters at bpp 1, 3 and 4, and a pixel stride narrower than bpp.
+// output, 128-byte literal runs, a pixel stride narrower than bpp, and a
+// first row under each of the five filters at bpp 1, 3 and 4.
 // compress_test and `bench_micro_compress --smoke` decode it with both
 // decoders and require identical bytes.
 

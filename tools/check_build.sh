@@ -182,10 +182,9 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
               compress_test compress_tier_test net_test cluster_test obs_test
               storage_test object_path_test stress_test tensor_test config_test
               sched_test pruning_test)
-  # The same tree carries UndefinedBehaviorSanitizer (SAND_UBSAN), built
-  # without recovery: any UB report fails the test as an ASan report does.
-  cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DSAND_UBSAN=ON \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  # SAND_ASAN also turns on UndefinedBehaviorSanitizer without recovery:
+  # any UB report fails the test as an ASan report does.
+  cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
   for test in "${ASAN_TESTS[@]}"; do
     echo "==== ASAN+UBSAN: $test ===="
