@@ -66,69 +66,58 @@ int main(int argc, char** argv) {
       "\npaper shape: sand 2.4-5.6x faster than cpu, 1.4-1.7x faster than gpu;\n"
       "utilization 2.5-5.7x (cpu) / 1.4-1.7x (gpu); naive cache barely helps.\n");
 
-  // --- §7.3 demand path: pipelined readahead --------------------------------
+  // --- §7.3 demand path ------------------------------------------------------
   // When the storage budget forbids pre-materialization (pre_materialize =
-  // false) every batch is built at read() time. The prefetcher speculates
-  // the next `window` batch views while the trainer computes, so the
-  // steady-state iteration cost drops from (materialize + step) toward
-  // max(step, materialize / overlap).
-  std::printf("\nFig. 11 extra: demand path (pre_materialize=false), readahead on vs off\n");
-  std::printf("%-10s %-11s %-11s %-8s | %-7s %-7s %-7s %-7s\n", "model", "off", "on(w=2)",
-              "speedup", "issued", "hits", "inflt", "wasted");
-  std::printf("%-10s %-11s %-11s %-8s |\n", "", "(ms/iter)", "(ms/iter)", "");
+  // false) every batch is built at read() time. SandBatchSource keeps the
+  // next batch read in flight while the trainer computes (the loader-side
+  // read-ahead of PyTorch-style dataloaders), so the steady-state iteration
+  // cost is max(step, materialize): the row reads at or near the simulated
+  // GPU step when materialization hides under it.
+  std::printf("\nFig. 11 extra: demand path (pre_materialize=false)\n");
+  std::printf("%-10s %-11s %-11s %-8s\n", "model", "demand", "gpu step", "demand/");
+  std::printf("%-10s %-11s %-11s %-8s\n", "", "(ms/iter)", "(ms)", "step");
   PrintRule();
 
   const int64_t demand_warmup = SmokeMode() ? 1 : 2;
   const int64_t demand_epochs = SmokeMode() ? 2 : 6;
   for (const ModelProfile& profile : profiles) {
-    auto run_demand = [&](int window) -> std::pair<double, PrefetchStats> {
-      ServiceOptions options = BenchServiceOptions(demand_warmup + demand_epochs);
-      options.pre_materialize = false;
-      options.prefetch.window = window;
-      TaskConfig task = MakeTaskConfig(profile, env.meta.path, "bench");
-      auto cache = std::make_shared<TieredCache>(
-          std::make_shared<MemoryStore>(512ULL * kMiB), std::make_shared<MemoryStore>(2ULL * kGiB));
-      SandService service(env.dataset_store, env.meta, cache, {task}, options);
-      if (auto status = service.Start(); !status.ok()) {
-        std::fprintf(stderr, "demand pipeline: %s\n", status.ToString().c_str());
+    ServiceOptions options = BenchServiceOptions(demand_warmup + demand_epochs);
+    options.pre_materialize = false;
+    TaskConfig task = MakeTaskConfig(profile, env.meta.path, "bench");
+    auto cache = std::make_shared<TieredCache>(std::make_shared<MemoryStore>(512ULL * kMiB),
+                                               std::make_shared<MemoryStore>(2ULL * kGiB));
+    SandService service(env.dataset_store, env.meta, cache, {task}, options);
+    if (auto status = service.Start(); !status.ok()) {
+      std::fprintf(stderr, "demand pipeline: %s\n", status.ToString().c_str());
+      std::abort();
+    }
+    int64_t ipe = IterationsPerEpochFor(env.meta, task.sampling);
+    GpuModel gpu;
+    {
+      // Warmup in its own session, like the timed run below.
+      SandBatchSource warm_source(service.fs(), "bench", ipe);
+      TrainRunOptions warm;
+      warm.epochs = demand_warmup;
+      warm.cpu_cores = kBenchCpuThreads;
+      if (auto status = RunTraining(warm_source, gpu, profile, warm, nullptr); !status.ok()) {
+        std::fprintf(stderr, "demand warmup: %s\n", status.status().ToString().c_str());
         std::abort();
       }
-      int64_t ipe = IterationsPerEpochFor(env.meta, task.sampling);
-      GpuModel gpu;
-      {
-        // Warmup in its own session: RunTraining closes the source's
-        // session at the end, which intentionally cancels readahead.
-        SandBatchSource warm_source(service.fs(), "bench", ipe);
-        TrainRunOptions warm;
-        warm.epochs = demand_warmup;
-        warm.cpu_cores = kBenchCpuThreads;
-        if (auto status = RunTraining(warm_source, gpu, profile, warm, nullptr); !status.ok()) {
-          std::fprintf(stderr, "demand warmup: %s\n", status.status().ToString().c_str());
-          std::abort();
-        }
-      }
-      SandBatchSource source(service.fs(), "bench", ipe);
-      TrainRunOptions train;
-      train.epochs = demand_epochs;
-      train.epoch_begin = demand_warmup;
-      train.cpu_cores = kBenchCpuThreads;
-      auto metrics = RunTraining(source, gpu, profile, train, &service.cpu_meter());
-      if (!metrics.ok()) {
-        std::fprintf(stderr, "demand pipeline: %s\n", metrics.status().ToString().c_str());
-        std::abort();
-      }
-      return {metrics->AvgIterationMs(), service.fs().prefetcher().stats()};
-    };
-
-    auto [off_ms, off_stats] = run_demand(0);
-    auto [on_ms, on_stats] = run_demand(2);
-    std::printf("%-10s %-11.2f %-11.2f %-8.2f | %-7llu %-7llu %-7llu %-7llu\n",
-                profile.name.c_str(), off_ms, on_ms, off_ms / on_ms,
-                static_cast<unsigned long long>(on_stats.issued),
-                static_cast<unsigned long long>(on_stats.hits),
-                static_cast<unsigned long long>(on_stats.hits_inflight),
-                static_cast<unsigned long long>(on_stats.wasted));
+    }
+    SandBatchSource source(service.fs(), "bench", ipe);
+    TrainRunOptions train;
+    train.epochs = demand_epochs;
+    train.epoch_begin = demand_warmup;
+    train.cpu_cores = kBenchCpuThreads;
+    auto metrics = RunTraining(source, gpu, profile, train, &service.cpu_meter());
+    if (!metrics.ok()) {
+      std::fprintf(stderr, "demand pipeline: %s\n", metrics.status().ToString().c_str());
+      std::abort();
+    }
+    double demand_ms = metrics->AvgIterationMs();
+    double step_ms = ToMillis(profile.gpu_step);
+    std::printf("%-10s %-11.2f %-11.2f %-8.2f\n", profile.name.c_str(), demand_ms, step_ms,
+                demand_ms / step_ms);
   }
-  std::printf("\ncounters are sand.prefetch.* in /.sand/metrics (see --metrics-out).\n");
   return 0;
 }

@@ -1,8 +1,8 @@
 // Future/Promise: the library's asynchronous-result primitive.
 //
-// The async demand path (ViewProvider::MaterializeAsync, the SandFs
-// prefetcher) hands materialization results between threads as
-// Future<SharedBytes>. The design is deliberately small:
+// The async demand path (ViewProvider::MaterializeAsync, O_NONBLOCK opens)
+// and SandClient's pipelined reads hand results between threads as
+// futures. The design is deliberately small:
 //
 //   - the payload is always a Result<T>: a future resolves exactly once,
 //     to a value or to a Status, and errors travel the same rail as values
@@ -11,8 +11,8 @@
 //   - OnReady registers a continuation; it runs inline when the future is
 //     already resolved, otherwise on the thread that fulfills the promise.
 //     Continuations must therefore be cheap and must not block on the
-//     future's own executor (the prefetcher uses them only to move
-//     bookkeeping entries under its own lock)
+//     future's own executor (SandClient uses one only to unwrap a wire
+//     response into the caller's promise)
 //   - a Promise destroyed without Set resolves its future to an Internal
 //     "broken promise" error, so consumers never wait forever
 //

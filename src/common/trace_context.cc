@@ -19,8 +19,6 @@ const char* RequestClassName(RequestClass c) {
       return "none";
     case RequestClass::kDemand:
       return "demand";
-    case RequestClass::kSpeculative:
-      return "speculative";
     case RequestClass::kPreMaterialize:
       return "pre_materialize";
     case RequestClass::kMaintenance:
@@ -47,10 +45,10 @@ TraceContext BeginRequestContext(uint32_t job_id, RequestClass request_class) {
     ctx.trace_id = NextTraceId();
     ctx.parent_span_id = 0;
   }
-  // Attribution always reflects the innermost request entry: a speculative
-  // unit serving a demand read keeps the demand reader's job/class. The
-  // tenant, by contrast, is a property of the *connection* (set by the
-  // socket front-end before any request entry), so it is inherited as-is.
+  // Attribution always reflects the innermost request entry: a SandFs read
+  // inside a server request takes the read's job and class. The tenant, by
+  // contrast, is a property of the *connection* (set by the socket
+  // front-end before any request entry), so it is inherited as-is.
   ctx.job_id = job_id;
   ctx.request_class = request_class;
   return ctx;

@@ -1,18 +1,18 @@
 // TraceContext: request-scoped causal identity (DESIGN.md §12).
 //
 // Every asynchronous hop in the demand path — Future continuations,
-// WorkerPool tasks, scheduler jobs, speculative prefetch units, GOP decode
-// slices, rpc_ops round trips — carries one of these so spans recorded on
-// any thread can be stitched back into the request that caused them:
+// WorkerPool tasks, scheduler jobs, GOP decode slices, rpc_ops round
+// trips — carries one of these so spans recorded on any thread can be
+// stitched back into the request that caused them:
 //
-//   trace_id        - one per request (an Open+read, a speculation run);
+//   trace_id        - one per request (an Open+read, a server request);
 //                     0 means "no active trace" and the next root span
 //                     starts a fresh one
 //   parent_span_id  - the span the next recorded span should parent under
 //   job_id          - interned job/tenant tag (obs::JobRegistry); 0 means
 //                     unattributed
-//   request_class   - demand / speculative / pre-materialization /
-//                     maintenance, for filtering and SLO accounting
+//   request_class   - demand / pre-materialization / maintenance, for
+//                     filtering and SLO accounting
 //
 // The context lives in a thread_local; it is *captured by value* at every
 // task-submission boundary (WorkerPool::TrySubmit, scheduler Submit,
@@ -28,11 +28,12 @@
 
 namespace sand {
 
-// Why a unit of work is running; propagated with the trace identity.
+// Why a unit of work is running; propagated with the trace identity. The
+// value crosses processes in rpc_ops frames, so numbers are never reused:
+// 2 (speculative readahead) is retired.
 enum class RequestClass : uint8_t {
   kNone = 0,
   kDemand = 1,          // a reader is blocked on this right now
-  kSpeculative = 2,     // prefetcher readahead
   kPreMaterialize = 3,  // background chunk pre-materialization
   kMaintenance = 4,     // planning, eviction, checkpointing
 };

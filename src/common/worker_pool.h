@@ -14,8 +14,9 @@
 // and wakeup.
 //
 // Bounded: at most `max_queued` tasks may be pending; TrySubmit refuses
-// beyond that (the caller decides whether to drop — speculative work — or
-// run inline — demand work). Shutdown completes everything already queued.
+// beyond that and the caller decides: run inline (a demand unit, an async
+// demote, a decode slice) or refuse (the server's request admission).
+// Shutdown completes everything already queued.
 
 #ifndef SAND_COMMON_WORKER_POOL_H_
 #define SAND_COMMON_WORKER_POOL_H_

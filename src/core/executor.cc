@@ -266,10 +266,7 @@ std::set<int> SubtreeExecutor::LoadCached(const std::vector<int>& node_ids) {
 
 Frame SubtreeExecutor::InsertMemo(int node_id, Frame frame) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = memo_.emplace(node_id, std::move(frame));
-  if (inserted) {
-    memo_order_.push_back(node_id);
-  }
+  auto it = memo_.emplace(node_id, std::move(frame)).first;
   // On a lost race the earlier frame wins; both hold identical bytes (node
   // materialization is deterministic — random draws were frozen at planning).
   return it->second;
@@ -557,17 +554,6 @@ Status SubtreeExecutor::MaterializeFlagged() {
     SAND_RETURN_IF_ERROR(Produce(node_id, /*allow_cache_store=*/true).status());
   }
   return Status::Ok();
-}
-
-void SubtreeExecutor::TrimMemo(size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Evict in first-insertion order until under budget: long-lived
-  // (speculative) executors keep their recently produced frames instead of
-  // losing the whole working set at once.
-  while (memo_.size() > max_entries && !memo_order_.empty()) {
-    memo_.erase(memo_order_.front());
-    memo_order_.pop_front();
-  }
 }
 
 }  // namespace sand

@@ -17,7 +17,6 @@
 #ifndef SAND_CORE_EXECUTOR_H_
 #define SAND_CORE_EXECUTOR_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -114,13 +113,6 @@ class SubtreeExecutor {
   // With a decode pool, GOP slices materialize concurrently.
   Status MaterializeFlagged();
 
-  // Bounds the frame memo for long-lived executors (the speculative path
-  // reuses one executor per video across readahead units; without a trim
-  // the memo would pin every frame the video ever produced). Evicts
-  // oldest-inserted entries until at most `max_entries` remain, so the
-  // recently produced hot frames survive. The decoder cursor survives.
-  void TrimMemo(size_t max_entries);
-
  private:
   // Opens (once) and returns the shared forward-cursor decoder. Caller must
   // hold decoder_mutex_.
@@ -142,8 +134,8 @@ class SubtreeExecutor {
   // memoize (first writer wins) and return the memoized frame.
   Result<Frame> FinishProduced(const ConcreteNode& node, Frame produced, bool allow_cache_store);
 
-  // memo_ insert + insertion-order bookkeeping. Returns the resident frame
-  // (the existing one if another thread got there first).
+  // memo_ insert. Returns the resident frame (the existing one if another
+  // thread got there first).
   Frame InsertMemo(int node_id, Frame frame);
 
   // The serial body of MaterializeFlagged (also the leftover path of the
@@ -162,11 +154,10 @@ class SubtreeExecutor {
   std::mutex decoder_mutex_;
   std::optional<VideoDecoder> decoder_;
 
-  // Guards memo_ and memo_order_. Never held across recursion, decode,
-  // augment, or cache I/O.
+  // Guards memo_. Never held across recursion, decode, augment, or cache
+  // I/O.
   mutable std::mutex mutex_;
   std::map<int, Frame> memo_;
-  std::deque<int> memo_order_;  // node ids in first-insertion order
 };
 
 // The cache key of a node's materialized object: deterministic across

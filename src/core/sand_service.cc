@@ -51,7 +51,7 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
       dataset_store_(std::move(dataset_store)),
       cache_(std::move(cache)),
       containers_(dataset_store_, options.container_cache_entries),
-      fs_(this, options.prefetch) {
+      fs_(this) {
   MaterializationScheduler::Options sched_options;
   sched_options.num_threads = options_.num_threads;
   sched_options.sjf_watermark = options_.sjf_watermark;
@@ -63,9 +63,9 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
   pool_options.max_queued = options_.async_queue_depth;
   async_pool_ = std::make_unique<WorkerPool>(pool_options);
   if (options_.decode_threads > 0) {
-    // One shared GOP-decode pool for every executor (demand, pre-mat,
-    // speculative): parallelism inside a view never multiplies across
-    // concurrent views beyond this bound.
+    // One shared GOP-decode pool for every executor (demand and pre-mat):
+    // parallelism inside a view never multiplies across concurrent views
+    // beyond this bound.
     WorkerPool::Options decode_options;
     decode_options.num_threads = options_.decode_threads;
     decode_options.max_queued = options_.decode_queue_depth;
@@ -386,22 +386,16 @@ Result<SharedBytes> SandService::Materialize(const ViewPath& path) {
   return InvalidArgument("unsupported view type");
 }
 
-Future<SharedBytes> SandService::MaterializeAsync(const ViewPath& path, bool speculative) {
+Future<SharedBytes> SandService::MaterializeAsync(const ViewPath& path) {
   auto promise = std::make_shared<Promise<SharedBytes>>();
   Future<SharedBytes> future = promise->future();
-  bool spec_batch = speculative && path.type == ViewType::kBatchView;
   // TrySubmit captures the caller's trace context; the span below runs on
   // the pool thread but parents under the span submitting this unit.
-  bool submitted = async_pool_->TrySubmit([this, path, promise, spec_batch] {
+  bool submitted = async_pool_->TrySubmit([this, path, promise] {
     SAND_SPAN("async_unit");
-    promise->Set(spec_batch ? MaterializeSpeculative(path) : Materialize(path));
+    promise->Set(Materialize(path));
   });
   if (!submitted) {
-    if (speculative) {
-      // Admission control: readahead never queues behind a saturated pool.
-      return Future<SharedBytes>::FromResult(
-          Result<SharedBytes>(ResourceExhausted("async pool saturated: " + path.Format())));
-    }
     // Demand callers block on the future anyway; compute inline. The span
     // marks the degraded mode: a trace showing "async_inline" instead of
     // "async_unit" means the pool was saturated at submission.
@@ -413,15 +407,12 @@ Future<SharedBytes> SandService::MaterializeAsync(const ViewPath& path, bool spe
 }
 
 Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<ChunkState>& chunk,
-                                                        const BatchPlan& batch,
-                                                        bool speculative) {
+                                                        const BatchPlan& batch) {
   SAND_SPAN("batch_assemble");
   Nanos assemble_start = SinceProcessStart();
   // Group the batch's clips by source video: one decoder cursor and memo
-  // per video, and one parallel job per video group — demand-feeding class
-  // for the trainer's blocking read (this thread runs whatever no worker
-  // has started), speculative class for readahead (which alternates with
-  // pre-materialization instead of preempting it).
+  // per video, and one parallel demand-feeding job per video group (this
+  // thread runs whatever no worker has started).
   std::vector<Clip> clips(batch.clips.size());
   std::map<int, std::vector<size_t>> by_video;
   for (size_t c = 0; c < batch.clips.size(); ++c) {
@@ -432,30 +423,14 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
   parts.reserve(by_video.size());
   for (const auto& [video_index, clip_slots] : by_video) {
     MaterializationJob job;
-    job.demand_feeding = !speculative;
-    job.speculative = speculative;
+    job.demand_feeding = true;
     job.deadline = batch.global_iteration;
     job.remaining_work = static_cast<int64_t>(clip_slots.size());
     job.run = [this, chunk, &batch, &clips, video_index = video_index,
-               slots = clip_slots, speculative, &status = statuses[parts.size()]] {
+               slots = clip_slots, &status = statuses[parts.size()]] {
       const VideoObjectGraph& graph = chunk->plan.videos[static_cast<size_t>(video_index)];
-      // Speculative units reuse a per-video executor across readahead
-      // batches (warm decoder cursor + memo). Checked out exclusively; a
-      // concurrent unit for the same video gets a fresh one.
-      std::unique_ptr<SubtreeExecutor> executor;
-      if (speculative) {
-        std::lock_guard<std::mutex> lock(chunk->exec_mutex);
-        auto it = chunk->spec_executors.find(video_index);
-        if (it != chunk->spec_executors.end()) {
-          executor = std::move(it->second);
-          chunk->spec_executors.erase(it);
-        }
-      }
-      if (executor == nullptr) {
-        executor = std::make_unique<SubtreeExecutor>(graph, &containers_, cache_.get(),
-                                                     &cpu_meter_, exec_counters_,
-                                                     decode_pool_.get());
-      }
+      SubtreeExecutor executor(graph, &containers_, cache_.get(), &cpu_meter_, exec_counters_,
+                               decode_pool_.get());
       if (options_.pre_materialize && options_.enable_scheduling) {
         // Demand-feeding coordination is part of priority scheduling: never
         // duplicate the subtree's work — either claim it (and run the
@@ -464,7 +439,7 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
         // from cache. With scheduling disabled (Fig. 18 ablation) the
         // demand path recomputes naively like the baselines.
         if (ClaimVideo(*chunk, video_index, /*wait_if_running=*/true)) {
-          Status materialized = executor->MaterializeFlagged();
+          Status materialized = executor.MaterializeFlagged();
           FinishVideo(*chunk, video_index);
           if (!materialized.ok()) {
             // The per-leaf path below retries; just surface the warning.
@@ -481,12 +456,12 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
         const ClipRef& ref = batch.clips[slot];
         leaves.insert(leaves.end(), ref.leaf_ids.begin(), ref.leaf_ids.end());
       }
-      const std::set<int> missed = executor->LoadCached(leaves);
+      const std::set<int> missed = executor.LoadCached(leaves);
       for (size_t slot : slots) {
         const ClipRef& ref = batch.clips[slot];
         for (int leaf : ref.leaf_ids) {
-          Result<Frame> frame = executor->Produce(leaf, /*allow_cache_store=*/true,
-                                                  /*probe_cache=*/missed.count(leaf) == 0);
+          Result<Frame> frame = executor.Produce(leaf, /*allow_cache_store=*/true,
+                                                 /*probe_cache=*/missed.count(leaf) == 0);
           if (!frame.ok()) {
             status = frame.status();
             break;
@@ -496,13 +471,6 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
         }
         if (!status.ok()) {
           break;
-        }
-      }
-      if (speculative) {
-        executor->TrimMemo(/*max_entries=*/256);
-        std::lock_guard<std::mutex> lock(chunk->exec_mutex);
-        if (chunk->spec_executors.count(video_index) == 0) {
-          chunk->spec_executors[video_index] = std::move(executor);
         }
       }
     };
@@ -520,9 +488,24 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
   return serialized;
 }
 
-void SandService::FinishBatchServe(const ViewPath& path,
-                                   const std::shared_ptr<ChunkState>& chunk, int task,
-                                   const BatchPlan& batch) {
+Result<SharedBytes> SandService::MaterializeBatch(const ViewPath& path) {
+  SAND_ASSIGN_OR_RETURN(int task, TaskIndex(path.task));
+  SAND_ASSIGN_OR_RETURN(auto chunk, EnsureChunk(ChunkOf(path.epoch)));
+  auto it = chunk->batch_index.find({task, path.epoch, path.iteration});
+  if (it == chunk->batch_index.end()) {
+    return NotFound("no planned batch for " + path.Format());
+  }
+  const BatchPlan& batch = chunk->plan.batches[it->second];
+
+  // Demand-feeding: AssembleBatch fans one job per source video into the
+  // scheduler's highest class; the caller (a training loop inside read())
+  // blocks until all of them land.
+  Result<std::vector<uint8_t>> bytes = AssembleBatch(chunk, batch);
+  if (!bytes.ok()) {
+    return bytes.status();
+  }
+
+  demand_materializations_.Add(1);
   batches_served_.Add(1);
   if (obs::JobMetrics* job = obs::JobMetricsFor(obs::JobRegistry::Get().Intern(path.task))) {
     job->batches_served->Add(1);
@@ -537,8 +520,8 @@ void SandService::FinishBatchServe(const ViewPath& path,
   // Plan the next chunk before this one expires (paper §5.2). Kicking it
   // off as soon as a chunk becomes active gives its pre-materialization the
   // whole k epochs of training time to hide under. Streaming datasets skip
-  // the prefetch: each chunk is planned on first demand so it sees the
-  // freshest ingested videos (freshness over overlap, §5.1).
+  // this early planning: each chunk is planned on first demand so it sees
+  // the freshest ingested videos (freshness over overlap, §5.1).
   if (!options_.dataset_refresh && path.epoch == chunk->plan.epoch_begin &&
       chunk->plan.epoch_end < options_.total_epochs) {
     int64_t next = ChunkOf(chunk->plan.epoch_end);
@@ -565,151 +548,6 @@ void SandService::FinishBatchServe(const ViewPath& path,
     }
   }
   MaybeEvict();
-}
-
-bool SandService::ReleaseSpeculation(const std::string& task, const std::string& key) {
-  {
-    std::lock_guard<std::mutex> lock(spec_mutex_);
-    auto it = spec_keys_by_task_.find(task);
-    if (it == spec_keys_by_task_.end()) {
-      return false;
-    }
-    auto pos = std::find(it->second.begin(), it->second.end(), key);
-    if (pos == it->second.end()) {
-      return false;
-    }
-    it->second.erase(pos);
-  }
-  cache_->Unpin(key);
-  return true;
-}
-
-bool SandService::Speculated(const std::string& task, const std::string& key) {
-  std::lock_guard<std::mutex> lock(spec_mutex_);
-  auto it = spec_keys_by_task_.find(task);
-  return it != spec_keys_by_task_.end() &&
-         std::find(it->second.begin(), it->second.end(), key) != it->second.end();
-}
-
-Result<SharedBytes> SandService::MaterializeSpeculative(const ViewPath& path) {
-  SAND_SPAN("speculative_batch");
-  SAND_ASSIGN_OR_RETURN(int task, TaskIndex(path.task));
-  // NotFound here (an iteration past the epoch's end) teaches the
-  // prefetcher the task's epoch length; propagate it untouched.
-  SAND_ASSIGN_OR_RETURN(auto chunk, EnsureChunk(ChunkOf(path.epoch)));
-  auto it = chunk->batch_index.find({task, path.epoch, path.iteration});
-  if (it == chunk->batch_index.end()) {
-    return NotFound("no planned batch for " + path.Format());
-  }
-  const BatchPlan& batch = chunk->plan.batches[it->second];
-  std::string key = path.Format();
-
-  // An earlier speculation (possibly from a prior session) already left the
-  // bytes in the cache.
-  Result<SharedBytes> cached = cache_->GetShared(key);
-  if (cached.ok()) {
-    return cached;
-  }
-
-  // Pin BEFORE the object exists: eviction can then never win the race
-  // between Put and consumption.
-  cache_->Pin(key);
-  {
-    std::lock_guard<std::mutex> lock(spec_mutex_);
-    spec_keys_by_task_[path.task].push_back(key);
-  }
-  Result<std::vector<uint8_t>> bytes = AssembleBatch(chunk, batch, /*speculative=*/true);
-  if (!bytes.ok()) {
-    ReleaseSpeculation(path.task, key);
-    return bytes.status();
-  }
-  SharedBytes shared = MakeSharedBytes(bytes.TakeValue());
-  Status put = cache_->PutShared(key, shared, Tier::kMemory);
-  if (put.ok()) {
-    // The batch view joins the eviction index as consumed at exactly its
-    // own iteration (it becomes "spent" the moment the trainer passes it).
-    std::lock_guard<std::mutex> lock(evict_mutex_);
-    EvictMeta meta;
-    meta.last_use = batch.global_iteration;
-    meta.uses = {batch.global_iteration};
-    evict_index_[key] = std::move(meta);
-  } else {
-    // Couldn't persist (both tiers full): the prefetcher still holds the
-    // bytes; drop the pin so the key doesn't stay blocked.
-    ReleaseSpeculation(path.task, key);
-  }
-  speculative_batches_.Add(1);
-  return shared;
-}
-
-void SandService::OnViewServed(const ViewPath& path, bool from_prefetch) {
-  if (path.type != ViewType::kBatchView) {
-    return;
-  }
-  Result<int> task = TaskIndex(path.task);
-  if (!task.ok()) {
-    return;
-  }
-  std::string key = path.Format();
-  // The trainer has the bytes: the speculative cache copy is consumed.
-  if (ReleaseSpeculation(path.task, key)) {
-    (void)cache_->Delete(key);
-    std::lock_guard<std::mutex> lock(evict_mutex_);
-    evict_index_.erase(key);
-  }
-  if (!from_prefetch) {
-    return;  // the demand path ran the serve tail inside MaterializeBatch
-  }
-  // Prefetch-served views bypass MaterializeBatch, so the progress /
-  // next-chunk-planning / eviction tail runs here instead.
-  Result<std::shared_ptr<ChunkState>> chunk = EnsureChunk(ChunkOf(path.epoch));
-  if (!chunk.ok()) {
-    return;
-  }
-  auto it = (*chunk)->batch_index.find({*task, path.epoch, path.iteration});
-  if (it == (*chunk)->batch_index.end()) {
-    return;
-  }
-  FinishBatchServe(path, *chunk, *task, (*chunk)->plan.batches[it->second]);
-}
-
-Result<SharedBytes> SandService::MaterializeBatch(const ViewPath& path) {
-  SAND_ASSIGN_OR_RETURN(int task, TaskIndex(path.task));
-  SAND_ASSIGN_OR_RETURN(auto chunk, EnsureChunk(ChunkOf(path.epoch)));
-  auto it = chunk->batch_index.find({task, path.epoch, path.iteration});
-  if (it == chunk->batch_index.end()) {
-    return NotFound("no planned batch for " + path.Format());
-  }
-  const BatchPlan& batch = chunk->plan.batches[it->second];
-
-  // A speculative unit may already have assembled this batch into the
-  // cache (e.g. the prefetcher's completed-LRU evicted its copy). Only a
-  // speculation still on record can have: without one the read would miss
-  // in every tier and in the ring.
-  std::string key = path.Format();
-  if (Speculated(path.task, key)) {
-    Result<SharedBytes> speculated = cache_->GetShared(key);
-    if (speculated.ok()) {
-      if (ReleaseSpeculation(path.task, key)) {
-        (void)cache_->Delete(key);
-        std::lock_guard<std::mutex> lock(evict_mutex_);
-        evict_index_.erase(key);
-      }
-      FinishBatchServe(path, chunk, task, batch);
-      return speculated;
-    }
-  }
-
-  // Demand-feeding: AssembleBatch fans one job per source video into the
-  // scheduler's highest class; the caller (a training loop inside read())
-  // blocks until all of them land.
-  Result<std::vector<uint8_t>> bytes = AssembleBatch(chunk, batch, /*speculative=*/false);
-  if (!bytes.ok()) {
-    return bytes.status();
-  }
-
-  demand_materializations_.Add(1);
-  FinishBatchServe(path, chunk, task, batch);
   return MakeSharedBytes(bytes.TakeValue());
 }
 
@@ -845,23 +683,6 @@ Status SandService::OnSessionOpen(const std::string& task) {
 
 Status SandService::OnSessionClose(const std::string& task) {
   SAND_ASSIGN_OR_RETURN(int index, TaskIndex(task));
-  // Release (and reclaim) speculative objects the closed session never
-  // consumed; their pins must not outlive the task.
-  std::vector<std::string> stale;
-  {
-    std::lock_guard<std::mutex> lock(spec_mutex_);
-    auto it = spec_keys_by_task_.find(task);
-    if (it != spec_keys_by_task_.end()) {
-      stale = std::move(it->second);
-      spec_keys_by_task_.erase(it);
-    }
-  }
-  for (const std::string& key : stale) {
-    cache_->Unpin(key);
-    (void)cache_->Delete(key);
-    std::lock_guard<std::mutex> lock(evict_mutex_);
-    evict_index_.erase(key);
-  }
   {
     std::lock_guard<std::mutex> lock(progress_mutex_);
     task_active_[static_cast<size_t>(index)] = false;
@@ -869,20 +690,6 @@ Status SandService::OnSessionClose(const std::string& task) {
   }
   MaybeEvict();
   return Status::Ok();
-}
-
-void SandService::OnViewClose(const ViewPath& path) {
-  if (path.type != ViewType::kBatchView) {
-    return;
-  }
-  Result<int> task = TaskIndex(path.task);
-  if (!task.ok()) {
-    return;
-  }
-  // The batch was consumed; advance progress so eviction can reclaim
-  // objects whose uses are all in the past.
-  std::lock_guard<std::mutex> lock(progress_mutex_);
-  (void)*task;
 }
 
 Result<std::vector<std::string>> SandService::ListChildren(const std::string& path) {
@@ -1051,7 +858,6 @@ ServiceStats SandService::stats() {
   snapshot.chunks_planned = chunks_planned_.Value();
   snapshot.recovered_objects = recovered_objects_.load(std::memory_order_relaxed);
   snapshot.async_units = async_units_.Value();
-  snapshot.speculative_batches = speculative_batches_.Value();
   snapshot.disk_degraded = cache_->disk_degraded() ? 1 : 0;
   return snapshot;
 }

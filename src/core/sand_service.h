@@ -61,21 +61,17 @@ struct ServiceOptions {
   // Async demand path (DESIGN.md §8): MaterializeAsync units run on a
   // bounded work-stealing pool separate from the scheduler's workers (they
   // coordinate and block on scheduler jobs). When the pool is saturated,
-  // demand units fall back to inline execution and speculative units are
-  // refused (RESOURCE_EXHAUSTED).
+  // units fall back to inline execution on the caller.
   int async_threads = 2;
   size_t async_queue_depth = 32;
 
   // Intra-view GOP-parallel decode (DESIGN.md §9): one process-wide pool
-  // shared by demand, pre-materialization, and speculative executors, so
-  // concurrent materialization units contend for a bounded set of decode
-  // threads instead of each spawning their own (no oversubscription). 0
-  // disables the pool (serial per-view decode, the pre-PR-4 behavior).
+  // shared by demand and pre-materialization executors, so concurrent
+  // materialization units contend for a bounded set of decode threads
+  // instead of each spawning their own (no oversubscription). 0 disables
+  // the pool (serial per-view decode).
   int decode_threads = 4;
   size_t decode_queue_depth = 64;
-  // Readahead configuration handed to the embedded SandFs prefetcher
-  // (window = 0 keeps speculation off).
-  PrefetchOptions prefetch;
 
   // Streaming input (§5.1, input_source: streaming): invoked before
   // planning each chunk so newly ingested videos join the next chunk's
@@ -113,9 +109,8 @@ struct ServiceStats {
   uint64_t evictions = 0;
   uint64_t chunks_planned = 0;
   uint64_t recovered_objects = 0;
-  uint64_t async_units = 0;          // MaterializeAsync units run on the pool
-  uint64_t speculative_batches = 0;  // batches produced by readahead units
-  uint64_t disk_degraded = 0;        // 1 while the disk tier is offline (memory-only)
+  uint64_t async_units = 0;    // MaterializeAsync units run on the pool
+  uint64_t disk_degraded = 0;  // 1 while the disk tier is offline (memory-only)
 };
 
 class SandService : public ViewProvider {
@@ -134,14 +129,10 @@ class SandService : public ViewProvider {
   // --- ViewProvider -------------------------------------------------------
   Result<SharedBytes> Materialize(const ViewPath& path) override;
   // Native async path: the unit runs on the bounded work-stealing pool.
-  // Speculative batch units additionally persist their result (pinned) in
-  // the tiered cache so readahead survives prefetcher LRU eviction.
-  Future<SharedBytes> MaterializeAsync(const ViewPath& path, bool speculative) override;
-  void OnViewServed(const ViewPath& path, bool from_prefetch) override;
+  Future<SharedBytes> MaterializeAsync(const ViewPath& path) override;
   Result<std::string> GetMetadata(const ViewPath& path, const std::string& name) override;
   Status OnSessionOpen(const std::string& task) override;
   Status OnSessionClose(const std::string& task) override;
-  void OnViewClose(const ViewPath& path) override;
   Result<std::vector<std::string>> ListChildren(const std::string& path) override;
   // Refreshes derived gauges (pool depths) — called by SandFs before
   // /.sand control snapshots and by the history sampler.
@@ -195,13 +186,6 @@ class SandService : public ViewProvider {
     std::mutex video_mutex;
     std::condition_variable video_cv;
     std::vector<int> video_state;
-    // Reusable executors for speculative units, one per video: consecutive
-    // readahead batches on the same video keep the decoder cursor and the
-    // frame memo warm instead of re-opening the container every unit. An
-    // executor is checked out exclusively; a concurrent unit for the same
-    // video falls back to a fresh one.
-    std::mutex exec_mutex;
-    std::map<int, std::unique_ptr<SubtreeExecutor>> spec_executors;
   };
 
   // Claims video `v` of `chunk` for materialization. Returns true when the
@@ -223,29 +207,13 @@ class SandService : public ViewProvider {
 
   Result<int> TaskIndex(const std::string& tag) const;
 
-  // Serves one batch view synchronously through the demand-feeding class.
+  // Serves one batch view synchronously through the demand-feeding class,
+  // then advances the task's progress: batches_served, next-chunk kickoff,
+  // eviction.
   Result<SharedBytes> MaterializeBatch(const ViewPath& path);
-  // Assembles the batch's clips (the demand/speculative job body).
-  // `speculative`: fan the per-video jobs into the scheduler's speculative
-  // class (alternating with pre-materialization) instead of demand-feeding.
+  // Assembles the batch's clips: one demand-feeding job per source video.
   Result<std::vector<uint8_t>> AssembleBatch(const std::shared_ptr<ChunkState>& chunk,
-                                             const BatchPlan& batch, bool speculative);
-
-  // The speculative unit body: assembles the batch and persists it (pinned)
-  // in the tiered cache under the view-path key. Does NOT advance progress;
-  // that happens when the view is actually served (OnViewServed).
-  Result<SharedBytes> MaterializeSpeculative(const ViewPath& path);
-
-  // Progress/planning tail shared by the demand path and prefetch-served
-  // views: batches_served, task progress, next-chunk kickoff, eviction.
-  void FinishBatchServe(const ViewPath& path, const std::shared_ptr<ChunkState>& chunk,
-                        int task, const BatchPlan& batch);
-
-  // Unpins (and drops the tracking of) a speculative cache object. Returns
-  // true when `key` was a live speculation of `task`.
-  bool ReleaseSpeculation(const std::string& task, const std::string& key);
-  // True while `key` is a live speculation of `task`.
-  bool Speculated(const std::string& task, const std::string& key);
+                                             const BatchPlan& batch);
 
   // Serves frame / aug-frame intermediate views.
   Result<SharedBytes> MaterializeIntermediate(const ViewPath& path);
@@ -275,7 +243,6 @@ class SandService : public ViewProvider {
   obs::InstanceCounter evictions_{"sand.service.evictions"};
   obs::InstanceCounter chunks_planned_{"sand.service.chunks_planned"};
   obs::InstanceCounter async_units_{"sand.service.async_units"};
-  obs::InstanceCounter speculative_batches_{"sand.service.speculative_batches"};
   std::atomic<uint64_t> recovered_objects_{0};
   std::unique_ptr<MaterializationScheduler> scheduler_;
   std::unique_ptr<WorkerPool> async_pool_;
@@ -299,11 +266,6 @@ class SandService : public ViewProvider {
 
   std::mutex evict_mutex_;
   std::map<std::string, EvictMeta> evict_index_;
-
-  // Pinned speculative cache objects per task (view-path keys). Unpinned
-  // when the view is served or the task's session closes.
-  std::mutex spec_mutex_;
-  std::map<std::string, std::vector<std::string>> spec_keys_by_task_;
 
   // History-recorder hookup (DESIGN.md §12): the sampler publishes this
   // service's derived gauges and evaluates health each tick. Removed (and

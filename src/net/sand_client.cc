@@ -237,7 +237,6 @@ Status SandClient::Call(std::vector<uint8_t> request, Response& response, Shape 
 }
 
 Result<int> SandClient::Open(const std::string& path, const OpenOptions& options) {
-  SAND_RETURN_IF_ERROR(options.Validate());
   std::vector<uint8_t> request = RequestHead(Command::kOpen);
   PutString(request, path);
   PutBytes(request, options.Serialize());

@@ -1,8 +1,8 @@
 // SandServer: multi-tenant socket front-end for a SandApi backend
 // (DESIGN.md §13).
 //
-// One server process owns a SandFs (and through it the cache, scheduler
-// and prefetcher); trainers connect over a unix or loopback TCP socket,
+// One server process owns a SandFs (and through it the cache and
+// scheduler); trainers connect over a unix or loopback TCP socket,
 // authenticate to a tenant tag (HELLO), and speak the SandApi verb set in
 // length-framed request/response messages. A connection is a session:
 // every fd it opens is owned by the connection and force-closed when it

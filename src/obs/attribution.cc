@@ -32,8 +32,6 @@ uint32_t JobRegistry::Intern(const std::string& tag) {
   bundle->batches_served = reg.GetCounter(prefix + "batches_served");
   bundle->cache_hits = reg.GetCounter(prefix + "cache_hits");
   bundle->decode_ns = reg.GetCounter(prefix + "decode_ns");
-  bundle->speculative_issued = reg.GetCounter(prefix + "speculative_issued");
-  bundle->speculative_wasted = reg.GetCounter(prefix + "speculative_wasted");
   bundle->materialize_wait_ns = reg.GetHistogram(prefix + "materialize_wait_ns");
   metrics_.push_back(std::move(bundle));
 

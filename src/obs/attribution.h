@@ -32,13 +32,11 @@ class Histogram;
 // The per-job metric bundle. Pointers are registry-owned and live for the
 // process; callers cache the bundle pointer itself (stable after Intern).
 struct JobMetrics {
-  Counter* reads = nullptr;               // demand view reads served
-  Counter* bytes_read = nullptr;          // bytes handed to the reader
-  Counter* batches_served = nullptr;      // batch manifests completed
-  Counter* cache_hits = nullptr;          // executor cache short-circuits
-  Counter* decode_ns = nullptr;           // decode CPU attributed to the job
-  Counter* speculative_issued = nullptr;  // prefetch units issued on its behalf
-  Counter* speculative_wasted = nullptr;  // issued but evicted/invalidated unused
+  Counter* reads = nullptr;           // demand view reads served
+  Counter* bytes_read = nullptr;      // bytes handed to the reader
+  Counter* batches_served = nullptr;  // batch manifests completed
+  Counter* cache_hits = nullptr;      // executor cache short-circuits
+  Counter* decode_ns = nullptr;       // decode CPU attributed to the job
   Histogram* materialize_wait_ns = nullptr;  // reader-observed wait per read
 };
 

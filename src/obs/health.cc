@@ -66,18 +66,6 @@ HealthVerdict HealthMonitor::Evaluate() {
     }
   }
 
-  if (t.speculative_waste_ratio >= 0) {
-    uint64_t issued = reg.GetCounter("sand.prefetch.issued")->Value();
-    if (issued >= t.min_speculative_issued) {
-      ++verdict.checks_evaluated;
-      uint64_t wasted = reg.GetCounter("sand.prefetch.wasted")->Value();
-      double ratio = static_cast<double>(wasted) / static_cast<double>(issued);
-      if (ratio > t.speculative_waste_ratio) {
-        violate("speculative_waste", ratio, t.speculative_waste_ratio);
-      }
-    }
-  }
-
   verdict.status = verdict.violations.empty()
                        ? "ok"
                        : (verdict.violations.size() == 1 ? "degraded" : "unhealthy");

@@ -2,13 +2,13 @@
 //
 // Rolls the raw registry up into one operator-facing verdict: is this
 // SAND instance serving within its latency budget, with its disks
-// healthy, its pool keeping up, and its speculation paying for itself?
+// healthy and its pool keeping up?
 // Exported as the SAND view "/.sand/health":
 //
 //   {"status": "ok" | "degraded" | "unhealthy",
 //    "violations": [{"check": "p99_materialize_wait",
 //                    "value": .., "threshold": ..}, ...],
-//    "checks_evaluated": 4}
+//    "checks_evaluated": 3}
 //
 // Zero violations -> "ok", exactly one -> "degraded", two or more ->
 // "unhealthy". Each violating check also bumps a "sand.health.<check>"
@@ -46,12 +46,6 @@ struct HealthThresholds {
   // "sand.pool.async.pending" / "sand.pool.async.capacity" must stay below
   // this fraction (<= 0 disables). 1.0 = a completely full queue.
   double pool_saturation = 0.95;
-
-  // "sand.prefetch.wasted" / "sand.prefetch.issued" must stay below this
-  // fraction (< 0 disables), judged once `min_speculative_issued` units
-  // have been issued.
-  double speculative_waste_ratio = 0.5;
-  uint64_t min_speculative_issued = 16;
 
   // Whether a set "sand.store.disk.degraded" gauge is a violation.
   bool fail_on_disk_degraded = true;

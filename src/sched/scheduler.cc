@@ -165,30 +165,14 @@ MaterializationScheduler::Queued MaterializationScheduler::PopLocked() {
         return use_sjf ? a.job.remaining_work < b.job.remaining_work
                        : a.job.deadline < b.job.deadline;
       };
-      // Rank the chosen tenant's jobs within each background class, then
-      // pick the class: alternate when both speculative (prefetch) and
-      // pre-materialization jobs are queued so neither starves the other.
-      auto best_pre = queue_.end();
-      auto best_spec = queue_.end();
+      // The chosen tenant's best background job under the current policy.
       for (auto it = queue_.begin(); it != queue_.end(); ++it) {
         if (it->job.demand_feeding || it->job.ctx.tenant_id != tenant || !runnable(*it)) {
           continue;
         }
-        auto& slot = it->job.speculative ? best_spec : best_pre;
-        if (slot == queue_.end() || better(*it, *slot)) {
-          slot = it;
+        if (best == queue_.end() || better(*it, *best)) {
+          best = it;
         }
-      }
-      if (best_pre == queue_.end()) {
-        best = best_spec;
-      } else if (best_spec == queue_.end()) {
-        best = best_pre;
-      } else {
-        best = last_pop_speculative_ ? best_pre : best_spec;
-      }
-      last_pop_speculative_ = best->job.speculative;
-      if (best->job.speculative) {
-        speculative_pops_.Add(1);
       }
       if (use_sjf) {
         sjf_pops_.Add(1);
@@ -311,7 +295,6 @@ SchedulerStats MaterializationScheduler::stats() {
   stats.demand_jobs_run = demand_jobs_run_.Value();
   stats.deadline_pops = deadline_pops_.Value();
   stats.sjf_pops = sjf_pops_.Value();
-  stats.speculative_pops = speculative_pops_.Value();
   stats.capped_skips = capped_skips_.Value();
   stats.caller_runs = caller_runs_.Value();
   stats.jobs_run_by_tenant = jobs_run_by_tenant_;

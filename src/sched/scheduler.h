@@ -1,23 +1,16 @@
 // Priority-based materialization scheduling (paper §5.4).
 //
-// Three worker classes share one CPU thread pool:
+// Two worker classes share one CPU thread pool:
 //   demand-feeding      - prepares the batch the GPU needs *now*; always
 //                         wins over background work
 //   pre-materialization - produces objects for upcoming iterations/epochs
-//   speculative         - prefetcher readahead of predicted next batches
-//                         (the async demand path's pipelined units)
+//                         (and plans the next chunk)
 //
 // Background jobs are ordered earliest-deadline-first, where a job's
 // deadline is the global iteration at which its object is consumed. When
 // memory pressure crosses a watermark the policy flips to shortest-job-
 // first (fewest unprocessed edges), draining almost-done subtrees so their
-// pinned decoded frames can be freed (paper: SJF above ~80% memory use).
-//
-// Speculative jobs have near-term deadlines (the very next iterations), so
-// pure EDF would let a steady prefetch stream starve pre-materialization
-// of future epochs. When both classes are queued, pops alternate between
-// them (EDF/SJF ordering applies within each class) — neither readahead
-// nor pre-materialization can monopolize the background share.
+// decoded frames can be freed (paper: SJF above ~80% memory use).
 //
 // A demand read hands its batch to RunGroup, which does not leave the
 // reading thread idle: every demand-feeding job of the group that no worker
@@ -58,9 +51,6 @@ struct MaterializationJob {
   int64_t remaining_work = 0;
   // Demand-feeding jobs preempt (in queue order) all background work.
   bool demand_feeding = false;
-  // Prefetcher readahead: background class that alternates fairly with
-  // pre-materialization instead of outranking it on deadline.
-  bool speculative = false;
   std::function<void()> run;
   // Captured at construction on the submitting thread; the worker restores
   // it around run() so the job's spans join the submitter's trace.
@@ -72,9 +62,8 @@ struct SchedulerStats {
   uint64_t demand_jobs_run = 0;
   uint64_t deadline_pops = 0;    // background pops under the EDF policy
   uint64_t sjf_pops = 0;         // background pops under the SJF policy
-  uint64_t speculative_pops = 0;  // background pops that chose a prefetch job
-  uint64_t capped_skips = 0;      // pops that bypassed a tenant at its running cap
-  uint64_t caller_runs = 0;       // RunGroup jobs run on the calling thread
+  uint64_t capped_skips = 0;     // pops that bypassed a tenant at its running cap
+  uint64_t caller_runs = 0;      // RunGroup jobs run on the calling thread
   // Jobs completed per tenant id (0 = untenanted in-process work).
   std::map<uint32_t, uint64_t> jobs_run_by_tenant;
 };
@@ -164,9 +153,6 @@ class MaterializationScheduler {
   std::vector<std::thread> workers_;
   int active_ = 0;
   bool shutdown_ = false;
-  // Fair alternation between the speculative and pre-materialization
-  // background classes when both have queued jobs.
-  bool last_pop_speculative_ = false;
   // Tenant rotation state: the pop sequence at which each tenant was last
   // served, per class group (demand vs background). Least-recently-served
   // tenant wins the next pop of that group.
@@ -184,7 +170,6 @@ class MaterializationScheduler {
   obs::InstanceCounter demand_jobs_run_{"sand.sched.demand_jobs_run"};
   obs::InstanceCounter deadline_pops_{"sand.sched.deadline_pops"};
   obs::InstanceCounter sjf_pops_{"sand.sched.sjf_pops"};
-  obs::InstanceCounter speculative_pops_{"sand.sched.speculative_pops"};
   obs::InstanceCounter capped_skips_{"sand.sched.capped_skips"};
   obs::InstanceCounter caller_runs_{"sand.sched.caller_runs"};
   obs::Gauge* queue_depth_;

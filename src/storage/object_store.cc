@@ -815,8 +815,7 @@ TieredCache::TieredCache(std::shared_ptr<ObjectStore> memory, std::shared_ptr<Ob
       peer_misses_(obs::Registry::Get().GetCounter("sand.cluster.peer_misses")),
       peer_bytes_(obs::Registry::Get().GetCounter("sand.cluster.peer_bytes")),
       memory_used_(obs::Registry::Get().GetGauge("sand.cache.memory.used_bytes")),
-      disk_used_(obs::Registry::Get().GetGauge("sand.cache.disk.used_bytes")),
-      pinned_keys_(obs::Registry::Get().GetGauge("sand.cache.pinned_keys")) {}
+      disk_used_(obs::Registry::Get().GetGauge("sand.cache.disk.used_bytes")) {}
 
 void TieredCache::UpdateUsageGauges() {
   memory_used_->Set(static_cast<int64_t>(memory_->UsedBytes()));
@@ -1095,33 +1094,7 @@ bool TieredCache::Contains(const std::string& key) {
   return memory_->Contains(key) || disk_.Contains(key);
 }
 
-void TieredCache::Pin(const std::string& key) {
-  std::lock_guard<std::mutex> lock(pin_mutex_);
-  ++pins_[key];
-  pinned_keys_->Set(static_cast<int64_t>(pins_.size()));
-}
-
-void TieredCache::Unpin(const std::string& key) {
-  std::lock_guard<std::mutex> lock(pin_mutex_);
-  auto it = pins_.find(key);
-  if (it == pins_.end()) {
-    return;
-  }
-  if (--it->second <= 0) {
-    pins_.erase(it);
-  }
-  pinned_keys_->Set(static_cast<int64_t>(pins_.size()));
-}
-
-bool TieredCache::IsPinned(const std::string& key) {
-  std::lock_guard<std::mutex> lock(pin_mutex_);
-  return pins_.count(key) > 0;
-}
-
 Status TieredCache::Delete(const std::string& key) {
-  if (IsPinned(key)) {
-    return FailedPrecondition("pinned: " + key);
-  }
   const bool in_memory = memory_->Delete(key).ok();
   // An offline disk tier refuses, and its file (if any) stays behind; the
   // recovery Rescan picks it back up, which is safe — objects are
@@ -1135,9 +1108,6 @@ Status TieredCache::Delete(const std::string& key) {
 }
 
 Status TieredCache::Demote(const std::string& key) {
-  if (IsPinned(key)) {
-    return FailedPrecondition("pinned: " + key);
-  }
   // Reads the breaker without claiming its probe slot: an offline tier
   // refuses the spill here, and a due probe is left to the next disk op.
   if (disk_.offline()) {
@@ -1149,8 +1119,7 @@ Status TieredCache::Demote(const std::string& key) {
       // enqueued. A full queue falls back to the inline path below.
       if (pool->TrySubmit([this, key] {
             const Status status = DemoteCompressed(key);
-            if (!status.ok() && status.code() != ErrorCode::kNotFound &&
-                status.code() != ErrorCode::kFailedPrecondition) {
+            if (!status.ok() && status.code() != ErrorCode::kNotFound) {
               demote_failures_->Add(1);
               SAND_LOG(kWarning) << "async demote of " << key
                                  << " failed: " << status.ToString();
@@ -1164,23 +1133,10 @@ Status TieredCache::Demote(const std::string& key) {
 }
 
 Status TieredCache::DemoteCompressed(const std::string& key) {
-  // Re-checked here because the async path runs arbitrarily later than the
-  // Demote call that enqueued it.
-  if (IsPinned(key)) {
-    return FailedPrecondition("pinned: " + key);
-  }
   SAND_ASSIGN_OR_RETURN(SharedBytes data, memory_->GetShared(key));
   const Payload spill = Encode(key, Payload{std::span<const uint8_t>(*data), data});
   SAND_RETURN_IF_ERROR(disk_.Put(key, spill.bytes));
-  {
-    // Atomic against Pin: once a key is pinned, the hot copy stays resident
-    // (the disk copy is then a harmless spare that reads identically).
-    std::lock_guard<std::mutex> lock(pin_mutex_);
-    if (pins_.count(key) > 0) {
-      return Status::Ok();
-    }
-    (void)memory_->Delete(key);
-  }
+  (void)memory_->Delete(key);
   demotions_->Add(1);
   bytes_written_disk_->Add(spill.bytes.size());
   UpdateUsageGauges();

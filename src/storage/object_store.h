@@ -352,17 +352,6 @@ class TieredCache {
   bool Contains(const std::string& key);
   Status Delete(const std::string& key);
 
-  // --- Pinning (async demand path) ---------------------------------------
-  // A pinned key refuses Delete and Demote: in-flight speculative objects
-  // (a prefetched batch between materialization and consumption) must not
-  // be reclaimed by the eviction policy mid-flight. Pins are counted, so
-  // nested Pin/Unpin pairs compose; pinning an absent key is allowed (the
-  // producer pins before Put so eviction can never win the race against a
-  // fresh insert).
-  void Pin(const std::string& key);
-  void Unpin(const std::string& key);
-  bool IsPinned(const std::string& key);
-
   // Moves an object from memory to disk (spill) keeping it cached. With
   // compression enabled the object is encoded on the way down (per the
   // policy's codec for its key class); when a worker pool is attached the
@@ -488,10 +477,6 @@ class TieredCache {
   mutable std::mutex peer_mutex_;
   std::shared_ptr<ObjectStore> peer_;
 
-  // key -> pin count; entries are erased at zero.
-  std::mutex pin_mutex_;
-  std::map<std::string, int> pins_;
-
   // Compression state. codec_ is published under codec_mutex_ (cold path);
   // compression_on_ is the hot-path gate, and the pool pointer is atomic so
   // the owner can detach it at shutdown without racing demotions.
@@ -518,7 +503,6 @@ class TieredCache {
   obs::Counter* peer_bytes_;
   obs::Gauge* memory_used_;
   obs::Gauge* disk_used_;
-  obs::Gauge* pinned_keys_;
 };
 
 }  // namespace sand

@@ -4,10 +4,10 @@ namespace sand {
 namespace {
 
 // Wire tags. Never reuse a retired tag number; add new fields with new
-// tags so old decoders skip them.
+// tags so old decoders skip them. Retired: 1 (readahead window) and 2
+// (result pinning); older clients still send them and the decoder skips
+// them like any unknown tag.
 constexpr uint8_t kWireVersion = 1;
-constexpr uint8_t kTagPrefetchWindow = 1;
-constexpr uint8_t kTagPin = 2;
 constexpr uint8_t kTagNonblock = 3;
 
 void PutField(std::vector<uint8_t>& out, uint8_t tag, uint64_t value) {
@@ -27,25 +27,10 @@ uint64_t GetU64(const uint8_t* p) {
 
 }  // namespace
 
-Status OpenOptions::Validate() const {
-  if (prefetch_window < -1) {
-    return InvalidArgument("open options: prefetch_window < -1");
-  }
-  if (nonblock && prefetch_window > 0 && !pin) {
-    return InvalidArgument(
-        "open options: nonblock polling of speculative readahead "
-        "(prefetch_window > 0) requires pin=true, or the result may be "
-        "evicted between polls");
-  }
-  return Status::Ok();
-}
-
 std::vector<uint8_t> OpenOptions::Serialize() const {
   std::vector<uint8_t> out;
   out.push_back(kWireVersion);
-  out.push_back(3);  // field count
-  PutField(out, kTagPrefetchWindow, static_cast<uint64_t>(static_cast<int64_t>(prefetch_window)));
-  PutField(out, kTagPin, pin ? 1 : 0);
+  out.push_back(1);  // field count
   PutField(out, kTagNonblock, nonblock ? 1 : 0);
   return out;
 }
@@ -67,22 +52,11 @@ Result<OpenOptions> OpenOptions::Deserialize(const std::vector<uint8_t>& bytes) 
   OpenOptions options;
   for (size_t i = 0; i < fields; ++i) {
     const uint8_t* field = bytes.data() + 2 + i * 9;
-    uint64_t value = GetU64(field + 1);
-    switch (field[0]) {
-      case kTagPrefetchWindow:
-        options.prefetch_window = static_cast<int>(static_cast<int64_t>(value));
-        break;
-      case kTagPin:
-        options.pin = value != 0;
-        break;
-      case kTagNonblock:
-        options.nonblock = value != 0;
-        break;
-      default:
-        break;  // unknown field from a newer peer: tolerated
+    if (field[0] == kTagNonblock) {
+      options.nonblock = GetU64(field + 1) != 0;
     }
+    // Any other tag is retired or from a newer peer: tolerated.
   }
-  SAND_RETURN_IF_ERROR(options.Validate());
   return options;
 }
 

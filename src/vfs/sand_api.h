@@ -38,26 +38,10 @@ namespace sand {
 // field is a (tag, u64 value) pair; decoders skip tags they don't know, so
 // an old server accepts a new client's options and vice versa.
 struct OpenOptions {
-  // Readahead depth when this opens a task session: -1 keeps the fs-wide
-  // default, 0 disables prefetching for the task, >0 speculates that many
-  // upcoming batch views. Ignored for non-session paths.
-  int prefetch_window = -1;
-  // Keep the materialized result resident in the prefetcher beyond
-  // Close(fd) (until the task session closes). For batch views re-read by
-  // multiple consumers.
-  bool pin = false;
-  // O_NONBLOCK: first Read/ReadAll returns UNAVAILABLE while the object is
-  // still materializing instead of blocking; poll until it succeeds.
+  // O_NONBLOCK: first Read/ReadAllShared returns UNAVAILABLE while the
+  // object is still materializing instead of blocking; poll until it
+  // succeeds.
   bool nonblock = false;
-
-  // Rejects invalid combinations instead of silently ignoring them:
-  //   - prefetch_window < -1 is meaningless
-  //   - nonblock + prefetch_window > 0 + pin=false: a nonblock poller of
-  //     speculative readahead must pin, or the prefetcher's LRU may drop
-  //     the result between polls and the open can spin forever
-  // Enforced by SandFs::Open and by the wire decoder, so both transports
-  // fail identically (INVALID_ARGUMENT).
-  Status Validate() const;
 
   // Wire form: u8 version | u8 field_count | field_count x (u8 tag,
   // u64 LE value). Unknown tags are skipped on decode (forward
@@ -65,10 +49,7 @@ struct OpenOptions {
   std::vector<uint8_t> Serialize() const;
   static Result<OpenOptions> Deserialize(const std::vector<uint8_t>& bytes);
 
-  bool operator==(const OpenOptions& other) const {
-    return prefetch_window == other.prefetch_window && pin == other.pin &&
-           nonblock == other.nonblock;
-  }
+  bool operator==(const OpenOptions& other) const { return nonblock == other.nonblock; }
 };
 
 // The one-API-two-transports interface. Matches SandFs's historical

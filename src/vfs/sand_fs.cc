@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "src/common/strings.h"
@@ -50,9 +49,8 @@ void SandFs::RegisterControlView(const std::string& name, ControlRenderer render
   }
 }
 
-SandFs::SandFs(ViewProvider* provider, PrefetchOptions prefetch)
+SandFs::SandFs(ViewProvider* provider)
     : provider_(provider),
-      prefetcher_(provider, prefetch),
       materialize_wait_ns_(obs::Registry::Get().GetHistogram("sand.fs.materialize_wait_ns")) {}
 
 Result<int> SandFs::OpenControl(const std::vector<std::string>& parts) {
@@ -136,7 +134,6 @@ Result<int> SandFs::Open(const std::string& path, const OpenOptions& options) {
   if (path.empty() || path.front() != '/') {
     return InvalidArgument("open: path must be absolute: " + path);
   }
-  SAND_RETURN_IF_ERROR(options.Validate());
   // "/{task}" with no further components is a session handle.
   std::vector<std::string> parts = Split(std::string_view(path).substr(1), '/');
   // The introspection namespace is served by the fs itself: the metrics
@@ -150,7 +147,6 @@ Result<int> SandFs::Open(const std::string& path, const OpenOptions& options) {
   }
   if (parts.size() == 1 && !parts[0].empty()) {
     SAND_RETURN_IF_ERROR(provider_->OnSessionOpen(parts[0]));
-    prefetcher_.ConfigureSession(parts[0], options.prefetch_window);
     std::lock_guard<std::mutex> lock(mutex_);
     int fd = next_fd_++;
     FdEntry entry;
@@ -175,20 +171,11 @@ Result<int> SandFs::Open(const std::string& path, const OpenOptions& options) {
   if (options.nonblock) {
     // O_NONBLOCK: start the materialization pipeline at open so the first
     // poll can already find it in flight (or done).
-    bool from_prefetch = false;
-    Future<SharedBytes> pending;
-    std::optional<Future<SharedBytes>> taken = prefetcher_.Take(view);
-    if (taken.has_value()) {
-      pending = *taken;
-      from_prefetch = true;
-    } else {
-      pending = provider_->MaterializeAsync(view, /*speculative=*/false);
-    }
+    Future<SharedBytes> pending = provider_->MaterializeAsync(view);
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = fds_.find(fd);
     if (it != fds_.end()) {
       it->second.pending = std::move(pending);
-      it->second.pending_from_prefetch = from_prefetch;
     }
   }
   return fd;
@@ -197,7 +184,6 @@ Result<int> SandFs::Open(const std::string& path, const OpenOptions& options) {
 Status SandFs::EnsureData(int fd) {
   ViewPath path;
   bool nonblock = false;
-  bool from_prefetch = false;
   Future<SharedBytes> pending;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -214,7 +200,6 @@ Status SandFs::EnsureData(int fd) {
     path = it->second.path;
     nonblock = it->second.options.nonblock;
     pending = it->second.pending;  // shared handle; valid once issued
-    from_prefetch = it->second.pending_from_prefetch;
   }
   // This access materializes: it is a demand request entry. Root a trace
   // here (continuing any enclosing one) and attribute everything the
@@ -225,21 +210,13 @@ Status SandFs::EnsureData(int fd) {
   SAND_SPAN("fs_ensure_data");
   Nanos wait_start = SinceProcessStart();
   if (!pending.valid()) {
-    // First access: consume a speculation if the prefetcher has (or is
-    // computing) this view, else issue a demand materialization. Both run
-    // outside mutex_ — this may block on preprocessing.
-    std::optional<Future<SharedBytes>> taken = prefetcher_.Take(path);
-    if (taken.has_value()) {
-      pending = *taken;
-      from_prefetch = true;
-    } else {
-      pending = provider_->MaterializeAsync(path, /*speculative=*/false);
-    }
+    // First access: issue the demand materialization outside mutex_ — this
+    // may block on preprocessing.
+    pending = provider_->MaterializeAsync(path);
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = fds_.find(fd);
     if (it != fds_.end()) {
       it->second.pending = pending;
-      it->second.pending_from_prefetch = from_prefetch;
     }
   }
   if (nonblock && !pending.Ready()) {
@@ -257,35 +234,14 @@ Status SandFs::EnsureData(int fd) {
     job->reads->Add(1);
     job->bytes_read->Add(data->size());
   }
-  return CommitData(fd, std::move(data), from_prefetch);
-}
-
-Status SandFs::CommitData(int fd, SharedBytes data, bool from_prefetch) {
-  ViewPath path;
-  bool is_batch = false;
-  bool pin = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = fds_.find(fd);
-    if (it == fds_.end()) {
-      return InvalidArgument(StrFormat("fd %d closed during read", fd));
-    }
-    if (it->second.data == nullptr) {
-      it->second.data = data;
-      it->second.pending = Future<SharedBytes>();
-    }
-    path = it->second.path;
-    is_batch = path.type == ViewType::kBatchView;
-    pin = it->second.options.pin;
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = fds_.find(fd);
+  if (it == fds_.end()) {
+    return InvalidArgument(StrFormat("fd %d closed during read", fd));
   }
-  if (is_batch) {
-    // Outside mutex_: the served notification and the readahead planning
-    // both call back into provider/prefetcher locks.
-    provider_->OnViewServed(path, from_prefetch);
-    if (pin) {
-      prefetcher_.PinResult(path, data);
-    }
-    prefetcher_.OnBatchAccess(path);
+  if (it->second.data == nullptr) {
+    it->second.data = std::move(data);
+    it->second.pending = Future<SharedBytes>();
   }
   return Status::Ok();
 }
@@ -417,10 +373,7 @@ Status SandFs::Close(int fd) {
     closes_.Add(1);
   }
   if (entry.is_session) {
-    // Cancel the task's speculation before the provider tears the session
-    // down (§7.3 task-end signal).
-    prefetcher_.OnSessionClose(entry.session_task);
-    return provider_->OnSessionClose(entry.session_task);
+    return provider_->OnSessionClose(entry.session_task);  // §7.3 task-end signal
   }
   if (entry.is_control) {
     return Status::Ok();  // nothing provider-side to release

@@ -11,8 +11,7 @@
 //   Open("/{task}")                    -> session fd (task start signal)
 //   Open("/{task}/{epoch}/{iter}/view")-> batch view fd
 //   Open(frame / aug-frame paths)      -> intermediate object fd
-//   Open(path, OpenOptions{...})       -> same, with per-fd readahead
-//                                         window / pinning / O_NONBLOCK
+//   Open(path, OpenOptions{...})       -> same, with per-fd O_NONBLOCK
 //   Read/PRead(fd)                     -> materializes on first access, then
 //                                         copies out of the object buffer
 //   GetXattr(fd, name)                 -> view metadata (shape, timestamps)
@@ -20,9 +19,8 @@
 //                                         task end for session fds)
 //
 // The demand path is asynchronous underneath: first access resolves through
-// ViewProvider::MaterializeAsync, and a per-task Prefetcher speculatively
-// materializes the next batch views of the training stream (DESIGN.md §8)
-// so steady-state reads find their data already in flight or done.
+// ViewProvider::MaterializeAsync (DESIGN.md §8). A blocking read waits on
+// the returned future; an O_NONBLOCK fd starts it at Open and polls it.
 //
 // Introspection views (served by SandFs itself, no provider round-trip —
 // the observability layer exported "in true SAND style"):
@@ -36,7 +34,8 @@
 //   Open("/.sand/history")             -> ring-buffered time series of all
 //                                         counters/gauges (HistoryRecorder)
 //   Open("/.sand/health")              -> health/SLO verdict (HealthMonitor)
-// All snapshot at Open time; Read/PRead/ReadAll then behave like any view.
+// All snapshot at Open time; Read/PRead/ReadAllShared then behave like any
+// view.
 
 #ifndef SAND_VFS_SAND_FS_H_
 #define SAND_VFS_SAND_FS_H_
@@ -55,7 +54,6 @@
 #include "src/common/result.h"
 #include "src/graph/view.h"
 #include "src/obs/metrics.h"
-#include "src/vfs/prefetcher.h"
 #include "src/vfs/sand_api.h"
 
 namespace sand {
@@ -70,13 +68,10 @@ class ViewProvider {
   virtual Result<SharedBytes> Materialize(const ViewPath& path) = 0;
 
   // Asynchronous materialization: resolves to the object's bytes without
-  // blocking the caller. `speculative` marks prefetcher readahead, which
-  // providers schedule behind demand work and may refuse under load
-  // (RESOURCE_EXHAUSTED). The default adapter wraps the synchronous path,
+  // blocking the caller. The default adapter wraps the synchronous path,
   // so every provider is usable from the async demand path; SandService
   // overrides this with a real worker-pool implementation.
-  virtual Future<SharedBytes> MaterializeAsync(const ViewPath& path, bool speculative = false) {
-    (void)speculative;
+  virtual Future<SharedBytes> MaterializeAsync(const ViewPath& path) {
     return Future<SharedBytes>::FromResult(Materialize(path));
   }
 
@@ -86,15 +81,6 @@ class ViewProvider {
   // Task session lifecycle (the open/close task signals of §7.3).
   virtual Status OnSessionOpen(const std::string& task) = 0;
   virtual Status OnSessionClose(const std::string& task) = 0;
-
-  // A batch view reached the trainer. `from_prefetch` is true when the
-  // bytes came from a speculative materialization rather than the demand
-  // call — providers use this to advance progress tracking (next-chunk
-  // planning, eviction bookkeeping) that otherwise rides on Materialize.
-  virtual void OnViewServed(const ViewPath& path, bool from_prefetch) {
-    (void)path;
-    (void)from_prefetch;
-  }
 
   // The object's fd was closed; the provider may release memory.
   virtual void OnViewClose(const ViewPath& path) { (void)path; }
@@ -126,9 +112,7 @@ class SandFs : public SandApi {
   // Prefix of the introspection namespace ("/.sand/...").
   static constexpr const char* kControlRoot = "/.sand";
 
-  // `prefetch` configures the readahead engine; the default (window = 0)
-  // disables speculation, preserving the synchronous demand path.
-  explicit SandFs(ViewProvider* provider, PrefetchOptions prefetch = {});
+  explicit SandFs(ViewProvider* provider);
 
   using SandApi::Open;  // the options-free overload
 
@@ -159,9 +143,6 @@ class SandFs : public SandApi {
 
   SandFsStats stats();
 
-  // The readahead engine (prefetch hit/waste counters for benches/tests).
-  Prefetcher& prefetcher() { return prefetcher_; }
-
   // Process-global registry of extra control views: subsystems that live
   // above the VFS (e.g. the cluster layer, which depends on net which
   // depends on vfs) publish "/.sand/<name>" without a layering cycle by
@@ -182,8 +163,7 @@ class SandFs : public SandApi {
     OpenOptions options;
     uint64_t cursor = 0;
     SharedBytes data;             // after first access
-    Future<SharedBytes> pending;  // in-flight materialization (nonblock)
-    bool pending_from_prefetch = false;
+    Future<SharedBytes> pending;  // in-flight materialization
   };
 
   // Ensures entry.data is materialized. Caller must NOT hold mutex_.
@@ -191,16 +171,11 @@ class SandFs : public SandApi {
   // in flight.
   Status EnsureData(int fd);
 
-  // Stores a finished materialization into the fd (if still open) and
-  // fires the served/readahead notifications. Caller must NOT hold mutex_.
-  Status CommitData(int fd, SharedBytes data, bool from_prefetch);
-
   // Serves Open("/.sand/...") given the components after ".sand";
   // NotFound for unknown names.
   Result<int> OpenControl(const std::vector<std::string>& parts);
 
   ViewProvider* provider_;
-  Prefetcher prefetcher_;
   std::mutex mutex_;
   std::map<int, FdEntry> fds_;
   int next_fd_ = 3;  // skip stdin/stdout/stderr numbers for familiarity

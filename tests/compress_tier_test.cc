@@ -153,39 +153,6 @@ TEST_F(CompressTierTest, AsyncDemoteOnWorkerPool) {
   cache.SetCompressionPool(nullptr);
 }
 
-TEST_F(CompressTierTest, PinnedObjectIsNeverDemoted) {
-  auto memory = std::make_shared<MemoryStore>();
-  auto disk = OpenDisk();
-  TieredCache cache(memory, disk);
-  WorkerPool::Options pool_options;
-  pool_options.num_threads = 1;
-  WorkerPool pool(pool_options);
-  cache.SetCompression(LosslessEverywhere(), &pool);
-
-  const auto raw = FrameBytes(32, 48, 3, 3);
-  const std::string key = "cache/vid/f2/npinned";
-  ASSERT_TRUE(cache.Put(key, raw, Tier::kMemory).ok());
-
-  // Pin before Demote: refused outright, nothing enqueued.
-  cache.Pin(key);
-  EXPECT_EQ(cache.Demote(key).code(), ErrorCode::kFailedPrecondition);
-  pool.WaitIdle();
-  EXPECT_TRUE(memory->Contains(key));
-
-  // Pin racing an already-enqueued async demote: the worker re-checks the
-  // pin before touching the hot copy, so the pinned object stays resident
-  // and readable either way.
-  cache.Unpin(key);
-  ASSERT_TRUE(cache.Demote(key).ok());
-  cache.Pin(key);
-  pool.WaitIdle();
-  auto got = cache.GetShared(key);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(**got, raw);
-  cache.Unpin(key);
-  cache.SetCompressionPool(nullptr);
-}
-
 TEST_F(CompressTierTest, MidCompressCrashNeverPublishesTruncatedObject) {
   auto memory = std::make_shared<MemoryStore>();
   auto disk = OpenDisk();

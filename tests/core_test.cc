@@ -452,7 +452,6 @@ std::map<std::string, uint64_t> CountedFields(const ServiceStats& stats) {
       {"sand.service.evictions", stats.evictions},
       {"sand.service.chunks_planned", stats.chunks_planned},
       {"sand.service.async_units", stats.async_units},
-      {"sand.service.speculative_batches", stats.speculative_batches},
   };
 }
 
@@ -738,43 +737,6 @@ TEST(SubtreeExecutorTest, ParallelMaterializeFlaggedMatchesSerial) {
     EXPECT_EQ(a.cache_stores, b.cache_stores);
   }
   pool.Shutdown();
-}
-
-TEST(SubtreeExecutorTest, TrimMemoEvictsOldestKeepsRecent) {
-  auto store = std::make_shared<MemoryStore>();
-  auto meta = BuildSyntheticDataset(*store, SmallDataset());
-  ASSERT_TRUE(meta.ok());
-  std::vector<TaskConfig> tasks = {MakeTaskConfig(SmallProfile(), meta->path, "train")};
-  PlannerOptions planner;
-  planner.k_epochs = 2;
-  auto plan = BuildMaterializationPlan(*meta, tasks, 0, planner);
-  ASSERT_TRUE(plan.ok());
-  const VideoObjectGraph& graph = plan->videos[0];
-
-  // Two decode nodes with distinct frames; no cache so re-producing an
-  // evicted node must hit the decoder again (visible in decode_ops).
-  std::vector<int> decode_nodes;
-  for (const ConcreteNode& node : graph.nodes) {
-    if (node.op.type == ConcreteOpType::kDecode) {
-      decode_nodes.push_back(node.id);
-    }
-    if (decode_nodes.size() == 2) {
-      break;
-    }
-  }
-  ASSERT_EQ(decode_nodes.size(), 2u);
-  ContainerCache containers(store, 8);
-  ExecCounters counters;
-  SubtreeExecutor executor(graph, &containers, nullptr, nullptr, counters);
-  ASSERT_TRUE(executor.Produce(decode_nodes[0], false).ok());  // oldest
-  ASSERT_TRUE(executor.Produce(decode_nodes[1], false).ok());  // newest
-  EXPECT_EQ(counters.stats().decode_ops, 2u);
-
-  executor.TrimMemo(1);  // must evict decode_nodes[0], keep decode_nodes[1]
-  ASSERT_TRUE(executor.Produce(decode_nodes[1], false).ok());
-  EXPECT_EQ(counters.stats().decode_ops, 2u) << "recent entry must survive the trim";
-  ASSERT_TRUE(executor.Produce(decode_nodes[0], false).ok());
-  EXPECT_EQ(counters.stats().decode_ops, 3u) << "oldest entry must have been evicted";
 }
 
 TEST(SubtreeExecutorTest, SlicePathBillsDecodeToTheJob) {

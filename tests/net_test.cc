@@ -616,8 +616,13 @@ TEST_F(NetTest, DisconnectMidSessionLeaksNothing) {
     ASSERT_TRUE(client->ReadAllShared(*view).ok());
     // Client destroyed without closing anything: socket just goes away.
   }
-  // The server's session teardown closes both fds.
-  for (int i = 0; i < 500 && provider_.SessionCount("train") != 0; ++i) {
+  // The server's session teardown closes both fds, in fd order: the
+  // session's close can land before the view's, so wait for both.
+  auto view_closed = [this] {
+    std::vector<std::string> closed = provider_.ClosedViews();
+    return std::find(closed.begin(), closed.end(), "/train/0/0/view") != closed.end();
+  };
+  for (int i = 0; i < 500 && (provider_.SessionCount("train") != 0 || !view_closed()); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_EQ(provider_.SessionCount("train"), 0);

@@ -213,12 +213,11 @@ void BlockOnlyWorker(MaterializationScheduler& scheduler, Gate& gate, uint32_t t
 
 // One job per slot of `ran_on`, recording the thread it ran on.
 std::vector<MaterializationJob> RecordingGroup(std::vector<std::thread::id>& ran_on,
-                                               bool demand, bool speculative) {
+                                               bool demand) {
   std::vector<MaterializationJob> group;
   for (size_t i = 0; i < ran_on.size(); ++i) {
     MaterializationJob job;
     job.demand_feeding = demand;
-    job.speculative = speculative;
     job.run = [&ran_on, i] { ran_on[i] = std::this_thread::get_id(); };
     group.push_back(std::move(job));
   }
@@ -243,7 +242,7 @@ TEST(SchedulerTest, RunGroupRunsDemandJobsOnTheCallerWhileWorkersAreBusy) {
     gate.Open();
   });
   std::vector<std::thread::id> ran_on(3);
-  EXPECT_TRUE(scheduler.RunGroup(RecordingGroup(ran_on, /*demand=*/true, false)));
+  EXPECT_TRUE(scheduler.RunGroup(RecordingGroup(ran_on, /*demand=*/true)));
   returned.store(true);
   for (const std::thread::id& id : ran_on) {
     EXPECT_EQ(id, std::this_thread::get_id());
@@ -262,11 +261,11 @@ TEST(SchedulerTest, RunGroupLeavesBackgroundAndFifoGroupsToWorkers) {
     options.num_threads = 1;
     options.disable_priorities = fifo;
     MaterializationScheduler scheduler(options);
-    // A speculative group under priorities, a demand group under the FIFO
-    // ablation: both wait for the worker, and RunGroup still returns only
-    // after every job ran.
+    // A pre-materialization group under priorities, a demand group under
+    // the FIFO ablation: both wait for the worker, and RunGroup still
+    // returns only after every job ran.
     std::vector<std::thread::id> ran_on(2);
-    EXPECT_TRUE(scheduler.RunGroup(RecordingGroup(ran_on, /*demand=*/fifo, !fifo)));
+    EXPECT_TRUE(scheduler.RunGroup(RecordingGroup(ran_on, /*demand=*/fifo)));
     for (const std::thread::id& id : ran_on) {
       EXPECT_NE(id, std::thread::id()) << "fifo=" << fifo;
       EXPECT_NE(id, std::this_thread::get_id()) << "fifo=" << fifo;
@@ -283,7 +282,7 @@ TEST(SchedulerTest, RunGroupLeavesACappedTenantsJobsToWorkers) {
   Gate gate;
   BlockOnlyWorker(scheduler, gate, /*tenant=*/7);
   std::vector<std::thread::id> ran_on(1);
-  std::vector<MaterializationJob> group = RecordingGroup(ran_on, /*demand=*/true, false);
+  std::vector<MaterializationJob> group = RecordingGroup(ran_on, /*demand=*/true);
   group[0].ctx.tenant_id = 7;
   std::thread opener([&gate] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -356,9 +355,7 @@ TEST(SchedulerTest, DemandPopsRotateAcrossTenants) {
   MaterializationScheduler scheduler(options);
   OrderRecorder recorder;
   Gate gate;
-  MaterializationJob blocker;
-  blocker.run = [&gate] { gate.Wait(); };
-  scheduler.Submit(std::move(blocker));
+  BlockOnlyWorker(scheduler, gate);
   // Tenant 1 floods the demand class before tenant 2 submits anything.
   scheduler.Submit(TenantJob(1, 1, recorder, /*demand=*/true));
   scheduler.Submit(TenantJob(2, 1, recorder, /*demand=*/true));
@@ -381,9 +378,7 @@ TEST(SchedulerTest, BackgroundPopsRotateAcrossTenants) {
   MaterializationScheduler scheduler(options);
   OrderRecorder recorder;
   Gate gate;
-  MaterializationJob blocker;
-  blocker.run = [&gate] { gate.Wait(); };
-  scheduler.Submit(std::move(blocker));
+  BlockOnlyWorker(scheduler, gate);
   scheduler.Submit(TenantJob(1, 1, recorder));
   scheduler.Submit(TenantJob(2, 1, recorder));
   scheduler.Submit(TenantJob(11, 2, recorder));

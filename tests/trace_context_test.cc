@@ -1,8 +1,8 @@
 // Tests for request-scoped causal tracing (DESIGN.md §12): TraceContext
 // propagation through spans, WorkerPool hand-off, Future continuations,
 // and the end-to-end SandService paths — a demand read must produce one
-// connected multi-thread trace, speculative readahead must get fresh
-// roots, and the saturated-pool fallback must surface as "async_inline".
+// connected multi-thread trace, and the saturated-pool fallback must
+// surface as "async_inline".
 //
 // Run under TSan (tools/check_tsan.sh): propagation crosses threads at
 // every boundary exercised here.
@@ -16,13 +16,11 @@
 #include <vector>
 
 #include "src/common/future.h"
-#include "src/common/strings.h"
 #include "src/common/trace_context.h"
 #include "src/common/worker_pool.h"
 #include "src/core/sand_service.h"
 #include "src/obs/attribution.h"
 #include "src/obs/trace.h"
-#include "src/vfs/prefetcher.h"
 #include "src/vfs/sand_fs.h"
 #include "src/workloads/models.h"
 #include "src/workloads/synthetic.h"
@@ -173,7 +171,6 @@ ServiceOptions DemandOptions() {
   options.pre_materialize = false;
   options.num_threads = 2;
   options.storage_budget_bytes = 64ULL << 20;
-  options.prefetch.window = 2;
   return options;
 }
 
@@ -266,41 +263,8 @@ TEST(TraceContextTest, DemandReadYieldsOneConnectedMultiThreadTrace) {
   EXPECT_EQ(root_count, 1u) << "one connected flame, not a forest";
 }
 
-TEST(TraceContextTest, SpeculativePrefetchGetsFreshRootsAndAttribution) {
-  ServiceRig rig = MakeServiceRig(DemandOptions());
-  SandFs& fs = rig.service->fs();
-  Tracer::Get().Clear();
-  auto session = fs.Open("/train");
-  ASSERT_TRUE(session.ok());
-  for (int64_t epoch = 0; epoch < 2; ++epoch) {
-    for (int64_t iter = 0; iter < 2; ++iter) {
-      auto bytes = ReadView(fs, StrFormat("/train/%lld/%lld/view", static_cast<long long>(epoch),
-                                          static_cast<long long>(iter)));
-      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-    }
-  }
-  ASSERT_TRUE(fs.Close(*session).ok());
-  rig.service->WaitForBackgroundWork();
-  rig.service->Shutdown();
-
-  auto events = Tracer::Get().Snapshot();
-  auto issues = SpansNamed(events, "prefetch_issue");
-  ASSERT_FALSE(issues.empty()) << "window=2 readahead should have issued";
-  std::set<uint64_t> demand_traces;
-  for (const TraceEvent& e : SpansNamed(events, "fs_ensure_data")) {
-    demand_traces.insert(e.trace_id);
-  }
-  for (const TraceEvent& issue : issues) {
-    // Fresh root: its own trace, not grafted onto the demand flame.
-    EXPECT_EQ(issue.request_class, RequestClass::kSpeculative);
-    EXPECT_EQ(demand_traces.count(issue.trace_id), 0u);
-    EXPECT_EQ(obs::JobRegistry::Get().NameOf(issue.job_id), "train");
-  }
-}
-
 TEST(TraceContextTest, SaturatedPoolFallsBackToInlineSpan) {
   ServiceOptions options = DemandOptions();
-  options.prefetch.window = 0;    // keep speculation out of the pool
   options.async_threads = 1;      // one worker...
   options.async_queue_depth = 1;  // ...and a one-deep queue (0 clamps to 1)
   ServiceRig rig = MakeServiceRig(options);
@@ -319,7 +283,7 @@ TEST(TraceContextTest, SaturatedPoolFallsBackToInlineSpan) {
     for (const char* path : {"/train/0/0/view", "/train/0/1/view", "/train/1/0/view"}) {
       auto view = ViewPath::Parse(path);
       ASSERT_TRUE(view.ok());
-      pending.push_back(rig.service->MaterializeAsync(*view, /*speculative=*/false));
+      pending.push_back(rig.service->MaterializeAsync(*view));
     }
   }
   for (auto& future : pending) {

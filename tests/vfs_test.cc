@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "src/vfs/sand_fs.h"
 
@@ -168,46 +171,120 @@ TEST_F(SandFsTest, StatsAccumulate) {
 }
 
 // ---------------------------------------------------------------------------
-// OpenOptions: validation and the versioned wire form (DESIGN.md §13).
+// O_NONBLOCK opens over an async provider.
 
-TEST(OpenOptionsTest, ValidateRejectsBadCombos) {
+// Provider whose MaterializeAsync parks each request on a promise until the
+// test resolves it, so a nonblock fd can be seen with its materialization
+// still in flight.
+class ParkingProvider : public FakeProvider {
+ public:
+  Future<SharedBytes> MaterializeAsync(const ViewPath& path) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    parked_.emplace_back(path, Promise<SharedBytes>());
+    return parked_.back().second.future();
+  }
+
+  // Resolves every parked request against the object map.
+  void ResolveAll() {
+    std::vector<std::pair<ViewPath, Promise<SharedBytes>>> parked;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      parked.swap(parked_);
+    }
+    for (auto& [path, promise] : parked) {
+      promise.Set(Materialize(path));
+    }
+  }
+
+  size_t ParkedCount() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return parked_.size();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::pair<ViewPath, Promise<SharedBytes>>> parked_;
+};
+
+TEST(SandFsAsyncTest, NonblockOpenPollsToCompletion) {
+  // The default MaterializeAsync adapter resolves inline, so the first
+  // poll already finds the bytes.
+  FakeProvider provider;
+  provider.objects["/t/0/0/view"] = {0, 0, 7};
+  SandFs fs(&provider);
   OpenOptions options;
-  options.prefetch_window = -2;
-  EXPECT_EQ(options.Validate().code(), ErrorCode::kInvalidArgument);
-
-  options = OpenOptions{};
   options.nonblock = true;
-  options.prefetch_window = 4;
-  options.pin = false;  // nonblock poller of speculative readahead must pin
-  EXPECT_EQ(options.Validate().code(), ErrorCode::kInvalidArgument);
-  options.pin = true;
-  EXPECT_TRUE(options.Validate().ok());
+  auto fd = fs.Open("/t/0/0/view", options);
+  ASSERT_TRUE(fd.ok());
+  EXPECT_EQ(provider.materialize_calls, 1) << "a nonblock open starts the materialization";
+  auto bytes = fs.ReadAllShared(*fd);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(**bytes, (std::vector<uint8_t>{0, 0, 7}));
+  EXPECT_EQ(provider.materialize_calls, 1);
+  ASSERT_TRUE(fs.Close(*fd).ok());
+}
+
+TEST(SandFsAsyncTest, NonblockReturnsUnavailableWhileInFlight) {
+  ParkingProvider provider;
+  provider.objects["/t/0/1/view"] = {0, 1, 7};
+  SandFs fs(&provider);
+
+  OpenOptions options;
+  options.nonblock = true;
+  auto fd = fs.Open("/t/0/1/view", options);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_EQ(provider.ParkedCount(), 1u) << "the open issued the materialization";
+  auto bytes = fs.ReadAllShared(*fd);
+  ASSERT_FALSE(bytes.ok());
+  EXPECT_EQ(bytes.status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(provider.ParkedCount(), 1u) << "a poll must not issue a second request";
+
+  provider.ResolveAll();
+  bytes = fs.ReadAllShared(*fd);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(**bytes, (std::vector<uint8_t>{0, 1, 7}));
+  ASSERT_TRUE(fs.Close(*fd).ok());
+}
+
+// ---------------------------------------------------------------------------
+// OpenOptions: the versioned wire form (DESIGN.md §13).
+
+// One wire field: u8 tag | u64 LE value.
+void AppendField(std::vector<uint8_t>& bytes, uint8_t tag, uint64_t value) {
+  bytes.push_back(tag);
+  for (int shift = 0; shift < 64; shift += 8) {
+    bytes.push_back(static_cast<uint8_t>(value >> shift));
+  }
 }
 
 TEST(OpenOptionsTest, WireRoundTrip) {
-  OpenOptions options;
-  options.prefetch_window = 7;
-  options.pin = true;
-  options.nonblock = false;
-  auto decoded = OpenOptions::Deserialize(options.Serialize());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(*decoded == options);
+  for (bool nonblock : {false, true}) {
+    OpenOptions options;
+    options.nonblock = nonblock;
+    auto decoded = OpenOptions::Deserialize(options.Serialize());
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_TRUE(*decoded == options);
+  }
+}
 
-  // Defaults survive too (prefetch_window = -1 is a negative i64 on the wire).
-  auto defaults = OpenOptions::Deserialize(OpenOptions{}.Serialize());
-  ASSERT_TRUE(defaults.ok());
-  EXPECT_TRUE(*defaults == OpenOptions{});
+TEST(OpenOptionsTest, OldClientsRetiredFieldsAreSkipped) {
+  // The 3-field form older clients send: readahead window (tag 1) = -1,
+  // result pinning (tag 2) = 0, nonblock (tag 3) = 1.
+  std::vector<uint8_t> bytes = {1, 3};
+  AppendField(bytes, 1, static_cast<uint64_t>(int64_t{-1}));
+  AppendField(bytes, 2, 0);
+  AppendField(bytes, 3, 1);
+  auto decoded = OpenOptions::Deserialize(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded->nonblock);
 }
 
 TEST(OpenOptionsTest, UnknownFieldsFromNewerPeerAreSkipped) {
   OpenOptions options;
-  options.prefetch_window = 3;
+  options.nonblock = true;
   std::vector<uint8_t> bytes = options.Serialize();
   // Append a field with an unassigned tag, as a newer client would.
-  bytes.push_back(99);
-  for (int i = 0; i < 8; ++i) {
-    bytes.push_back(0xAB);
-  }
+  AppendField(bytes, 99, 0xABABABABABABABABULL);
   bytes[1] += 1;  // field count
   auto decoded = OpenOptions::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok());
@@ -222,20 +299,6 @@ TEST(OpenOptionsTest, RejectsMalformedWireForm) {
   truncated.pop_back();
   EXPECT_EQ(OpenOptions::Deserialize(truncated).status().code(),
             ErrorCode::kInvalidArgument);
-  // Invalid decoded combos fail like local Validate() does.
-  OpenOptions bad;
-  bad.nonblock = true;
-  bad.prefetch_window = 2;
-  EXPECT_EQ(OpenOptions::Deserialize(bad.Serialize()).status().code(),
-            ErrorCode::kInvalidArgument);
-}
-
-TEST_F(SandFsTest, OpenValidatesOptions) {
-  OpenOptions bad;
-  bad.prefetch_window = -5;
-  auto fd = fs_.Open("/train/0/0/view", bad);
-  ASSERT_FALSE(fd.ok());
-  EXPECT_EQ(fd.status().code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

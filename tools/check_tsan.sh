@@ -3,26 +3,26 @@
 # them. Covers the sharded stores / tiered cache, the GuardedStore over
 # the disk tier and its CircuitBreaker probe election (storage_test,
 # object_path_test), the executor + scheduler paths (core_test,
-# sched_test), the lock-free metrics/trace ring (obs_test), the async
-# demand path / prefetcher (prefetch_test), the GOP-parallel decode path
-# (codec_test: slice decoders fanned out on a WorkerPool), the
-# fault-injection / disk-degradation machinery (fault_injection_test:
-# retry + breaker state under chaos), async demotion into the compressed
-# tier (compress_tier_test), trace-context propagation across
-# pool/future/scheduler hand-offs (trace_context_test), the socket
-# front-end (net_test: concurrent client connections, per-tenant
-# admission, disconnect teardown), the sharded store cluster (cluster_test:
-# peer probe, per-node guards, node-kill failover and reprobe), and the
-# atomic per-instance counters of SandFs (vfs_test), OnDemandCpuSource's
-# executors (baselines_test) and concurrent services (stress_test).
-# tools/check_build.sh runs the storage, object-path and stress suites,
-# among others, under AddressSanitizer as well.
+# sched_test), the lock-free metrics/trace ring (obs_test), the
+# GOP-parallel decode path (codec_test: slice decoders fanned out on a
+# WorkerPool), the fault-injection / disk-degradation machinery
+# (fault_injection_test: retry + breaker state under chaos), async
+# demotion into the compressed tier (compress_tier_test), trace-context
+# propagation across pool/future/scheduler hand-offs (trace_context_test),
+# the socket front-end (net_test: concurrent client connections,
+# per-tenant admission, disconnect teardown), the sharded store cluster
+# (cluster_test: peer probe, per-node guards, node-kill failover and
+# reprobe), and the atomic per-instance counters and O_NONBLOCK polling of
+# SandFs (vfs_test), OnDemandCpuSource's executors (baselines_test) and
+# concurrent services (stress_test). tools/check_build.sh runs the
+# storage, object-path and stress suites, among others, under
+# AddressSanitizer as well.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-tsan}
-TESTS=(storage_test object_path_test sched_test core_test obs_test prefetch_test codec_test fault_injection_test compress_tier_test trace_context_test net_test cluster_test vfs_test baselines_test stress_test)
+TESTS=(storage_test object_path_test sched_test core_test obs_test codec_test fault_injection_test compress_tier_test trace_context_test net_test cluster_test vfs_test baselines_test stress_test)
 
 cmake -B "$BUILD_DIR" -S . -DSAND_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${TESTS[@]}"

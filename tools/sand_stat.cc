@@ -281,16 +281,14 @@ int PrintJobs(const FlatMetrics& flat) {
     std::fprintf(stderr, "sand_stat: no sand.job.* metrics in snapshot\n");
     return 1;
   }
-  std::printf("%-24s %10s %12s %8s %8s %10s %10s %12s\n", "job", "reads", "bytes",
-              "batches", "hits", "spec_iss", "spec_waste", "wait_p99");
+  std::printf("%-24s %10s %12s %8s %8s %12s\n", "job", "reads", "bytes", "batches", "hits",
+              "wait_p99");
   for (const auto& [tag, m] : jobs) {
-    std::printf("%-24s %10s %12s %8s %8s %10s %10s %12s\n", tag.c_str(),
+    std::printf("%-24s %10s %12s %8s %8s %12s\n", tag.c_str(),
                 HumanCount(GetOr(m, "reads")).c_str(),
                 HumanCount(GetOr(m, "bytes_read")).c_str(),
                 HumanCount(GetOr(m, "batches_served")).c_str(),
                 HumanCount(GetOr(m, "cache_hits")).c_str(),
-                HumanCount(GetOr(m, "speculative_issued")).c_str(),
-                HumanCount(GetOr(m, "speculative_wasted")).c_str(),
                 HumanTime(GetOr(m, "materialize_wait_ns.p99")).c_str());
   }
   return 0;
