@@ -1,7 +1,7 @@
-// Microbenchmark: ObjectCodec encode/decode throughput per codec
-// (DESIGN.md §11). Answers "what do the cheap cycles cost": MB/s on the
-// encode (demotion) side, MB/s on the decode (GetShared hit) side, and the
-// ratio each codec buys on synthetic-but-video-shaped frames.
+// Microbenchmark: ObjectCodec encode/decode throughput (DESIGN.md §11).
+// Answers "what do the cheap cycles cost": MB/s on the encode (demotion)
+// side, MB/s on the decode (GetShared hit) side, and the ratio the codec
+// buys on synthetic-but-video-shaped frames.
 //
 // It then decodes the lossless corpus (src/workloads/lossless_corpus.h)
 // with the table-driven decoder and its bit-serial reference, and fails on
@@ -117,70 +117,67 @@ int main(int argc, char** argv) {
               "ratio", "enc p95 us", "dec p95 us");
   PrintRule();
 
-  for (Codec codec : {Codec::kLossless, Codec::kQuant8, Codec::kSvd}) {
-    CompressionPolicy policy;
-    policy.enabled = true;
-    policy.frame_codec = codec;
-    policy.aug_codec = codec;
-    policy.min_object_bytes = 64;
-    ObjectCodec object_codec(policy);
+  const char* codec = "lossless";
+  CompressionPolicy policy;
+  policy.enabled = true;
+  policy.min_object_bytes = 64;
+  ObjectCodec object_codec(policy);
 
-    std::vector<std::vector<uint8_t>> encoded(kFrames);
-    std::vector<Nanos> enc_samples, dec_samples;
-    Stopwatch enc_watch;
-    for (int i = 0; i < kFrames; ++i) {
-      Stopwatch op;
-      auto result = object_codec.Encode("cache/v/f" + std::to_string(i) + "/nbench",
-                                        std::span<const uint8_t>(frames[static_cast<size_t>(i)]));
-      enc_samples.push_back(op.Elapsed());
-      if (!result.ok() || !result->has_value()) {
-        std::fprintf(stderr, "encode failed for codec %s\n", CodecName(codec));
-        return 1;
-      }
-      encoded[static_cast<size_t>(i)] = std::move((**result).bytes);
+  std::vector<std::vector<uint8_t>> encoded(kFrames);
+  std::vector<Nanos> enc_samples, dec_samples;
+  Stopwatch enc_watch;
+  for (int i = 0; i < kFrames; ++i) {
+    Stopwatch op;
+    auto result = object_codec.Encode("cache/v/f" + std::to_string(i) + "/nbench",
+                                      std::span<const uint8_t>(frames[static_cast<size_t>(i)]));
+    enc_samples.push_back(op.Elapsed());
+    if (!result.ok() || !result->has_value()) {
+      std::fprintf(stderr, "encode failed for codec %s\n", codec);
+      return 1;
     }
-    Nanos enc_ns = enc_watch.Elapsed();
+    encoded[static_cast<size_t>(i)] = std::move(**result);
+  }
+  Nanos enc_ns = enc_watch.Elapsed();
 
-    uint64_t encoded_bytes = 0;
-    Stopwatch dec_watch;
-    for (int i = 0; i < kFrames; ++i) {
-      Stopwatch op;
-      auto decoded =
-          object_codec.Decode(std::span<const uint8_t>(encoded[static_cast<size_t>(i)]));
-      dec_samples.push_back(op.Elapsed());
-      if (!decoded.ok() || decoded->size() != frames[static_cast<size_t>(i)].size()) {
-        std::fprintf(stderr, "decode failed for codec %s\n", CodecName(codec));
-        return 1;
-      }
-      encoded_bytes += encoded[static_cast<size_t>(i)].size();
+  uint64_t encoded_bytes = 0;
+  Stopwatch dec_watch;
+  for (int i = 0; i < kFrames; ++i) {
+    Stopwatch op;
+    auto decoded =
+        object_codec.Decode(std::span<const uint8_t>(encoded[static_cast<size_t>(i)]));
+    dec_samples.push_back(op.Elapsed());
+    if (!decoded.ok() || decoded->size() != frames[static_cast<size_t>(i)].size()) {
+      std::fprintf(stderr, "decode failed for codec %s\n", codec);
+      return 1;
     }
-    Nanos dec_ns = dec_watch.Elapsed();
+    encoded_bytes += encoded[static_cast<size_t>(i)].size();
+  }
+  Nanos dec_ns = dec_watch.Elapsed();
 
-    double ratio = static_cast<double>(frames[0].size()) * kFrames /
-                   static_cast<double>(encoded_bytes);
-    double enc_mbs = raw_mb / ToSeconds(enc_ns);
-    double dec_mbs = raw_mb / ToSeconds(dec_ns);
-    std::printf("%-10s %-12.1f %-12.1f %-10.2f %-12.1f %-12.1f\n", CodecName(codec),
-                enc_mbs, dec_mbs, ratio, ToMillis(Quantile(enc_samples, 0.95)) * 1000.0,
-                ToMillis(Quantile(dec_samples, 0.95)) * 1000.0);
+  double ratio = static_cast<double>(frames[0].size()) * kFrames /
+                 static_cast<double>(encoded_bytes);
+  double enc_mbs = raw_mb / ToSeconds(enc_ns);
+  double dec_mbs = raw_mb / ToSeconds(dec_ns);
+  std::printf("%-10s %-12.1f %-12.1f %-10.2f %-12.1f %-12.1f\n", codec,
+              enc_mbs, dec_mbs, ratio, ToMillis(Quantile(enc_samples, 0.95)) * 1000.0,
+              ToMillis(Quantile(dec_samples, 0.95)) * 1000.0);
 
-    for (const char* op : {"encode", "decode"}) {
-      const bool is_enc = op[0] == 'e';
-      PipelineRun run;
-      run.metrics.wall_ns = is_enc ? enc_ns : dec_ns;
-      run.metrics.batches = kFrames;
-      run.metrics.bytes_consumed = static_cast<uint64_t>(frames[0].size()) * kFrames;
-      auto& samples = is_enc ? enc_samples : dec_samples;
-      run.metrics.iter_p50_ns = Quantile(samples, 0.50);
-      run.metrics.iter_p95_ns = Quantile(samples, 0.95);
-      RecordBenchResult(StrFormat("micro_compress/%s/%s", CodecName(codec), op),
-                        {{"codec", CodecName(codec)},
-                         {"op", op},
-                         {"frame_bytes", std::to_string(frames[0].size())},
-                         {"compression_ratio", StrFormat("%.3f", ratio)},
-                         {"mb_per_s", StrFormat("%.1f", is_enc ? enc_mbs : dec_mbs)}},
-                        run);
-    }
+  for (const char* op : {"encode", "decode"}) {
+    const bool is_enc = op[0] == 'e';
+    PipelineRun run;
+    run.metrics.wall_ns = is_enc ? enc_ns : dec_ns;
+    run.metrics.batches = kFrames;
+    run.metrics.bytes_consumed = static_cast<uint64_t>(frames[0].size()) * kFrames;
+    auto& samples = is_enc ? enc_samples : dec_samples;
+    run.metrics.iter_p50_ns = Quantile(samples, 0.50);
+    run.metrics.iter_p95_ns = Quantile(samples, 0.95);
+    RecordBenchResult(StrFormat("micro_compress/%s/%s", codec, op),
+                      {{"codec", codec},
+                       {"op", op},
+                       {"frame_bytes", std::to_string(frames[0].size())},
+                       {"compression_ratio", StrFormat("%.3f", ratio)},
+                       {"mb_per_s", StrFormat("%.1f", is_enc ? enc_mbs : dec_mbs)}},
+                      run);
   }
   std::printf("\nencode runs on the service worker pool (async demotion), so only the\n"
               "dec column sits on the demand path — and only on a cold hit.\n");

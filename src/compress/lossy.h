@@ -2,109 +2,48 @@
 //
 // TieredCache trades cheap cycles for effective storage budget: objects are
 // encoded when they leave the hot memory tier (Demote, and optionally any
-// disk-tier Put) and decoded on GetShared hits. Three codecs:
-//
-//   kLossless  the filter+LZ+Huffman codec from lossless.cc wrapped in the
-//              self-describing container (exact; the default for frame views)
-//   kQuant8    per-plane affine quantization (scale/zero-point per channel
-//              plane) to `quant_bits` levels, nibble-packed, then the
-//              lossless entropy stage over the codes
-//   kSvd       rank-R factorization of each channel plane against a single
-//              orthonormal basis V shared across the planes; augmented-frame
-//              views of the same source frame can additionally share the
-//              *base frame's* basis, storing only their per-augmentation
-//              coefficient ("residual factor") matrices
+// disk-tier Put) and decoded on GetShared hits. The one codec is exact: the
+// filter+LZ+Huffman codec from lossless.cc, so a hit returns the bytes that
+// were stored, as the view key promises on every node. (The file name
+// predates that rule; perfbench/README.md cites this path.)
 //
 // Every encoded object is framed as
 //
 //   magic "SCO1" | codec u8 | flags u8 | reserved u16 | raw_size u32 |
 //   raw_crc32 u32 | codec payload
 //
-// raw_crc32 is the CRC of the *decoded* bytes: decode verifies it, so a
-// corrupt or mis-detected object surfaces as DataLoss, never as wrong
-// pixels. The DiskStore footer machinery (PR 5) is untouched — an encoded
-// object is just a payload to the crash-safe publish path.
-//
-// Numeric kernels live in compress_kernels.cc (-O3 TU, like
-// tensor/pixel_kernels); the basis power iteration is deterministic, which
-// is what makes shared-basis decode (recompute V from the base object's
-// bytes) possible.
+// Codec 1 is the lossless codec. Ids 2 and 3 belonged to retired lossy
+// codecs: they still parse as containers, so such an object is never
+// served as raw bytes, and Decode fails them with DataLoss. raw_crc32 is
+// the CRC of the decoded bytes: decode verifies it, so a corrupt or
+// mis-detected object surfaces as DataLoss, never as wrong pixels. To the
+// DiskStore's crash-safe publish path an encoded object is just a payload.
 
 #ifndef SAND_COMPRESS_LOSSY_H_
 #define SAND_COMPRESS_LOSSY_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/obs/metrics.h"
 
 namespace sand {
 
-enum class Codec : uint8_t {
-  kNone = 0,      // store raw
-  kLossless = 1,  // exact filter+LZ+Huffman
-  kQuant8 = 2,    // per-plane affine quantization
-  kSvd = 3,       // low-rank factorization, shared basis
-};
-
-const char* CodecName(Codec codec);
-// Parses a codec name ("none", "lossless", "quant8", "svd"); nullopt otherwise.
-std::optional<Codec> CodecFromName(std::string_view name);
-
-struct CodecParams {
-  int quant_bits = 4;      // 4 (nibble-packed, 16 levels) or 8 (256 levels)
-  int svd_rank = 8;        // retained rank per plane
-  int svd_power_iters = 6; // power-iteration sweeps per retained direction
-};
-
-// How a cache key maps onto the paper's view taxonomy; drives codec choice.
-enum class ObjectClass {
-  kFrame,     // decoded-frame view ("cache/<video>/f<idx>/...")
-  kAugFrame,  // augmented/merged-frame view ("cache/<video>/a<idx>/...")
-  kBatch,     // batch view (".../view")
-  kOpaque,    // anything else (checkpoints, user objects)
-};
-
-ObjectClass ClassifyCacheKey(std::string_view key);
-
 // The TieredCache-level policy (a field of ServiceOptions). Disabled by
-// default: the cache stores exactly what it is given, as before.
+// default: the cache stores exactly what it is given, as before. Enabled,
+// it encodes objects under "cache/" (decoded and augmented views); every
+// other key (checkpoints, user objects) stays raw.
 struct CompressionPolicy {
   bool enabled = false;
-  Codec frame_codec = Codec::kLossless;  // exact stays the default
-  Codec aug_codec = Codec::kLossless;    // kSvd is the opt-in lossy mode
-  Codec batch_codec = Codec::kLossless;
-  Codec opaque_codec = Codec::kNone;     // checkpoints etc. stay raw
   // Also encode direct disk-tier Puts (not just Demote spills).
   bool compress_on_disk_put = false;
   // Objects below this size are stored raw (headers would dominate).
   size_t min_object_bytes = 1024;
-  CodecParams params;
-
-  Codec CodecFor(ObjectClass cls) const;
-};
-
-// Fetches the *raw* bytes of a base object for shared-basis decode; wired to
-// TieredCache::GetShared (which already decodes transparently).
-using BaseObjectFetcher = std::function<Result<SharedBytes>(const std::string&)>;
-
-// Outcome of one Encode call, for the caller's accounting.
-struct EncodeResult {
-  std::vector<uint8_t> bytes;  // the framed object
-  Codec codec = Codec::kNone;
-  bool shared_basis = false;
 };
 
 // The codec engine a TieredCache owns when compression is enabled.
@@ -116,25 +55,18 @@ class ObjectCodec {
 
   const CompressionPolicy& policy() const { return policy_; }
 
-  // Shared-basis plumbing. `NoteBaseObject` records that `key` (an
-  // augmented-frame object) derives from `base_key` (its decoded source
-  // frame); the executor registers these as it stores augmented nodes.
-  void set_base_fetcher(BaseObjectFetcher fetcher);
-  void NoteBaseObject(const std::string& key, const std::string& base_key);
-
-  // Encodes `raw` with the codec the policy selects for `key`. Returns
-  // nullopt when the object should be stored raw: codec kNone, object below
-  // min_object_bytes, already encoded, or the encoding failed to shrink it.
-  Result<std::optional<EncodeResult>> Encode(const std::string& key,
-                                             std::span<const uint8_t> raw);
+  // Encodes `raw` into an SCO1 container. Returns nullopt when the object
+  // should be stored raw: a key outside "cache/", an object below
+  // min_object_bytes, one already encoded, or one the encoding failed to
+  // shrink (counted on sand.compress.fallbacks).
+  Result<std::optional<std::vector<uint8_t>>> Encode(const std::string& key,
+                                                     std::span<const uint8_t> raw);
 
   // True when `bytes` starts with a well-formed container header.
   static bool IsEncoded(std::span<const uint8_t> bytes);
 
-  // Decodes a framed object back to its exact (lossless) or approximate
-  // (quant/svd) raw bytes; verifies the header CRC of the decoded output.
-  // Shared-basis objects whose base is no longer fetchable fail NotFound —
-  // the cache treats that as a miss, never an error.
+  // Decodes a framed object back to its exact raw bytes; verifies the
+  // header CRC of the decoded output.
   Result<std::vector<uint8_t>> Decode(std::span<const uint8_t> bytes);
 
   // Cumulative raw/encoded ratio over this engine's lifetime (1.0 until the
@@ -142,42 +74,7 @@ class ObjectCodec {
   double CumulativeRatio() const;
 
  private:
-  struct Basis {
-    int rank = 0;
-    int width = 0;               // basis vectors are rows of length `width`
-    std::vector<float> v;        // rank x width, orthonormal rows
-  };
-
-  // Computes (or fetches from the LRU) the deterministic basis of the base
-  // object stored under `base_key`.
-  Result<std::shared_ptr<const Basis>> BasisFor(const std::string& base_key, int rank);
-
-  Result<std::optional<EncodeResult>> EncodeLossless(std::span<const uint8_t> raw);
-  Result<std::optional<EncodeResult>> EncodeQuant(std::span<const uint8_t> raw);
-  Result<std::optional<EncodeResult>> EncodeSvd(const std::string& key,
-                                                std::span<const uint8_t> raw);
-
-  Result<std::vector<uint8_t>> DecodeLossless(std::span<const uint8_t> payload,
-                                              size_t raw_size);
-  Result<std::vector<uint8_t>> DecodeQuant(std::span<const uint8_t> payload, size_t raw_size);
-  Result<std::vector<uint8_t>> DecodeSvd(std::span<const uint8_t> payload, size_t raw_size,
-                                         bool shared);
-
   const CompressionPolicy policy_;
-
-  std::mutex fetcher_mutex_;
-  BaseObjectFetcher base_fetcher_;
-
-  // aug key -> base key hints (bounded; advisory — encode falls back to a
-  // self-contained basis when the hint or the base object is missing).
-  std::mutex hints_mutex_;
-  std::map<std::string, std::string> base_hints_;
-  std::list<std::string> hint_order_;  // FIFO eviction
-
-  // base key -> basis LRU.
-  std::mutex basis_mutex_;
-  std::map<std::string, std::shared_ptr<const Basis>> basis_cache_;
-  std::list<std::string> basis_order_;
 
   std::atomic<uint64_t> raw_total_{0};
   std::atomic<uint64_t> encoded_total_{0};

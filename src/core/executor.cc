@@ -58,9 +58,8 @@ std::string NodeCacheKey(const VideoObjectGraph& graph, const ConcreteNode& node
   // already deterministic chains of resolved op signatures, but contain
   // characters awkward for file paths, so hash them and keep a readable
   // prefix. The class segment ('f' = decoded frame, 'a' = augmented/merged
-  // view) plus the source-frame index is what lets the storage tier's
-  // compression policy pick a codec per view class (ClassifyCacheKey)
-  // without understanding op chains.
+  // view) and the source-frame index keep keys readable; the "cache/"
+  // prefix is what the storage tier's compression policy encodes.
   uint64_t h = HashCombine(0x53414e44ULL, node.key);
   const char cls = node.chain_depth == 0 ? 'f' : 'a';
   return StrFormat("cache/%s/%c%lld/n%016llx", graph.video_name.c_str(), cls,
@@ -69,27 +68,6 @@ std::string NodeCacheKey(const VideoObjectGraph& graph, const ConcreteNode& node
 }
 
 namespace {
-
-// The decoded-frame ancestor an augmented view derives from, or null when
-// the lineage does not reach one (e.g. it stops at the video source).
-const ConcreteNode* BaseFrameNode(const VideoObjectGraph& graph, const ConcreteNode& node) {
-  const ConcreteNode* cur = &node;
-  while (cur->chain_depth > 0) {
-    const ConcreteNode* next = nullptr;
-    for (int pid : cur->parents) {
-      const ConcreteNode& parent = graph.node(pid);
-      if (parent.op.type != ConcreteOpType::kSource) {
-        next = &parent;
-        break;
-      }
-    }
-    if (next == nullptr) {
-      return nullptr;
-    }
-    cur = next;
-  }
-  return cur->op.type != ConcreteOpType::kSource ? cur : nullptr;
-}
 
 // Decode CPU is the dominant materialization cost; bills the time since
 // `start` to the job the current request context attributes this work to.
@@ -276,21 +254,14 @@ Result<Frame> SubtreeExecutor::FinishProduced(const ConcreteNode& node, Frame pr
                                               bool allow_cache_store) {
   if (node.cache && allow_cache_store && cache_ != nullptr) {
     std::string key = NodeCacheKey(graph_, node);
-    // Teach the cache's codec the aug-view -> base-frame lineage so the SVD
-    // codec can share the base frame's factors across augmentations.
-    if (cache_->compression_enabled() && node.chain_depth > 0) {
-      if (const ConcreteNode* base = BaseFrameNode(graph_, node)) {
-        cache_->NoteBaseObject(key, NodeCacheKey(graph_, *base));
-      }
-    }
     // The Contains pre-check only skips the serialize/compress work when a
     // racing job already stored the node; correctness rests on the atomic
     // PutIfAbsent below (two jobs can no longer both insert).
     if (!cache_->Contains(key)) {
       // Leaves live hot in memory, raw; everything spilled to the disk
       // tier is losslessly compressed first — by the cache's own codec when
-      // it compresses disk puts (which also unlocks the lossy codecs), by
-      // the legacy explicit CompressFrame otherwise.
+      // it compresses disk puts, by the legacy explicit CompressFrame
+      // otherwise.
       Tier tier = node.is_leaf ? Tier::kMemory : Tier::kDisk;
       const bool cache_encodes = tier == Tier::kDisk && cache_->compresses_disk_puts();
       Result<std::vector<uint8_t>> bytes = [&]() -> Result<std::vector<uint8_t>> {

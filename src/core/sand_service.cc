@@ -18,6 +18,13 @@ namespace sand {
 
 namespace {
 
+// Queued GOP-decode slices the shared decode pool admits before a
+// submitter runs its slice inline.
+constexpr size_t kDecodeQueueDepth = 64;
+// Share of the storage budget at which eviction starts and within which
+// pruning plans (the paper's 0.75).
+constexpr double kEvictWatermark = 0.75;
+
 // The service's process-wide histogram and derived gauges (its counters are
 // InstanceCounters on the service itself).
 struct ServiceMetrics {
@@ -54,7 +61,6 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
       fs_(this) {
   MaterializationScheduler::Options sched_options;
   sched_options.num_threads = options_.num_threads;
-  sched_options.sjf_watermark = options_.sjf_watermark;
   sched_options.disable_priorities = !options_.enable_scheduling;
   sched_options.memory_pressure = [this] { return MemoryPressure(); };
   scheduler_ = std::make_unique<MaterializationScheduler>(std::move(sched_options));
@@ -68,7 +74,7 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
     // beyond this bound.
     WorkerPool::Options decode_options;
     decode_options.num_threads = options_.decode_threads;
-    decode_options.max_queued = options_.decode_queue_depth;
+    decode_options.max_queued = kDecodeQueueDepth;
     decode_pool_ = std::make_unique<WorkerPool>(decode_options);
   }
   task_progress_.assign(tasks_.size(), 0);
@@ -78,13 +84,9 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
   // and keeps decoding (and encoding inline) after we are gone.
   cache_->SetCompression(options_.compression, async_pool_.get());
 
-  // Observability wiring (DESIGN.md §12): ring size, health budgets, and
-  // the periodic history sampler (which also refreshes our gauges and
-  // evaluates health each tick).
-  if (options_.trace_ring_slots > 0 &&
-      options_.trace_ring_slots != obs::Tracer::Get().Capacity()) {
-    obs::Tracer::Get().Resize(options_.trace_ring_slots);
-  }
+  // Observability wiring (DESIGN.md §12): health budgets and the periodic
+  // history sampler (which also refreshes our gauges and evaluates health
+  // each tick).
   obs::HealthMonitor::Get().SetThresholds(options_.health);
   history_sampler_ = obs::HistoryRecorder::Get().AddSampler([this] {
     PublishObservability();
@@ -104,7 +106,7 @@ void SandService::PublishObservability() {
   m.pool_async_capacity->Set(static_cast<int64_t>(options_.async_queue_depth));
   if (decode_pool_ != nullptr) {
     m.pool_decode_pending->Set(static_cast<int64_t>(decode_pool_->Pending()));
-    m.pool_decode_capacity->Set(static_cast<int64_t>(options_.decode_queue_depth));
+    m.pool_decode_capacity->Set(static_cast<int64_t>(kDecodeQueueDepth));
   }
 }
 
@@ -209,7 +211,7 @@ Result<std::shared_ptr<SandService::ChunkState>> SandService::EnsureChunk(int64_
       // Plan within the eviction watermark so the pruned cache set never
       // thrashes against the evictor.
       uint64_t target = static_cast<uint64_t>(
-          static_cast<double>(options_.storage_budget_bytes) * options_.evict_watermark);
+          static_cast<double>(options_.storage_budget_bytes) * kEvictWatermark);
       state->pruning = PruneToBudget(state->plan, target);
     } else {
       state->plan.ResetCacheFlagsToLeaves();
@@ -772,7 +774,7 @@ int64_t SandService::GlobalProgress() {
 
 void SandService::MaybeEvict() {
   uint64_t threshold = static_cast<uint64_t>(
-      static_cast<double>(options_.storage_budget_bytes) * options_.evict_watermark);
+      static_cast<double>(options_.storage_budget_bytes) * kEvictWatermark);
   uint64_t used = cache_->MemoryUsedBytes() + cache_->DiskUsedBytes();
   if (used <= threshold) {
     return;

@@ -56,7 +56,6 @@ struct ServiceOptions {
   int num_threads = 4;
   bool enable_scheduling = true;   // false: FIFO pops (Fig. 18 ablation)
   bool pre_materialize = true;     // false: pure demand pipeline
-  double sjf_watermark = 0.8;      // memory pressure that flips EDF -> SJF
 
   // Async demand path (DESIGN.md §8): MaterializeAsync units run on a
   // bounded work-stealing pool separate from the scheduler's workers (they
@@ -71,7 +70,6 @@ struct ServiceOptions {
   // instead of each spawning their own (no oversubscription). 0 disables
   // the pool (serial per-view decode).
   int decode_threads = 4;
-  size_t decode_queue_depth = 64;
 
   // Streaming input (§5.1, input_source: streaming): invoked before
   // planning each chunk so newly ingested videos join the next chunk's
@@ -79,10 +77,6 @@ struct ServiceOptions {
   std::function<Result<DatasetMeta>()> dataset_refresh;
 
   // Observability (DESIGN.md §12).
-  // Tracer ring capacity in slots; 0 keeps the current ring (default 16Ki,
-  // or SAND_TRACE_RING_SLOTS). Applied at construction; swapping discards
-  // prior events, so set it on the first service in the process.
-  size_t trace_ring_slots = 0;
   // /.sand/history sampling cadence; 0 disables the background sampler
   // (the view then only grows via explicit HistoryRecorder::SampleNow).
   int64_t history_sample_ms = 0;
@@ -92,7 +86,6 @@ struct ServiceOptions {
   // Storage.
   bool enable_pruning = true;  // false: cache leaves only (Fig. 17 ablation)
   uint64_t storage_budget_bytes = 256ULL * 1024 * 1024;
-  double evict_watermark = 0.75;
   size_t container_cache_entries = 8;
   // Transparent cache compression (DESIGN.md §11): installed on the cache at
   // construction; encodes run on the async pool so demotion stays off the

@@ -22,10 +22,10 @@
 // view "/.sand/trace" and written by benches under --trace-out.
 //
 // Ring capacity defaults to 16Ki slots, overridable with the
-// SAND_TRACE_RING_SLOTS environment variable or ServiceOptions
-// (trace_ring_slots) via Resize(). Resizing swaps in a fresh ring (old
-// events are lost); the Tracer, which is never destroyed, keeps every
-// retired ring so concurrent lock-free recorders never touch freed memory.
+// SAND_TRACE_RING_SLOTS environment variable or Resize(). Resizing swaps in
+// a fresh ring (old events are lost); the Tracer, which is never destroyed,
+// keeps every retired ring so concurrent lock-free recorders never touch
+// freed memory.
 //
 // Span names must be string literals (or otherwise immortal): the ring
 // stores the pointer, not a copy.
@@ -99,8 +99,7 @@ class Tracer {
   // Swaps in a fresh ring of `slots` entries (min 1024). Events already
   // recorded are discarded; the old ring is retired, not freed, so
   // concurrent Record calls that raced the swap stay safe. Intended for
-  // startup configuration (ServiceOptions::trace_ring_slots), not steady-
-  // state tuning.
+  // startup configuration, not steady-state tuning.
   void Resize(size_t slots);
 
   // Empties the ring (tests / bench phase boundaries). Not linearizable

@@ -849,10 +849,6 @@ void TieredCache::SetCompression(const CompressionPolicy& policy, WorkerPool* po
   std::shared_ptr<ObjectCodec> codec;
   if (policy.enabled) {
     codec = std::make_shared<ObjectCodec>(policy);
-    // Shared-basis decode refetches the base object through the normal read
-    // path (which decodes transparently, so the basis always comes from raw
-    // frame bytes).
-    codec->set_base_fetcher([this](const std::string& key) { return GetShared(key); });
   }
   {
     std::lock_guard<std::mutex> lock(codec_mutex_);
@@ -864,12 +860,6 @@ void TieredCache::SetCompression(const CompressionPolicy& policy, WorkerPool* po
 
 void TieredCache::SetCompressionPool(WorkerPool* pool) {
   compress_pool_.store(pool, std::memory_order_release);
-}
-
-void TieredCache::NoteBaseObject(const std::string& key, const std::string& base_key) {
-  if (auto codec = Codec()) {
-    codec->NoteBaseObject(key, base_key);
-  }
 }
 
 double TieredCache::CompressionRatio() const {
@@ -899,7 +889,7 @@ TieredCache::Payload TieredCache::Encode(const std::string& key, const Payload& 
   if (!encoded.ok() || !encoded->has_value()) {
     return raw;
   }
-  SharedBytes bytes = MakeSharedBytes(std::move((**encoded).bytes));
+  SharedBytes bytes = MakeSharedBytes(std::move(**encoded));
   return Payload{std::span<const uint8_t>(*bytes), bytes};
 }
 
@@ -1004,8 +994,8 @@ Result<SharedBytes> TieredCache::Probe(ObjectStore& store, const std::string& ke
   // an offline disk parked one there, a peer whose owner published one.
   Result<SharedBytes> decoded = MaybeDecode(*stored);
   if (!decoded.ok()) {
-    // Undecodable container (corrupt, or its shared-basis base is gone):
-    // drop it so the caller rematerializes.
+    // Undecodable container (corrupt, or of a retired codec): drop it so
+    // the caller rematerializes.
     (void)Delete(key);
     return decoded;
   }

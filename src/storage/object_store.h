@@ -353,8 +353,8 @@ class TieredCache {
   Status Delete(const std::string& key);
 
   // Moves an object from memory to disk (spill) keeping it cached. With
-  // compression enabled the object is encoded on the way down (per the
-  // policy's codec for its key class); when a worker pool is attached the
+  // compression enabled the object is encoded on the way down (when the
+  // policy covers its key); when a worker pool is attached the
   // encode+spill runs asynchronously and Demote returns as soon as the work
   // is enqueued, so demotion never blocks the demand path.
   Status Demote(const std::string& key);
@@ -376,9 +376,6 @@ class TieredCache {
   // True when disk-tier puts are encoded by the policy (not just Demote
   // spills); producers can then hand the cache raw bytes for every tier.
   bool compresses_disk_puts() const;
-  // Records that `key` (an augmented-frame view) derives from `base_key`
-  // (its decoded source frame) so the SVD codec can share basis factors.
-  void NoteBaseObject(const std::string& key, const std::string& base_key);
   // Cumulative raw/encoded ratio of this cache's codec (1.0 when disabled
   // or before the first encode); the eviction planner's savings estimate.
   double CompressionRatio() const;
@@ -458,9 +455,9 @@ class TieredCache {
 
   // Snapshot of the codec engine (null when compression is disabled).
   std::shared_ptr<ObjectCodec> Codec() const;
-  // The one encoder behind disk-tier puts and Demote: `raw` encoded per the
-  // policy's codec for its key class, or `raw` itself when compression is
-  // off or encoding fails (which never fails a put or a spill).
+  // The one encoder behind disk-tier puts and Demote: `raw` encoded when
+  // the policy covers its key, or `raw` itself when compression is off or
+  // encoding fails (which never fails a put or a spill).
   Payload Encode(const std::string& key, const Payload& raw);
   // Decodes `data` when it is a compressed container; passthrough otherwise.
   // An undecodable object returns the decode error (Probe turns it into a

@@ -235,33 +235,4 @@ std::array<double, 4> ChannelMeans(const Frame& in) {
   return means;
 }
 
-Result<std::vector<uint8_t>> StackBatch(const std::vector<Clip>& clips) {
-  if (clips.empty()) {
-    return InvalidArgument("StackBatch: no clips");
-  }
-  const size_t t = clips[0].frames.size();
-  if (t == 0) {
-    return InvalidArgument("StackBatch: empty clip");
-  }
-  const Frame& ref = clips[0].frames[0];
-  for (const auto& clip : clips) {
-    if (clip.frames.size() != t) {
-      return InvalidArgument("StackBatch: clip length mismatch");
-    }
-    for (const auto& frame : clip.frames) {
-      if (!frame.SameShape(ref)) {
-        return InvalidArgument("StackBatch: frame shape mismatch");
-      }
-    }
-  }
-  std::vector<uint8_t> out;
-  out.reserve(clips.size() * t * ref.size_bytes());
-  for (const auto& clip : clips) {
-    for (const auto& frame : clip.frames) {
-      out.insert(out.end(), frame.data().begin(), frame.data().end());
-    }
-  }
-  return out;
-}
-
 }  // namespace sand

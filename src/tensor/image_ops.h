@@ -61,10 +61,6 @@ Frame Invert(const Frame& in);
 // Per-channel mean over the frame, for normalization statistics.
 std::array<double, 4> ChannelMeans(const Frame& in);
 
-// Stacks clips into one contiguous batch buffer (N x T x H x W x C). All
-// clips must agree in length and frame shape.
-Result<std::vector<uint8_t>> StackBatch(const std::vector<Clip>& clips);
-
 }  // namespace sand
 
 #endif  // SAND_TENSOR_IMAGE_OPS_H_

@@ -58,23 +58,55 @@ Status AddFramePayloads(const std::string& video, std::span<const uint8_t> conta
   return Status::Ok();
 }
 
-// The SLZ1 body of an SCO1 container (payload layouts in lossy.cc):
-//   lossless: u16 prefix_len | prefix | SLZ1
-//   quant8:   u8 bits | u8 channels | u16 prefix_len | u32 pixels | prefix |
-//             channels x (f32 scale, f32 zero) | SLZ1
-Result<std::vector<uint8_t>> Sco1Body(std::span<const uint8_t> container, Codec codec) {
+// The SLZ1 body of a lossless SCO1 container: the payload (layout in
+// lossy.cc) is u16 prefix_len | prefix | SLZ1.
+Result<std::vector<uint8_t>> Sco1Body(std::span<const uint8_t> container) {
   constexpr size_t kContainerHeader = 16;
   if (container.size() < kContainerHeader + 8) {
     return DataLoss("corpus: SCO1 container truncated");
   }
-  const size_t at = codec == Codec::kLossless
-                        ? kContainerHeader + 2 + GetLe(container, kContainerHeader, 2)
-                        : kContainerHeader + 8 + GetLe(container, kContainerHeader + 2, 2) +
-                              8 * static_cast<size_t>(container[kContainerHeader + 1]);
+  const size_t at = kContainerHeader + 2 + GetLe(container, kContainerHeader, 2);
   if (at > container.size()) {
     return DataLoss("corpus: SCO1 body out of range");
   }
   return std::vector<uint8_t>(container.begin() + static_cast<ptrdiff_t>(at), container.end());
+}
+
+// A frame's pixels as plane-major `bits`-bit codes: each channel plane is
+// quantized against its own range (zero point its minimum, step its range
+// over levels - 1), and 4-bit codes are packed two to a byte, low nibble
+// first. Few symbols in nibble pairs are statistics pixel rows lack.
+std::vector<uint8_t> QuantizedCodes(const Frame& frame, int bits) {
+  const std::span<const uint8_t> pixels = frame.data();
+  const size_t channels = static_cast<size_t>(frame.channels());
+  const size_t plane = pixels.size() / channels;
+  const int levels = 1 << bits;
+  const float max_code = static_cast<float>(levels - 1);
+  std::vector<uint8_t> codes(pixels.size());
+  for (size_t c = 0; c < channels; ++c) {
+    uint8_t lo = 255;
+    uint8_t hi = 0;
+    for (size_t i = 0; i < plane; ++i) {
+      lo = std::min(lo, pixels[i * channels + c]);
+      hi = std::max(hi, pixels[i * channels + c]);
+    }
+    const float zero = static_cast<float>(lo);
+    const float scale = hi > lo ? static_cast<float>(hi - lo) / max_code : 1.0f;
+    const float inv = 1.0f / scale;
+    for (size_t i = 0; i < plane; ++i) {
+      float q = (static_cast<float>(pixels[i * channels + c]) - zero) * inv + 0.5f;
+      q = q < 0.0f ? 0.0f : (q > max_code ? max_code : q);
+      codes[c * plane + i] = static_cast<uint8_t>(q);
+    }
+  }
+  if (bits == 8) {
+    return codes;
+  }
+  std::vector<uint8_t> packed((codes.size() + 1) / 2);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    packed[i / 2] |= static_cast<uint8_t>(codes[i] << (4 * (i % 2)));
+  }
+  return packed;
 }
 
 // An LZ token stream (format in lossless.cc) together with the filtered
@@ -304,33 +336,30 @@ Result<std::vector<LosslessCorpusEntry>> BuildLosslessCorpus(
     SAND_RETURN_IF_ERROR(AddFramePayloads(video, *container, out));
   }
 
-  // Serialized frames of the same geometry, as the cache tier stores them.
-  struct Sco1Kind {
-    const char* name;
-    Codec codec;
-    int quant_bits;
-  };
-  for (const Sco1Kind& kind : {Sco1Kind{"lossless", Codec::kLossless, 4},
-                               Sco1Kind{"quant4", Codec::kQuant8, 4},
-                               Sco1Kind{"quant8", Codec::kQuant8, 8}}) {
-    CompressionPolicy policy;
-    policy.enabled = true;
-    policy.frame_codec = kind.codec;
-    policy.params.quant_bits = kind.quant_bits;
-    ObjectCodec object_codec(policy);
+  // Serialized frames of the same geometry as the cache tier stores them,
+  // then the same frames' pixels as 4- and 8-bit codes.
+  ObjectCodec object_codec(CompressionPolicy{.enabled = true});
+  for (int bits : {0, 4, 8}) {
     for (int i = 0; i < 2; ++i) {
-      const std::vector<uint8_t> raw =
-          SynthesizeFrame(VideoSeed(dataset.seed, i), 3 * i, dataset.height, dataset.width,
-                          dataset.channels)
-              .Serialize();
-      SAND_ASSIGN_OR_RETURN(
-          std::optional<EncodeResult> encoded,
-          object_codec.Encode(StrFormat("cache/vid%03d/f%d/ncorpus", i, 3 * i), raw));
-      if (!encoded.has_value() || encoded->codec != kind.codec) {
-        return Internal(StrFormat("corpus: %s did not encode frame %d", kind.name, i));
+      const Frame frame = SynthesizeFrame(VideoSeed(dataset.seed, i), 3 * i, dataset.height,
+                                          dataset.width, dataset.channels);
+      std::vector<uint8_t> body;
+      if (bits == 0) {
+        SAND_ASSIGN_OR_RETURN(
+            std::optional<std::vector<uint8_t>> encoded,
+            object_codec.Encode(StrFormat("cache/vid%03d/f%d/ncorpus", i, 3 * i),
+                                frame.Serialize()));
+        if (!encoded.has_value()) {
+          return Internal(StrFormat("corpus: lossless did not encode frame %d", i));
+        }
+        SAND_ASSIGN_OR_RETURN(body, Sco1Body(*encoded));
+      } else {
+        const std::vector<uint8_t> codes = QuantizedCodes(frame, bits);
+        SAND_ASSIGN_OR_RETURN(body, LosslessCompress(codes, codes.size()));
       }
-      SAND_ASSIGN_OR_RETURN(std::vector<uint8_t> body, Sco1Body(encoded->bytes, kind.codec));
-      out.push_back({StrFormat("sco1/%s/%d", kind.name, i), std::move(body)});
+      out.push_back({bits == 0 ? StrFormat("sco1/lossless/%d", i)
+                               : StrFormat("sco1/quant%d/%d", bits, i),
+                     std::move(body)});
     }
   }
 

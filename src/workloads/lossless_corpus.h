@@ -2,12 +2,14 @@
 // table-driven LosslessDecompress to lossless_reference::LosslessDecompress.
 //
 // It holds the streams production decodes — every intra and delta frame
-// payload of a synthetic dataset, and the SLZ1 bodies of SCO1 lossless and
-// quant8 containers — plus hand-built edge streams the encoder rarely or
-// never emits: a stored entropy block, a one-symbol alphabet, 15-bit
-// Huffman codes, LZ matches at distances 1-7 and overlapping their own
-// output, 128-byte literal runs, a pixel stride narrower than bpp, and a
-// first row under each of the five filters at bpp 1, 3 and 4.
+// payload of a synthetic dataset and the SLZ1 bodies of SCO1 containers —
+// plus streams it does not: nibble-packed 4-bit and 8-bit quantized pixel
+// planes (sco1/quant4, sco1/quant8), whose statistics pixel rows lack, and
+// hand-built edge streams the encoder rarely or never emits: a stored
+// entropy block, a one-symbol alphabet, 15-bit Huffman codes, LZ matches at
+// distances 1-7 and overlapping their own output, 128-byte literal runs, a
+// pixel stride narrower than bpp, and a first row under each of the five
+// filters at bpp 1, 3 and 4.
 // compress_test and `bench_micro_compress --smoke` decode it with both
 // decoders and require identical bytes.
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -154,6 +155,29 @@ TEST(LosslessDecoderTest, MatchesReferenceOnCorpus) {
   }
   EXPECT_EQ(intra, 4u);
   EXPECT_EQ(delta, 28u);
+}
+
+// FNV-1a 64 over each entry's name, its length as a u64 LE, then its
+// stream, in order. Pins the corpus bytes, which include the SLZ1 bodies
+// the cache's encoder writes for serialized frames.
+TEST(LosslessDecoderTest, CorpusMatchesRecordedDigest) {
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  auto mix = [&digest](std::span<const uint8_t> bytes) {
+    for (uint8_t byte : bytes) {
+      digest = (digest ^ byte) * 0x100000001b3ULL;
+    }
+  };
+  for (const LosslessCorpusEntry& entry : Corpus()) {
+    mix(std::span(reinterpret_cast<const uint8_t*>(entry.name.data()), entry.name.size()));
+    std::array<uint8_t, 8> length{};
+    for (size_t i = 0; i < length.size(); ++i) {
+      length[i] = static_cast<uint8_t>(static_cast<uint64_t>(entry.stream.size()) >> (8 * i));
+    }
+    mix(length);
+    mix(entry.stream);
+  }
+  EXPECT_EQ(Corpus().size(), 62u);
+  EXPECT_EQ(digest, 0xce76f0fa797c03fbULL);
 }
 
 TEST(LosslessDecoderTest, SameOutcomeAsReferenceOnMutations) {
@@ -309,11 +333,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(1, 16, 61, 256),
                        ::testing::Values<uint64_t>(11, 12, 13)));
 
-// --- lossy object codecs (src/compress/lossy.h) ------------------------------
+// --- the SCO1 object codec (src/compress/lossy.h) ----------------------------
 
-// A serialized frame (12-byte header + interleaved pixels) with smooth,
-// nearly-separable content: y/x gradients plus a per-channel offset and a
-// touch of noise, which is what low-rank factorization thrives on.
+// A serialized frame (12-byte header + interleaved pixels) with smooth
+// content: y/x gradients plus a per-channel offset and a touch of noise.
 std::vector<uint8_t> SerializedFrame(uint32_t h, uint32_t w, uint32_t c, uint64_t seed) {
   std::vector<uint8_t> out(12 + static_cast<size_t>(h) * w * c);
   auto put_u32 = [&](size_t at, uint32_t v) {
@@ -337,160 +360,41 @@ std::vector<uint8_t> SerializedFrame(uint32_t h, uint32_t w, uint32_t c, uint64_
   return out;
 }
 
-int MaxAbsError(const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
-  EXPECT_EQ(a.size(), b.size());
-  int worst = 0;
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    worst = std::max(worst, std::abs(static_cast<int>(a[i]) - static_cast<int>(b[i])));
-  }
-  return worst;
-}
-
-TEST(ClassifyCacheKeyTest, ViewTaxonomy) {
-  EXPECT_EQ(ClassifyCacheKey("cache/vid0/f3/n0123456789abcdef"), ObjectClass::kFrame);
-  EXPECT_EQ(ClassifyCacheKey("cache/vid0/a3/n0123456789abcdef"), ObjectClass::kAugFrame);
-  EXPECT_EQ(ClassifyCacheKey("/train/5/12/view"), ObjectClass::kBatch);
-  EXPECT_EQ(ClassifyCacheKey("checkpoint/task0/epoch3"), ObjectClass::kOpaque);
-  EXPECT_EQ(ClassifyCacheKey("cache/vid0"), ObjectClass::kFrame);
-}
-
-CompressionPolicy PolicyWith(Codec frame_codec) {
+CompressionPolicy Enabled() {
   CompressionPolicy policy;
   policy.enabled = true;
-  policy.frame_codec = frame_codec;
-  policy.aug_codec = frame_codec;
   policy.min_object_bytes = 64;
   return policy;
 }
 
 TEST(ObjectCodecTest, LosslessRoundTripBitExact) {
-  ObjectCodec codec(PolicyWith(Codec::kLossless));
+  ObjectCodec codec(Enabled());
   const auto raw = SerializedFrame(32, 48, 3, 21);
   auto encoded = codec.Encode("cache/v/f0/nabc", raw);
   ASSERT_TRUE(encoded.ok());
   ASSERT_TRUE(encoded->has_value());
-  EXPECT_EQ((*encoded)->codec, Codec::kLossless);
-  EXPECT_LT((*encoded)->bytes.size(), raw.size());
-  EXPECT_TRUE(ObjectCodec::IsEncoded((*encoded)->bytes));
-  auto decoded = codec.Decode((*encoded)->bytes);
+  EXPECT_LT((*encoded)->size(), raw.size());
+  EXPECT_TRUE(ObjectCodec::IsEncoded(**encoded));
+  auto decoded = codec.Decode(**encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, raw);  // bit-exact
 }
 
-TEST(ObjectCodecTest, QuantBoundedError) {
-  ObjectCodec codec(PolicyWith(Codec::kQuant8));
-  const auto raw = SerializedFrame(32, 48, 3, 22);
-  auto encoded = codec.Encode("cache/v/f0/nabc", raw);
-  ASSERT_TRUE(encoded.ok());
-  ASSERT_TRUE(encoded->has_value());
-  EXPECT_EQ((*encoded)->codec, Codec::kQuant8);
-  // 4-bit nibble packing alone halves the payload before the entropy stage.
-  EXPECT_LT((*encoded)->bytes.size(), raw.size() / 2);
-  auto decoded = codec.Decode((*encoded)->bytes);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), raw.size());
-  // Header is reproduced exactly; pixels within half a quantization step
-  // (range / 15 levels / 2) plus rounding.
-  EXPECT_TRUE(std::equal(raw.begin(), raw.begin() + 12, decoded->begin()));
-  EXPECT_LE(MaxAbsError(raw, *decoded), 255 / 15 / 2 + 2);
-}
-
-TEST(ObjectCodecTest, QuantFallsBackLosslessOnOpaqueBytes) {
-  ObjectCodec codec(PolicyWith(Codec::kQuant8));
-  // Frame-classed key but non-frame bytes: must fall back to the exact path.
+TEST(ObjectCodecTest, NonFrameBytesRoundTripBitExact) {
+  ObjectCodec codec(Enabled());
+  // A cache key holding bytes that are not a serialized frame: encoded as
+  // one row, still exact.
   const auto raw = SmoothRows(40, 50, 23);
   auto encoded = codec.Encode("cache/v/f0/nabc", raw);
   ASSERT_TRUE(encoded.ok());
   ASSERT_TRUE(encoded->has_value());
-  EXPECT_EQ((*encoded)->codec, Codec::kLossless);
-  auto decoded = codec.Decode((*encoded)->bytes);
+  auto decoded = codec.Decode(**encoded);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, raw);
 }
 
-TEST(ObjectCodecTest, SvdSelfContainedBoundedError) {
-  ObjectCodec codec(PolicyWith(Codec::kSvd));
-  const auto raw = SerializedFrame(48, 64, 3, 24);
-  auto encoded = codec.Encode("cache/v/a0/nabc", raw);
-  ASSERT_TRUE(encoded.ok());
-  ASSERT_TRUE(encoded->has_value());
-  EXPECT_EQ((*encoded)->codec, Codec::kSvd);
-  EXPECT_FALSE((*encoded)->shared_basis);
-  // Rank-8 factors of a 48x64x3 frame are ~4x smaller than the pixels.
-  EXPECT_LT((*encoded)->bytes.size(), raw.size() / 4);
-  auto decoded = codec.Decode((*encoded)->bytes);
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), raw.size());
-  EXPECT_TRUE(std::equal(raw.begin(), raw.begin() + 12, decoded->begin()));
-  // Near-separable content is close to rank-2; rank-8 + int8 factor
-  // quantization reconstructs within a tight band.
-  EXPECT_LE(MaxAbsError(raw, *decoded), 24);
-}
-
-TEST(ObjectCodecTest, SvdSharedBasisAcrossAugmentations) {
-  ObjectCodec codec(PolicyWith(Codec::kSvd));
-  const auto base = SerializedFrame(48, 64, 3, 25);
-  // An "augmentation": same structure, slightly shifted intensities.
-  auto aug = base;
-  for (size_t i = 12; i < aug.size(); ++i) {
-    aug[i] = static_cast<uint8_t>(std::min(255, aug[i] + 4));
-  }
-  codec.set_base_fetcher([&](const std::string& key) -> Result<SharedBytes> {
-    if (key == "cache/v/f7/nbase") {
-      return MakeSharedBytes(std::vector<uint8_t>(base));
-    }
-    return NotFound("no such base: " + key);
-  });
-  codec.NoteBaseObject("cache/v/a7/naug", "cache/v/f7/nbase");
-
-  auto encoded = codec.Encode("cache/v/a7/naug", aug);
-  ASSERT_TRUE(encoded.ok());
-  ASSERT_TRUE(encoded->has_value());
-  EXPECT_EQ((*encoded)->codec, Codec::kSvd);
-  EXPECT_TRUE((*encoded)->shared_basis);
-
-  // Sharing the base's factors drops the stored basis: the shared container
-  // must be smaller than the self-contained encoding of the same bytes.
-  ObjectCodec self_codec(PolicyWith(Codec::kSvd));
-  auto self_encoded = self_codec.Encode("cache/v/a7/naug", aug);
-  ASSERT_TRUE(self_encoded.ok() && self_encoded->has_value());
-  EXPECT_LT((*encoded)->bytes.size(), (*self_encoded)->bytes.size());
-
-  auto decoded = codec.Decode((*encoded)->bytes);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_LE(MaxAbsError(aug, *decoded), 32);
-}
-
-TEST(ObjectCodecTest, SharedBasisDecodeFailsAsMissWhenBaseGone) {
-  ObjectCodec codec(PolicyWith(Codec::kSvd));
-  const auto base = SerializedFrame(32, 48, 3, 26);
-  auto aug = base;
-  bool base_available = true;
-  codec.set_base_fetcher([&](const std::string&) -> Result<SharedBytes> {
-    if (base_available) {
-      return MakeSharedBytes(std::vector<uint8_t>(base));
-    }
-    return NotFound("evicted");
-  });
-  codec.NoteBaseObject("cache/v/a1/naug", "cache/v/f1/nbase");
-  auto encoded = codec.Encode("cache/v/a1/naug", aug);
-  ASSERT_TRUE(encoded.ok() && encoded->has_value());
-  ASSERT_TRUE((*encoded)->shared_basis);
-
-  // Fresh codec: empty basis cache, base unavailable -> NotFound (a miss),
-  // never corrupt bytes.
-  ObjectCodec reader(PolicyWith(Codec::kSvd));
-  base_available = false;
-  reader.set_base_fetcher([&](const std::string&) -> Result<SharedBytes> {
-    return NotFound("evicted");
-  });
-  auto decoded = reader.Decode((*encoded)->bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), ErrorCode::kNotFound);
-}
-
 TEST(ObjectCodecTest, SmallObjectsStoredRaw) {
-  CompressionPolicy policy = PolicyWith(Codec::kLossless);
+  CompressionPolicy policy = Enabled();
   policy.min_object_bytes = 1024;
   ObjectCodec codec(policy);
   std::vector<uint8_t> raw(100, 7);
@@ -499,22 +403,43 @@ TEST(ObjectCodecTest, SmallObjectsStoredRaw) {
   EXPECT_FALSE(encoded->has_value());
 }
 
-TEST(ObjectCodecTest, NoneCodecStoresRaw) {
-  CompressionPolicy policy = PolicyWith(Codec::kLossless);
-  policy.opaque_codec = Codec::kNone;
-  ObjectCodec codec(policy);
+TEST(ObjectCodecTest, KeysOutsideCacheStoredRaw) {
+  ObjectCodec codec(Enabled());
   const auto raw = SmoothRows(64, 64, 27);
-  auto encoded = codec.Encode("checkpoint/task0/epoch1", raw);
+  // Checkpoints, batch views and user objects stay raw; only "cache/"
+  // keys are encoded.
+  for (const char* key : {"checkpoint/task0/epoch1", "/train/5/12/view", "user/blob", "cach"}) {
+    auto encoded = codec.Encode(key, raw);
+    ASSERT_TRUE(encoded.ok()) << key;
+    EXPECT_FALSE(encoded->has_value()) << key;
+  }
+  auto cached = codec.Encode("cache/vid0", raw);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_TRUE(cached->has_value());
+}
+
+TEST(ObjectCodecTest, IncompressibleObjectCountsFallback) {
+  ObjectCodec codec(Enabled());
+  obs::Counter* fallbacks = obs::Registry::Get().GetCounter("sand.compress.fallbacks");
+  Rng rng(32);
+  std::vector<uint8_t> noise(4096);
+  for (auto& byte : noise) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  const uint64_t before = fallbacks->Value();
+  auto encoded = codec.Encode("cache/v/f0/nnoise", noise);
   ASSERT_TRUE(encoded.ok());
-  EXPECT_FALSE(encoded->has_value());
+  EXPECT_FALSE(encoded->has_value());  // did not shrink: stored raw
+  EXPECT_EQ(fallbacks->Value(), before + 1);
+  EXPECT_DOUBLE_EQ(codec.CumulativeRatio(), 1.0);
 }
 
 TEST(ObjectCodecTest, DecodeRejectsCorruptContainer) {
-  ObjectCodec codec(PolicyWith(Codec::kLossless));
+  ObjectCodec codec(Enabled());
   const auto raw = SerializedFrame(16, 24, 3, 28);
   auto encoded = codec.Encode("cache/v/f0/nabc", raw);
   ASSERT_TRUE(encoded.ok() && encoded->has_value());
-  auto bytes = (*encoded)->bytes;
+  auto bytes = **encoded;
   bytes[bytes.size() / 2] ^= 0xff;  // corrupt the payload
   EXPECT_FALSE(codec.Decode(bytes).ok());
   // Truncation is also rejected, never UB.
@@ -522,33 +447,46 @@ TEST(ObjectCodecTest, DecodeRejectsCorruptContainer) {
   EXPECT_FALSE(codec.Decode(cut).ok());
 }
 
+TEST(ObjectCodecTest, RetiredCodecIdsStayContainersThatFailDataLoss) {
+  ObjectCodec codec(Enabled());
+  const auto raw = SerializedFrame(16, 24, 3, 33);
+  auto encoded = codec.Encode("cache/v/f0/nabc", raw);
+  ASSERT_TRUE(encoded.ok() && encoded->has_value());
+  for (uint8_t id : {2, 3}) {
+    std::vector<uint8_t> bytes = **encoded;
+    bytes[4] = id;  // the header's codec byte
+    // Still a container, so a cache never serves it as raw frame bytes...
+    EXPECT_TRUE(ObjectCodec::IsEncoded(bytes)) << int{id};
+    // ...and one that no longer decodes.
+    auto decoded = codec.Decode(bytes);
+    ASSERT_FALSE(decoded.ok()) << int{id};
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kDataLoss) << int{id};
+  }
+  std::vector<uint8_t> unknown = **encoded;
+  unknown[4] = 4;
+  EXPECT_FALSE(ObjectCodec::IsEncoded(unknown));
+}
+
 TEST(ObjectCodecTest, EncodeIsIdempotentOnContainers) {
-  ObjectCodec codec(PolicyWith(Codec::kLossless));
+  ObjectCodec codec(Enabled());
   const auto raw = SerializedFrame(16, 24, 3, 29);
   auto encoded = codec.Encode("cache/v/f0/nabc", raw);
   ASSERT_TRUE(encoded.ok() && encoded->has_value());
   // Feeding an already-encoded object back in must not double-wrap it.
-  auto again = codec.Encode("cache/v/f0/nabc", (*encoded)->bytes);
+  auto again = codec.Encode("cache/v/f0/nabc", **encoded);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(again->has_value());
 }
 
 TEST(ObjectCodecTest, CumulativeRatioTracksEncodes) {
-  ObjectCodec codec(PolicyWith(Codec::kQuant8));
+  ObjectCodec codec(Enabled());
   EXPECT_DOUBLE_EQ(codec.CumulativeRatio(), 1.0);
   const auto raw = SerializedFrame(32, 48, 3, 30);
   auto encoded = codec.Encode("cache/v/f0/nabc", raw);
   ASSERT_TRUE(encoded.ok() && encoded->has_value());
-  EXPECT_GT(codec.CumulativeRatio(), 2.0);
-}
-
-TEST(CodecNameTest, RoundTrip) {
-  for (Codec codec : {Codec::kNone, Codec::kLossless, Codec::kQuant8, Codec::kSvd}) {
-    auto parsed = CodecFromName(CodecName(codec));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, codec);
-  }
-  EXPECT_FALSE(CodecFromName("gzip").has_value());
+  EXPECT_DOUBLE_EQ(codec.CumulativeRatio(), static_cast<double>(raw.size()) /
+                                                static_cast<double>((*encoded)->size()));
+  EXPECT_GT(codec.CumulativeRatio(), 1.0);
 }
 
 }  // namespace

@@ -12,8 +12,10 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/common/worker_pool.h"
+#include "src/compress/lossless.h"
 #include "src/compress/lossy.h"
 #include "src/storage/fault_injection.h"
 #include "src/storage/object_store.h"
@@ -42,9 +44,6 @@ class CompressTierTest : public ::testing::Test {
   static CompressionPolicy LosslessEverywhere() {
     CompressionPolicy policy;
     policy.enabled = true;
-    policy.frame_codec = Codec::kLossless;
-    policy.aug_codec = Codec::kLossless;
-    policy.batch_codec = Codec::kLossless;
     policy.compress_on_disk_put = true;
     policy.min_object_bytes = 64;
     return policy;
@@ -197,28 +196,6 @@ TEST_F(CompressTierTest, MidCompressCrashNeverPublishesTruncatedObject) {
   EXPECT_EQ(**final, raw);
 }
 
-TEST_F(CompressTierTest, QuantCodecBoundedErrorThroughCache) {
-  auto memory = std::make_shared<MemoryStore>();
-  auto disk = OpenDisk();
-  TieredCache cache(memory, disk);
-  CompressionPolicy policy = LosslessEverywhere();
-  policy.frame_codec = Codec::kQuant8;
-  cache.SetCompression(policy);
-
-  const auto raw = FrameBytes(32, 48, 3, 5);
-  const std::string key = "cache/vid/f4/nquant";
-  ASSERT_TRUE(cache.Put(key, raw, Tier::kDisk).ok());
-  auto got = cache.GetShared(key);
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ((*got)->size(), raw.size());
-  int worst = 0;
-  for (size_t i = 0; i < raw.size(); ++i) {
-    worst = std::max(worst,
-                     std::abs(static_cast<int>(raw[i]) - static_cast<int>((**got)[i])));
-  }
-  EXPECT_LE(worst, 255 / 15 / 2 + 2);
-}
-
 TEST_F(CompressTierTest, UndecodableObjectReadsAsMissNotError) {
   auto memory = std::make_shared<MemoryStore>();
   auto disk = OpenDisk();
@@ -237,6 +214,86 @@ TEST_F(CompressTierTest, UndecodableObjectReadsAsMissNotError) {
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), ErrorCode::kNotFound);  // a miss, not DataLoss
   EXPECT_FALSE(cache.Contains(key));                     // and the entry is gone
+}
+
+void PutLe(std::vector<uint8_t>& out, uint32_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+}
+
+// An SCO1 header for codec id `codec` over a `raw_size`-byte object.
+std::vector<uint8_t> Sco1Header(uint8_t codec, uint8_t flags, uint32_t raw_size,
+                                uint32_t raw_crc) {
+  std::vector<uint8_t> out = {'S', 'C', 'O', '1', codec, flags, 0, 0};
+  PutLe(out, raw_size, 4);
+  PutLe(out, raw_crc, 4);
+  return out;
+}
+
+// Codec id 3 (retired svd) with the shared-basis flag, naming `key` itself
+// as its basis object: a decoder that fetched that key through the cache
+// would recurse without end.
+std::vector<uint8_t> SelfBasisSvdObject(const std::string& key) {
+  std::vector<uint8_t> out = Sco1Header(3, 0x01, 12 + 1, 0);
+  PutLe(out, 1, 1);  // rank
+  PutLe(out, 1, 1);  // channels
+  PutLe(out, 1, 2);  // h
+  PutLe(out, 1, 2);  // w
+  PutLe(out, 0, 2);  // reserved
+  PutLe(out, 0, 4);  // channel mean (f32 0.0)
+  PutLe(out, static_cast<uint32_t>(key.size()), 2);
+  out.insert(out.end(), key.begin(), key.end());
+  return out;
+}
+
+// Codec id 2 (retired quant8), well formed: 8-bit codes with scale 1 and
+// zero point 0, so the retired decoder reproduced `frame` exactly.
+std::vector<uint8_t> IdentityQuantObject(const std::vector<uint8_t>& frame) {
+  const std::span<const uint8_t> pixels = std::span(frame).subspan(12);
+  std::vector<uint8_t> out =
+      Sco1Header(2, 0, static_cast<uint32_t>(frame.size()), Crc32(frame));
+  PutLe(out, 8, 1);   // bits
+  PutLe(out, 1, 1);   // channels
+  PutLe(out, 12, 2);  // prefix_len
+  PutLe(out, static_cast<uint32_t>(pixels.size()), 4);
+  out.insert(out.end(), frame.begin(), frame.begin() + 12);
+  PutLe(out, 0x3f800000u, 4);  // scale f32 1.0
+  PutLe(out, 0, 4);            // zero f32 0.0
+  auto codes = LosslessCompress(pixels, pixels.size());
+  EXPECT_TRUE(codes.ok());
+  if (codes.ok()) {
+    out.insert(out.end(), codes->begin(), codes->end());
+  }
+  return out;
+}
+
+TEST_F(CompressTierTest, RetiredCodecObjectsReadAsMissFromDiskAndPeer) {
+  CompressionPolicy policy;
+  policy.enabled = true;  // reads decode; puts store what they are given
+  const std::vector<uint8_t> frame = FrameBytes(8, 8, 1, 9);
+  for (const bool from_peer : {false, true}) {
+    auto memory = std::make_shared<MemoryStore>();
+    auto disk = OpenDisk();
+    auto peer = std::make_shared<MemoryStore>();
+    TieredCache cache(memory, disk);
+    cache.SetCompression(policy);
+    cache.SetPeerStore(peer);
+    const std::string where = from_peer ? "peer" : "disk";
+    const std::string svd_key = "cache/vid/f9/nsvd_" + where;
+    const std::string quant_key = "cache/vid/f9/nquant_" + where;
+    ObjectStore& holder = from_peer ? static_cast<ObjectStore&>(*peer) : *disk;
+    ASSERT_TRUE(holder.Put(svd_key, SelfBasisSvdObject(svd_key)).ok());
+    ASSERT_TRUE(holder.Put(quant_key, IdentityQuantObject(frame)).ok());
+
+    for (const std::string& key : {svd_key, quant_key}) {
+      auto got = cache.GetShared(key);
+      ASSERT_FALSE(got.ok()) << key;
+      EXPECT_EQ(got.status().code(), ErrorCode::kNotFound) << key;
+      EXPECT_FALSE(memory->Contains(key)) << key;
+      EXPECT_FALSE(disk->Contains(key)) << key;
+    }
+  }
 }
 
 TEST_F(CompressTierTest, OfflineDiskParksTheEncodedFormForEveryPutVerb) {

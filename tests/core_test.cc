@@ -685,6 +685,19 @@ TEST(BatchFormatTest, RejectsCorrupt) {
   bytes->pop_back();
   EXPECT_FALSE(ParseBatchHeader(*bytes).ok());
   EXPECT_FALSE(SerializeBatch({}).ok());
+
+  // Every clip must match the first in length and frame shape.
+  Clip wider;
+  wider.frames.emplace_back(2, 3, 1);
+  auto shape = SerializeBatch({clips[0], wider});
+  ASSERT_FALSE(shape.ok());
+  EXPECT_EQ(shape.status().code(), ErrorCode::kInvalidArgument);
+  Clip longer;
+  longer.frames.emplace_back(2, 2, 1);
+  longer.frames.emplace_back(2, 2, 1);
+  auto length = SerializeBatch({clips[0], longer});
+  ASSERT_FALSE(length.ok());
+  EXPECT_EQ(length.status().code(), ErrorCode::kInvalidArgument);
 }
 
 

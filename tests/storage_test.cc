@@ -687,7 +687,6 @@ struct ThreeLevelCache {
   ThreeLevelCache() {
     CompressionPolicy policy;
     policy.enabled = true;
-    policy.frame_codec = Codec::kLossless;
     policy.compress_on_disk_put = true;
     policy.min_object_bytes = 64;
     cache.SetCompression(policy);

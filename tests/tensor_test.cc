@@ -240,27 +240,6 @@ TEST(ChannelMeansTest, ComputesPerChannel) {
   EXPECT_DOUBLE_EQ(means[1], 30.0);
 }
 
-TEST(StackBatchTest, ConcatenatesClips) {
-  Clip a;
-  a.frames = {MakeGradient(2, 2, 1), MakeGradient(2, 2, 1)};
-  Clip b = a;
-  auto bytes = StackBatch({a, b});
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(bytes->size(), 4u * 2 * 2);
-}
-
-TEST(StackBatchTest, RejectsMismatch) {
-  Clip a;
-  a.frames = {MakeGradient(2, 2, 1)};
-  Clip b;
-  b.frames = {MakeGradient(2, 3, 1)};
-  EXPECT_FALSE(StackBatch({a, b}).ok());
-  Clip c;
-  c.frames = {MakeGradient(2, 2, 1), MakeGradient(2, 2, 1)};
-  EXPECT_FALSE(StackBatch({a, c}).ok());
-  EXPECT_FALSE(StackBatch({}).ok());
-}
-
 // Parameterized sweep: resize round-trips through many shapes without
 // crashing and always matches the requested geometry.
 class ResizeSweepTest : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
