@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 
 #include "src/common/strings.h"
 #include "src/common/threading.h"
@@ -347,12 +345,6 @@ Result<std::vector<Frame>> VideoDecoder::DecodeFrames(std::span<const int64_t> i
 
 Result<std::vector<Frame>> VideoDecoder::DecodeFrames(std::span<const int64_t> indices,
                                                       WorkerPool* pool) {
-  if (pool == nullptr) {
-    return DecodeFrames(indices);
-  }
-  if (indices.empty()) {
-    return std::vector<Frame>{};
-  }
   for (int64_t index : indices) {
     if (index < 0 || index >= frame_count()) {
       return OutOfRange(StrFormat("frame %lld out of range", static_cast<long long>(index)));
@@ -393,43 +385,17 @@ Result<std::vector<Frame>> VideoDecoder::DecodeFrames(std::span<const int64_t> i
   GopDecoder slice_decoder = SliceDecoder();
   std::vector<Frame> out(indices.size());
   std::vector<Status> results(slices.size(), Status::Ok());
-
-  // Completion latch: pool tasks count down; the caller runs slice 0 (and
-  // any slice the saturated pool refuses) inline, then waits for the rest.
-  struct Latch {
-    std::mutex mutex;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  Latch latch{{}, {}, slices.size()};
-  auto run_slice = [&](size_t s) {
+  RunAll(pool, slices.size(), [&](size_t s) {
     const Slice& slice = slices[s];
     Result<std::vector<Frame>> frames = slice_decoder.DecodeSlice(slice.gop_start, slice.indices);
-    if (frames.ok()) {
-      for (size_t i = 0; i < slice.slots.size(); ++i) {
-        out[slice.slots[i]] = std::move((*frames)[i]);
-      }
-    } else {
+    if (!frames.ok()) {
       results[s] = frames.status();
+      return;
     }
-    {
-      // Notify under the lock: the waiter destroys the latch as soon as it
-      // observes remaining == 0, so an unlocked notify could touch a dead cv.
-      std::lock_guard<std::mutex> lock(latch.mutex);
-      --latch.remaining;
-      latch.cv.notify_one();
+    for (size_t i = 0; i < slice.slots.size(); ++i) {
+      out[slice.slots[i]] = std::move((*frames)[i]);
     }
-  };
-  for (size_t s = 1; s < slices.size(); ++s) {
-    if (!pool->TrySubmit([&run_slice, s] { run_slice(s); })) {
-      run_slice(s);  // pool saturated: the caller decodes this slice itself
-    }
-  }
-  run_slice(0);
-  {
-    std::unique_lock<std::mutex> lock(latch.mutex);
-    latch.cv.wait(lock, [&] { return latch.remaining == 0; });
-  }
+  });
   for (const Status& status : results) {
     SAND_RETURN_IF_ERROR(status);
   }

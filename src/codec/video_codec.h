@@ -128,12 +128,11 @@ class VideoDecoder {
   Result<std::vector<Frame>> DecodeFrames(std::span<const int64_t> indices);
 
   // GOP-parallel variant: partitions the sorted indices by GOP and fans the
-  // slices out on `pool` (stateless GopDecoder per slice, no shared
-  // cursor). Bit-identical output and — from a cold cursor — identical
-  // DecodeStats to the serial walk. When the pool refuses a slice
-  // (saturation), that slice runs inline on the caller; `pool == nullptr`
-  // falls back to the serial path. The forward cursor is neither consulted
-  // nor advanced.
+  // slices out on `pool` with RunAll (stateless GopDecoder per slice, no
+  // shared cursor). Bit-identical output and — from a cold cursor —
+  // identical DecodeStats to the serial walk. The caller decodes the first
+  // slice and every slice the pool refuses; with `pool == nullptr` it
+  // decodes them all. The forward cursor is neither consulted nor advanced.
   Result<std::vector<Frame>> DecodeFrames(std::span<const int64_t> indices, WorkerPool* pool);
 
   // A stateless slice decoder sharing this decoder's parsed container and

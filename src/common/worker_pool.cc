@@ -13,13 +13,9 @@ WorkerPool::WorkerPool(Options options) : options_(options) {
   if (options_.max_queued < 1) {
     options_.max_queued = 1;
   }
-  slots_.reserve(static_cast<size_t>(options_.num_threads));
+  threads_.reserve(static_cast<size_t>(options_.num_threads));
   for (int i = 0; i < options_.num_threads; ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
-  threads_.reserve(slots_.size());
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -37,82 +33,42 @@ bool WorkerPool::TrySubmit(std::function<void()> task) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (shutdown_ || pending_ >= options_.max_queued) {
+    if (shutdown_ || queue_.size() >= options_.max_queued) {
       ++stats_.rejected;
       return false;
     }
-    ++pending_;
+    queue_.push_back(std::move(task));
     ++stats_.submitted;
-  }
-  size_t slot = next_slot_.fetch_add(1, std::memory_order_relaxed) % slots_.size();
-  {
-    std::lock_guard<std::mutex> lock(slots_[slot]->mutex);
-    slots_[slot]->tasks.push_back(std::move(task));
   }
   wake_.notify_one();
   return true;
 }
 
-std::function<void()> WorkerPool::Grab(size_t self, bool* stolen) {
-  {
-    std::lock_guard<std::mutex> lock(slots_[self]->mutex);
-    if (!slots_[self]->tasks.empty()) {
-      std::function<void()> task = std::move(slots_[self]->tasks.front());
-      slots_[self]->tasks.pop_front();
-      *stolen = false;
-      return task;
-    }
-  }
-  for (size_t step = 1; step < slots_.size(); ++step) {
-    size_t victim = (self + step) % slots_.size();
-    std::lock_guard<std::mutex> lock(slots_[victim]->mutex);
-    if (!slots_[victim]->tasks.empty()) {
-      std::function<void()> task = std::move(slots_[victim]->tasks.back());
-      slots_[victim]->tasks.pop_back();
-      *stolen = true;
-      return task;
-    }
-  }
-  *stolen = false;
-  return nullptr;
-}
-
-void WorkerPool::WorkerLoop(size_t self) {
+void WorkerPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return shutdown_ || pending_ > 0; });
-      if (pending_ == 0) {
-        return;  // shutdown with an empty queue
-      }
+    wake_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
+    if (queue_.empty()) {
+      return;  // shutdown with an empty queue
     }
-    bool stolen = false;
-    std::function<void()> task = Grab(self, &stolen);
-    if (task == nullptr) {
-      // Raced another worker to the last task; go back to sleep.
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --pending_;
-      ++active_;
-      ++stats_.executed;
-      if (stolen) {
-        ++stats_.stolen;
-      }
-    }
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    ++active_;
+    ++stats_.executed;
+    lock.unlock();
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
+    task = nullptr;  // release the task's captures before counting it done
+    lock.lock();
+    --active_;
+    if (active_ == 0 && queue_.empty()) {
+      idle_.notify_all();
     }
-    idle_.notify_all();
   }
 }
 
 void WorkerPool::WaitIdle() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return pending_ == 0 && active_ == 0; });
+  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
 void WorkerPool::Shutdown() {
@@ -139,7 +95,31 @@ WorkerPoolStats WorkerPool::stats() {
 
 size_t WorkerPool::Pending() {
   std::lock_guard<std::mutex> lock(mutex_);
-  return pending_;
+  return queue_.size();
+}
+
+void RunAll(WorkerPool* pool, size_t n, const std::function<void(size_t)>& fn) {
+  std::mutex mutex;
+  std::condition_variable done;
+  size_t remaining = n;
+  auto run = [&](size_t i) {
+    fn(i);
+    // Notify under the lock: the caller returns, and destroys `done`, as
+    // soon as it sees remaining == 0.
+    std::lock_guard<std::mutex> lock(mutex);
+    --remaining;
+    done.notify_one();
+  };
+  for (size_t i = 1; i < n; ++i) {
+    if (pool == nullptr || !pool->TrySubmit([&run, i] { run(i); })) {
+      run(i);
+    }
+  }
+  if (n > 0) {
+    run(0);
+  }
+  std::unique_lock<std::mutex> lock(mutex);
+  done.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace sand

@@ -1,19 +1,17 @@
-// WorkerPool: a bounded work-stealing thread pool.
+// WorkerPool: a bounded FIFO thread pool, and RunAll, the fork-join on it.
 //
 // The async materialization path (ViewProvider::MaterializeAsync) runs its
 // units here rather than on the materialization scheduler: pool tasks are
 // coordinators that may *block* on scheduler jobs (batch assembly fans out
 // per-video work and waits), so they need their own threads to avoid
-// eating the scheduler's workers.
+// eating the scheduler's workers. The server's request verbs and the GOP
+// slices of one view's decode (RunAll) run on pools of their own.
 //
-// Topology: one deque per worker, each guarded by its own small mutex.
-// Submit round-robins pushes across the deques; a worker pops from the
-// front of its own deque and, when empty, steals from the back of a
-// sibling's — concurrent submit/run traffic on different workers never
-// shares a lock. A single pool-wide mutex + condvar handles only sleeping
-// and wakeup.
+// Topology: one deque of queued tasks under one mutex. Workers pop from
+// its front, so tasks start in submit order; with one worker they also
+// finish in it.
 //
-// Bounded: at most `max_queued` tasks may be pending; TrySubmit refuses
+// Bounded: at most `max_queued` tasks may be queued; TrySubmit refuses
 // beyond that and the caller decides: run inline (a demand unit, an async
 // demote, a decode slice) or refuse (the server's request admission).
 // Shutdown completes everything already queued.
@@ -21,12 +19,10 @@
 #ifndef SAND_COMMON_WORKER_POOL_H_
 #define SAND_COMMON_WORKER_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -36,7 +32,6 @@ namespace sand {
 struct WorkerPoolStats {
   uint64_t submitted = 0;
   uint64_t executed = 0;
-  uint64_t stolen = 0;    // tasks run by a worker other than the one queued on
   uint64_t rejected = 0;  // TrySubmit refusals (queue at capacity / shutdown)
 };
 
@@ -53,7 +48,8 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  // Queues `task`; false when the pool is at capacity or shut down.
+  // Queues `task`; false when the pool is at capacity or shut down. The
+  // task runs under the submitter's trace context.
   bool TrySubmit(std::function<void()> task);
 
   // Blocks until no tasks are queued or running.
@@ -63,34 +59,34 @@ class WorkerPool {
   void Shutdown();
 
   WorkerPoolStats stats();
+  // Tasks queued and not yet started.
   size_t Pending();
 
  private:
-  struct Slot {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void WorkerLoop(size_t self);
-  // Pops from own front, then steals from siblings' backs. Returns an
-  // empty function when nothing is runnable.
-  std::function<void()> Grab(size_t self, bool* stolen);
+  void WorkerLoop();
 
   Options options_;
-  std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::thread> threads_;
-  std::atomic<uint64_t> next_slot_{0};
 
-  // Pool-wide sleep/wake + accounting. `pending_` and `active_` are
-  // guarded by mutex_ so wakeups are never lost.
+  // Guards everything below. `wake_` signals a queued task or shutdown,
+  // `idle_` an empty queue with no task running.
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable idle_;
-  size_t pending_ = 0;
+  std::deque<std::function<void()>> queue_;
   int active_ = 0;
   bool shutdown_ = false;
   WorkerPoolStats stats_;
 };
+
+// Runs fn(0) .. fn(n - 1) and returns once every call has returned. Calls
+// 1 .. n - 1 are offered to `pool`; call 0, and every call the pool
+// refuses, runs on the calling thread, as does every call when `pool` is
+// null, so a saturated pool never holds the caller up. Do not call it from
+// a task of `pool` itself: the queued calls could then wait behind workers
+// that all wait on them. `fn` must be safe to run concurrently for
+// different indices.
+void RunAll(WorkerPool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace sand
 

@@ -30,7 +30,6 @@ Result<SharedBytes> ContainerCache::Fetch(const std::string& key) {
     auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
-      ++hits_;
       ContainerMetrics::Get().hits->Add(1);
       return it->second->second;
     }
@@ -54,7 +53,6 @@ Result<SharedBytes> ContainerCache::Fetch(const std::string& key) {
     // Raced with another fetcher; keep theirs.
     return it->second->second;
   }
-  ++misses_;
   lru_.emplace_front(key, shared);
   index_[key] = lru_.begin();
   while (lru_.size() > max_entries_) {

@@ -27,11 +27,9 @@ class ContainerCache {
   ContainerCache(std::shared_ptr<ObjectStore> source, size_t max_entries)
       : source_(std::move(source)), max_entries_(max_entries) {}
 
-  // Returns the container bytes for `key`, fetching on miss.
+  // Returns the container bytes for `key`, fetching on miss. Hits and
+  // fetches count on sand.container_cache.{hits,misses}.
   Result<SharedBytes> Fetch(const std::string& key);
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
 
  private:
   std::shared_ptr<ObjectStore> source_;
@@ -40,8 +38,6 @@ class ContainerCache {
   // MRU-front list + index.
   std::list<std::pair<std::string, SharedBytes>> lru_;
   std::unordered_map<std::string, decltype(lru_)::iterator> index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace sand

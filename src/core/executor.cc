@@ -1,7 +1,6 @@
 #include "src/core/executor.h"
 
 #include <algorithm>
-#include <condition_variable>
 
 #include "src/common/strings.h"
 #include "src/common/threading.h"
@@ -353,17 +352,6 @@ Result<Frame> SubtreeExecutor::Produce(int node_id, bool allow_cache_store, bool
   return FinishProduced(node, std::move(produced), allow_cache_store);
 }
 
-Status SubtreeExecutor::MaterializeSerial(const std::vector<int>& decode_nodes,
-                                          const std::vector<int>& todo) {
-  for (int node : decode_nodes) {
-    SAND_RETURN_IF_ERROR(Produce(node, /*allow_cache_store=*/true).status());
-  }
-  for (int node : todo) {
-    SAND_RETURN_IF_ERROR(Produce(node, /*allow_cache_store=*/true).status());
-  }
-  return Status::Ok();
-}
-
 Status SubtreeExecutor::MaterializeFlagged() {
   // Which flagged nodes still need work?
   std::vector<int> todo;
@@ -379,9 +367,9 @@ Status SubtreeExecutor::MaterializeFlagged() {
   if (todo.empty()) {
     return Status::Ok();
   }
-  // Decode pass first, in ascending frame order: the chunk spans many
-  // epochs whose clips interleave arbitrarily, and producing them in plan
-  // order would restart the GOP cursor constantly. One forward sweep
+  // Decode nodes in ascending frame order: the chunk spans many epochs
+  // whose clips interleave arbitrarily, and producing them in plan order
+  // would restart the GOP walk constantly. One forward pass per GOP run
   // decodes every needed source frame exactly once (this is the paper's
   // "decode once per k epochs"; the decoded frames pinned here are what
   // the SJF memory-pressure policy in the scheduler bounds).
@@ -394,14 +382,12 @@ Status SubtreeExecutor::MaterializeFlagged() {
   std::sort(decode_nodes.begin(), decode_nodes.end(), [this](int a, int b) {
     return graph_.node(a).op.frame_index < graph_.node(b).op.frame_index;
   });
-  if (decode_pool_ == nullptr || decode_nodes.empty()) {
-    return MaterializeSerial(decode_nodes, todo);
-  }
 
-  // GOP-parallel path (DESIGN.md §9): partition the sorted decode nodes
-  // into GOP runs, pair each run with the flagged subtrees rooted in it
-  // (merge nodes never span GOPs — every parent derives from the node's
-  // sample frame), and materialize the slices concurrently.
+  // Partition the sorted decode nodes into GOP runs, pair each run with the
+  // flagged subtrees rooted in it (merge nodes never span GOPs — every
+  // parent derives from the node's sample frame), and materialize the runs
+  // with RunAll: concurrently on the decode pool, or one after another on
+  // this thread without one (DESIGN.md §9).
   std::optional<GopDecoder> maybe_slices;
   {
     std::lock_guard<std::mutex> lock(decoder_mutex_);
@@ -429,16 +415,13 @@ Status SubtreeExecutor::MaterializeFlagged() {
     groups.back().decode_nodes.push_back(node_id);
     groups.back().frame_indices.push_back(frame_index);
   }
-  if (groups.size() <= 1) {
-    return MaterializeSerial(decode_nodes, todo);
-  }
   std::map<int64_t, size_t> group_of_gop;
   for (size_t g = 0; g < groups.size(); ++g) {
     group_of_gop[groups[g].gop_start] = g;
   }
   // Flagged subtrees follow their sample frame's GOP; anything that cannot
-  // be placed (defensive: a todo with no decodable source) runs serially
-  // after the parallel phase.
+  // be placed (defensive: a todo with no decodable source) runs after the
+  // slices.
   std::vector<int> leftover;
   for (int node_id : todo) {
     const ConcreteNode& node = graph_.node(node_id);
@@ -451,7 +434,7 @@ Status SubtreeExecutor::MaterializeFlagged() {
     }
   }
 
-  SAND_SPAN("materialize_parallel");
+  SAND_SPAN("materialize_slices");
   auto run_group = [&](const GopGroup& group) -> Status {
     // Slice decode: one stateless forward pass from the run's I-frame.
     Nanos decode_start = SinceProcessStart();
@@ -487,37 +470,8 @@ Status SubtreeExecutor::MaterializeFlagged() {
     }
     return Status::Ok();
   };
-
-  // Fan out groups 1..N-1; the caller materializes group 0 (and any group a
-  // saturated pool refuses) inline, then waits for the rest. Tasks capture
-  // locals by reference, so the latch must always drain fully.
   std::vector<Status> results(groups.size(), Status::Ok());
-  struct Latch {
-    std::mutex mutex;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  Latch latch{{}, {}, groups.size()};
-  auto run_at = [&](size_t g) {
-    results[g] = run_group(groups[g]);
-    {
-      // Notify under the lock: the waiter destroys the latch as soon as it
-      // observes remaining == 0, so an unlocked notify could touch a dead cv.
-      std::lock_guard<std::mutex> lock(latch.mutex);
-      --latch.remaining;
-      latch.cv.notify_one();
-    }
-  };
-  for (size_t g = 1; g < groups.size(); ++g) {
-    if (!decode_pool_->TrySubmit([&run_at, g] { run_at(g); })) {
-      run_at(g);  // pool saturated: this thread materializes the slice
-    }
-  }
-  run_at(0);
-  {
-    std::unique_lock<std::mutex> lock(latch.mutex);
-    latch.cv.wait(lock, [&] { return latch.remaining == 0; });
-  }
+  RunAll(decode_pool_, groups.size(), [&](size_t g) { results[g] = run_group(groups[g]); });
   for (const Status& status : results) {
     SAND_RETURN_IF_ERROR(status);
   }

@@ -6,13 +6,14 @@
 // a single forward-cursor decoder per video, consults the tiered cache for
 // nodes flagged `cache`, and stores freshly produced flagged nodes back.
 //
-// Intra-view parallelism (DESIGN.md §9): when constructed with a decode
-// pool, MaterializeFlagged groups decode nodes by GOP and materializes the
-// slices concurrently — each slice task runs a stateless GopDecoder pass
-// from its I-frame, then produces the flagged subtrees rooted in that GOP.
-// The memo is mutex-guarded (the lock is never held across recursion or
-// decode work), the counters are atomics, and concurrent cache stores stay
-// safe via the store's atomic PutIfAbsent.
+// Intra-view parallelism (DESIGN.md §9): MaterializeFlagged groups decode
+// nodes by GOP into slices — each slice runs a stateless GopDecoder pass
+// from its I-frame, then produces the flagged subtrees rooted in that GOP —
+// and runs them with RunAll: concurrently on the decode pool when the
+// executor has one, on the calling thread otherwise. The memo is
+// mutex-guarded (the lock is never held across recursion or decode work),
+// the counters are atomics, and concurrent cache stores stay safe via the
+// store's atomic PutIfAbsent.
 
 #ifndef SAND_CORE_EXECUTOR_H_
 #define SAND_CORE_EXECUTOR_H_
@@ -44,7 +45,7 @@ struct ExecutorStats {
   uint64_t crop_ops = 0;           // random-crop subset of aug_ops
   uint64_t cache_hits = 0;         // nodes served from the tiered cache
   uint64_t cache_stores = 0;       // nodes persisted to the tiered cache
-  uint64_t parallel_slices = 0;    // GOP slices materialized via the pool path
+  uint64_t parallel_slices = 0;    // GOP slices MaterializeFlagged ran, pooled or inline
 };
 
 // The executor work counts of one owner (a SandService, an
@@ -84,10 +85,10 @@ class SubtreeExecutor {
  public:
   // `cache` may be null (pure on-demand pipelines). `meter` may be null.
   // `counters` receives the executor's work counts and must outlive it.
-  // `decode_pool` may be null (serial materialization); when set,
-  // MaterializeFlagged fans GOP slices out on it. The pool is shared
-  // process-wide — a saturated TrySubmit makes the slice run inline on the
-  // calling thread, so executors never deadlock on it.
+  // `decode_pool` may be null (every GOP slice then runs on the calling
+  // thread); when set, MaterializeFlagged fans slices out on it. The pool is
+  // shared process-wide — a slice the saturated pool refuses runs inline on
+  // the calling thread, so executors never deadlock on it.
   SubtreeExecutor(const VideoObjectGraph& graph, ContainerCache* containers,
                   TieredCache* cache, CpuMeter* meter, ExecCounters& counters,
                   WorkerPool* decode_pool = nullptr);
@@ -109,8 +110,8 @@ class SubtreeExecutor {
   std::set<int> LoadCached(const std::vector<int>& node_ids);
 
   // Produces and persists every cache-flagged node of the graph (the
-  // pre-materialization job body). Skips nodes already in the cache.
-  // With a decode pool, GOP slices materialize concurrently.
+  // pre-materialization job body), one GOP slice at a time. Skips nodes
+  // already in the cache. With a decode pool, slices run concurrently.
   Status MaterializeFlagged();
 
  private:
@@ -137,10 +138,6 @@ class SubtreeExecutor {
   // memo_ insert. Returns the resident frame (the existing one if another
   // thread got there first).
   Frame InsertMemo(int node_id, Frame frame);
-
-  // The serial body of MaterializeFlagged (also the leftover path of the
-  // parallel variant).
-  Status MaterializeSerial(const std::vector<int>& decode_nodes, const std::vector<int>& todo);
 
   const VideoObjectGraph& graph_;
   ContainerCache* containers_;

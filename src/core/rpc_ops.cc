@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "src/common/trace_context.h"
+#include "src/net/wire.h"
 #include "src/obs/trace.h"
 
 namespace sand {
@@ -19,12 +20,9 @@ namespace {
 constexpr uint32_t kCtxMagic = 0x53435458;  // "SCTX"
 constexpr size_t kCtxHeaderSize = 4 + 8 + 8 + 4 + 4 + 1;
 
-// Response frames lead with a status byte so a worker-side failure
-// reaches the caller as a real Status instead of a bare "op error":
-//   u8 0 (ok) | <serialized Frame>
-//   u8 nonzero ErrorCode | <utf-8 status message>
-// A zero-length response (a pre-status peer, or a worker that died mid-
-// write) still decodes as an error, with no detail.
+// Frames are net/wire's (u32 length | payload, capped at kMaxFrameBytes), and
+// responses lead with its status byte: EncodeOkHead + <serialized Frame>, or
+// EncodeErrorResponse's code and message.
 
 template <typename T>
 void PutRaw(std::vector<uint8_t>& out, T value) {
@@ -67,74 +65,11 @@ std::vector<uint8_t> DecodeRequest(const std::vector<uint8_t>& request, TraceCon
   return std::vector<uint8_t>(request.begin() + kCtxHeaderSize, request.end());
 }
 
-std::vector<uint8_t> EncodeOkResponse(const std::vector<uint8_t>& frame) {
-  std::vector<uint8_t> out;
-  out.reserve(1 + frame.size());
-  out.push_back(0);
-  out.insert(out.end(), frame.begin(), frame.end());
-  return out;
-}
-
-std::vector<uint8_t> EncodeErrorResponse(const Status& status) {
-  std::vector<uint8_t> out;
-  const std::string& message = status.message();
-  out.reserve(1 + message.size());
-  out.push_back(static_cast<uint8_t>(status.code()));
-  out.insert(out.end(), message.begin(), message.end());
-  return out;
-}
-
-// Full-buffer read/write helpers over raw fds (pipes deliver partial
-// chunks for large frames).
-bool WriteAll(int fd, const void* data, size_t size) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  while (size > 0) {
-    ssize_t n = ::write(fd, p, size);
-    if (n <= 0) {
-      return false;
-    }
-    p += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool ReadAllBytes(int fd, void* data, size_t size) {
-  uint8_t* p = static_cast<uint8_t*>(data);
-  while (size > 0) {
-    ssize_t n = ::read(fd, p, size);
-    if (n <= 0) {
-      return false;
-    }
-    p += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool WriteMessage(int fd, const std::vector<uint8_t>& payload) {
-  uint32_t length = static_cast<uint32_t>(payload.size());
-  if (!WriteAll(fd, &length, sizeof(length))) {
-    return false;
-  }
-  return payload.empty() || WriteAll(fd, payload.data(), payload.size());
-}
-
-// Returns false on EOF/pipe error. An empty payload means "op failed".
-bool ReadMessage(int fd, std::vector<uint8_t>& payload) {
-  uint32_t length = 0;
-  if (!ReadAllBytes(fd, &length, sizeof(length))) {
-    return false;
-  }
-  payload.resize(length);
-  return length == 0 || ReadAllBytes(fd, payload.data(), length);
-}
-
 }  // namespace
 
 void RunOpWorkerLoop(int fd_in, int fd_out, const CustomOpFn& fn) {
   std::vector<uint8_t> request;
-  while (ReadMessage(fd_in, request)) {
+  while (net::ReadFrame(fd_in, request)) {
     // Restore the parent's trace context around the op: spans recorded
     // here land in *this worker's* ring (a forked copy), but they carry
     // the caller's trace/span/job ids, so a worker-side dump aligns with
@@ -143,16 +78,17 @@ void RunOpWorkerLoop(int fd_in, int fd_out, const CustomOpFn& fn) {
     std::vector<uint8_t> frame_bytes = DecodeRequest(request, &ctx);
     ScopedTraceContext trace_scope(ctx);
     SAND_SPAN("rpc_op_worker");
-    std::vector<uint8_t> response;
     Result<Frame> input = Frame::Deserialize(frame_bytes);
-    if (!input.ok()) {
-      response = EncodeErrorResponse(input.status());
+    Result<Frame> output = input.ok() ? fn(*input) : Result<Frame>(input.status());
+    std::vector<uint8_t> response;
+    if (output.ok()) {
+      response = net::EncodeOkHead();
+      std::vector<uint8_t> frame = output->Serialize();
+      response.insert(response.end(), frame.begin(), frame.end());
     } else {
-      Result<Frame> output = fn(*input);
-      response = output.ok() ? EncodeOkResponse(output->Serialize())
-                             : EncodeErrorResponse(output.status());
+      response = net::EncodeErrorResponse(output.status());
     }
-    if (!WriteMessage(fd_out, response)) {
+    if (!net::WriteFrame(fd_out, response)) {
       return;
     }
   }
@@ -201,24 +137,17 @@ SubprocessOpRunner::~SubprocessOpRunner() {
 Result<Frame> SubprocessOpRunner::Apply(const Frame& input) {
   SAND_SPAN("rpc_apply");
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!WriteMessage(to_worker_, EncodeRequest(CurrentTraceContext(), input.Serialize()))) {
+  if (!net::WriteFrame(to_worker_, EncodeRequest(CurrentTraceContext(), input.Serialize()))) {
     return Unavailable("op worker pipe closed (write)");
   }
   std::vector<uint8_t> response;
-  if (!ReadMessage(from_worker_, response)) {
-    return Unavailable("op worker pipe closed (read)");
+  if (!net::ReadFrame(from_worker_, response)) {
+    return Unavailable("op worker pipe closed or frame too large (read)");
   }
-  if (response.empty()) {
-    return Internal("op worker reported failure (no status)");
-  }
-  if (response[0] != 0) {
+  if (Status status = net::DecodeResponseStatus(response); !status.ok()) {
     // The worker shipped the failing op's own status across the pipe;
-    // re-raise it verbatim so remote failures diagnose like local ones.
-    auto code = response[0] <= static_cast<uint8_t>(ErrorCode::kInternal)
-                    ? static_cast<ErrorCode>(response[0])
-                    : ErrorCode::kInternal;
-    std::string message(response.begin() + 1, response.end());
-    return Status(code, "op worker: " + message);
+    // re-raise it so remote failures diagnose like local ones.
+    return Status(status.code(), "op worker: " + status.message());
   }
   ++round_trips_;
   return Frame::Deserialize(std::vector<uint8_t>(response.begin() + 1, response.end()));

@@ -6,10 +6,11 @@
 //  functions to be executed in separate processes."
 //
 // SubprocessOpRunner owns one worker process and speaks a framed pipe
-// protocol with it:
+// protocol with it, in src/net/wire.h's frames (u32 length | payload, at
+// most kMaxFrameBytes):
 //
-//   request  : u32 length | serialized Frame (src/tensor/frame.h layout)
-//   response : u32 length | serialized Frame     (length 0 = op error)
+//   request  : trace-context header | serialized Frame (src/tensor/frame.h)
+//   response : u8 status (0 = ok) | serialized Frame, or the error message
 //
 // Spawn() forks the worker (production deployments would exec a separate
 // binary; the protocol is the boundary either way — RunOpWorkerLoop is the

@@ -84,20 +84,12 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
   // and keeps decoding (and encoding inline) after we are gone.
   cache_->SetCompression(options_.compression, async_pool_.get());
 
-  // Observability wiring (DESIGN.md §12): health budgets and the periodic
-  // history sampler (which also refreshes our gauges and evaluates health
-  // each tick).
-  obs::HealthMonitor::Get().SetThresholds(options_.health);
+  // Observability wiring (DESIGN.md §12): each history-recorder tick
+  // refreshes our gauges and evaluates health.
   history_sampler_ = obs::HistoryRecorder::Get().AddSampler([this] {
     PublishObservability();
     obs::HealthMonitor::Get().Evaluate();
   });
-  if (options_.history_sample_ms > 0) {
-    obs::HistoryRecorder::Options history_options;
-    history_options.interval_ms = options_.history_sample_ms;
-    obs::HistoryRecorder::Get().Start(history_options);
-    started_history_ = true;
-  }
 }
 
 void SandService::PublishObservability() {
@@ -131,10 +123,6 @@ void SandService::Shutdown() {
   if (history_sampler_ != 0) {
     obs::HistoryRecorder::Get().RemoveSampler(history_sampler_);
     history_sampler_ = 0;
-  }
-  if (started_history_) {
-    obs::HistoryRecorder::Get().Stop();
-    started_history_ = false;
   }
   // The pool drains first: its units submit to (and block on) scheduler
   // jobs, so the scheduler must still be accepting work while they finish.
@@ -226,6 +214,9 @@ Result<std::shared_ptr<SandService::ChunkState>> SandService::EnsureChunk(int64_
       state->batch_index[{batch.task, batch.epoch, batch.iteration}] = b;
     }
     state->video_state.assign(state->plan.videos.size(), 0);
+    if (auto previous = chunks_.find(index - 1); previous != chunks_.end()) {
+      state->previous = previous->second;
+    }
     last_pruning_ = state->pruning;
     chunks_[index] = state;
     chunk = state;
@@ -319,6 +310,33 @@ void SandService::FinishVideo(ChunkState& chunk, int video) {
   chunk.video_cv.notify_all();
 }
 
+Status SandService::MaterializeClaimed(ChunkState& chunk, int video,
+                                       SubtreeExecutor& executor) {
+  // Consecutive chunks can plan the same node (same cache key) for a video.
+  // Whichever chunk's executor lists its todo first computes it, and the
+  // other may then compute the node's unflagged parents once more, so the
+  // previous chunk's subtree for this video runs (or is waited for) first.
+  const std::string& name = chunk.plan.videos[static_cast<size_t>(video)].video_name;
+  if (ChunkState* previous = chunk.previous.get()) {
+    const std::vector<VideoObjectGraph>& videos = previous->plan.videos;
+    for (size_t v = 0; v < videos.size(); ++v) {
+      if (videos[v].video_name == name &&
+          ClaimVideo(*previous, static_cast<int>(v), /*wait_if_running=*/true)) {
+        SubtreeExecutor earlier(videos[v], &containers_, cache_.get(), &cpu_meter_,
+                                exec_counters_, decode_pool_.get());
+        Status status = MaterializeClaimed(*previous, static_cast<int>(v), earlier);
+        if (!status.ok()) {
+          SAND_LOG(kWarning) << "materialization of " << name
+                             << " in the previous chunk failed: " << status.ToString();
+        }
+      }
+    }
+  }
+  Status status = executor.MaterializeFlagged();
+  FinishVideo(chunk, video);
+  return status;
+}
+
 void SandService::SubmitPreMaterialization(const std::shared_ptr<ChunkState>& chunk) {
   bool submitted = false;
   {
@@ -356,8 +374,7 @@ void SandService::SubmitPreMaterialization(const std::shared_ptr<ChunkState>& ch
       }
       SubtreeExecutor executor(chunk->plan.videos[v], &containers_, cache_.get(), &cpu_meter_,
                                exec_counters_, decode_pool_.get());
-      Status status = executor.MaterializeFlagged();
-      FinishVideo(*chunk, static_cast<int>(v));
+      Status status = MaterializeClaimed(*chunk, static_cast<int>(v), executor);
       if (!status.ok()) {
         SAND_LOG(kWarning) << "pre-materialization of video " << v
                            << " failed: " << status.ToString();
@@ -441,8 +458,7 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
         // from cache. With scheduling disabled (Fig. 18 ablation) the
         // demand path recomputes naively like the baselines.
         if (ClaimVideo(*chunk, video_index, /*wait_if_running=*/true)) {
-          Status materialized = executor.MaterializeFlagged();
-          FinishVideo(*chunk, video_index);
+          Status materialized = MaterializeClaimed(*chunk, video_index, executor);
           if (!materialized.ok()) {
             // The per-leaf path below retries; just surface the warning.
             SAND_LOG(kWarning) << "subtree materialization failed: "

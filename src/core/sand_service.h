@@ -34,7 +34,6 @@
 #include "src/core/executor.h"
 #include "src/graph/concrete_graph.h"
 #include "src/graph/dataset_meta.h"
-#include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/pruning/graph_pruning.h"
 #include "src/sched/scheduler.h"
@@ -58,7 +57,7 @@ struct ServiceOptions {
   bool pre_materialize = true;     // false: pure demand pipeline
 
   // Async demand path (DESIGN.md §8): MaterializeAsync units run on a
-  // bounded work-stealing pool separate from the scheduler's workers (they
+  // bounded FIFO pool separate from the scheduler's workers (they
   // coordinate and block on scheduler jobs). When the pool is saturated,
   // units fall back to inline execution on the caller.
   int async_threads = 2;
@@ -67,21 +66,14 @@ struct ServiceOptions {
   // Intra-view GOP-parallel decode (DESIGN.md §9): one process-wide pool
   // shared by demand and pre-materialization executors, so concurrent
   // materialization units contend for a bounded set of decode threads
-  // instead of each spawning their own (no oversubscription). 0 disables
-  // the pool (serial per-view decode).
+  // instead of each spawning their own (no oversubscription). 0 creates no
+  // pool: each executor runs its GOP slices on its own thread.
   int decode_threads = 4;
 
   // Streaming input (§5.1, input_source: streaming): invoked before
   // planning each chunk so newly ingested videos join the next chunk's
   // plan. Null = static dataset.
   std::function<Result<DatasetMeta>()> dataset_refresh;
-
-  // Observability (DESIGN.md §12).
-  // /.sand/history sampling cadence; 0 disables the background sampler
-  // (the view then only grows via explicit HistoryRecorder::SampleNow).
-  int64_t history_sample_ms = 0;
-  // Budgets for the /.sand/health verdict.
-  obs::HealthThresholds health;
 
   // Storage.
   bool enable_pruning = true;  // false: cache leaves only (Fig. 17 ablation)
@@ -121,7 +113,7 @@ class SandService : public ViewProvider {
 
   // --- ViewProvider -------------------------------------------------------
   Result<SharedBytes> Materialize(const ViewPath& path) override;
-  // Native async path: the unit runs on the bounded work-stealing pool.
+  // Native async path: the unit runs on the bounded async pool.
   Future<SharedBytes> MaterializeAsync(const ViewPath& path) override;
   Result<std::string> GetMetadata(const ViewPath& path, const std::string& name) override;
   Status OnSessionOpen(const std::string& task) override;
@@ -179,6 +171,9 @@ class SandService : public ViewProvider {
     std::mutex video_mutex;
     std::condition_variable video_cv;
     std::vector<int> video_state;
+    // The chunk before this one, when it was planned first (null for
+    // chunk 0); MaterializeClaimed runs its subtrees first.
+    std::shared_ptr<ChunkState> previous;
   };
 
   // Claims video `v` of `chunk` for materialization. Returns true when the
@@ -186,6 +181,12 @@ class SandService : public ViewProvider {
   // with wait_if_running, after waiting for the running owner).
   static bool ClaimVideo(ChunkState& chunk, int video, bool wait_if_running);
   static void FinishVideo(ChunkState& chunk, int video);
+  // Runs `executor` (built on video `video` of `chunk`, which the caller
+  // claimed) over the video's flagged subtree, then marks the video done.
+  // First claims and runs the previous chunk's subtree for the same video
+  // name, or waits for its owner, so the chunks' shared nodes are always
+  // computed by the earlier chunk.
+  Status MaterializeClaimed(ChunkState& chunk, int video, SubtreeExecutor& executor);
 
   struct EvictMeta {
     int64_t last_use = 0;                 // final consumer iteration
@@ -240,9 +241,9 @@ class SandService : public ViewProvider {
   std::unique_ptr<MaterializationScheduler> scheduler_;
   std::unique_ptr<WorkerPool> async_pool_;
   // Shared GOP-slice decode pool (null when decode_threads == 0). Slice
-  // tasks never block on other pool tasks (saturation falls back inline in
-  // the executor), so it is safe for scheduler and async-pool threads to
-  // fan into it. Shut down last: executors running on the other pools may
+  // tasks never block on other pool tasks (RunAll runs refused slices
+  // inline), so it is safe for scheduler and async-pool threads to fan into
+  // it. Shut down last: executors running on the other pools may
   // still be fanning slices into it while they drain.
   std::unique_ptr<WorkerPool> decode_pool_;
   SandFs fs_;
@@ -261,11 +262,9 @@ class SandService : public ViewProvider {
   std::map<std::string, EvictMeta> evict_index_;
 
   // History-recorder hookup (DESIGN.md §12): the sampler publishes this
-  // service's derived gauges and evaluates health each tick. Removed (and
-  // the recorder stopped, if we started it) at the top of Shutdown, before
-  // the pools it reads are torn down.
+  // service's derived gauges and evaluates health each tick. Removed at the
+  // top of Shutdown, before the pools it reads are torn down.
   uint64_t history_sampler_ = 0;
-  bool started_history_ = false;
 };
 
 }  // namespace sand

@@ -1,15 +1,21 @@
-// Unit tests for src/common: Result/Status, strings, rng, clocks, units.
+// Unit tests for src/common: Result/Status, strings, rng, clocks, units,
+// WorkerPool and RunAll.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/common/units.h"
+#include "src/common/worker_pool.h"
 
 namespace sand {
 namespace {
@@ -277,6 +283,165 @@ TEST(UnitsTest, TimeConversions) {
   EXPECT_DOUBLE_EQ(ToMillis(kNanosPerMilli * 5), 5.0);
   EXPECT_EQ(FromMillis(2.0), 2 * kNanosPerMilli);
   EXPECT_EQ(FromSeconds(1.5), kNanosPerSecond + kNanosPerSecond / 2);
+}
+
+// --- WorkerPool and RunAll ----------------------------------------------------
+
+// A one-shot gate: Wait blocks until Open. Entered reports that a waiter
+// has arrived, so a test knows a worker is parked inside a task.
+class Gate {
+ public:
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    entered_ = true;
+    arrived_.notify_all();
+    opened_.wait(lock, [this] { return open_; });
+  }
+  void AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    arrived_.wait(lock, [this] { return entered_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    opened_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable arrived_;
+  std::condition_variable opened_;
+  bool entered_ = false;
+  bool open_ = false;
+};
+
+// Parks the pool's only worker inside a task until the gate opens. Declare
+// the gate before the pool, so the pool joins its worker before the gate
+// dies, and an OpenAtExit after it, so a failed assertion cannot leave the
+// pool joining a parked worker forever.
+void ParkWorker(WorkerPool& pool, Gate& gate) {
+  ASSERT_TRUE(pool.TrySubmit([&gate] { gate.Wait(); }));
+  gate.AwaitEntered();
+}
+struct OpenAtExit {
+  Gate& gate;
+  ~OpenAtExit() { gate.Open(); }
+};
+
+TEST(WorkerPoolTest, TrySubmitRefusesAtCapacityAndAfterShutdown) {
+  std::atomic<int> ran{0};
+  Gate gate;
+  WorkerPool pool(WorkerPool::Options{1, 2});
+  OpenAtExit open_at_exit{gate};
+  ParkWorker(pool, gate);
+  EXPECT_TRUE(pool.TrySubmit([&ran] { ++ran; }));
+  EXPECT_TRUE(pool.TrySubmit([&ran] { ++ran; }));
+  EXPECT_EQ(pool.Pending(), 2u);
+  EXPECT_FALSE(pool.TrySubmit([&ran] { ++ran; })) << "the queue holds max_queued tasks";
+  gate.Open();
+  pool.WaitIdle();
+  EXPECT_EQ(ran.load(), 2);
+  pool.Shutdown();
+  EXPECT_FALSE(pool.TrySubmit([&ran] { ++ran; }));
+  WorkerPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.executed, 3u);
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(WorkerPoolTest, OneWorkerRunsTasksInSubmitOrder) {
+  std::vector<int> order;  // only the pool's one worker appends
+  Gate gate;
+  WorkerPool pool(WorkerPool::Options{1, 64});
+  OpenAtExit open_at_exit{gate};
+  ParkWorker(pool, gate);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(pool.TrySubmit([&order, i] { order.push_back(i); }));
+  }
+  gate.Open();
+  pool.WaitIdle();
+  ASSERT_EQ(order.size(), 50u);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  }
+}
+
+TEST(WorkerPoolTest, WaitIdleReturnsAfterEveryTaskRan) {
+  std::atomic<int> finished{0};
+  WorkerPool pool(WorkerPool::Options{4, 64});
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(pool.TrySubmit([&finished] {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      ++finished;
+    }));
+  }
+  pool.WaitIdle();
+  EXPECT_EQ(finished.load(), 32);
+  EXPECT_EQ(pool.Pending(), 0u);
+}
+
+TEST(WorkerPoolTest, ShutdownDrainsQueuedTasks) {
+  constexpr size_t kRoom = 1 << 20;  // refusals below mean shutdown, not a full queue
+  std::atomic<int> ran{0};
+  Gate gate;
+  WorkerPool pool(WorkerPool::Options{1, kRoom});
+  OpenAtExit open_at_exit{gate};
+  ParkWorker(pool, gate);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(pool.TrySubmit([&ran] { ++ran; }));
+  }
+  std::thread stopper([&pool] { pool.Shutdown(); });
+  // Once TrySubmit refuses, Shutdown has begun with every task still queued.
+  size_t extra = 0;
+  while (pool.TrySubmit([&ran] { ++ran; })) {
+    ++extra;
+    std::this_thread::yield();
+  }
+  EXPECT_LT(pool.Pending(), kRoom);
+  EXPECT_EQ(pool.Pending(), 10 + extra);
+  gate.Open();
+  stopper.join();
+  EXPECT_EQ(ran.load(), static_cast<int>(10 + extra));
+  EXPECT_EQ(pool.stats().executed, pool.stats().submitted);
+}
+
+TEST(RunAllTest, RunsEachIndexOnce) {
+  WorkerPool pool(WorkerPool::Options{4, 64});
+  std::vector<std::atomic<int>> calls(100);
+  RunAll(&pool, calls.size(), [&calls](size_t i) { ++calls[i]; });
+  for (size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i].load(), 1) << "index " << i;
+  }
+  RunAll(&pool, 0, [](size_t) { ADD_FAILURE() << "no index to run"; });
+}
+
+TEST(RunAllTest, RefusedTasksRunOnTheCaller) {
+  // One parked worker and one queued filler: the pool refuses every task.
+  Gate gate;
+  WorkerPool pool(WorkerPool::Options{1, 1});
+  OpenAtExit open_at_exit{gate};
+  ParkWorker(pool, gate);
+  ASSERT_TRUE(pool.TrySubmit([] {}));
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> calls(5, 0);
+  RunAll(&pool, calls.size(), [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "index " << i;
+    ++calls[i];
+  });
+  EXPECT_EQ(calls, std::vector<int>(5, 1));
+  EXPECT_EQ(pool.stats().rejected, 4u);
+  gate.Open();
+}
+
+TEST(RunAllTest, NullPoolRunsEveryTaskOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> calls(7, 0);
+  RunAll(nullptr, calls.size(), [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "index " << i;
+    ++calls[i];
+  });
+  EXPECT_EQ(calls, std::vector<int>(7, 1));
 }
 
 }  // namespace

@@ -4,47 +4,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "src/common/rng.h"
 #include "src/compress/lossless.h"
 #include "src/compress/lossy.h"
 #include "src/workloads/lossless_corpus.h"
-
-// --- Allocation probe ---------------------------------------------------------
-//
-// While armed, records the largest single operator-new request and refuses
-// any above kAllocationCap, so a decoder that sized a buffer from a hostile
-// header fails the test instead of committing gigabytes.
-
-namespace {
-constexpr size_t kAllocationCap = size_t{64} << 20;
-std::atomic<bool> g_probe_armed{false};
-std::atomic<size_t> g_largest_allocation{0};
-}  // namespace
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(size_t size) {
-  if (g_probe_armed.load(std::memory_order_relaxed)) {
-    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
-    while (size > seen && !g_largest_allocation.compare_exchange_weak(seen, size)) {
-    }
-    if (size > kAllocationCap) {
-      throw std::bad_alloc();
-    }
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
+#include "tests/allocation_probe.h"
 
 namespace sand {
 namespace {

@@ -139,6 +139,55 @@ TEST(SandServiceTest, AllEpochsAcrossChunksReadable) {
   EXPECT_GE(rig.service->stats().chunks_planned, 2u);
 }
 
+// Consecutive chunks plan some of a video's nodes under the same cache key.
+// Reading the later chunk's batches first must not change which chunk
+// computes those nodes: the work and the cached bytes match an in-order read.
+TEST(SandServiceTest, LaterChunkReadFirstRepeatsTheWork) {
+  auto read_epochs = [](TestRig& rig, std::vector<int64_t> epochs) {
+    SandFs& fs = rig.service->fs();
+    for (int64_t epoch : epochs) {
+      for (int64_t iter = 0; iter < 2; ++iter) {
+        std::string path = StrFormat("/train/%lld/%lld/view", static_cast<long long>(epoch),
+                                     static_cast<long long>(iter));
+        auto fd = fs.Open(path);
+        ASSERT_TRUE(fd.ok()) << path;
+        auto bytes = fs.ReadAllShared(*fd);
+        ASSERT_TRUE(bytes.ok()) << path << ": " << bytes.status().ToString();
+        ASSERT_TRUE(fs.Close(*fd).ok());
+      }
+    }
+    rig.service->WaitForBackgroundWork();
+  };
+  // The cached views, by key (the checkpoint records read progress, so it
+  // is left out).
+  auto cached = [](TestRig& rig) {
+    std::map<std::string, std::vector<uint8_t>> objects;
+    for (ObjectStore* store : {&rig.cache->memory(), &rig.cache->disk()}) {
+      for (const std::string& key : store->ListKeys()) {
+        if (StartsWith(key, "cache/")) {
+          auto bytes = rig.cache->GetShared(key);
+          EXPECT_TRUE(bytes.ok()) << key;
+          objects[key] = bytes.ok() ? **bytes : std::vector<uint8_t>{};
+        }
+      }
+    }
+    return objects;
+  };
+  ServiceOptions options = DefaultOptions();  // two chunks of two epochs
+  TestRig in_order = MakeRig(options);
+  read_epochs(in_order, {0, 1, 2, 3});
+  TestRig later_first = MakeRig(options);
+  read_epochs(later_first, {2, 3, 0, 1});
+
+  EXPECT_EQ(later_first.service->stats().chunks_planned, 2u);
+  EXPECT_EQ(later_first.service->stats().exec.aug_ops, in_order.service->stats().exec.aug_ops);
+  EXPECT_EQ(later_first.service->stats().exec.frames_decoded,
+            in_order.service->stats().exec.frames_decoded);
+  auto want = cached(in_order);
+  EXPECT_FALSE(want.empty());
+  EXPECT_TRUE(cached(later_first) == want);
+}
+
 TEST(SandServiceTest, FrameViewMatchesGroundTruth) {
   TestRig rig = MakeRig(DefaultOptions());
   // Find a frame the plan decoded (consumer-backed), then compare the view
@@ -726,7 +775,27 @@ TEST(SubtreeExecutorTest, ParallelMaterializeFlaggedMatchesSerial) {
     SubtreeExecutor serial(graph, &containers, serial_cache.get(), nullptr, serial_counters);
     SubtreeExecutor parallel(graph, &containers, parallel_cache.get(), nullptr, parallel_counters,
                              &pool);
-    ASSERT_TRUE(serial.MaterializeFlagged().ok());
+    // The reference is a cursor walk: every decode node in ascending frame
+    // order, then every flagged node, each through Produce.
+    std::vector<int> decode_nodes;
+    std::vector<int> flagged;
+    for (const ConcreteNode& node : graph.nodes) {
+      if (node.op.type == ConcreteOpType::kDecode) {
+        decode_nodes.push_back(node.id);
+      }
+      if (node.cache && node.op.type != ConcreteOpType::kSource) {
+        flagged.push_back(node.id);
+      }
+    }
+    std::sort(decode_nodes.begin(), decode_nodes.end(), [&](int a, int b) {
+      return graph.node(a).op.frame_index < graph.node(b).op.frame_index;
+    });
+    for (int node : decode_nodes) {
+      ASSERT_TRUE(serial.Produce(node, /*allow_cache_store=*/true).ok());
+    }
+    for (int node : flagged) {
+      ASSERT_TRUE(serial.Produce(node, /*allow_cache_store=*/true).ok());
+    }
     ASSERT_TRUE(parallel.MaterializeFlagged().ok());
 
     // Same persisted object set, byte for byte.

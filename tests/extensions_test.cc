@@ -3,6 +3,7 @@
 // custom ops, and cost-model calibration.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "src/common/rng.h"
 #include "src/config/config_dump.h"
@@ -13,6 +14,7 @@
 #include "src/workloads/calibrate.h"
 #include "src/workloads/models.h"
 #include "src/workloads/synthetic.h"
+#include "tests/allocation_probe.h"
 
 namespace sand {
 namespace {
@@ -453,6 +455,28 @@ TEST(SubprocessOpTest, RegistersAsCustomOp) {
   auto out = (*fn)(input);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->At(0, 0, 0), 50);
+}
+
+// A request whose length word claims 4 GiB ends the worker loop before any
+// buffer is sized from it, and gets no answer.
+TEST(SubprocessOpWireTest, HugeLengthWordEndsWorkerLoopWithoutAllocating) {
+  int request[2];
+  int response[2];
+  ASSERT_EQ(::pipe(request), 0);
+  ASSERT_EQ(::pipe(response), 0);
+  const uint8_t length[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_EQ(::write(request[1], length, sizeof(length)), 4);
+  ::close(request[1]);
+  g_largest_allocation.store(0);
+  g_probe_armed.store(true);
+  RunOpWorkerLoop(request[0], response[1], &Halve);
+  g_probe_armed.store(false);
+  EXPECT_LT(g_largest_allocation.load(), size_t{1} << 20);
+  ::close(response[1]);
+  uint8_t byte = 0;
+  EXPECT_EQ(::read(response[0], &byte, 1), 0) << "the worker answered a refused frame";
+  ::close(request[0]);
+  ::close(response[0]);
 }
 
 // --- Calibration ----------------------------------------------------------------

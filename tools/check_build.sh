@@ -178,7 +178,7 @@ fi
 if [ "${SKIP_ASAN:-0}" != "1" ]; then
   echo "==== asan suite ===="
   ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
-  ASAN_TESTS=(vfs_test core_test codec_test fault_injection_test
+  ASAN_TESTS=(common_test vfs_test core_test codec_test fault_injection_test
               compress_test compress_tier_test net_test cluster_test obs_test
               storage_test object_path_test stress_test tensor_test config_test
               sched_test pruning_test)

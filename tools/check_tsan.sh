@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Builds the concurrency-sensitive tests with ThreadSanitizer and runs
-# them. Covers the sharded stores / tiered cache, the GuardedStore over
+# them. Covers the WorkerPool queue and its RunAll fork-join (common_test),
+# the sharded stores / tiered cache, the GuardedStore over
 # the disk tier and its CircuitBreaker probe election (storage_test,
 # object_path_test), the executor + scheduler paths (core_test,
 # sched_test), the lock-free metrics/trace ring (obs_test), the
@@ -22,7 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-tsan}
-TESTS=(storage_test object_path_test sched_test core_test obs_test codec_test fault_injection_test compress_tier_test trace_context_test net_test cluster_test vfs_test baselines_test stress_test)
+TESTS=(common_test storage_test object_path_test sched_test core_test obs_test codec_test fault_injection_test compress_tier_test trace_context_test net_test cluster_test vfs_test baselines_test stress_test)
 
 cmake -B "$BUILD_DIR" -S . -DSAND_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${TESTS[@]}"
