@@ -1,8 +1,7 @@
 // Future/Promise: the library's asynchronous-result primitive.
 //
-// The async demand path (ViewProvider::MaterializeAsync, O_NONBLOCK opens)
-// and SandClient's pipelined reads hand results between threads as
-// futures. The design is deliberately small:
+// SandClient's pipelined reads (SandApi::ReadAllSharedAsync) hand results
+// between threads as futures. The design is deliberately small:
 //
 //   - the payload is always a Result<T>: a future resolves exactly once,
 //     to a value or to a Status, and errors travel the same rail as values

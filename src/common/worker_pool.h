@@ -1,19 +1,17 @@
 // WorkerPool: a bounded FIFO thread pool, and RunAll, the fork-join on it.
 //
-// The async materialization path (ViewProvider::MaterializeAsync) runs its
-// units here rather than on the materialization scheduler: pool tasks are
-// coordinators that may *block* on scheduler jobs (batch assembly fans out
-// per-video work and waits), so they need their own threads to avoid
-// eating the scheduler's workers. The server's request verbs and the GOP
-// slices of one view's decode (RunAll) run on pools of their own.
+// Each use has a pool of its own: SandService's async pool runs the
+// compressed tier's demote encodes, its decode pool the GOP slices of one
+// view's decode (RunAll), and SandServer's request pool the wire verbs.
+// Reads do not go through a pool: they materialize on the reading thread.
 //
 // Topology: one deque of queued tasks under one mutex. Workers pop from
 // its front, so tasks start in submit order; with one worker they also
 // finish in it.
 //
 // Bounded: at most `max_queued` tasks may be queued; TrySubmit refuses
-// beyond that and the caller decides: run inline (a demand unit, an async
-// demote, a decode slice) or refuse (the server's request admission).
+// beyond that and the caller decides: run inline (an async demote, a
+// decode slice) or refuse (the server's request admission).
 // Shutdown completes everything already queued.
 
 #ifndef SAND_COMMON_WORKER_POOL_H_

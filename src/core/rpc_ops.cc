@@ -1,5 +1,6 @@
 #include "src/core/rpc_ops.h"
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -95,41 +96,32 @@ void RunOpWorkerLoop(int fd_in, int fd_out, const CustomOpFn& fn) {
 }
 
 Result<std::unique_ptr<SubprocessOpRunner>> SubprocessOpRunner::Spawn(CustomOpFn fn) {
-  int to_worker[2];
-  int from_worker[2];
-  if (::pipe(to_worker) != 0) {
-    return Unavailable("pipe() failed");
-  }
-  if (::pipe(from_worker) != 0) {
-    ::close(to_worker[0]);
-    ::close(to_worker[1]);
-    return Unavailable("pipe() failed");
+  // One stream socket pair carries both directions. Frames are written
+  // with send(MSG_NOSIGNAL), so a worker that died reads as a failed write
+  // (EPIPE) instead of SIGPIPE killing this process.
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return Unavailable("socketpair() failed");
   }
   pid_t pid = ::fork();
   if (pid < 0) {
-    ::close(to_worker[0]);
-    ::close(to_worker[1]);
-    ::close(from_worker[0]);
-    ::close(from_worker[1]);
+    ::close(fds[0]);
+    ::close(fds[1]);
     return Unavailable("fork() failed");
   }
   if (pid == 0) {
     // Worker: serve until the parent closes its end, then exit without
     // running parent-side destructors (we share its address space copy).
-    ::close(to_worker[1]);
-    ::close(from_worker[0]);
-    RunOpWorkerLoop(to_worker[0], from_worker[1], fn);
+    ::close(fds[0]);
+    RunOpWorkerLoop(fds[1], fds[1], fn);
     ::_exit(0);
   }
-  ::close(to_worker[0]);
-  ::close(from_worker[1]);
-  return std::unique_ptr<SubprocessOpRunner>(
-      new SubprocessOpRunner(pid, to_worker[1], from_worker[0]));
+  ::close(fds[1]);
+  return std::unique_ptr<SubprocessOpRunner>(new SubprocessOpRunner(pid, fds[0]));
 }
 
 SubprocessOpRunner::~SubprocessOpRunner() {
-  ::close(to_worker_);
-  ::close(from_worker_);
+  ::close(socket_fd_);
   int status = 0;
   ::waitpid(pid_, &status, 0);
 }
@@ -137,15 +129,15 @@ SubprocessOpRunner::~SubprocessOpRunner() {
 Result<Frame> SubprocessOpRunner::Apply(const Frame& input) {
   SAND_SPAN("rpc_apply");
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!net::WriteFrame(to_worker_, EncodeRequest(CurrentTraceContext(), input.Serialize()))) {
+  if (!net::WriteFrame(socket_fd_, EncodeRequest(CurrentTraceContext(), input.Serialize()))) {
     return Unavailable("op worker pipe closed (write)");
   }
   std::vector<uint8_t> response;
-  if (!net::ReadFrame(from_worker_, response)) {
+  if (!net::ReadFrame(socket_fd_, response)) {
     return Unavailable("op worker pipe closed or frame too large (read)");
   }
   if (Status status = net::DecodeResponseStatus(response); !status.ok()) {
-    // The worker shipped the failing op's own status across the pipe;
+    // The worker shipped the failing op's own status across the socket;
     // re-raise it so remote failures diagnose like local ones.
     return Status(status.code(), "op worker: " + status.message());
   }

@@ -5,9 +5,9 @@
 //  addresses this by offering an RPC service mechanism, enabling custom
 //  functions to be executed in separate processes."
 //
-// SubprocessOpRunner owns one worker process and speaks a framed pipe
-// protocol with it, in src/net/wire.h's frames (u32 length | payload, at
-// most kMaxFrameBytes):
+// SubprocessOpRunner owns one worker process and speaks a framed protocol
+// with it over one AF_UNIX stream socket pair, in src/net/wire.h's frames
+// (u32 length | payload, at most kMaxFrameBytes):
 //
 //   request  : trace-context header | serialized Frame (src/tensor/frame.h)
 //   response : u8 status (0 = ok) | serialized Frame, or the error message
@@ -15,7 +15,8 @@
 // Spawn() forks the worker (production deployments would exec a separate
 // binary; the protocol is the boundary either way — RunOpWorkerLoop is the
 // reusable server side). The runner's Apply() is thread-safe (serialized
-// over the single pipe pair) and registers cleanly as a CustomOpFn.
+// over the single socket) and registers cleanly as a CustomOpFn; once the
+// worker has died it returns Unavailable.
 
 #ifndef SAND_CORE_RPC_OPS_H_
 #define SAND_CORE_RPC_OPS_H_
@@ -31,16 +32,17 @@
 
 namespace sand {
 
-// Server side: serves requests from fd_in, writes responses to fd_out,
-// returns when the peer closes the pipe. Runs inside the worker process.
+// Server side: serves requests from fd_in, writes responses to fd_out (a
+// socket; Spawn passes its end of the pair as both), returns when the peer
+// closes its end. Runs inside the worker process.
 void RunOpWorkerLoop(int fd_in, int fd_out, const CustomOpFn& fn);
 
 class SubprocessOpRunner {
  public:
-  // Forks a worker process that serves `fn` over the pipe protocol.
+  // Forks a worker process that serves `fn` over the socket protocol.
   static Result<std::unique_ptr<SubprocessOpRunner>> Spawn(CustomOpFn fn);
 
-  ~SubprocessOpRunner();  // closes the pipes and reaps the worker
+  ~SubprocessOpRunner();  // closes the socket and reaps the worker
 
   SubprocessOpRunner(const SubprocessOpRunner&) = delete;
   SubprocessOpRunner& operator=(const SubprocessOpRunner&) = delete;
@@ -58,12 +60,10 @@ class SubprocessOpRunner {
   uint64_t round_trips() const { return round_trips_; }
 
  private:
-  SubprocessOpRunner(pid_t pid, int to_worker, int from_worker)
-      : pid_(pid), to_worker_(to_worker), from_worker_(from_worker) {}
+  SubprocessOpRunner(pid_t pid, int socket_fd) : pid_(pid), socket_fd_(socket_fd) {}
 
   pid_t pid_;
-  int to_worker_;
-  int from_worker_;
+  int socket_fd_;
   std::mutex mutex_;
   uint64_t round_trips_ = 0;
 };

@@ -9,8 +9,6 @@
 #include "src/common/trace_context.h"
 #include "src/core/batch_format.h"
 #include "src/obs/attribution.h"
-#include "src/obs/health.h"
-#include "src/obs/history.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -18,6 +16,8 @@ namespace sand {
 
 namespace {
 
+// Queued demote encodes the async pool admits before a demote runs inline.
+constexpr size_t kAsyncQueueDepth = 32;
 // Queued GOP-decode slices the shared decode pool admits before a
 // submitter runs its slice inline.
 constexpr size_t kDecodeQueueDepth = 64;
@@ -29,8 +29,8 @@ constexpr double kEvictWatermark = 0.75;
 // InstanceCounters on the service itself).
 struct ServiceMetrics {
   obs::Histogram* batch_assemble_ns;
-  // Derived gauges refreshed by PublishObservability (the health monitor's
-  // pool-saturation inputs and the history recorder's utilization columns).
+  // Derived gauges refreshed by PublishObservability (the health check's
+  // pool-saturation inputs).
   obs::Gauge* pool_async_pending;
   obs::Gauge* pool_async_capacity;
   obs::Gauge* pool_decode_pending;
@@ -66,7 +66,7 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
   scheduler_ = std::make_unique<MaterializationScheduler>(std::move(sched_options));
   WorkerPool::Options pool_options;
   pool_options.num_threads = std::max(1, options_.async_threads);
-  pool_options.max_queued = options_.async_queue_depth;
+  pool_options.max_queued = kAsyncQueueDepth;
   async_pool_ = std::make_unique<WorkerPool>(pool_options);
   if (options_.decode_threads > 0) {
     // One shared GOP-decode pool for every executor (demand and pre-mat):
@@ -83,19 +83,12 @@ SandService::SandService(std::shared_ptr<ObjectStore> dataset_store, DatasetMeta
   // the pool again before it is destroyed; the codec itself stays installed
   // and keeps decoding (and encoding inline) after we are gone.
   cache_->SetCompression(options_.compression, async_pool_.get());
-
-  // Observability wiring (DESIGN.md §12): each history-recorder tick
-  // refreshes our gauges and evaluates health.
-  history_sampler_ = obs::HistoryRecorder::Get().AddSampler([this] {
-    PublishObservability();
-    obs::HealthMonitor::Get().Evaluate();
-  });
 }
 
 void SandService::PublishObservability() {
   ServiceMetrics& m = ServiceMetrics::Get();
   m.pool_async_pending->Set(static_cast<int64_t>(async_pool_->Pending()));
-  m.pool_async_capacity->Set(static_cast<int64_t>(options_.async_queue_depth));
+  m.pool_async_capacity->Set(static_cast<int64_t>(kAsyncQueueDepth));
   if (decode_pool_ != nullptr) {
     m.pool_decode_pending->Set(static_cast<int64_t>(decode_pool_->Pending()));
     m.pool_decode_capacity->Set(static_cast<int64_t>(kDecodeQueueDepth));
@@ -118,17 +111,10 @@ Status SandService::Start() {
 }
 
 void SandService::Shutdown() {
-  // The history sampler reads the pools and cache; detach it (blocking
-  // until any in-flight tick finishes) before they are torn down.
-  if (history_sampler_ != 0) {
-    obs::HistoryRecorder::Get().RemoveSampler(history_sampler_);
-    history_sampler_ = 0;
-  }
-  // The pool drains first: its units submit to (and block on) scheduler
-  // jobs, so the scheduler must still be accepting work while they finish.
-  // The decode pool goes last: executors on both of the other pools fan
-  // GOP slices into it until they drain. Pending async demotions drain with
-  // the pool; the cache must stop submitting to it before it dies.
+  // The cache stops submitting demote encodes to the async pool first (later
+  // demotes run inline), then the pool drains the encodes already queued.
+  // The decode pool goes last: executors on the scheduler's workers fan GOP
+  // slices into it until they drain.
   cache_->SetCompressionPool(nullptr);
   async_pool_->Shutdown();
   scheduler_->Shutdown();
@@ -403,26 +389,6 @@ Result<SharedBytes> SandService::Materialize(const ViewPath& path) {
     }
   }
   return InvalidArgument("unsupported view type");
-}
-
-Future<SharedBytes> SandService::MaterializeAsync(const ViewPath& path) {
-  auto promise = std::make_shared<Promise<SharedBytes>>();
-  Future<SharedBytes> future = promise->future();
-  // TrySubmit captures the caller's trace context; the span below runs on
-  // the pool thread but parents under the span submitting this unit.
-  bool submitted = async_pool_->TrySubmit([this, path, promise] {
-    SAND_SPAN("async_unit");
-    promise->Set(Materialize(path));
-  });
-  if (!submitted) {
-    // Demand callers block on the future anyway; compute inline. The span
-    // marks the degraded mode: a trace showing "async_inline" instead of
-    // "async_unit" means the pool was saturated at submission.
-    SAND_SPAN("async_inline");
-    return Future<SharedBytes>::FromResult(Materialize(path));
-  }
-  async_units_.Add(1);
-  return future;
 }
 
 Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<ChunkState>& chunk,
@@ -875,7 +841,6 @@ ServiceStats SandService::stats() {
   snapshot.evictions = evictions_.Value();
   snapshot.chunks_planned = chunks_planned_.Value();
   snapshot.recovered_objects = recovered_objects_.load(std::memory_order_relaxed);
-  snapshot.async_units = async_units_.Value();
   snapshot.disk_degraded = cache_->disk_degraded() ? 1 : 0;
   return snapshot;
 }

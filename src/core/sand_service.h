@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "src/common/bytes.h"
-#include "src/common/future.h"
 #include "src/common/worker_pool.h"
 #include "src/core/checkpoint.h"
 #include "src/core/container_cache.h"
@@ -56,12 +55,10 @@ struct ServiceOptions {
   bool enable_scheduling = true;   // false: FIFO pops (Fig. 18 ablation)
   bool pre_materialize = true;     // false: pure demand pipeline
 
-  // Async demand path (DESIGN.md §8): MaterializeAsync units run on a
-  // bounded FIFO pool separate from the scheduler's workers (they
-  // coordinate and block on scheduler jobs). When the pool is saturated,
-  // units fall back to inline execution on the caller.
+  // Threads of the async pool. Its only work is the compressed tier's
+  // async demote encodes (DESIGN.md §11); reads materialize on the thread
+  // that reads (§8).
   int async_threads = 2;
-  size_t async_queue_depth = 32;
 
   // Intra-view GOP-parallel decode (DESIGN.md §9): one process-wide pool
   // shared by demand and pre-materialization executors, so concurrent
@@ -80,8 +77,8 @@ struct ServiceOptions {
   uint64_t storage_budget_bytes = 256ULL * 1024 * 1024;
   size_t container_cache_entries = 8;
   // Transparent cache compression (DESIGN.md §11): installed on the cache at
-  // construction; encodes run on the async pool so demotion stays off the
-  // demand path. Disabled by default (the cache stores raw bytes, as before).
+  // construction; demote encodes run on the async pool so demotion stays off
+  // the demand path. Disabled by default (the cache stores raw bytes).
   CompressionPolicy compression;
 };
 
@@ -94,7 +91,6 @@ struct ServiceStats {
   uint64_t evictions = 0;
   uint64_t chunks_planned = 0;
   uint64_t recovered_objects = 0;
-  uint64_t async_units = 0;    // MaterializeAsync units run on the pool
   uint64_t disk_degraded = 0;  // 1 while the disk tier is offline (memory-only)
 };
 
@@ -113,14 +109,12 @@ class SandService : public ViewProvider {
 
   // --- ViewProvider -------------------------------------------------------
   Result<SharedBytes> Materialize(const ViewPath& path) override;
-  // Native async path: the unit runs on the bounded async pool.
-  Future<SharedBytes> MaterializeAsync(const ViewPath& path) override;
   Result<std::string> GetMetadata(const ViewPath& path, const std::string& name) override;
   Status OnSessionOpen(const std::string& task) override;
   Status OnSessionClose(const std::string& task) override;
   Result<std::vector<std::string>> ListChildren(const std::string& path) override;
   // Refreshes derived gauges (pool depths) — called by SandFs before
-  // /.sand control snapshots and by the history sampler.
+  // /.sand control snapshots.
   void PublishObservability() override;
 
   // --- Introspection ------------------------------------------------------
@@ -141,10 +135,11 @@ class SandService : public ViewProvider {
   // Pruning report of the most recently planned chunk.
   PruningReport last_pruning_report();
   // Blocks until all queued background jobs complete (tests/benches).
-  // Pool units submit scheduler jobs, so the pool drains first.
+  // Scheduler jobs queue demote encodes on the async pool, so the
+  // scheduler drains first.
   void WaitForBackgroundWork() {
-    async_pool_->WaitIdle();
     scheduler_->WaitIdle();
+    async_pool_->WaitIdle();
   }
 
   // Crash recovery (§5.5): rescan the disk tier, restore the metadata
@@ -236,15 +231,14 @@ class SandService : public ViewProvider {
   obs::InstanceCounter pre_materialize_jobs_{"sand.service.pre_materialize_jobs"};
   obs::InstanceCounter evictions_{"sand.service.evictions"};
   obs::InstanceCounter chunks_planned_{"sand.service.chunks_planned"};
-  obs::InstanceCounter async_units_{"sand.service.async_units"};
   std::atomic<uint64_t> recovered_objects_{0};
   std::unique_ptr<MaterializationScheduler> scheduler_;
   std::unique_ptr<WorkerPool> async_pool_;
   // Shared GOP-slice decode pool (null when decode_threads == 0). Slice
   // tasks never block on other pool tasks (RunAll runs refused slices
-  // inline), so it is safe for scheduler and async-pool threads to fan into
-  // it. Shut down last: executors running on the other pools may
-  // still be fanning slices into it while they drain.
+  // inline), so it is safe for scheduler workers and reading threads to fan
+  // into it. Shut down last: executors on the scheduler's workers may still
+  // be fanning slices into it while they drain.
   std::unique_ptr<WorkerPool> decode_pool_;
   SandFs fs_;
   CpuMeter cpu_meter_;
@@ -260,11 +254,6 @@ class SandService : public ViewProvider {
 
   std::mutex evict_mutex_;
   std::map<std::string, EvictMeta> evict_index_;
-
-  // History-recorder hookup (DESIGN.md §12): the sampler publishes this
-  // service's derived gauges and evaluates health each tick. Removed at the
-  // top of Shutdown, before the pools it reads are torn down.
-  uint64_t history_sampler_ = 0;
 };
 
 }  // namespace sand

@@ -35,11 +35,8 @@ bool WriteFull(int fd, const uint8_t* data, size_t count) {
   while (count > 0) {
     // MSG_NOSIGNAL: a peer that disconnected mid-response must surface as
     // EPIPE on this connection, not SIGPIPE terminating the whole
-    // multi-tenant process. Pipes (ENOTSOCK) fall back to write(2).
+    // multi-tenant process. Every frame writer targets a socket.
     ssize_t n = ::send(fd, data, count, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, data, count);
-    }
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -225,9 +222,6 @@ bool WriteFrameScatter(int fd, const std::vector<uint8_t>& head,
     msg.msg_iov = iov.data() + first;
     msg.msg_iovlen = batch;
     ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::writev(fd, iov.data() + first, static_cast<int>(batch));
-    }
     if (n < 0) {
       if (errno == EINTR) {
         continue;

@@ -136,19 +136,19 @@ Status DecodeResponseStatus(const std::vector<uint8_t>& response);
 
 // --- framed stream I/O -------------------------------------------------------
 
-// Blocking full-frame write/read on a connected socket/pipe fd. Returns
-// false on EOF, a peer reset, or an oversized length word; these helpers
-// never throw and never short-write.
+// Blocking full-frame write/read on a connected socket fd (ReadFrame also
+// reads a pipe). Returns false on EOF, a peer reset, a non-socket write fd,
+// or an oversized length word; these helpers never throw, never short-write
+// and never raise SIGPIPE.
 bool WriteFrame(int fd, const std::vector<uint8_t>& payload);
 bool ReadFrame(int fd, std::vector<uint8_t>& payload);
 
 // Scatter-gather frame write: emits one frame whose payload is `head`
 // followed by each of `bodies` (null ones skipped), without assembling the
 // concatenation in memory. The length word, head, and bodies go out in as
-// few sendmsg calls as the kernel's iovec limit allows when the fd is a
-// socket, so a ReadAllShared payload or a kGetObjects answer travels from
-// the store's SharedBytes allocations straight to the kernel with no
-// frame-assembly copy.
+// few sendmsg calls as the kernel's iovec limit allows, so a ReadAllShared
+// payload or a kGetObjects answer travels from the store's SharedBytes
+// allocations straight to the kernel with no frame-assembly copy.
 bool WriteFrameScatter(int fd, const std::vector<uint8_t>& head,
                        std::span<const SharedBytes> bodies);
 

@@ -7,23 +7,14 @@
 namespace sand {
 namespace obs {
 
-JobRegistry& JobRegistry::Get() {
-  static JobRegistry* registry = new JobRegistry();  // never destroyed
-  return *registry;
-}
+namespace {
 
-uint32_t JobRegistry::Intern(const std::string& tag) {
-  if (tag.empty()) {
-    return 0;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = ids_.find(tag);
-  if (it != ids_.end()) {
-    return it->second;
-  }
-  uint32_t id = static_cast<uint32_t>(tags_.size()) + 1;
-  tags_.push_back(tag);
+// Binds a new tag's bundle to its metrics in the global registry.
+template <typename Metrics>
+std::unique_ptr<Metrics> BindMetrics(const std::string& tag);
 
+template <>
+std::unique_ptr<JobMetrics> BindMetrics<JobMetrics>(const std::string& tag) {
   auto bundle = std::make_unique<JobMetrics>();
   Registry& reg = Registry::Get();
   const std::string prefix = "sand.job." + tag + ".";
@@ -33,52 +24,11 @@ uint32_t JobRegistry::Intern(const std::string& tag) {
   bundle->cache_hits = reg.GetCounter(prefix + "cache_hits");
   bundle->decode_ns = reg.GetCounter(prefix + "decode_ns");
   bundle->materialize_wait_ns = reg.GetHistogram(prefix + "materialize_wait_ns");
-  metrics_.push_back(std::move(bundle));
-
-  ids_.emplace(tag, id);
-  return id;
+  return bundle;
 }
 
-std::string JobRegistry::NameOf(uint32_t id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (id == 0 || id > tags_.size()) {
-    return "-";
-  }
-  return tags_[id - 1];
-}
-
-JobMetrics* JobRegistry::MetricsFor(uint32_t id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (id == 0 || id > metrics_.size()) {
-    return nullptr;
-  }
-  return metrics_[id - 1].get();
-}
-
-std::vector<std::string> JobRegistry::Tags() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> tags = tags_;
-  std::sort(tags.begin(), tags.end());
-  return tags;
-}
-
-TenantRegistry& TenantRegistry::Get() {
-  static TenantRegistry* registry = new TenantRegistry();  // never destroyed
-  return *registry;
-}
-
-uint32_t TenantRegistry::Intern(const std::string& tag) {
-  if (tag.empty()) {
-    return 0;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = ids_.find(tag);
-  if (it != ids_.end()) {
-    return it->second;
-  }
-  uint32_t id = static_cast<uint32_t>(tags_.size()) + 1;
-  tags_.push_back(tag);
-
+template <>
+std::unique_ptr<TenantMetrics> BindMetrics<TenantMetrics>(const std::string& tag) {
   auto bundle = std::make_unique<TenantMetrics>();
   Registry& reg = Registry::Get();
   const std::string prefix = "sand.tenant." + tag + ".";
@@ -90,13 +40,36 @@ uint32_t TenantRegistry::Intern(const std::string& tag) {
   bundle->inflight = reg.GetGauge(prefix + "inflight");
   bundle->resident_bytes = reg.GetGauge(prefix + "resident_bytes");
   bundle->materialize_wait_ns = reg.GetHistogram(prefix + "materialize_wait_ns");
-  metrics_.push_back(std::move(bundle));
+  return bundle;
+}
 
+}  // namespace
+
+template <typename Metrics>
+TagRegistry<Metrics>& TagRegistry<Metrics>::Get() {
+  static TagRegistry* registry = new TagRegistry();  // never destroyed
+  return *registry;
+}
+
+template <typename Metrics>
+uint32_t TagRegistry<Metrics>::Intern(const std::string& tag) {
+  if (tag.empty()) {
+    return 0;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = ids_.find(tag);
+  if (it != ids_.end()) {
+    return it->second;
+  }
+  uint32_t id = static_cast<uint32_t>(tags_.size()) + 1;
+  tags_.push_back(tag);
+  metrics_.push_back(BindMetrics<Metrics>(tag));
   ids_.emplace(tag, id);
   return id;
 }
 
-std::string TenantRegistry::NameOf(uint32_t id) {
+template <typename Metrics>
+std::string TagRegistry<Metrics>::NameOf(uint32_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (id == 0 || id > tags_.size()) {
     return "-";
@@ -104,7 +77,8 @@ std::string TenantRegistry::NameOf(uint32_t id) {
   return tags_[id - 1];
 }
 
-TenantMetrics* TenantRegistry::MetricsFor(uint32_t id) {
+template <typename Metrics>
+Metrics* TagRegistry<Metrics>::MetricsFor(uint32_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (id == 0 || id > metrics_.size()) {
     return nullptr;
@@ -112,12 +86,16 @@ TenantMetrics* TenantRegistry::MetricsFor(uint32_t id) {
   return metrics_[id - 1].get();
 }
 
-std::vector<std::string> TenantRegistry::Tags() {
+template <typename Metrics>
+std::vector<std::string> TagRegistry<Metrics>::Tags() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> tags = tags_;
   std::sort(tags.begin(), tags.end());
   return tags;
 }
+
+template class TagRegistry<JobMetrics>;
+template class TagRegistry<TenantMetrics>;
 
 }  // namespace obs
 }  // namespace sand

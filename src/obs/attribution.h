@@ -27,6 +27,7 @@ namespace sand {
 namespace obs {
 
 class Counter;
+class Gauge;
 class Histogram;
 
 // The per-job metric bundle. Pointers are registry-owned and live for the
@@ -39,41 +40,6 @@ struct JobMetrics {
   Counter* decode_ns = nullptr;       // decode CPU attributed to the job
   Histogram* materialize_wait_ns = nullptr;  // reader-observed wait per read
 };
-
-// Tag <-> dense id intern table. Process-global, grow-only; lookups on the
-// read path are one mutex acquisition at Open time, never per byte.
-class JobRegistry {
- public:
-  static JobRegistry& Get();
-
-  // Returns the id for `tag`, creating it (and its metric bundle) on first
-  // use. Empty tags map to 0 (unattributed).
-  uint32_t Intern(const std::string& tag);
-
-  // Tag for `id`; "-" for 0/unknown (chrome://tracing arg rendering).
-  std::string NameOf(uint32_t id);
-
-  // Metric bundle for `id`; nullptr for 0/unknown.
-  JobMetrics* MetricsFor(uint32_t id);
-
-  // All interned tags, sorted (directory listing for /.sand/jobs).
-  std::vector<std::string> Tags();
-
- private:
-  JobRegistry() = default;
-
-  std::mutex mutex_;
-  std::unordered_map<std::string, uint32_t> ids_;
-  std::vector<std::string> tags_;                   // index = id - 1
-  std::vector<std::unique_ptr<JobMetrics>> metrics_;  // index = id - 1
-};
-
-// Convenience: bundle for the id, nullptr when unattributed.
-inline JobMetrics* JobMetricsFor(uint32_t job_id) {
-  return JobRegistry::Get().MetricsFor(job_id);
-}
-
-class Gauge;
 
 // The per-tenant metric bundle ("sand.tenant.<tag>.<metric>"). A tenant is
 // a paying consumer of the shared service — one socket identity with
@@ -90,33 +56,47 @@ struct TenantMetrics {
   Histogram* materialize_wait_ns = nullptr;  // per-request service time
 };
 
-// Tenant tag <-> dense id intern table; ids travel in
-// TraceContext.tenant_id. Same shape and lifetime rules as JobRegistry.
-class TenantRegistry {
+// Tag <-> dense id intern table, one per bundle type: JobRegistry interns
+// job tags ("sand.job.<tag>.<metric>"), TenantRegistry tenant tags
+// ("sand.tenant.<tag>.<metric>"). Process-global, grow-only; lookups on the
+// read path are one mutex acquisition at Open time, never per byte.
+template <typename Metrics>
+class TagRegistry {
  public:
-  static TenantRegistry& Get();
+  static TagRegistry& Get();
 
   // Returns the id for `tag`, creating it (and its metric bundle) on first
-  // use. Empty tags map to 0 (no tenant).
+  // use. Empty tags map to 0 (unattributed).
   uint32_t Intern(const std::string& tag);
 
-  // Tag for `id`; "-" for 0/unknown.
+  // Tag for `id`; "-" for 0/unknown (chrome://tracing arg rendering).
   std::string NameOf(uint32_t id);
 
   // Metric bundle for `id`; nullptr for 0/unknown.
-  TenantMetrics* MetricsFor(uint32_t id);
+  Metrics* MetricsFor(uint32_t id);
 
-  // All interned tags, sorted (directory listing for /.sand/tenants).
+  // All interned tags, sorted (directory listing for /.sand/jobs and
+  // /.sand/tenants).
   std::vector<std::string> Tags();
 
  private:
-  TenantRegistry() = default;
+  TagRegistry() = default;
 
   std::mutex mutex_;
   std::unordered_map<std::string, uint32_t> ids_;
-  std::vector<std::string> tags_;                      // index = id - 1
-  std::vector<std::unique_ptr<TenantMetrics>> metrics_;  // index = id - 1
+  std::vector<std::string> tags_;                 // index = id - 1
+  std::vector<std::unique_ptr<Metrics>> metrics_;  // index = id - 1
 };
+
+using JobRegistry = TagRegistry<JobMetrics>;
+using TenantRegistry = TagRegistry<TenantMetrics>;
+extern template class TagRegistry<JobMetrics>;
+extern template class TagRegistry<TenantMetrics>;
+
+// Convenience: bundle for the id, nullptr when unattributed.
+inline JobMetrics* JobMetricsFor(uint32_t job_id) {
+  return JobRegistry::Get().MetricsFor(job_id);
+}
 
 // Convenience: bundle for the id, nullptr when no tenant.
 inline TenantMetrics* TenantMetricsFor(uint32_t tenant_id) {

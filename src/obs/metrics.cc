@@ -228,16 +228,6 @@ std::string Registry::Render(const std::string& prefix, bool strip_prefix,
   return out.str();
 }
 
-void Registry::VisitNumeric(const std::function<void(const std::string&, int64_t)>& fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, counter] : counters_) {
-    fn(name, static_cast<int64_t>(counter->Value()));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    fn(name, gauge->Value());
-  }
-}
-
 void Registry::ResetAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++generation_;

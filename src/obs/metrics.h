@@ -33,7 +33,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -163,11 +162,6 @@ class Registry {
   // came in between); gauges stay instantaneous. Bench rows use it to
   // carry one run's metrics.
   std::string ToJson(const Snapshot& since);
-
-  // Calls `fn(name, value)` for every counter and gauge (not histograms),
-  // holding the registry mutex: `fn` must not call back into the registry.
-  // Feeds the history recorder's periodic samples.
-  void VisitNumeric(const std::function<void(const std::string&, int64_t)>& fn);
 
   // Zeroes every registered metric (benches measuring deltas, tests).
   // Metrics stay registered; pointers remain valid.

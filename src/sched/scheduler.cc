@@ -9,6 +9,14 @@
 
 namespace sand {
 
+namespace {
+
+// Memory pressure at and above which background pops switch from
+// earliest-deadline-first to shortest-job-first (the paper's ~80%).
+constexpr double kSjfWatermark = 0.8;
+
+}  // namespace
+
 MaterializationScheduler::MaterializationScheduler(Options options)
     : options_(std::move(options)),
       queue_depth_(obs::Registry::Get().GetGauge("sand.sched.queue_depth")),
@@ -160,7 +168,7 @@ MaterializationScheduler::Queued MaterializationScheduler::PopLocked() {
       assert(have_background && "PopLocked without a runnable job");
       background_last_served_[tenant] = pop_seq_;
       double pressure = options_.memory_pressure ? options_.memory_pressure() : 0.0;
-      bool use_sjf = pressure >= options_.sjf_watermark;
+      bool use_sjf = pressure >= kSjfWatermark;
       auto better = [use_sjf](const Queued& a, const Queued& b) {
         return use_sjf ? a.job.remaining_work < b.job.remaining_work
                        : a.job.deadline < b.job.deadline;

@@ -73,9 +73,8 @@ class MaterializationScheduler {
   struct Options {
     int num_threads = 4;
     // Current memory pressure in [0, 1]; polled at each pop. Defaults to
-    // "no pressure".
+    // "no pressure". Background pops use SJF at 0.8 and above.
     std::function<double()> memory_pressure;
-    double sjf_watermark = 0.8;
     // Disables prioritization entirely (FIFO pops) — the Fig. 18 ablation.
     bool disable_priorities = false;
   };

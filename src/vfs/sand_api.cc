@@ -4,35 +4,16 @@ namespace sand {
 namespace {
 
 // Wire tags. Never reuse a retired tag number; add new fields with new
-// tags so old decoders skip them. Retired: 1 (readahead window) and 2
-// (result pinning); older clients still send them and the decoder skips
-// them like any unknown tag.
+// tags so old decoders skip them. Retired: 1 (readahead window), 2 (result
+// pinning) and 3 (O_NONBLOCK); older clients still send them and the
+// decoder skips them like any unknown tag.
 constexpr uint8_t kWireVersion = 1;
-constexpr uint8_t kTagNonblock = 3;
-
-void PutField(std::vector<uint8_t>& out, uint8_t tag, uint64_t value) {
-  out.push_back(tag);
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<uint8_t>(value >> shift));
-  }
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return value;
-}
+constexpr size_t kFieldBytes = 1 + 8;  // u8 tag | u64 LE value
 
 }  // namespace
 
 std::vector<uint8_t> OpenOptions::Serialize() const {
-  std::vector<uint8_t> out;
-  out.push_back(kWireVersion);
-  out.push_back(1);  // field count
-  PutField(out, kTagNonblock, nonblock ? 1 : 0);
-  return out;
+  return {kWireVersion, 0};  // no fields
 }
 
 Result<OpenOptions> OpenOptions::Deserialize(const std::vector<uint8_t>& bytes) {
@@ -46,18 +27,11 @@ Result<OpenOptions> OpenOptions::Deserialize(const std::vector<uint8_t>& bytes) 
     return InvalidArgument("open options: bad version 0");
   }
   size_t fields = bytes[1];
-  if (bytes.size() != 2 + fields * 9) {
+  if (bytes.size() != 2 + fields * kFieldBytes) {
     return InvalidArgument("open options: truncated field list");
   }
-  OpenOptions options;
-  for (size_t i = 0; i < fields; ++i) {
-    const uint8_t* field = bytes.data() + 2 + i * 9;
-    if (field[0] == kTagNonblock) {
-      options.nonblock = GetU64(field + 1) != 0;
-    }
-    // Any other tag is retired or from a newer peer: tolerated.
-  }
-  return options;
+  // Every tag is retired or from a newer peer: tolerated.
+  return OpenOptions{};
 }
 
 }  // namespace sand

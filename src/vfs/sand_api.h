@@ -12,10 +12,11 @@
 //                 (src/net/sand_client.h)
 //
 // File descriptors are opaque ints scoped to the backend instance. All
-// methods are thread-safe on both implementations. Errors use the shared
-// Status space; notably RESOURCE_EXHAUSTED means "admission control
-// refused this" on both transports (pool saturation in-process, tenant
-// quota / backpressure over the wire) and is always retryable.
+// methods are thread-safe on both implementations. The synchronous verbs
+// block the calling thread until they are done: in-process, a first read
+// materializes the view on that thread. Errors use the shared Status
+// space; notably RESOURCE_EXHAUSTED over the wire means "admission control
+// refused this" (tenant quota / backpressure) and is always retryable.
 
 #ifndef SAND_VFS_SAND_API_H_
 #define SAND_VFS_SAND_API_H_
@@ -31,25 +32,22 @@
 
 namespace sand {
 
-// Per-open knobs (the O_* analogue of Table 2's open flags).
+// Per-open knobs (the O_* analogue of Table 2's open flags). It has no
+// fields: every open is blocking, and a read materializes on the thread
+// that issues it.
 //
 // OpenOptions crosses the process boundary (SandClient sends it with every
 // OPEN), so it has a versioned, unknown-field-tolerant wire form: each
 // field is a (tag, u64 value) pair; decoders skip tags they don't know, so
 // an old server accepts a new client's options and vice versa.
 struct OpenOptions {
-  // O_NONBLOCK: first Read/ReadAllShared returns UNAVAILABLE while the
-  // object is still materializing instead of blocking; poll until it
-  // succeeds.
-  bool nonblock = false;
-
   // Wire form: u8 version | u8 field_count | field_count x (u8 tag,
-  // u64 LE value). Unknown tags are skipped on decode (forward
-  // compatible); missing tags keep their defaults (backward compatible).
+  // u64 LE value). Serialize writes no fields; Deserialize checks the
+  // layout and skips every tag (retired or from a newer peer).
   std::vector<uint8_t> Serialize() const;
   static Result<OpenOptions> Deserialize(const std::vector<uint8_t>& bytes);
 
-  bool operator==(const OpenOptions& other) const { return nonblock == other.nonblock; }
+  bool operator==(const OpenOptions&) const = default;
 };
 
 // The one-API-two-transports interface. Matches SandFs's historical

@@ -9,7 +9,6 @@
 #include "src/common/trace_context.h"
 #include "src/obs/attribution.h"
 #include "src/obs/health.h"
-#include "src/obs/history.h"
 #include "src/obs/trace.h"
 
 namespace sand {
@@ -30,8 +29,8 @@ struct ControlViewRegistry {
 };
 
 bool IsBuiltinControlName(const std::string& name) {
-  return name == "health" || name == "history" || name == "jobs" ||
-         name == "metrics" || name == "tenants" || name == "trace";
+  return name == "health" || name == "jobs" || name == "metrics" || name == "tenants" ||
+         name == "trace";
 }
 
 }  // namespace
@@ -64,9 +63,7 @@ Result<int> SandFs::OpenControl(const std::vector<std::string>& parts) {
   } else if (parts.size() == 1 && name == "trace") {
     body = obs::Tracer::Get().ToChromeJson();
   } else if (parts.size() == 1 && name == "health") {
-    body = obs::HealthMonitor::Get().EvaluateToJson();
-  } else if (parts.size() == 1 && name == "history") {
-    body = obs::HistoryRecorder::Get().ToJson();
+    body = obs::EvaluateHealthToJson();
   } else if (parts.size() == 3 && name == "jobs" && parts[2] == "metrics") {
     // "/.sand/jobs/<tag>/metrics": the job's slice of the registry with
     // the "sand.job.<tag>." prefix stripped back off.
@@ -130,15 +127,15 @@ Result<int> SandFs::OpenControl(const std::vector<std::string>& parts) {
   return fd;
 }
 
-Result<int> SandFs::Open(const std::string& path, const OpenOptions& options) {
+Result<int> SandFs::Open(const std::string& path, const OpenOptions& /*options*/) {
   if (path.empty() || path.front() != '/') {
     return InvalidArgument("open: path must be absolute: " + path);
   }
   // "/{task}" with no further components is a session handle.
   std::vector<std::string> parts = Split(std::string_view(path).substr(1), '/');
   // The introspection namespace is served by the fs itself: the metrics
-  // snapshot, trace dump, per-job slices, history, and health verdict are
-  // views like everything else in SAND.
+  // snapshot, trace dump, per-job slices and health verdict are views like
+  // everything else in SAND.
   if (parts.size() >= 2 && parts[0] == ".sand") {
     return OpenControl(std::vector<std::string>(parts.begin() + 1, parts.end()));
   }
@@ -152,39 +149,22 @@ Result<int> SandFs::Open(const std::string& path, const OpenOptions& options) {
     FdEntry entry;
     entry.is_session = true;
     entry.session_task = parts[0];
-    entry.options = options;
     fds_[fd] = std::move(entry);
     opens_.Add(1);
     return fd;
   }
   SAND_ASSIGN_OR_RETURN(ViewPath view, ViewPath::Parse(path));
-  int fd = -1;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fd = next_fd_++;
-    FdEntry entry;
-    entry.path = view;
-    entry.options = options;
-    fds_[fd] = std::move(entry);
-    opens_.Add(1);
-  }
-  if (options.nonblock) {
-    // O_NONBLOCK: start the materialization pipeline at open so the first
-    // poll can already find it in flight (or done).
-    Future<SharedBytes> pending = provider_->MaterializeAsync(view);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = fds_.find(fd);
-    if (it != fds_.end()) {
-      it->second.pending = std::move(pending);
-    }
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  int fd = next_fd_++;
+  FdEntry entry;
+  entry.path = std::move(view);
+  fds_[fd] = std::move(entry);
+  opens_.Add(1);
   return fd;
 }
 
 Status SandFs::EnsureData(int fd) {
   ViewPath path;
-  bool nonblock = false;
-  Future<SharedBytes> pending;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = fds_.find(fd);
@@ -198,31 +178,19 @@ Status SandFs::EnsureData(int fd) {
       return Status::Ok();
     }
     path = it->second.path;
-    nonblock = it->second.options.nonblock;
-    pending = it->second.pending;  // shared handle; valid once issued
   }
   // This access materializes: it is a demand request entry. Root a trace
   // here (continuing any enclosing one) and attribute everything the
-  // request causes — pool tasks, decode slices, rpc round trips — to the
-  // task as job. Every span below parents under "fs_ensure_data".
+  // request causes — scheduler parts, decode slices, rpc round trips — to
+  // the task as job. Every span below parents under "fs_ensure_data".
   uint32_t job_id = obs::JobRegistry::Get().Intern(path.task);
   ScopedTraceContext trace_scope(BeginRequestContext(job_id, RequestClass::kDemand));
   SAND_SPAN("fs_ensure_data");
   Nanos wait_start = SinceProcessStart();
-  if (!pending.valid()) {
-    // First access: issue the demand materialization outside mutex_ — this
-    // may block on preprocessing.
-    pending = provider_->MaterializeAsync(path);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = fds_.find(fd);
-    if (it != fds_.end()) {
-      it->second.pending = pending;
-    }
-  }
-  if (nonblock && !pending.Ready()) {
-    return Unavailable("materialization in flight: " + path.Format());
-  }
-  Result<SharedBytes> result = pending.Get();
+  // Materialize on this thread, outside mutex_: this may block on
+  // preprocessing. Concurrent first reads of one fd each materialize; the
+  // first to finish fills the entry.
+  Result<SharedBytes> result = provider_->Materialize(path);
   if (!result.ok()) {
     return result.status();
   }
@@ -241,7 +209,6 @@ Status SandFs::EnsureData(int fd) {
   }
   if (it->second.data == nullptr) {
     it->second.data = std::move(data);
-    it->second.pending = Future<SharedBytes>();
   }
   return Status::Ok();
 }
@@ -331,8 +298,7 @@ Result<std::vector<std::string>> SandFs::ListDir(const std::string& path) {
     return InvalidArgument("listdir: path must be absolute: " + path);
   }
   if (path == kControlRoot || path == std::string(kControlRoot) + "/") {
-    std::vector<std::string> entries{"health", "history", "jobs",
-                                     "metrics", "tenants", "trace"};
+    std::vector<std::string> entries{"health", "jobs", "metrics", "tenants", "trace"};
     {
       ControlViewRegistry& registry = ControlViewRegistry::Get();
       std::lock_guard<std::mutex> lock(registry.mutex);

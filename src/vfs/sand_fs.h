@@ -11,16 +11,14 @@
 //   Open("/{task}")                    -> session fd (task start signal)
 //   Open("/{task}/{epoch}/{iter}/view")-> batch view fd
 //   Open(frame / aug-frame paths)      -> intermediate object fd
-//   Open(path, OpenOptions{...})       -> same, with per-fd O_NONBLOCK
 //   Read/PRead(fd)                     -> materializes on first access, then
 //                                         copies out of the object buffer
 //   GetXattr(fd, name)                 -> view metadata (shape, timestamps)
 //   Close(fd)                          -> releases the buffer (and signals
 //                                         task end for session fds)
 //
-// The demand path is asynchronous underneath: first access resolves through
-// ViewProvider::MaterializeAsync (DESIGN.md §8). A blocking read waits on
-// the returned future; an O_NONBLOCK fd starts it at Open and polls it.
+// A read costs the thread that issues it: first access calls
+// ViewProvider::Materialize on the reading thread (DESIGN.md §8).
 //
 // Introspection views (served by SandFs itself, no provider round-trip —
 // the observability layer exported "in true SAND style"):
@@ -31,9 +29,7 @@
 //                                         per-request spans, DESIGN.md §12)
 //   Open("/.sand/jobs/<tag>/metrics")  -> per-job slice of the registry
 //                                         (tags = task names seen so far)
-//   Open("/.sand/history")             -> ring-buffered time series of all
-//                                         counters/gauges (HistoryRecorder)
-//   Open("/.sand/health")              -> health/SLO verdict (HealthMonitor)
+//   Open("/.sand/health")              -> health/SLO verdict
 // All snapshot at Open time; Read/PRead/ReadAllShared then behave like any
 // view.
 
@@ -50,7 +46,6 @@
 #include <vector>
 
 #include "src/common/bytes.h"
-#include "src/common/future.h"
 #include "src/common/result.h"
 #include "src/graph/view.h"
 #include "src/obs/metrics.h"
@@ -64,16 +59,9 @@ class ViewProvider {
   virtual ~ViewProvider() = default;
 
   // Produces (or fetches from cache) the object's bytes. Blocks until the
-  // object is ready — this is the demand-feeding path.
+  // object is ready — this is the demand-feeding path, and it runs on the
+  // thread that reads the fd.
   virtual Result<SharedBytes> Materialize(const ViewPath& path) = 0;
-
-  // Asynchronous materialization: resolves to the object's bytes without
-  // blocking the caller. The default adapter wraps the synchronous path,
-  // so every provider is usable from the async demand path; SandService
-  // overrides this with a real worker-pool implementation.
-  virtual Future<SharedBytes> MaterializeAsync(const ViewPath& path) {
-    return Future<SharedBytes>::FromResult(Materialize(path));
-  }
 
   // Metadata lookup (Table 2 getxattr).
   virtual Result<std::string> GetMetadata(const ViewPath& path, const std::string& name) = 0;
@@ -160,15 +148,12 @@ class SandFs : public SandApi {
     bool is_control = false;  // /.sand/* fd; data snapshotted at Open
     std::string session_task;
     ViewPath path;
-    OpenOptions options;
     uint64_t cursor = 0;
-    SharedBytes data;             // after first access
-    Future<SharedBytes> pending;  // in-flight materialization
+    SharedBytes data;  // after first access
   };
 
-  // Ensures entry.data is materialized. Caller must NOT hold mutex_.
-  // Returns UNAVAILABLE for a nonblock fd whose materialization is still
-  // in flight.
+  // Ensures entry.data is materialized, on the calling thread. Caller must
+  // NOT hold mutex_.
   Status EnsureData(int fd);
 
   // Serves Open("/.sand/...") given the components after ".sand";

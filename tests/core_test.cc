@@ -500,7 +500,6 @@ std::map<std::string, uint64_t> CountedFields(const ServiceStats& stats) {
       {"sand.service.pre_materialize_jobs", stats.pre_materialize_jobs},
       {"sand.service.evictions", stats.evictions},
       {"sand.service.chunks_planned", stats.chunks_planned},
-      {"sand.service.async_units", stats.async_units},
   };
 }
 

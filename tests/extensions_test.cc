@@ -3,7 +3,10 @@
 // custom ops, and cost-model calibration.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+#include <csignal>
 
 #include "src/common/rng.h"
 #include "src/config/config_dump.h"
@@ -420,6 +423,22 @@ TEST(SubprocessOpTest, MultipleSequentialCalls) {
   for (uint8_t v : frame.data()) {
     EXPECT_LE(v, 8);
   }
+}
+
+// A worker that died turns the next Apply into Unavailable: the request
+// write to its closed end must not raise SIGPIPE in this process.
+TEST(SubprocessOpTest, DeadWorkerReadsAsUnavailable) {
+  auto runner = SubprocessOpRunner::Spawn(&Halve);
+  ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+  Frame frame = SynthesizeFrame(7, 0, 8, 8, 3);
+  ASSERT_TRUE((*runner)->Apply(frame).ok());
+  const pid_t pid = (*runner)->worker_pid();
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);  // its end is closed from here on
+  auto out = (*runner)->Apply(frame);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), ErrorCode::kUnavailable) << out.status().ToString();
 }
 
 Result<Frame> AlwaysFails(const Frame&) { return ResourceExhausted("gpu quota: nope"); }

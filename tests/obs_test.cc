@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -12,8 +11,6 @@
 #include <vector>
 
 #include "src/obs/attribution.h"
-#include "src/obs/health.h"
-#include "src/obs/history.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/vfs/sand_fs.h"
@@ -483,8 +480,7 @@ TEST(ControlViewTest, ControlDirAndErrors) {
   auto listing = fs.ListDir("/.sand");
   ASSERT_TRUE(listing.ok());
   EXPECT_EQ(*listing,
-            (std::vector<std::string>{"health", "history", "jobs", "metrics", "tenants",
-                                      "trace"}));
+            (std::vector<std::string>{"health", "jobs", "metrics", "tenants", "trace"}));
   EXPECT_FALSE(fs.Open("/.sand").ok());
   EXPECT_FALSE(fs.Open("/.sand/bogus").ok());
   EXPECT_FALSE(fs.Open("/.sand/jobs/nonexistent-job/metrics").ok());
@@ -525,56 +521,9 @@ TEST(ControlViewTest, PerJobMetricsView) {
   EXPECT_TRUE(fs.Close(*fd).ok());
 }
 
-TEST(ControlViewTest, HistoryViewRecordsSamples) {
-  obs::HistoryRecorder& recorder = obs::HistoryRecorder::Get();
-  recorder.Clear();
-  Registry::Get().GetGauge("test.obs.history.gauge")->Set(17);
-  recorder.SampleNow();
-  Registry::Get().GetGauge("test.obs.history.gauge")->Set(23);
-  recorder.SampleNow();
-  EXPECT_EQ(recorder.SampleCount(), 2u);
-
-  NullProvider provider;
-  SandFs fs(&provider);
-  auto fd = fs.Open("/.sand/history");
-  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-  auto bytes = fs.ReadAllShared(*fd);
-  ASSERT_TRUE(bytes.ok());
-  std::string body((*bytes)->begin(), (*bytes)->end());
-  EXPECT_TRUE(JsonLooksValid(body)) << body.substr(0, 200);
-  EXPECT_NE(body.find("\"interval_ms\""), std::string::npos);
-  EXPECT_NE(body.find("\"test.obs.history.gauge\""), std::string::npos);
-  EXPECT_NE(body.find("\"samples\""), std::string::npos);
-  EXPECT_TRUE(fs.Close(*fd).ok());
-}
-
-TEST(HistoryRecorderTest, PeriodicSamplingAndSamplers) {
-  obs::HistoryRecorder& recorder = obs::HistoryRecorder::Get();
-  recorder.Clear();
-  Counter sampler_calls;
-  uint64_t handle = recorder.AddSampler([&sampler_calls] { sampler_calls.Add(1); });
-  obs::HistoryRecorder::Options options;
-  options.interval_ms = 5;
-  options.capacity = 4;
-  recorder.Start(options);
-  while (recorder.SampleCount() < 4) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  recorder.Stop();
-  recorder.RemoveSampler(handle);
-  EXPECT_GE(sampler_calls.Value(), 4u);
-  // Ring capacity bounds resident samples.
-  EXPECT_EQ(recorder.SampleCount(), 4u);
-  recorder.Clear();
-}
-
 TEST(ControlViewTest, HealthViewAndViolationCounters) {
-  obs::HealthMonitor& monitor = obs::HealthMonitor::Get();
-  obs::HealthThresholds saved = monitor.GetThresholds();
-
   // Healthy by default: permissive budgets, no degraded disk.
   Registry::Get().GetGauge("sand.store.disk.degraded")->Set(0);
-  monitor.SetThresholds(obs::HealthThresholds{});
   NullProvider provider;
   SandFs fs(&provider);
   {
@@ -619,7 +568,6 @@ TEST(ControlViewTest, HealthViewAndViolationCounters) {
   Registry::Get().GetGauge("sand.store.disk.degraded")->Set(0);
   Registry::Get().GetGauge("sand.pool.async.pending")->Set(0);
   Registry::Get().GetGauge("sand.pool.async.capacity")->Set(0);
-  monitor.SetThresholds(saved);
 }
 
 }  // namespace

@@ -114,8 +114,7 @@ TEST(SchedulerTest, DemandFeedingPreemptsBackground) {
 TEST(SchedulerTest, SjfUnderMemoryPressure) {
   MaterializationScheduler::Options options;
   options.num_threads = 1;
-  options.memory_pressure = [] { return 0.95; };  // above watermark
-  options.sjf_watermark = 0.8;
+  options.memory_pressure = [] { return 0.95; };  // above the 0.8 watermark
   MaterializationScheduler scheduler(options);
   OrderRecorder recorder;
   Gate gate;

@@ -1,8 +1,7 @@
 // Tests for request-scoped causal tracing (DESIGN.md §12): TraceContext
 // propagation through spans, WorkerPool hand-off, Future continuations,
-// and the end-to-end SandService paths — a demand read must produce one
-// connected multi-thread trace, and the saturated-pool fallback must
-// surface as "async_inline".
+// and the end-to-end SandService path — a demand read must produce one
+// connected multi-thread trace.
 //
 // Run under TSan (tools/check_tsan.sh): propagation crosses threads at
 // every boundary exercised here.
@@ -169,6 +168,10 @@ ServiceOptions DemandOptions() {
   options.k_epochs = 2;
   options.total_epochs = 4;
   options.pre_materialize = false;
+  // FIFO pops (the Fig. 18 ablation) leave every part of a read's RunGroup
+  // to the scheduler's workers, so a demand read's flame crosses threads on
+  // every run; with priorities the reading thread may run every part itself.
+  options.enable_scheduling = false;
   options.num_threads = 2;
   options.storage_budget_bytes = 64ULL << 20;
   return options;
@@ -247,7 +250,7 @@ TEST(TraceContextTest, DemandReadYieldsOneConnectedMultiThreadTrace) {
       tids.insert(e.tid);
     }
   }
-  EXPECT_GE(flame.size(), 4u) << "demand read should cross fs -> pool -> sched -> decode";
+  EXPECT_GE(flame.size(), 4u) << "demand read should cross fs -> sched -> decode";
   EXPECT_GE(tids.size(), 2u) << "the flame must span threads";
   size_t root_count = 0;
   for (const TraceEvent& e : flame) {
@@ -261,47 +264,10 @@ TEST(TraceContextTest, DemandReadYieldsOneConnectedMultiThreadTrace) {
     EXPECT_EQ(obs::JobRegistry::Get().NameOf(e.job_id), "train");
   }
   EXPECT_EQ(root_count, 1u) << "one connected flame, not a forest";
-}
-
-TEST(TraceContextTest, SaturatedPoolFallsBackToInlineSpan) {
-  ServiceOptions options = DemandOptions();
-  options.async_threads = 1;      // one worker...
-  options.async_queue_depth = 1;  // ...and a one-deep queue (0 clamps to 1)
-  ServiceRig rig = MakeServiceRig(options);
-  Tracer::Get().Clear();
-
-  // Saturate: the first demand unit occupies the worker (a batch
-  // materialization takes milliseconds), the second fills the queue, so
-  // the third must refuse submission and compute inline on this thread.
-  std::vector<Future<SharedBytes>> pending;
-  uint64_t root_trace = 0;
-  {
-    ScopedTraceContext scope(
-        BeginRequestContext(obs::JobRegistry::Get().Intern("train"), RequestClass::kDemand));
-    SAND_SPAN("tc_inline_root");
-    root_trace = CurrentTraceContext().trace_id;
-    for (const char* path : {"/train/0/0/view", "/train/0/1/view", "/train/1/0/view"}) {
-      auto view = ViewPath::Parse(path);
-      ASSERT_TRUE(view.ok());
-      pending.push_back(rig.service->MaterializeAsync(*view));
-    }
-  }
-  for (auto& future : pending) {
-    auto result = future.Get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-  }
-  rig.service->WaitForBackgroundWork();
-  rig.service->Shutdown();
-
-  auto events = Tracer::Get().Snapshot();
-  auto inline_spans = SpansNamed(events, "async_inline");
-  auto root = SpansNamed(events, "tc_inline_root");
-  ASSERT_FALSE(inline_spans.empty()) << "saturated pool must degrade to inline";
-  ASSERT_EQ(root.size(), 1u);
-  // Degraded mode stays on the caller's thread and in its trace.
-  EXPECT_EQ(inline_spans[0].trace_id, root_trace);
-  EXPECT_EQ(inline_spans[0].tid, root[0].tid);
-  EXPECT_EQ(inline_spans[0].parent_span_id, root[0].span_id);
+  // The read materializes on the thread that issued it.
+  auto assemble = SpansNamed(flame, "batch_assemble");
+  ASSERT_EQ(assemble.size(), 1u);
+  EXPECT_EQ(assemble[0].tid, roots[0].tid);
 }
 
 }  // namespace

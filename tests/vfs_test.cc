@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "src/vfs/sand_fs.h"
@@ -171,82 +169,6 @@ TEST_F(SandFsTest, StatsAccumulate) {
 }
 
 // ---------------------------------------------------------------------------
-// O_NONBLOCK opens over an async provider.
-
-// Provider whose MaterializeAsync parks each request on a promise until the
-// test resolves it, so a nonblock fd can be seen with its materialization
-// still in flight.
-class ParkingProvider : public FakeProvider {
- public:
-  Future<SharedBytes> MaterializeAsync(const ViewPath& path) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    parked_.emplace_back(path, Promise<SharedBytes>());
-    return parked_.back().second.future();
-  }
-
-  // Resolves every parked request against the object map.
-  void ResolveAll() {
-    std::vector<std::pair<ViewPath, Promise<SharedBytes>>> parked;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      parked.swap(parked_);
-    }
-    for (auto& [path, promise] : parked) {
-      promise.Set(Materialize(path));
-    }
-  }
-
-  size_t ParkedCount() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return parked_.size();
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::pair<ViewPath, Promise<SharedBytes>>> parked_;
-};
-
-TEST(SandFsAsyncTest, NonblockOpenPollsToCompletion) {
-  // The default MaterializeAsync adapter resolves inline, so the first
-  // poll already finds the bytes.
-  FakeProvider provider;
-  provider.objects["/t/0/0/view"] = {0, 0, 7};
-  SandFs fs(&provider);
-  OpenOptions options;
-  options.nonblock = true;
-  auto fd = fs.Open("/t/0/0/view", options);
-  ASSERT_TRUE(fd.ok());
-  EXPECT_EQ(provider.materialize_calls, 1) << "a nonblock open starts the materialization";
-  auto bytes = fs.ReadAllShared(*fd);
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  EXPECT_EQ(**bytes, (std::vector<uint8_t>{0, 0, 7}));
-  EXPECT_EQ(provider.materialize_calls, 1);
-  ASSERT_TRUE(fs.Close(*fd).ok());
-}
-
-TEST(SandFsAsyncTest, NonblockReturnsUnavailableWhileInFlight) {
-  ParkingProvider provider;
-  provider.objects["/t/0/1/view"] = {0, 1, 7};
-  SandFs fs(&provider);
-
-  OpenOptions options;
-  options.nonblock = true;
-  auto fd = fs.Open("/t/0/1/view", options);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_EQ(provider.ParkedCount(), 1u) << "the open issued the materialization";
-  auto bytes = fs.ReadAllShared(*fd);
-  ASSERT_FALSE(bytes.ok());
-  EXPECT_EQ(bytes.status().code(), ErrorCode::kUnavailable);
-  EXPECT_EQ(provider.ParkedCount(), 1u) << "a poll must not issue a second request";
-
-  provider.ResolveAll();
-  bytes = fs.ReadAllShared(*fd);
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  EXPECT_EQ(**bytes, (std::vector<uint8_t>{0, 1, 7}));
-  ASSERT_TRUE(fs.Close(*fd).ok());
-}
-
-// ---------------------------------------------------------------------------
 // OpenOptions: the versioned wire form (DESIGN.md §13).
 
 // One wire field: u8 tag | u64 LE value.
@@ -258,30 +180,28 @@ void AppendField(std::vector<uint8_t>& bytes, uint8_t tag, uint64_t value) {
 }
 
 TEST(OpenOptionsTest, WireRoundTrip) {
-  for (bool nonblock : {false, true}) {
-    OpenOptions options;
-    options.nonblock = nonblock;
-    auto decoded = OpenOptions::Deserialize(options.Serialize());
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_TRUE(*decoded == options);
-  }
+  OpenOptions options;
+  std::vector<uint8_t> bytes = options.Serialize();
+  EXPECT_EQ(bytes, (std::vector<uint8_t>{1, 0})) << "version 1, no fields";
+  auto decoded = OpenOptions::Deserialize(bytes);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(*decoded == options);
 }
 
 TEST(OpenOptionsTest, OldClientsRetiredFieldsAreSkipped) {
   // The 3-field form older clients send: readahead window (tag 1) = -1,
-  // result pinning (tag 2) = 0, nonblock (tag 3) = 1.
+  // result pinning (tag 2) = 0, nonblock (tag 3) = 1. All three are retired.
   std::vector<uint8_t> bytes = {1, 3};
   AppendField(bytes, 1, static_cast<uint64_t>(int64_t{-1}));
   AppendField(bytes, 2, 0);
   AppendField(bytes, 3, 1);
   auto decoded = OpenOptions::Deserialize(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded->nonblock);
+  EXPECT_TRUE(*decoded == OpenOptions{});
 }
 
 TEST(OpenOptionsTest, UnknownFieldsFromNewerPeerAreSkipped) {
   OpenOptions options;
-  options.nonblock = true;
   std::vector<uint8_t> bytes = options.Serialize();
   // Append a field with an unassigned tag, as a newer client would.
   AppendField(bytes, 99, 0xABABABABABABABABULL);
@@ -298,7 +218,12 @@ TEST(OpenOptionsTest, RejectsMalformedWireForm) {
   std::vector<uint8_t> truncated = OpenOptions{}.Serialize();
   truncated.pop_back();
   EXPECT_EQ(OpenOptions::Deserialize(truncated).status().code(),
-            ErrorCode::kInvalidArgument);
+            ErrorCode::kInvalidArgument);  // header
+  std::vector<uint8_t> short_field = {1, 1};
+  AppendField(short_field, 99, 0);
+  short_field.pop_back();
+  EXPECT_EQ(OpenOptions::Deserialize(short_field).status().code(),
+            ErrorCode::kInvalidArgument);  // field list
 }
 
 }  // namespace

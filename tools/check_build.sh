@@ -3,8 +3,8 @@
 # full ctest suite and the smokes, rerun the pixel kernels' tests in a
 # SAND_NATIVE_ARCH=ON tree, then run the ThreadSanitizer suite
 # (tools/check_tsan.sh) and the AddressSanitizer + UndefinedBehaviorSanitizer
-# pass over the async demand path and the decoders, each in its own build
-# tree. This is the tier-1 gate plus the
+# pass over the demand path, the decoders and the op worker's socket, each
+# in its own build tree. This is the tier-1 gate plus the
 # concurrency/lifetime gates.
 #
 # Usage: tools/check_build.sh
@@ -181,7 +181,7 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ASAN_TESTS=(common_test vfs_test core_test codec_test fault_injection_test
               compress_test compress_tier_test net_test cluster_test obs_test
               storage_test object_path_test stress_test tensor_test config_test
-              sched_test pruning_test)
+              sched_test pruning_test extensions_test)
   # SAND_ASAN also turns on UndefinedBehaviorSanitizer without recovery:
   # any UB report fails the test as an ASan report does.
   cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -13,8 +13,8 @@
 # the socket front-end (net_test: concurrent client connections,
 # per-tenant admission, disconnect teardown), the sharded store cluster
 # (cluster_test: peer probe, per-node guards, node-kill failover and
-# reprobe), and the atomic per-instance counters and O_NONBLOCK polling of
-# SandFs (vfs_test), OnDemandCpuSource's executors (baselines_test) and
+# reprobe), and the atomic per-instance counters and the on-thread demand
+# reads of SandFs (vfs_test), OnDemandCpuSource's executors (baselines_test) and
 # concurrent services (stress_test). tools/check_build.sh runs the
 # storage, object-path and stress suites, among others, under
 # AddressSanitizer as well.
