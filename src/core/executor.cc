@@ -213,29 +213,40 @@ std::optional<Result<Frame>> SubtreeExecutor::AcceptCached(const ConcreteNode& n
 }
 
 std::set<int> SubtreeExecutor::LoadCached(const std::vector<int>& node_ids) {
-  std::vector<int> wanted;
-  if (cache_ != nullptr) {
+  CacheRead read = ListCacheRead(node_ids);
+  if (read.keys.empty()) {
+    return {};
+  }
+  return AcceptCacheRead(read, cache_->GetManyShared(read.keys));
+}
+
+SubtreeExecutor::CacheRead SubtreeExecutor::ListCacheRead(const std::vector<int>& node_ids) {
+  CacheRead read;
+  if (cache_ == nullptr) {
+    return read;
+  }
+  {
     std::lock_guard<std::mutex> lock(mutex_);
     for (int id : node_ids) {
       if (graph_.node(id).cache && memo_.count(id) == 0 &&
-          std::find(wanted.begin(), wanted.end(), id) == wanted.end()) {
-        wanted.push_back(id);
+          std::find(read.nodes.begin(), read.nodes.end(), id) == read.nodes.end()) {
+        read.nodes.push_back(id);
       }
     }
   }
-  if (wanted.empty()) {
-    return {};
+  read.keys.reserve(read.nodes.size());
+  for (int id : read.nodes) {
+    read.keys.push_back(NodeCacheKey(graph_, graph_.node(id)));
   }
-  std::vector<std::string> keys;
-  keys.reserve(wanted.size());
-  for (int id : wanted) {
-    keys.push_back(NodeCacheKey(graph_, graph_.node(id)));
-  }
-  std::vector<Result<SharedBytes>> loaded = cache_->GetManyShared(keys);
+  return read;
+}
+
+std::set<int> SubtreeExecutor::AcceptCacheRead(const CacheRead& read,
+                                               std::span<const Result<SharedBytes>> loaded) {
   std::set<int> missed;
-  for (size_t i = 0; i < wanted.size(); ++i) {
-    if (!AcceptCached(graph_.node(wanted[i]), keys[i], loaded[i])) {
-      missed.insert(wanted[i]);
+  for (size_t i = 0; i < read.nodes.size(); ++i) {
+    if (!AcceptCached(graph_.node(read.nodes[i]), read.keys[i], loaded[i])) {
+      missed.insert(read.nodes[i]);
     }
   }
   return missed;

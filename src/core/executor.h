@@ -24,6 +24,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,6 +109,18 @@ class SubtreeExecutor {
   // Returns the nodes it read and missed, for Produce to compute without
   // reading again.
   std::set<int> LoadCached(const std::vector<int>& node_ids);
+
+  // LoadCached in two halves, so that several executors can share one
+  // cache read: ListCacheRead names the nodes LoadCached would read and
+  // their keys; AcceptCacheRead memoizes what the cache answered for
+  // `read.keys` (in order) and returns the nodes that missed.
+  struct CacheRead {
+    std::vector<int> nodes;
+    std::vector<std::string> keys;  // parallel to nodes
+  };
+  CacheRead ListCacheRead(const std::vector<int>& node_ids);
+  std::set<int> AcceptCacheRead(const CacheRead& read,
+                                std::span<const Result<SharedBytes>> loaded);
 
   // Produces and persists every cache-flagged node of the graph (the
   // pre-materialization job body), one GOP slice at a time. Skips nodes

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -395,27 +396,84 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
                                                         const BatchPlan& batch) {
   SAND_SPAN("batch_assemble");
   Nanos assemble_start = SinceProcessStart();
-  // Group the batch's clips by source video: one decoder cursor and memo
-  // per video, and one parallel demand-feeding job per video group (this
-  // thread runs whatever no worker has started).
-  std::vector<Clip> clips(batch.clips.size());
+  // One part per source video of the batch: one decoder cursor and memo per
+  // video.
+  struct Part {
+    int video = 0;
+    std::vector<size_t> slots;  // the part's clips in the batch
+    std::vector<int> leaves;    // their leaves, in clip order
+    bool all_flagged = true;    // every leaf is cache-flagged
+    std::unique_ptr<SubtreeExecutor> executor;
+    SubtreeExecutor::CacheRead read;
+    std::set<int> missed;  // flagged leaves the batch's cache read missed
+    Status status;
+  };
   std::map<int, std::vector<size_t>> by_video;
   for (size_t c = 0; c < batch.clips.size(); ++c) {
     by_video[batch.clips[c].video_index].push_back(c);
   }
-  std::vector<Status> statuses(by_video.size());
-  std::vector<MaterializationJob> parts;
+  // Jobs hold pointers into `parts`: it is sized once.
+  std::vector<Part> parts;
   parts.reserve(by_video.size());
-  for (const auto& [video_index, clip_slots] : by_video) {
+  std::vector<std::string> keys;
+  for (auto& [video_index, slots] : by_video) {
+    const VideoObjectGraph& graph = chunk->plan.videos[static_cast<size_t>(video_index)];
+    Part& part = parts.emplace_back();
+    part.video = video_index;
+    part.slots = std::move(slots);
+    for (size_t slot : part.slots) {
+      for (int leaf : batch.clips[slot].leaf_ids) {
+        part.leaves.push_back(leaf);
+        part.all_flagged = part.all_flagged && graph.node(leaf).cache;
+      }
+    }
+    part.executor = std::make_unique<SubtreeExecutor>(graph, &containers_, cache_.get(),
+                                                      &cpu_meter_, exec_counters_,
+                                                      decode_pool_.get());
+    part.read = part.executor->ListCacheRead(part.leaves);
+    keys.insert(keys.end(), part.read.keys.begin(), part.read.keys.end());
+  }
+  // Every flagged leaf of the batch in one cache read: the keys the local
+  // tiers miss go to the peer store in one call, which a ClusterStore
+  // splits into one request per owner node.
+  std::vector<Result<SharedBytes>> loaded;
+  if (!keys.empty()) {
+    loaded = cache_->GetManyShared(keys);
+  }
+
+  std::vector<Clip> clips(batch.clips.size());
+  auto assemble = [&](Part& part) -> Status {
+    const VideoObjectGraph& graph = chunk->plan.videos[static_cast<size_t>(part.video)];
+    for (size_t slot : part.slots) {
+      for (int leaf : batch.clips[slot].leaf_ids) {
+        SAND_ASSIGN_OR_RETURN(Frame frame,
+                              part.executor->Produce(leaf, /*allow_cache_store=*/true,
+                                                     /*probe_cache=*/part.missed.count(leaf) == 0));
+        clips[slot].frames.push_back(std::move(frame));
+        clips[slot].frame_indices.push_back(graph.node(leaf).source_frame);
+      }
+    }
+    return Status::Ok();
+  };
+  // A part whose leaves the read answered is assembled here; the rest are
+  // one demand-feeding job each (this thread runs whatever no worker has
+  // started).
+  std::vector<MaterializationJob> jobs;
+  size_t answered = 0;
+  for (Part& part : parts) {
+    part.missed = part.executor->AcceptCacheRead(
+        part.read,
+        std::span<const Result<SharedBytes>>(loaded).subspan(answered, part.read.keys.size()));
+    answered += part.read.keys.size();
+    if (part.all_flagged && part.missed.empty()) {
+      part.status = assemble(part);
+      continue;
+    }
     MaterializationJob job;
     job.demand_feeding = true;
     job.deadline = batch.global_iteration;
-    job.remaining_work = static_cast<int64_t>(clip_slots.size());
-    job.run = [this, chunk, &batch, &clips, video_index = video_index,
-               slots = clip_slots, &status = statuses[parts.size()]] {
-      const VideoObjectGraph& graph = chunk->plan.videos[static_cast<size_t>(video_index)];
-      SubtreeExecutor executor(graph, &containers_, cache_.get(), &cpu_meter_, exec_counters_,
-                               decode_pool_.get());
+    job.remaining_work = static_cast<int64_t>(part.slots.size());
+    job.run = [this, &chunk, &part, &assemble] {
       if (options_.pre_materialize && options_.enable_scheduling) {
         // Demand-feeding coordination is part of priority scheduling: never
         // duplicate the subtree's work — either claim it (and run the
@@ -423,48 +481,28 @@ Result<std::vector<uint8_t>> SandService::AssembleBatch(const std::shared_ptr<Ch
         // consumer anyway), or wait for the owner to finish, then assemble
         // from cache. With scheduling disabled (Fig. 18 ablation) the
         // demand path recomputes naively like the baselines.
-        if (ClaimVideo(*chunk, video_index, /*wait_if_running=*/true)) {
-          Status materialized = MaterializeClaimed(*chunk, video_index, executor);
+        if (ClaimVideo(*chunk, part.video, /*wait_if_running=*/true)) {
+          Status materialized = MaterializeClaimed(*chunk, part.video, *part.executor);
           if (!materialized.ok()) {
             // The per-leaf path below retries; just surface the warning.
             SAND_LOG(kWarning) << "subtree materialization failed: "
                                << materialized.ToString();
           }
         }
+        // The hits are memoized, so this reads only the leaves the batch's
+        // read missed, which the subtree's owner may have stored since.
+        part.missed = part.executor->LoadCached(part.leaves);
       }
-      // The part's flagged leaves come from the cache in one read (one
-      // request per owner node when they come from cluster peers); a leaf
-      // that read missed is computed without asking the cache again.
-      std::vector<int> leaves;
-      for (size_t slot : slots) {
-        const ClipRef& ref = batch.clips[slot];
-        leaves.insert(leaves.end(), ref.leaf_ids.begin(), ref.leaf_ids.end());
-      }
-      const std::set<int> missed = executor.LoadCached(leaves);
-      for (size_t slot : slots) {
-        const ClipRef& ref = batch.clips[slot];
-        for (int leaf : ref.leaf_ids) {
-          Result<Frame> frame = executor.Produce(leaf, /*allow_cache_store=*/true,
-                                                 /*probe_cache=*/missed.count(leaf) == 0);
-          if (!frame.ok()) {
-            status = frame.status();
-            break;
-          }
-          clips[slot].frames.push_back(frame.TakeValue());
-          clips[slot].frame_indices.push_back(graph.node(leaf).source_frame);
-        }
-        if (!status.ok()) {
-          break;
-        }
-      }
+      part.status = assemble(part);
     };
-    parts.push_back(std::move(job));
+    jobs.push_back(std::move(job));
   }
-  if (!scheduler_->RunGroup(std::move(parts))) {
+  // Called even with no jobs: a read after Shutdown() is refused.
+  if (!scheduler_->RunGroup(std::move(jobs))) {
     return Unavailable("service shut down before the batch was assembled");
   }
-  for (Status& status : statuses) {
-    SAND_RETURN_IF_ERROR(status);
+  for (const Part& part : parts) {
+    SAND_RETURN_IF_ERROR(part.status);
   }
   Result<std::vector<uint8_t>> serialized = SerializeBatch(clips);
   ServiceMetrics::Get().batch_assemble_ns->Record(
@@ -481,7 +519,8 @@ Result<SharedBytes> SandService::MaterializeBatch(const ViewPath& path) {
   }
   const BatchPlan& batch = chunk->plan.batches[it->second];
 
-  // Demand-feeding: AssembleBatch fans one job per source video into the
+  // Demand-feeding: AssembleBatch reads the batch's cached leaves on this
+  // thread and fans one job per source video with work left into the
   // scheduler's highest class; the caller (a training loop inside read())
   // blocks until all of them land.
   Result<std::vector<uint8_t>> bytes = AssembleBatch(chunk, batch);

@@ -200,7 +200,9 @@ class SandService : public ViewProvider {
   // then advances the task's progress: batches_served, next-chunk kickoff,
   // eviction.
   Result<SharedBytes> MaterializeBatch(const ViewPath& path);
-  // Assembles the batch's clips: one demand-feeding job per source video.
+  // Assembles the batch's clips: reads every cache-flagged leaf with one
+  // cache read, then runs one demand-feeding job per source video that has
+  // a leaf left to compute.
   Result<std::vector<uint8_t>> AssembleBatch(const std::shared_ptr<ChunkState>& chunk,
                                              const BatchPlan& batch);
 

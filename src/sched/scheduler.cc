@@ -51,6 +51,9 @@ bool MaterializationScheduler::RunGroup(std::vector<MaterializationJob> jobs) {
   if (shutdown_) {
     return false;
   }
+  if (jobs.empty()) {
+    return true;  // nothing to run: wake no worker
+  }
   group.unfinished = jobs.size();
   for (MaterializationJob& job : jobs) {
     queue_.push_back(Queued{std::move(job), &group});

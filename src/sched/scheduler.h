@@ -12,9 +12,10 @@
 // first (fewest unprocessed edges), draining almost-done subtrees so their
 // decoded frames can be freed (paper: SJF above ~80% memory use).
 //
-// A demand read hands its batch to RunGroup, which does not leave the
-// reading thread idle: every demand-feeding job of the group that no worker
-// has started yet runs on that thread. Workers may all be inside long
+// A demand read hands the parts of its batch that the cache could not
+// answer to RunGroup, which does not leave the reading thread idle: every
+// demand-feeding job of the group that no worker has started yet runs on
+// that thread. Workers may all be inside long
 // background jobs when a batch arrives; demand work then starts at once
 // instead of waiting for one of them to finish.
 //
@@ -97,7 +98,9 @@ class MaterializationScheduler {
   // finish a background job. It leaves to the workers a job whose tenant is
   // at its running cap, and everything under disable_priorities (the FIFO
   // ablation). Returns false, queueing none of them, once Shutdown() has
-  // begun.
+  // begun. An empty group wakes no worker: it returns true at once, or
+  // false after Shutdown(), so a caller with nothing to queue still learns
+  // that the scheduler has stopped.
   bool RunGroup(std::vector<MaterializationJob> jobs);
 
   // Caps how many of `tenant_id`'s jobs may run concurrently (its

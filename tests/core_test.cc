@@ -302,8 +302,8 @@ TEST(SandServiceTest, BatchReadAfterShutdownIsUnavailable) {
 }
 
 TEST(SandServiceTest, FailedBatchPartWaitsForItsSiblingParts) {
-  // A batch is one scheduler job per source video, each writing into the
-  // batch's clip slots. With one video's container gone, its part fails at
+  // With nothing cached, a batch is one scheduler job per source video,
+  // each writing into the batch's clip slots. With one video's container gone, its part fails at
   // once while the sibling part is still decoding: the read must return
   // the failure only after the sibling is done (under ASan, returning early
   // is a heap-use-after-free of the clip slots).
@@ -579,7 +579,7 @@ Result<SharedBytes> ReadBatch(TestRig& rig, const std::string& path) {
   return bytes;
 }
 
-TEST(SandServiceTest, PeerOnlyBatchReadAsksThePeerOncePerPart) {
+TEST(SandServiceTest, PeerOnlyBatchReadAsksThePeerOncePerBatch) {
   // Node A materializes the batch on demand and publishes every object it
   // stores to the ring's store.
   ServiceOptions options = DefaultOptions();
@@ -590,8 +590,8 @@ TEST(SandServiceTest, PeerOnlyBatchReadAsksThePeerOncePerPart) {
   auto expected = ReadBatch(node_a, "/train/0/0/view");
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-  // Node B plans the same chunk and finds every leaf at the peer. Its
-  // batch has at most videos_per_batch parts.
+  // Node B plans the same chunk and finds every leaf at the peer. The
+  // leaves of all its batch parts are one read.
   TestRig node_b = MakeRig(options);
   auto peer = std::make_shared<CountingPeer>(ring);
   node_b.cache->SetPeerStore(peer);
@@ -600,14 +600,48 @@ TEST(SandServiceTest, PeerOnlyBatchReadAsksThePeerOncePerPart) {
   EXPECT_EQ(**got, **expected);
 
   EXPECT_EQ(peer->single_gets(), 0) << "no per-leaf gets and no batch-view probe";
-  EXPECT_GE(peer->batched_gets(), 1);
-  EXPECT_LE(peer->batched_gets(), SmallProfile().videos_per_batch);
+  EXPECT_EQ(peer->batched_gets(), 1) << "one read for the whole batch, not one per part";
   const std::vector<std::string> asked = peer->asked();
   EXPECT_EQ(std::set<std::string>(asked.begin(), asked.end()).size(), asked.size())
       << "each leaf is asked for once";
   const ServiceStats stats = node_b.service->stats();
   EXPECT_EQ(stats.exec.cache_hits, asked.size()) << "every leaf came from the peer";
   EXPECT_EQ(stats.exec.frames_decoded, 0u);
+}
+
+TEST(SandServiceTest, CachedBatchRunsNoSchedulerJob) {
+  // One chunk, so reading epoch 0 plans no chunk ahead. Once its
+  // pre-materialization is done, every leaf of epoch 0 is cached and a
+  // batch read has nothing to hand to the scheduler.
+  ServiceOptions options = DefaultOptions();
+  options.total_epochs = options.k_epochs;
+  TestRig rig = MakeRig(options);
+  rig.service->WaitForBackgroundWork();
+  ServiceOptions demand = options;
+  demand.pre_materialize = false;
+  TestRig reference = MakeRig(demand);
+
+  auto iterations = rig.service->fs().ListDir("/train/0");
+  ASSERT_TRUE(iterations.ok());
+  ASSERT_FALSE(iterations->empty());
+  const SchedulerStats sched_before = rig.service->scheduler_stats();
+  const uint64_t hits_before = rig.service->stats().exec.cache_hits;
+  uint64_t leaves = 0;
+  for (const std::string& iteration : *iterations) {
+    const std::string path = "/train/0/" + iteration + "/view";
+    auto got = ReadBatch(rig, path);
+    ASSERT_TRUE(got.ok()) << path << ": " << got.status().ToString();
+    auto expected = ReadBatch(reference, path);
+    ASSERT_TRUE(expected.ok()) << path << ": " << expected.status().ToString();
+    EXPECT_EQ(**got, **expected) << path;
+    auto header = ParseBatchHeader(**got);
+    ASSERT_TRUE(header.ok()) << header.status().ToString();
+    leaves += uint64_t{header->n_clips} * header->frames_per_clip;
+  }
+  const SchedulerStats sched_after = rig.service->scheduler_stats();
+  EXPECT_EQ(sched_after.jobs_run, sched_before.jobs_run);
+  EXPECT_EQ(sched_after.demand_jobs_run, sched_before.demand_jobs_run);
+  EXPECT_EQ(rig.service->stats().exec.cache_hits - hits_before, leaves);
 }
 
 TEST(SandServiceTest, LeavesTheBatchedLoadMissedAreNotAskedForAgain) {

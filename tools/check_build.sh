@@ -181,7 +181,8 @@ if [ "${SKIP_ASAN:-0}" != "1" ]; then
   ASAN_TESTS=(common_test vfs_test core_test codec_test fault_injection_test
               compress_test compress_tier_test net_test cluster_test obs_test
               storage_test object_path_test stress_test tensor_test config_test
-              sched_test pruning_test extensions_test)
+              sched_test pruning_test extensions_test trace_context_test
+              integration_test)
   # SAND_ASAN also turns on UndefinedBehaviorSanitizer without recovery:
   # any UB report fails the test as an ASan report does.
   cmake -B "$ASAN_BUILD_DIR" -S . -DSAND_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
