@@ -303,8 +303,9 @@ TEST(SandServiceTest, BatchReadAfterShutdownIsUnavailable) {
 
 TEST(SandServiceTest, FailedBatchPartWaitsForItsSiblingParts) {
   // With nothing cached, a batch is one scheduler job per source video,
-  // each writing into the batch's clip slots. With one video's container gone, its part fails at
-  // once while the sibling part is still decoding: the read must return
+  // each writing into the batch's clip slots. With one video's container
+  // gone, its part fails at once while the sibling part is still
+  // decoding: the read must return
   // the failure only after the sibling is done (under ASan, returning early
   // is a heap-use-after-free of the clip slots).
   ServiceOptions options = DefaultOptions();
