@@ -32,6 +32,9 @@ using namespace sand;
 
 namespace {
 
+// The smallest lossless ratio --smoke accepts.
+constexpr double kSmokeMinRatio = 2.5;
+
 // Serves every batch of the chunk once and reports the average demand-side
 // preprocessing wall time per iteration.
 double AvgIterationPreprocMs(const BenchEnv& env, uint64_t budget, bool enable_pruning) {
@@ -184,9 +187,11 @@ int RunCodecSweep(const BenchEnv& env, uint64_t full, const std::vector<double>&
                          {"effective_capacity_bytes", std::to_string(effective)}},
                         r.run);
       if (smoke) {
-        // CI gates: the codec must complete and deliver a sane ratio.
-        if (compress && r.ratio < 1.05) {
-          std::fprintf(stderr, "SMOKE FAIL: lossless ratio %.2f < 1.05\n", r.ratio);
+        // CI gates: the codec must complete and deliver its ratio (about
+        // 3.3 on these frames; 1.8 when the encoder wrote every 3-byte match).
+        if (compress && r.ratio < kSmokeMinRatio) {
+          std::fprintf(stderr, "SMOKE FAIL: lossless ratio %.2f < %.2f\n", r.ratio,
+                       kSmokeMinRatio);
           ++failures;
         }
         if (baseline_ms > 0 && iter_ms > baseline_ms * 10.0) {

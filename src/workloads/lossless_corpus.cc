@@ -210,6 +210,66 @@ std::vector<uint8_t> FilteredRows(size_t rows, size_t stride, Rng& rng,
   return out;
 }
 
+// The stream shape LosslessCompress wrote before it kept only matches of 16
+// bytes or more, and that SVC1 containers and SCO1 objects written then
+// still hold: one sub-filtered row of residual-like bytes (mostly within
+// +-2) as 600 matches of 3-15 bytes, each after a 1-8 byte literal run.
+// Match distances take turns among four bands: 1-7 (overlapping copies),
+// 8-64, 65-4,096 and 4,097 up; while the output is shorter than a band's
+// start, that turn draws from 1 up to the output's length. The code gives
+// the 8 most frequent token bytes 4 bits, so table slots pair them, the
+// next 8 bytes 8 bits and the other 240 9 bits (8/16 + 8/256 + 240/512 =
+// 1: a complete code).
+LosslessCorpusEntry DenseMatches() {
+  Rng rng(0xde75e);
+  auto residual = [&rng] {
+    const uint64_t magnitude = rng.NextBounded(8) == 0 ? rng.NextBounded(32) : rng.NextBounded(3);
+    return static_cast<uint8_t>(rng.NextBounded(2) == 0 ? magnitude : 256 - magnitude);
+  };
+  LzTokens lz;
+  std::vector<uint8_t> run = {1};  // the filter id: sub
+  while (run.size() < 8) {
+    run.push_back(residual());
+  }
+  lz.Literals(run);
+  constexpr std::array<std::pair<size_t, size_t>, 4> kBands = {
+      {{1, 7}, {8, 64}, {65, 4096}, {4097, 65535}}};
+  for (size_t m = 0; m < 600; ++m) {
+    if (m > 0) {
+      run.resize(1 + rng.NextBounded(8));
+      for (uint8_t& byte : run) {
+        byte = residual();
+      }
+      lz.Literals(run);
+    }
+    auto [lo, hi] = kBands[m % kBands.size()];
+    hi = std::min(hi, lz.decoded().size());
+    if (hi < lo) {
+      lo = 1;
+    }
+    lz.Match(3 + rng.NextBounded(13), lo + rng.NextBounded(hi - lo + 1));
+  }
+
+  std::array<uint64_t, 256> freq{};
+  for (uint8_t byte : lz.tokens()) {
+    ++freq[byte];
+  }
+  std::array<uint8_t, 256> by_freq{};
+  for (size_t s = 0; s < 256; ++s) {
+    by_freq[s] = static_cast<uint8_t>(s);
+  }
+  std::sort(by_freq.begin(), by_freq.end(), [&freq](uint8_t a, uint8_t b) {
+    return freq[a] != freq[b] ? freq[a] > freq[b] : a < b;
+  });
+  std::array<uint8_t, 256> lengths{};
+  for (size_t rank = 0; rank < 256; ++rank) {
+    lengths[by_freq[rank]] = rank < 8 ? 4 : (rank < 16 ? 8 : 9);
+  }
+  const uint32_t stride = static_cast<uint32_t>(lz.decoded().size() - 1);
+  return {"edge/dense_matches",
+          Slz1(lz.decoded().size(), stride, 3, HuffmanBlock(lz.tokens(), lengths))};
+}
+
 std::vector<LosslessCorpusEntry> EdgeStreams() {
   std::vector<LosslessCorpusEntry> out;
   Rng rng(0x5eed);
@@ -270,6 +330,7 @@ std::vector<LosslessCorpusEntry> EdgeStreams() {
     out.push_back({"edge/short_matches",
                    Slz1(lz.decoded().size(), stride, 3, HuffmanBlock(lz.tokens(), flat))});
   }
+  out.push_back(DenseMatches());
   {
     // Rows of exactly 128 filtered bytes: one maximal literal run each.
     LzTokens lz;

@@ -7,9 +7,12 @@
 // planes (sco1/quant4, sco1/quant8), whose statistics pixel rows lack, and
 // hand-built edge streams the encoder rarely or never emits: a stored
 // entropy block, a one-symbol alphabet, 15-bit Huffman codes, LZ matches at
-// distances 1-7 and overlapping their own output, 128-byte literal runs, a
-// pixel stride narrower than bpp, and a first row under each of the five
-// filters at bpp 1, 3 and 4.
+// distances 1-7 and overlapping their own output, hundreds of 3-15 byte
+// matches between short literal runs (the shape every stream had before the
+// encoder kept only matches of 16 bytes or more, which stored datasets and
+// cache objects still hold), 128-byte literal runs, a pixel stride narrower
+// than bpp, and a first row under each of the five filters at bpp 1, 3
+// and 4.
 // compress_test and `bench_micro_compress --smoke` decode it with both
 // decoders and require identical bytes.
 
